@@ -133,10 +133,10 @@ def _estimate_from_log(log: MarkerLog, kind: str, n0, config: EstimatorConfig, s
         estimate = estimate_fixed_point(motions, config, strict=strict)
         residuals = fixed_point_residuals(motions, estimate.point)
     elif kind == "direction":
-        estimate = estimate_fixed_direction(motions, config)
+        estimate = estimate_fixed_direction(motions, config, strict=strict)
         residuals = fixed_direction_residuals(motions, estimate.direction)
     else:
-        estimate = estimate_line_contact(motions, n0, config)
+        estimate = estimate_line_contact(motions, n0, config, strict=strict)
         residuals = line_contact_residuals(motions, n0, estimate.point)
     return estimate, residuals
 

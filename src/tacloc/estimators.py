@@ -89,6 +89,22 @@ def _moving_or_raise(motions: MotionSequence, config: EstimatorConfig):
     return moving
 
 
+def _conditioning(max_angle: float, smallest: float, cond: float,
+                  config: EstimatorConfig, strict: bool) -> ConditioningReport:
+    """The conditioning report; in strict mode, IllConditioned unless it is well posed."""
+    report = ConditioningReport(
+        max_rotation_angle=max_angle,
+        smallest_singular_value=smallest,
+        condition_number=cond,
+        well_posed=(max_angle >= config.angle_threshold) and (cond <= config.cond_threshold))
+    if strict and not report.well_posed:
+        raise IllConditioned(
+            f"ill-posed: max rotation angle {max_angle:.3g} rad (needs >= "
+            f"{config.angle_threshold:.3g}), condition number {cond:.3g} (needs <= "
+            f"{config.cond_threshold:.3g})")
+    return report
+
+
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     """Fix the sign ambiguity: first nonzero component positive."""
     nonzero = np.nonzero(vec)[0]
@@ -152,8 +168,8 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
 
     Raises:
         TooFewFrames: fewer than config.min_frames moving frames.
-        IllConditioned: only in strict mode, when the condition number
-            exceeds config.cond_threshold.
+        IllConditioned: only in strict mode, when the estimate is not well
+            posed (rotation angle or condition number out of bounds).
     """
     moving = _moving_or_raise(motions, config)
     stacked = np.vstack([np.eye(3) - m.rotation for m in moving])
@@ -164,14 +180,7 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
     smallest = float(sing[-1])
     cond = float(sing[0] / sing[-1]) if smallest > 0.0 else math.inf
     max_angle = max(rotation_angle(m) for m in moving)
-    report = ConditioningReport(
-        max_rotation_angle=max_angle,
-        smallest_singular_value=smallest,
-        condition_number=cond,
-        well_posed=(max_angle >= config.angle_threshold) and (cond <= config.cond_threshold))
-    if strict and cond > config.cond_threshold:
-        raise IllConditioned(
-            f"fixed-point system condition number {cond:.3g} exceeds {config.cond_threshold:.3g}")
+    report = _conditioning(max_angle, smallest, cond, config, strict)
 
     residuals = fixed_point_residuals(moving, point)
     return ContactEstimate(kind=ContactKind.FIXED_POINT, point=point, direction=None,
@@ -179,8 +188,8 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
                            conditioning=report)
 
 
-def estimate_fixed_direction(motions: MotionSequence,
-                             config: EstimatorConfig = EstimatorConfig()) -> ContactEstimate:
+def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = EstimatorConfig(),
+                             strict: bool = False) -> ContactEstimate:
     """Find the body direction that stays fixed in the world.
 
     The estimate is the right singular vector of the stacked (R_k - I)
@@ -193,6 +202,8 @@ def estimate_fixed_direction(motions: MotionSequence,
         TooFewFrames: fewer than config.min_frames moving frames.
         AmbiguousDirection: the null space has dimension >= 2 (e.g. all
             rotations are the identity), so no unique direction exists.
+        IllConditioned: only in strict mode, when the estimate is not well
+            posed.
     """
     moving = _moving_or_raise(motions, config)
     stacked = np.vstack([m.rotation - np.eye(3) for m in moving])
@@ -205,11 +216,7 @@ def estimate_fixed_direction(motions: MotionSequence,
     direction = _canonical_sign(vt[2])
     max_angle = max(rotation_angle(m) for m in moving)
     cond = float(sing[0] / sing[1])
-    report = ConditioningReport(
-        max_rotation_angle=max_angle,
-        smallest_singular_value=float(sing[1]),
-        condition_number=cond,
-        well_posed=(max_angle >= config.angle_threshold) and (cond <= config.cond_threshold))
+    report = _conditioning(max_angle, float(sing[1]), cond, config, strict)
 
     residuals = fixed_direction_residuals(moving, direction)
     return ContactEstimate(kind=ContactKind.FIXED_DIRECTION, point=None, direction=direction,
@@ -291,7 +298,8 @@ def estimate_line_point(motions: MotionSequence, track: PlaneTrack, direction,
 
 
 def estimate_line_contact(motions: MotionSequence, n0,
-                          config: EstimatorConfig = EstimatorConfig()) -> ContactEstimate:
+                          config: EstimatorConfig = EstimatorConfig(),
+                          strict: bool = False) -> ContactEstimate:
     """Full slipping-line-contact estimate from the contacting face normal.
 
     Propagates the initial plane through the sequence, recovers the edge
@@ -299,7 +307,13 @@ def estimate_line_contact(motions: MotionSequence, n0,
     second-largest singular value of the edge-point system — the weakest of
     its two determined directions (the third is rank-deficient along the
     edge by construction).
+
+    Raises:
+        TooFewFrames: fewer than config.min_frames moving frames.
+        IllConditioned: only in strict mode, when the estimate is not well
+            posed.
     """
+    _moving_or_raise(motions, config)
     track = propagate_plane(n0, np.zeros(3), motions)
     direction = estimate_line_direction(track, config)
     point = estimate_line_point(motions, track, direction, config)
@@ -308,12 +322,7 @@ def estimate_line_contact(motions: MotionSequence, n0,
                      for m, nk in zip(motions, track.normals)])
     sing = np.linalg.svd(rows, compute_uv=False)
     cond = float(sing[0] / sing[1]) if sing[1] > 0.0 else math.inf
-    max_angle = motions.max_rotation_angle()
-    report = ConditioningReport(
-        max_rotation_angle=max_angle,
-        smallest_singular_value=float(sing[1]),
-        condition_number=cond,
-        well_posed=(max_angle >= config.angle_threshold) and (cond <= config.cond_threshold))
+    report = _conditioning(motions.max_rotation_angle(), float(sing[1]), cond, config, strict)
 
     residuals = line_contact_residuals(motions, np.asarray(n0, dtype=float), point)
     return ContactEstimate(kind=ContactKind.LINE, point=point, direction=direction,

@@ -76,6 +76,23 @@ class EstimateReport:
 _INDENT = "  "
 
 
+def _emit_float_array(arr: np.ndarray, depth: int) -> str:
+    """One non-empty 1-D or 2-D float array, laid out exactly as _emit would.
+
+    Formatting the whole array with one format string avoids a Python call
+    per element, which dominates writing a large marker log.
+    """
+    finite = np.isfinite(arr)
+    if not finite.all():
+        # boolean indexing walks in row-major order: the first one _emit would meet
+        raise NonFiniteValue(f"cannot serialize {float(arr[~finite][0])!r}")
+    text = "[" + ", ".join(["%.17g"] * arr.shape[-1]) + "]"
+    if arr.ndim == 2:
+        pad = _INDENT * (depth + 1)
+        text = "[\n" + ",\n".join([pad + text] * arr.shape[0]) + "\n" + _INDENT * depth + "]"
+    return text % tuple(arr.ravel().tolist())
+
+
 def _emit(value, depth: int) -> str:
     if value is None:
         return "null"
@@ -91,6 +108,8 @@ def _emit(value, depth: int) -> str:
             raise NonFiniteValue(f"cannot serialize {value!r}")
         return format(value, ".17g")
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.size and value.ndim in (1, 2):
+            return _emit_float_array(value, depth)
         value = value.tolist()
     if isinstance(value, dict):
         if not value:
@@ -145,16 +164,23 @@ def sha256_of_file(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _require(data: dict, key: str, context: str):
+def _require(data, key: str, context: str, kind: type = object):
+    """data[key], or ParseError if data is not an object, lacks key, or the
+    value is not of kind (for int, a JSON integer: a bool does not count)."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{context} must be a JSON object, got {type(data).__name__}")
     if key not in data:
         raise ParseError(f"{context} is missing {key!r}")
-    return data[key]
+    value = data[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{context} {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _as_array(value, shape: tuple, context: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"{context} is not numeric: {err}") from err
     if arr.shape != shape:
         raise ParseError(f"{context} must have shape {shape}, got {arr.shape}")
@@ -176,26 +202,29 @@ def write_marker_log(path, log: MarkerLog) -> None:
 
 def read_marker_log(path) -> MarkerLog:
     data = _load_file(path, MARKER_LOG_SCHEMA)
-    units = _require(data, "units", "marker log")
+    units = _require(data, "units", "marker log", str)
     raw_frames = _require(data, "frames", "marker log")
     if not isinstance(raw_frames, list) or not raw_frames:
         raise ParseError("marker log 'frames' must be a non-empty list")
     frames = []
     for i, raw in enumerate(raw_frames):
-        index = _require(raw, "frame_index", f"frame {i}")
+        index = _require(raw, "frame_index", f"frame {i}", int)
         positions = _require(raw, "positions", f"frame {i}")
         try:
             arr = np.asarray(positions, dtype=float)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ParseError(f"frame {i} positions are not numeric: {err}") from err
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ParseError(f"frame {i} positions must be (m, 3), got {arr.shape}")
         bad = np.nonzero(~np.isfinite(arr).all(axis=1))[0]
         if bad.size:
             raise NonFiniteValue(f"frame {index}, marker {bad[0]}: non-finite coordinate")
-        frames.append(MarkerFrame(arr, int(index)))
+        try:
+            frames.append(MarkerFrame(arr, index))
+        except ValueError as err:
+            raise ParseError(f"frame {i}: {err}") from err
     try:
-        return MarkerLog(tuple(frames), units=str(units))
+        return MarkerLog(tuple(frames), units=units)
     except ValueError as err:
         raise ParseError(str(err)) from err
 
@@ -212,13 +241,13 @@ def _motion_to_dict(motion: RelativeMotion) -> dict:
 
 
 def _motion_from_dict(raw: dict, context: str) -> RelativeMotion:
-    index = _require(raw, "frame_index", context)
+    index = _require(raw, "frame_index", context, int)
     rotation = _as_array(_require(raw, "rotation", context), (3, 3), f"{context} rotation")
     translation = _as_array(_require(raw, "translation", context), (3,), f"{context} translation")
     if not (np.all(np.isfinite(rotation)) and np.all(np.isfinite(translation))):
         raise NonFiniteValue(f"{context}: non-finite coordinate")
     try:
-        return RelativeMotion(rotation, translation, int(index))
+        return RelativeMotion(rotation, translation, index)
     except ValueError as err:
         raise ParseError(f"{context}: {err}") from err
 

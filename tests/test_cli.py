@@ -1,12 +1,20 @@
 """Command-line interface: exit codes, file pipeline, determinism."""
 
+import contextlib
+import copy
+import dataclasses
+import io
 import json
+import tempfile
 from importlib import resources
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from tacloc import MarkerFrame, MarkerLog, read_report, write_marker_log
+from tacloc import (MarkerFrame, MarkerLog, generate, read_report, read_scenario,
+                    write_marker_log)
 from tacloc.cli import main
 from tacloc.simulate import MarkerGrid
 
@@ -99,6 +107,21 @@ def test_malformed_json_exits_3(tmp_path, capsys):
     assert "line" in err
 
 
+def test_wrong_json_types_in_marker_log_exit_3(tmp_path, capsys):
+    log = simulate(tmp_path)
+    valid = json.loads(log.read_text())
+    for key, value in (("frames", [1]), ("frame_index", "a"), ("frame_index", 0.5)):
+        data = copy.deepcopy(valid)
+        if key == "frames":
+            data["frames"] = value
+        else:
+            data["frames"][0]["frame_index"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["register", "--log", str(bad), "--out", str(tmp_path / "o.json")]) == 3
+        assert "invalid input" in capsys.readouterr().err
+
+
 def test_wrong_schema_exits_3(tmp_path):
     wrong = tmp_path / "wrong.json"
     wrong.write_text('{"schema": "tacloc.motions/1", "units": "mm", "motions": []}')
@@ -115,17 +138,31 @@ def test_estimation_failure_exits_4(tmp_path, capsys):
     assert "estimation failed" in capsys.readouterr().err
 
 
+def small_angle_log(tmp_path, name):
+    """A bundled scenario's log with every rotation cut to 5%: below 2 degrees."""
+    config = read_scenario(scenario_path(name))
+    schedule = tuple(dataclasses.replace(step, angle=0.05 * step.angle)
+                     for step in config.schedule)
+    frames, _ = generate(dataclasses.replace(config, schedule=schedule))
+    log = tmp_path / f"{name}_small.json"
+    write_marker_log(log, MarkerLog(tuple(frames), units=config.units))
+    return log
+
+
 def test_strict_ill_conditioned_exits_4(tmp_path):
     # identical frames: every motion registers as the identity
     grid = MarkerGrid().reference_positions()
-    log = tmp_path / "static.json"
-    write_marker_log(log, MarkerLog(tuple(MarkerFrame(grid, k) for k in range(4))))
-    assert main(["estimate", "--type", "point", "--log", str(log),
-                 "--out", str(tmp_path / "r.json"), "--strict"]) == 4
-    # non-strict succeeds but flags the answer
-    assert main(["estimate", "--type", "point", "--log", str(log),
-                 "--out", str(tmp_path / "r.json")]) == 0
-    assert read_report(tmp_path / "r.json").estimate.conditioning.well_posed is False
+    static = tmp_path / "static.json"
+    write_marker_log(static, MarkerLog(tuple(MarkerFrame(grid, k) for k in range(4))))
+    cases = [(["--type", "point"], static),
+             (["--type", "direction"], small_angle_log(tmp_path, "hinge_direction")),
+             (["--type", "line", "--n0=0,0,1"], small_angle_log(tmp_path, "box_on_edge"))]
+    for type_args, log in cases:
+        args = ["estimate", *type_args, "--log", str(log), "--out", str(tmp_path / "r.json")]
+        assert main(args + ["--strict"]) == 4, type_args
+        # non-strict succeeds but flags the answer
+        assert main(args) == 0, type_args
+        assert read_report(tmp_path / "r.json").estimate.conditioning.well_posed is False
 
 
 def test_bad_config_value_exits_2(tmp_path):
@@ -168,3 +205,65 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+# A tiny valid marker log: no three markers collinear, so any single
+# mutation that leaves the file well-formed still registers.
+FUZZ_LOG = {"schema": "tacloc.marker_log/1", "units": "mm", "frames": [
+    {"frame_index": 0, "positions": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                     [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    {"frame_index": 1, "positions": [[0.1, 0.0, 0.0], [1.1, 0.0, 0.0],
+                                     [0.1, 1.0, 0.0], [0.1, 0.0, 1.0]]},
+    {"frame_index": 2, "positions": [[0.0, 0.1, 0.0], [1.0, 0.1, 0.0],
+                                     [0.0, 1.1, 0.0], [0.0, 0.1, 1.0]]},
+]}
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) pair inside a JSON document."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield prefix, key
+        if isinstance(node[key], (dict, list)):
+            yield from _paths(node[key], prefix + (key,))
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["frame_index", "positions", "units",
+                                                      "schema", "frames"]),
+                                     inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(_paths(FUZZ_LOG))), st.booleans(), _JSON_VALUES)
+def test_mutated_marker_log_exits_0_or_3_without_traceback(where, delete, value):
+    # Each example deletes one node or swaps it for a value of another JSON
+    # kind (a number for a number is a change of data, not of form).
+    prefix, key = where
+    doc = copy.deepcopy(FUZZ_LOG)
+    parent = doc
+    for step in prefix:
+        parent = parent[step]
+    if delete:
+        del parent[key]
+    else:
+        assume(_json_kind(value) != _json_kind(parent[key]))
+        parent[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        log = f"{tmp}/log.json"
+        with open(log, "w") as fh:
+            fh.write(json.dumps(doc))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["register", "--log", log, "--out", f"{tmp}/motions.json"])
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,11 +1,15 @@
 """File formats: byte-stable serialization, validation, error reporting."""
 
+import hashlib
 import json
 import math
 import textwrap
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     EstimateReport, EstimatorConfig, MarkerFrame, MarkerLog,
@@ -14,6 +18,7 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     read_report, read_scenario, read_truth, register_sequence,
                     write_marker_log, write_motion_sequence, write_report,
                     write_scenario, write_truth)
+from tacloc.cli import main
 from tacloc.io import dumps
 
 GOLDEN_LOG = textwrap.dedent("""\
@@ -139,6 +144,51 @@ def test_structural_validation(tmp_path):
         read_marker_log(path)
 
 
+def _set(path_keys, value):
+    def mutate(doc):
+        node = doc
+        for key in path_keys[:-1]:
+            node = node[key]
+        node[path_keys[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(["frames"], [1]),
+    _set(["frames", 0, "frame_index"], "0"),
+    _set(["frames", 0, "frame_index"], 0.5),
+    _set(["frames", 1, "frame_index"], 1.0),
+    _set(["frames", 1, "frame_index"], True),
+    _set(["frames", 0, "frame_index"], -1),
+    _set(["units"], 5),
+    _set(["units"], None),
+    _set(["frames", 1, "positions", 0, 0], 10**400),
+], ids=["frame_not_object", "index_string", "index_fraction",
+        "index_integral_float", "index_bool", "index_negative", "units_number",
+        "units_null", "coordinate_overflows_float"])
+def test_marker_log_reader_rejects_wrong_json_types(tmp_path, mutate):
+    path = tmp_path / "log.json"
+    data = json.loads(GOLDEN_LOG)
+    mutate(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        read_marker_log(path)
+
+
+def test_motion_reader_accepts_only_integer_frame_indices(tmp_path):
+    from tacloc import MotionSequence, RelativeMotion
+    path = tmp_path / "motions.json"
+    write_motion_sequence(path, MotionSequence((RelativeMotion.identity(0),
+                                                RelativeMotion.identity(1))))
+    for index in (1.5, True, "1"):
+        data = json.loads(path.read_text())
+        data["motions"][1]["frame_index"] = index
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ParseError):
+            read_motion_sequence(bad)
+
+
 def test_motion_sequence_round_trip(tmp_path):
     config = read_scenario(bundled_scenario("pivot_point"))
     frames, truth = generate(config)
@@ -220,3 +270,141 @@ def test_bundled_scenarios_all_parse():
         config = read_scenario(bundled_scenario(name))
         assert config.name == name
         assert config.tolerances  # every scenario states its tolerances
+
+
+# ---------------------------------------------------------------------------
+# Byte-stability oracle: the emitter as it was before whole-array formatting,
+# kept verbatim. Every value must render to the same text through io.dumps.
+
+_REF_INDENT = "  "
+
+
+def _reference_emit(value, depth: int) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"cannot serialize {value!r}")
+        return format(value, ".17g")
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = _REF_INDENT * (depth + 1)
+        body = ",\n".join(f"{pad}{json.dumps(str(k))}: {_reference_emit(v, depth + 1)}"
+                          for k, v in value.items())
+        return "{\n" + body + "\n" + _REF_INDENT * depth + "}"
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
+            return "[" + ", ".join(_reference_emit(v, depth) for v in items) + "]"
+        pad = _REF_INDENT * (depth + 1)
+        body = ",\n".join(pad + _reference_emit(v, depth + 1) for v in items)
+        return "[\n" + body + "\n" + _REF_INDENT * depth + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _oracle_values():
+    rng = np.random.default_rng(7)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                         1.7976931348623157e308, -1.7976931348623157e308,
+                         1.0, -3.0, 1e16, 1e17, 123456789012345678.0, 0.1, 1 / 3])
+    mixed = rng.standard_normal((7, 3)) * np.logspace(-300, 300, 7)[:, None]
+    return {
+        "specials_1d": specials,
+        "specials_2d": specials[:12].reshape(4, 3),
+        "integral": np.arange(-4.0, 5.0).reshape(3, 3),
+        "float32": rng.standard_normal((5, 3)).astype(np.float32),
+        "float32_1d": np.array([0.1, -2.5, 3e38], dtype=np.float32),
+        "empty_1d": np.zeros(0),
+        "empty_rows": np.zeros((0, 3)),
+        "empty_cols": np.zeros((4, 0)),
+        "one_row": np.array([[0.5, -0.25, 1e-9]]),
+        "many_rows": mixed,
+        "rotation": np.eye(3),
+        "transposed": rng.standard_normal((3, 5)).T,
+        "three_d": rng.standard_normal((2, 2, 3)),
+        "ints": np.arange(6).reshape(2, 3),
+        "ints_1d": np.arange(-3, 3, dtype=np.int32),
+        "bools": np.array([[True, False, True]]),
+        "scalar_array": np.array(2.5),
+        "nested": [{"positions": rng.standard_normal((2, 3)), "index": 1},
+                   [np.array([1.5, -0.0]), np.array([[1.0, 2.0]])], []],
+        "scalars": [np.float64(0.1), np.float32(0.1), np.int64(3), np.bool_(True), None, "x"],
+    }
+
+
+def _outcome(render, value):
+    """The text rendered, or the type and message of the error raised."""
+    try:
+        return render(value)
+    except (NonFiniteValue, TypeError) as err:
+        return type(err), str(err)
+
+
+def _assert_matches_reference(value):
+    for wrapped in (value, {"k": value}, [value, value], {"a": [{"b": value}]}):
+        doc = {"v": wrapped}
+        assert _outcome(dumps, doc) == _outcome(lambda d: _reference_emit(d, 0) + "\n", doc)
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_values()))
+def test_dumps_matches_reference_emitter(name):
+    _assert_matches_reference(_oracle_values()[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(dtype=st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+                  shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)))
+def test_dumps_matches_reference_emitter_on_random_arrays(arr):
+    _assert_matches_reference(arr)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (1, 3), (2, 2, 3)])
+def test_non_finite_arrays_raise_the_reference_message(bad, shape):
+    for offset in (0, 1, -1):
+        arr = np.arange(float(np.prod(shape))).reshape(shape)
+        arr.flat[offset] = bad
+        arr.flat[-1 if offset != -1 else 0] = -bad  # a second offender, other sign
+        with pytest.raises(NonFiniteValue):
+            dumps({"v": arr})
+        _assert_matches_reference(arr)
+        _assert_matches_reference(arr.astype(np.float32))
+
+
+# SHA-256s of `simulate --truth` output for the bundled scenarios, taken
+# before whole-array formatting (the same values the benchmark pins).
+SCENARIO_SHA256 = {
+    "box_on_edge": ("74704b9dbb86c4dc98cc6a8b60d8964c600dbb55754d1722ce9abfb188cb23d2",
+                    "2c8a3cb69408cff2803cd537f1a619a0ac9d1bce81cb75a00abd785580b9b47b"),
+    "box_on_edge_noisy": ("d4488dbefa8965902e313e2475a4326fd8f22756440b9749c5634f5ceb959d01",
+                          "2c8a3cb69408cff2803cd537f1a619a0ac9d1bce81cb75a00abd785580b9b47b"),
+    "hinge_direction": ("5e83127db1c950c3855116d109bff1280218df57cfb979caf67f3736feb31f3f",
+                        "139e13cab71df59821b51d8417583f33b2944948fbc96a81dc100037a6ded6d6"),
+    "hinge_direction_noisy": ("9d69de3f64126da20078521794545d330e22c5754124d44a0c92f04b8d77bd92",
+                              "139e13cab71df59821b51d8417583f33b2944948fbc96a81dc100037a6ded6d6"),
+    "pivot_point": ("111563fab5d7dadc1b20809b4feb0308a384cc304d396ba0487dd76895e02a01",
+                    "527a9e7998d171ec7079061637ab9450a426cf7030875c52d5151d37f473ae66"),
+    "pivot_point_noisy": ("d6120de29bb41320b25b675a53a9f49d261b841d243097a4b723ac9172ae30c3",
+                          "527a9e7998d171ec7079061637ab9450a426cf7030875c52d5151d37f473ae66"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_SHA256))
+def test_simulated_files_match_golden_sha256(tmp_path, name):
+    markers, truth = tmp_path / "markers.json", tmp_path / "truth.json"
+    assert main(["simulate", "--scenario", str(bundled_scenario(name)),
+                 "--out", str(markers), "--truth", str(truth)]) == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (markers, truth))
+    assert got == SCENARIO_SHA256[name]

@@ -194,6 +194,20 @@ def test_min_frames_is_enforced_on_the_track():
                        direction)
 
 
+def test_min_frames_counts_moving_frames_like_the_other_estimators():
+    # identity frame 0 plus two moving frames: below the default min_frames of 3
+    direction = np.array([1.0, 0.0, 0.0])
+    seq = edge_sequence(direction, [0.0, 2.0, -3.0], [0.3, -0.2], [0.1, 0.2])
+    n0 = np.array([0.0, 0.0, 1.0])
+    for estimate in (lambda c: estimate_line_contact(seq, n0, c),
+                     lambda c: estimate_fixed_point(seq, c),
+                     lambda c: estimate_fixed_direction(seq, c)):
+        with pytest.raises(TooFewFrames):
+            estimate(EstimatorConfig())
+    est = estimate_line_contact(seq, n0, EstimatorConfig(min_frames=2))
+    assert direction_distance(est.direction, direction) <= 1e-9
+
+
 def test_residual_helper_vanishes_on_the_true_edge():
     direction = np.array([1.0, 0.0, 0.0])
     point = np.array([0.0, 2.0, -3.0])
