@@ -29,7 +29,8 @@ from .io import (EstimateReport, MarkerLog, read_marker_log,
 from .motion import (MarkerFrame, MotionSequence, RelativeMotion, compose,
                      inverse, orthonormalize, rotation_about_axis,
                      rotation_angle)
-from .registration import RegistrationResult, register, register_sequence
+from .registration import (RegistrationResult, register, register_frames,
+                           register_sequence)
 from .simulate import (EdgeContact, FixedDirectionContact, FixedPointContact,
                        MarkerGrid, MotionStep, ScenarioConfig, ScenarioTruth,
                        constraint_residuals, generate)
@@ -87,6 +88,7 @@ __all__ = [
     "read_scenario",
     "read_truth",
     "register",
+    "register_frames",
     "register_sequence",
     "rotation_about_axis",
     "rotation_angle",

@@ -25,23 +25,33 @@ from .contact import ContactKind
 from .errors import (InvalidSchedule, NonFiniteValue, ParseError,
                      SchemaVersionMismatch, TaclocError)
 from .estimators import (EstimatorConfig, estimate_fixed_direction,
-                         estimate_fixed_point, estimate_line_contact,
-                         fixed_direction_residuals, fixed_point_residuals,
-                         line_contact_residuals)
+                         estimate_fixed_point, estimate_line_contact)
+from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace it by this name
 from .io import (EstimateReport, MarkerLog, read_marker_log, read_report,
-                 read_scenario, read_truth, sha256_of_file,
-                 write_marker_log, write_motion_sequence, write_report,
-                 write_truth)
-from .motion import MotionSequence, RelativeMotion
-from .registration import register, register_sequence
-from .simulate import (EdgeContact, FixedDirectionContact, FixedPointContact,
-                       generate)
+                 read_scenario, sha256_of_file, write_marker_log,
+                 write_motion_sequence, write_report, write_truth)
+from .motion import MotionSequence
+from .registration import register_frames
+from .simulate import generate
 
 EXIT_OK = 0
 EXIT_OUT_OF_TOLERANCE = 1
 EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 EXIT_ESTIMATION = 4
+
+# `estimate --type` value -> the contact kind it fits
+TYPES = {"point": ContactKind.FIXED_POINT, "direction": ContactKind.FIXED_DIRECTION,
+         "line": ContactKind.LINE}
+
+# contact kind -> its estimator, called as (motions, n0, config, strict), where
+# n0 is the contacting face normal at frame 0 (line contact only)
+ESTIMATORS = {
+    ContactKind.FIXED_POINT: lambda m, n0, c, strict: estimate_fixed_point(m, c, strict),
+    ContactKind.FIXED_DIRECTION: lambda m, n0, c, strict: estimate_fixed_direction(m, c, strict),
+    ContactKind.LINE: lambda m, n0, c, strict: estimate_line_contact(
+        m, n0 / float(np.linalg.norm(n0)), c, strict),
+}
 
 
 def _vector3(text: str) -> np.ndarray:
@@ -85,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--out", required=True, help="motion sequence to write")
 
     p_est = sub.add_parser("estimate", help="estimate the contact from a marker log")
-    p_est.add_argument("--type", required=True, choices=["point", "direction", "line"],
+    p_est.add_argument("--type", required=True, choices=list(TYPES),
                        help="contact model to fit")
     p_est.add_argument("--log", required=True, help="marker log JSON file")
     p_est.add_argument("--out", required=True, help="estimate report to write")
@@ -105,40 +115,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    config = read_scenario(args.scenario)
+def _simulate(config, log_path, truth_path) -> None:
+    """Write the scenario's marker log, and its truth when truth_path is set."""
     frames, truth = generate(config)
-    write_marker_log(args.out, MarkerLog(tuple(frames), units=config.units))
-    if args.truth:
-        write_truth(args.truth, truth, units=config.units)
-    print(f"wrote {len(frames)} frames of {frames[0].marker_count} markers to {args.out}")
-    return EXIT_OK
+    write_marker_log(log_path, MarkerLog(tuple(frames), units=config.units))
+    if truth_path:
+        write_truth(truth_path, truth, units=config.units)
+    print(f"wrote {len(frames)} frames of {frames[0].marker_count} markers to {log_path}")
 
 
-def _cmd_register(args) -> int:
-    log = read_marker_log(args.log)
-    results = [register(log.frames[0], frame) for frame in log.frames[1:]]
-    motions = MotionSequence((RelativeMotion.identity(log.frames[0].frame_index),
-                              *(r.motion for r in results)))
-    rms = [0.0] + [r.rms_error for r in results]
-    write_motion_sequence(args.out, motions, units=log.units, rms_errors=rms)
-    worst = max(rms)
-    print(f"registered {len(log)} frames; worst fit rms {worst:.3g} {log.units}")
-    return EXIT_OK
+def _register(log: MarkerLog, out) -> MotionSequence:
+    """Register the log once, write the motions with their fit RMS, return them."""
+    motions = register_frames(log.frames)
+    write_motion_sequence(out, motions, units=log.units)
+    print(f"registered {len(log)} frames; worst fit rms {max(motions.rms_errors):.3g} {log.units}")
+    return motions
 
 
-def _estimate_from_log(log: MarkerLog, kind: str, n0, config: EstimatorConfig, strict: bool):
-    motions = register_sequence(log.frames)
-    if kind == "point":
-        estimate = estimate_fixed_point(motions, config, strict=strict)
-        residuals = fixed_point_residuals(motions, estimate.point)
-    elif kind == "direction":
-        estimate = estimate_fixed_direction(motions, config, strict=strict)
-        residuals = fixed_direction_residuals(motions, estimate.direction)
-    else:
-        estimate = estimate_line_contact(motions, n0, config, strict=strict)
-        residuals = line_contact_residuals(motions, n0, estimate.point)
-    return estimate, residuals
+def _estimate(motions: MotionSequence, kind: ContactKind, n0, config: EstimatorConfig,
+              strict: bool, log_path, out) -> None:
+    """Estimate the contact from the motions registered from log_path and write the report."""
+    estimate = ESTIMATORS[kind](motions, n0, config, strict)
+    provenance = {"input_sha256": sha256_of_file(log_path),
+                  "tool_version": __version__,
+                  "frame_count": len(motions)}
+    write_report(out, EstimateReport(estimate=estimate, config=config, provenance=provenance))
+    print(_describe(estimate))
 
 
 def _config_from_args(args) -> EstimatorConfig:
@@ -160,24 +162,16 @@ def _describe(estimate) -> str:
     return "; ".join(parts)
 
 
-def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
-    if args.type == "line":
+def _cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
+    kind = TYPES[args.type]
+    if kind is ContactKind.LINE:
         if args.n0 is None:
             parser.error("--type line requires --n0")
-        norm = float(np.linalg.norm(args.n0))
-        if norm == 0.0:
+        if float(np.linalg.norm(args.n0)) == 0.0:
             parser.error("--n0 must be nonzero")
-        args.n0 = args.n0 / norm
     log = read_marker_log(args.log)
-    config = _config_from_args(args)
-    estimate, residuals = _estimate_from_log(log, args.type, args.n0, config, args.strict)
-    provenance = {"input_sha256": sha256_of_file(args.log),
-                  "tool_version": __version__,
-                  "frame_count": len(log)}
-    write_report(args.out, EstimateReport(estimate=estimate, per_frame_residuals=residuals,
-                                          config=config, provenance=provenance))
-    print(_describe(estimate))
-    return EXIT_OK
+    _estimate(register_frames(log.frames), kind, args.n0, _config_from_args(args),
+              args.strict, args.log, args.out)
 
 
 def _angle_between(a, b) -> float:
@@ -187,10 +181,10 @@ def _angle_between(a, b) -> float:
 
 def _roundtrip_checks(estimate, truth_contact, tolerances: dict):
     """Yield (label, measured, allowed) triples for the scenario's tolerance keys."""
-    if isinstance(truth_contact, FixedPointContact):
+    if truth_contact.kind is ContactKind.FIXED_POINT:
         yield ("pivot distance", float(np.linalg.norm(estimate.point - truth_contact.point)),
                tolerances["point_distance"])
-    elif isinstance(truth_contact, FixedDirectionContact):
+    elif truth_contact.kind is ContactKind.FIXED_DIRECTION:
         yield ("direction angle", _angle_between(estimate.direction, truth_contact.direction),
                tolerances["direction_angle"])
     else:
@@ -203,7 +197,8 @@ def _roundtrip_checks(estimate, truth_contact, tolerances: dict):
                tolerances["point_distance"])
 
 
-def _cmd_roundtrip(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_roundtrip(args) -> int:
+    estimator_config = _config_from_args(args)
     if args.workdir:
         workdir = Path(args.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
@@ -214,41 +209,17 @@ def _cmd_roundtrip(args, parser: argparse.ArgumentParser) -> int:
     try:
         config = read_scenario(args.scenario)
         log_path = workdir / "markers.json"
-        truth_path = workdir / "truth.json"
-        motions_path = workdir / "motions.json"
         report_path = workdir / "report.json"
+        _simulate(config, log_path, workdir / "truth.json")
+        motions = _register(read_marker_log(log_path), workdir / "motions.json")
+        kind = config.contact.kind
+        n0 = config.contact.surface_normal if kind is ContactKind.LINE else None
+        _estimate(motions, kind, n0, estimator_config, False, log_path, report_path)
 
-        code = main(["simulate", "--scenario", str(args.scenario),
-                     "--out", str(log_path), "--truth", str(truth_path)])
-        if code != EXIT_OK:
-            return code
-        code = main(["register", "--log", str(log_path), "--out", str(motions_path)])
-        if code != EXIT_OK:
-            return code
-
-        if isinstance(config.contact, FixedPointContact):
-            est_args = ["--type", "point"]
-        elif isinstance(config.contact, FixedDirectionContact):
-            est_args = ["--type", "direction"]
-        else:
-            n0 = config.contact.surface_normal
-            # the = form keeps a leading minus sign from looking like a flag
-            est_args = ["--type", "line", "--n0=" + ",".join(f"{v:.17g}" for v in n0)]
-        code = main(["estimate", *est_args, "--log", str(log_path),
-                     "--out", str(report_path),
-                     "--angle-threshold", str(args.angle_threshold),
-                     "--cond-threshold", str(args.cond_threshold),
-                     "--rank-tolerance", str(args.rank_tolerance),
-                     "--min-frames", str(args.min_frames)])
-        if code != EXIT_OK:
-            return code
-
-        report = read_report(report_path)
-        truth = read_truth(truth_path)
+        estimate = read_report(report_path).estimate
         name = config.name or Path(args.scenario).stem
         failed = False
-        for label, measured, allowed in _roundtrip_checks(report.estimate,
-                                                          truth.contact_geometry,
+        for label, measured, allowed in _roundtrip_checks(estimate, config.contact,
                                                           config.tolerances):
             ok = measured <= allowed
             failed = failed or not ok
@@ -266,12 +237,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "register":
-            return _cmd_register(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args, parser)
-        return _cmd_roundtrip(args, parser)
+            _simulate(read_scenario(args.scenario), args.out, args.truth)
+        elif args.command == "register":
+            _register(read_marker_log(args.log), args.out)
+        elif args.command == "estimate":
+            _cmd_estimate(args, parser)
+        else:
+            return _cmd_roundtrip(args)
+        return EXIT_OK
     except (ParseError, SchemaVersionMismatch, NonFiniteValue, InvalidSchedule) as err:
         loc = ""
         if isinstance(err, ParseError) and err.line is not None:

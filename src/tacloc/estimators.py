@@ -106,11 +106,20 @@ def _conditioning(max_angle: float, smallest: float, cond: float,
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    """Fix the sign ambiguity: first nonzero component positive."""
-    nonzero = np.nonzero(vec)[0]
-    if nonzero.size and vec[nonzero[0]] < 0.0:
+    """Fix the sign ambiguity: the first component that is not round-off
+    (above 1e-12 times the largest magnitude) is positive."""
+    magnitude = np.abs(vec)
+    significant = np.nonzero(magnitude > 1e-12 * magnitude.max())[0]
+    if significant.size and vec[significant[0]] < 0.0:
         return -vec
     return vec
+
+
+def _estimate(kind: ContactKind, point, direction, residuals: np.ndarray,
+              report: ConditioningReport) -> ContactEstimate:
+    return ContactEstimate(kind=kind, point=point, direction=direction,
+                           residual_rms=float(np.sqrt(np.mean(residuals**2))),
+                           per_frame_residuals=residuals, conditioning=report)
 
 
 def _unit_or_raise(vec, name: str) -> np.ndarray:
@@ -182,10 +191,8 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
     max_angle = max(rotation_angle(m) for m in moving)
     report = _conditioning(max_angle, smallest, cond, config, strict)
 
-    residuals = fixed_point_residuals(moving, point)
-    return ContactEstimate(kind=ContactKind.FIXED_POINT, point=point, direction=None,
-                           residual_rms=float(np.sqrt(np.mean(residuals**2))),
-                           conditioning=report)
+    return _estimate(ContactKind.FIXED_POINT, point, None,
+                     fixed_point_residuals(moving, point), report)
 
 
 def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = EstimatorConfig(),
@@ -207,7 +214,7 @@ def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = 
     """
     moving = _moving_or_raise(motions, config)
     stacked = np.vstack([m.rotation - np.eye(3) for m in moving])
-    _, sing, vt = np.linalg.svd(stacked)
+    _, sing, vt = np.linalg.svd(stacked, full_matrices=False)
 
     if sing[0] <= 0.0 or sing[1] < config.rank_tolerance * sing[0]:
         raise AmbiguousDirection(
@@ -218,10 +225,8 @@ def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = 
     cond = float(sing[0] / sing[1])
     report = _conditioning(max_angle, float(sing[1]), cond, config, strict)
 
-    residuals = fixed_direction_residuals(moving, direction)
-    return ContactEstimate(kind=ContactKind.FIXED_DIRECTION, point=None, direction=direction,
-                           residual_rms=float(np.sqrt(np.mean(residuals**2))),
-                           conditioning=report)
+    return _estimate(ContactKind.FIXED_DIRECTION, None, direction,
+                     fixed_direction_residuals(moving, direction), report)
 
 
 def propagate_plane(n0, x0_hint, motions: MotionSequence) -> PlaneTrack:
@@ -282,6 +287,12 @@ def estimate_line_point(motions: MotionSequence, track: PlaneTrack, direction,
         RankDeficientBeyondLine: the stacked system has rank < 2, so the
             edge position is not determined transverse to its direction.
     """
+    return _line_point(motions, track, direction, config)[0]
+
+
+def _line_point(motions: MotionSequence, track: PlaneTrack, direction,
+                config: EstimatorConfig):
+    """estimate_line_point's point, plus the stacked rows of its system."""
     direction = _unit_or_raise(direction, "direction")
     if len(track) != len(motions):
         raise ValueError(f"track length {len(track)} != motion count {len(motions)}")
@@ -294,7 +305,7 @@ def estimate_line_point(motions: MotionSequence, track: PlaneTrack, direction,
     if rank < 2:
         raise RankDeficientBeyondLine(
             f"edge-point system rank {rank} < 2; position undetermined beyond the line")
-    return point - (point @ direction) * direction
+    return point - (point @ direction) * direction, rows
 
 
 def estimate_line_contact(motions: MotionSequence, n0,
@@ -316,15 +327,11 @@ def estimate_line_contact(motions: MotionSequence, n0,
     _moving_or_raise(motions, config)
     track = propagate_plane(n0, np.zeros(3), motions)
     direction = estimate_line_direction(track, config)
-    point = estimate_line_point(motions, track, direction, config)
-
-    rows = np.array([(m.rotation - np.eye(3)).T @ nk
-                     for m, nk in zip(motions, track.normals)])
+    point, rows = _line_point(motions, track, direction, config)
+    # a second factorization: lstsq's singular values differ from these in the last bits
     sing = np.linalg.svd(rows, compute_uv=False)
     cond = float(sing[0] / sing[1]) if sing[1] > 0.0 else math.inf
     report = _conditioning(motions.max_rotation_angle(), float(sing[1]), cond, config, strict)
 
-    residuals = line_contact_residuals(motions, np.asarray(n0, dtype=float), point)
-    return ContactEstimate(kind=ContactKind.LINE, point=point, direction=direction,
-                           residual_rms=float(np.sqrt(np.mean(residuals**2))),
-                           conditioning=report)
+    return _estimate(ContactKind.LINE, point, direction,
+                     line_contact_residuals(motions, np.asarray(n0, dtype=float), point), report)

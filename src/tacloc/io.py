@@ -14,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +31,11 @@ MOTIONS_SCHEMA = "tacloc.motions/1"
 SCENARIO_SCHEMA = "tacloc.scenario/1"
 TRUTH_SCHEMA = "tacloc.truth/1"
 REPORT_SCHEMA = "tacloc.report/1"
+
+# The tolerances a scenario must state for its contact kind: the ones roundtrip checks.
+TOLERANCE_KEYS = {ContactKind.FIXED_POINT: ("point_distance",),
+                  ContactKind.FIXED_DIRECTION: ("direction_angle",),
+                  ContactKind.LINE: ("direction_angle", "point_distance")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,13 +66,10 @@ class EstimateReport:
     """An estimate plus everything needed to audit it."""
 
     estimate: ContactEstimate
-    per_frame_residuals: np.ndarray
     config: EstimatorConfig
     provenance: dict
 
     def __post_init__(self):
-        residuals = np.asarray(self.per_frame_residuals, dtype=float).reshape(-1)
-        object.__setattr__(self, "per_frame_residuals", residuals)
         object.__setattr__(self, "provenance", dict(self.provenance))
 
 
@@ -177,6 +180,16 @@ def _require(data, key: str, context: str, kind: type = object):
     return value
 
 
+def _float(data, key: str, context: str) -> float:
+    """data[key] as a float, or ParseError unless it is a JSON number a float can hold."""
+    value = _require(data, key, context)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or abs(value) > sys.float_info.max):
+        raise ParseError(f"{context} {key!r} must be a number within float range, "
+                         f"got {type(value).__name__}")
+    return float(value)
+
+
 def _as_array(value, shape: tuple, context: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -252,14 +265,12 @@ def _motion_from_dict(raw: dict, context: str) -> RelativeMotion:
         raise ParseError(f"{context}: {err}") from err
 
 
-def write_motion_sequence(path, motions: MotionSequence, units: str = "mm",
-                          rms_errors=None) -> None:
+def write_motion_sequence(path, motions: MotionSequence, units: str = "mm") -> None:
+    """Write the motions, each with its rms_error when the sequence has them."""
     entries = [_motion_to_dict(m) for m in motions]
-    if rms_errors is not None:
-        if len(rms_errors) != len(entries):
-            raise ValueError("rms_errors length must match motions")
-        for entry, rms in zip(entries, rms_errors):
-            entry["rms_error"] = float(rms)
+    if motions.rms_errors is not None:
+        for entry, rms in zip(entries, motions.rms_errors):
+            entry["rms_error"] = rms
     _write_file(path, {"schema": MOTIONS_SCHEMA, "units": units, "motions": entries})
 
 
@@ -269,54 +280,45 @@ def read_motion_sequence(path) -> MotionSequence:
     if not isinstance(raw_motions, list) or not raw_motions:
         raise ParseError("motion file 'motions' must be a non-empty list")
     motions = [_motion_from_dict(raw, f"motion {i}") for i, raw in enumerate(raw_motions)]
+    rms_errors = None
+    if any("rms_error" in raw for raw in raw_motions):
+        rms_errors = [_float(raw, "rms_error", f"motion {i}") for i, raw in enumerate(raw_motions)]
     try:
-        return MotionSequence(tuple(motions))
+        return MotionSequence(tuple(motions), rms_errors=rms_errors)
     except ValueError as err:
         raise ParseError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------
-# Contact geometry (shared by scenario and truth files).
+# Contact geometry (shared by scenario and truth files): the contact's kind,
+# then each field of its class, all 3-vectors, in field order.
+
+_CONTACTS = {cls.kind.value: cls for cls in (FixedPointContact, FixedDirectionContact, EdgeContact)}
+
 
 def _contact_to_dict(contact) -> dict:
-    if isinstance(contact, FixedPointContact):
-        return {"kind": ContactKind.FIXED_POINT.value, "point": contact.point}
-    if isinstance(contact, FixedDirectionContact):
-        return {"kind": ContactKind.FIXED_DIRECTION.value, "direction": contact.direction}
-    return {"kind": ContactKind.LINE.value, "direction": contact.direction,
-            "point": contact.point, "surface_normal": contact.surface_normal}
+    return {"kind": contact.kind.value,
+            **{f.name: getattr(contact, f.name) for f in fields(contact)}}
 
 
 def _contact_from_dict(raw: dict):
-    kind = _require(raw, "kind", "contact")
+    kind = _require(raw, "kind", "contact", str)
+    if kind not in _CONTACTS:
+        raise ParseError(f"unknown contact kind {kind!r}")
+    cls = _CONTACTS[kind]
     try:
-        if kind == ContactKind.FIXED_POINT.value:
-            return FixedPointContact(_as_array(_require(raw, "point", "contact"), (3,), "contact point"))
-        if kind == ContactKind.FIXED_DIRECTION.value:
-            return FixedDirectionContact(
-                _as_array(_require(raw, "direction", "contact"), (3,), "contact direction"))
-        if kind == ContactKind.LINE.value:
-            return EdgeContact(
-                _as_array(_require(raw, "direction", "contact"), (3,), "contact direction"),
-                _as_array(_require(raw, "point", "contact"), (3,), "contact point"),
-                _as_array(_require(raw, "surface_normal", "contact"), (3,), "contact surface_normal"))
+        return cls(*(_as_array(_require(raw, f.name, "contact"), (3,), f"contact {f.name}")
+                     for f in fields(cls)))
     except ValueError as err:
         raise ParseError(f"contact: {err}") from err
-    raise ParseError(f"unknown contact kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # Scenarios.
 
 def write_scenario(path, config: ScenarioConfig) -> None:
-    steps = []
-    for step in config.schedule:
-        steps.append({
-            "angle": step.angle,
-            "axis": None if step.axis is None else step.axis,
-            "slide": step.slide,
-            "translation": None if step.translation is None else step.translation,
-        })
+    steps = [{"angle": step.angle, "axis": step.axis, "slide": step.slide,
+              "translation": step.translation} for step in config.schedule]
     data = {
         "schema": SCENARIO_SCHEMA,
         "name": config.name,
@@ -342,38 +344,43 @@ def read_scenario(path) -> ScenarioConfig:
     raw_grid = _require(data, "grid", "scenario")
     pose = _motion_from_dict(_require(raw_grid, "pose", "grid"), "grid pose")
     try:
-        grid = MarkerGrid(rows=int(_require(raw_grid, "rows", "grid")),
-                          cols=int(_require(raw_grid, "cols", "grid")),
-                          pitch=float(_require(raw_grid, "pitch", "grid")),
+        grid = MarkerGrid(rows=_require(raw_grid, "rows", "grid", int),
+                          cols=_require(raw_grid, "cols", "grid", int),
+                          pitch=_float(raw_grid, "pitch", "grid"),
                           pose=pose,
-                          dome_height=float(_require(raw_grid, "dome_height", "grid")))
+                          dome_height=_float(raw_grid, "dome_height", "grid"))
     except ValueError as err:
         raise ParseError(f"grid: {err}") from err
     steps = []
-    for i, raw in enumerate(_require(data, "schedule", "scenario")):
+    for i, raw in enumerate(_require(data, "schedule", "scenario", list)):
         context = f"schedule step {i}"
+        angle = _float(raw, "angle", context)  # first: it checks that raw is an object
         axis = raw.get("axis")
         translation = raw.get("translation")
         try:
             steps.append(MotionStep(
-                angle=float(_require(raw, "angle", context)),
+                angle=angle,
                 axis=None if axis is None else _as_array(axis, (3,), f"{context} axis"),
-                slide=float(raw.get("slide", 0.0)),
+                slide=_float(raw, "slide", context) if "slide" in raw else 0.0,
                 translation=(None if translation is None
                              else _as_array(translation, (3,), f"{context} translation")),
             ))
         except ValueError as err:
             raise ParseError(f"{context}: {err}") from err
+    contact = _contact_from_dict(_require(data, "contact", "scenario"))
+    tolerances = _require(data, "tolerances", "scenario", dict)
+    for key in TOLERANCE_KEYS[contact.kind]:
+        _float(tolerances, key, "scenario tolerances")
     try:
         return ScenarioConfig(
-            contact=_contact_from_dict(_require(data, "contact", "scenario")),
+            contact=contact,
             grid=grid,
             schedule=tuple(steps),
             noise_sigma=_as_array(_require(data, "noise_sigma", "scenario"), (3,), "noise_sigma"),
-            seed=int(_require(data, "seed", "scenario")),
-            name=str(_require(data, "name", "scenario")),
-            units=str(_require(data, "units", "scenario")),
-            tolerances=dict(_require(data, "tolerances", "scenario")),
+            seed=_require(data, "seed", "scenario", int),
+            name=_require(data, "name", "scenario", str),
+            units=_require(data, "units", "scenario", str),
+            tolerances=tolerances,
         )
     except (TypeError, ValueError) as err:
         raise ParseError(f"scenario: {err}") from err
@@ -425,7 +432,7 @@ def write_report(path, report: EstimateReport) -> None:
                 "well_posed": cond.well_posed,
             },
         },
-        "per_frame_residuals": report.per_frame_residuals,
+        "per_frame_residuals": est.per_frame_residuals,
         "config": {
             "angle_threshold": report.config.angle_threshold,
             "cond_threshold": report.config.cond_threshold,
@@ -462,6 +469,7 @@ def read_report(path) -> EstimateReport:
             direction=(None if direction is None
                        else _as_array(direction, (3,), "estimate direction")),
             residual_rms=float(_require(raw_est, "residual_rms", "estimate")),
+            per_frame_residuals=_require(data, "per_frame_residuals", "report"),
             conditioning=conditioning,
         )
     except ValueError as err:
@@ -476,6 +484,5 @@ def read_report(path) -> EstimateReport:
         )
     except ValueError as err:
         raise ParseError(f"config: {err}") from err
-    residuals = np.asarray(_require(data, "per_frame_residuals", "report"), dtype=float)
-    return EstimateReport(estimate=estimate, per_frame_residuals=residuals,
-                          config=config, provenance=dict(_require(data, "provenance", "report")))
+    return EstimateReport(estimate=estimate, config=config,
+                          provenance=dict(_require(data, "provenance", "report")))

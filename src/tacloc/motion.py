@@ -157,10 +157,12 @@ class MotionSequence:
     """Ordered motions of one object, all relative to frame 0.
 
     frame_index is strictly increasing; if an entry carries index 0 it must
-    be the identity motion.
+    be the identity motion. rms_errors, when the motions were measured by
+    registration, holds each motion's marker fit RMS.
     """
 
     motions: tuple
+    rms_errors: tuple | None = None
 
     def __post_init__(self):
         motions = tuple(self.motions)
@@ -172,6 +174,11 @@ class MotionSequence:
             raise ValueError(f"frame_index must be strictly increasing, got {indices}")
         if motions and motions[0].frame_index == 0 and not motions[0].is_identity():
             raise ValueError("the frame-0 motion must be the identity")
+        if self.rms_errors is not None:
+            rms = tuple(float(e) for e in self.rms_errors)
+            if len(rms) != len(motions) or not all(0.0 <= e < math.inf for e in rms):
+                raise ValueError("rms_errors must be one finite nonnegative value per motion")
+            object.__setattr__(self, "rms_errors", rms)
         object.__setattr__(self, "motions", motions)
 
     def __iter__(self):

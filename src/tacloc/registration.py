@@ -56,7 +56,8 @@ def register(reference: MarkerFrame, current: MarkerFrame,
             coincident markers) — the rotation is unobservable.
     """
     if reference.marker_count < 3:
-        raise TooFewMarkers(f"need at least 3 markers, got {reference.marker_count}")
+        raise TooFewMarkers(f"need at least 3 markers, got {reference.marker_count}",
+                            frame_index=reference.frame_index)
     if reference.marker_count != current.marker_count:
         raise MismatchedFrames(
             f"marker counts differ: reference has {reference.marker_count}, "
@@ -89,20 +90,18 @@ def register(reference: MarkerFrame, current: MarkerFrame,
     return RegistrationResult(motion=motion, rms_error=rms, marker_covariance_rank=rank)
 
 
-def register_sequence(frames, rank_tolerance: float = RANK_TOLERANCE) -> MotionSequence:
-    """Register every frame against the first one.
+def register_frames(frames, rank_tolerance: float = RANK_TOLERANCE) -> MotionSequence:
+    """Register every frame of a sequence against frames[0], which maps to the
+    identity; each fit's RMS (0 for frames[0]) goes in the result's rms_errors."""
+    results = [register(frames[0], frame, rank_tolerance) for frame in frames[1:]]
+    return MotionSequence((RelativeMotion.identity(frames[0].frame_index),
+                           *(r.motion for r in results)),
+                          rms_errors=(0.0, *(r.rms_error for r in results)))
 
-    frames[0] is the reference and maps to the identity motion; errors from
-    individual frames are re-raised with that frame's index attached.
-    """
+
+def register_sequence(frames, rank_tolerance: float = RANK_TOLERANCE) -> MotionSequence:
+    """register_frames for at least two frames; errors name the frame at fault."""
     frames = list(frames)
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames, got {len(frames)}")
-    if frames[0].marker_count < 3:
-        raise TooFewMarkers(f"need at least 3 markers, got {frames[0].marker_count}",
-                            frame_index=frames[0].frame_index)
-
-    motions = [RelativeMotion.identity(frames[0].frame_index)]
-    for frame in frames[1:]:
-        motions.append(register(frames[0], frame, rank_tolerance).motion)
-    return MotionSequence(tuple(motions))
+    return register_frames(frames, rank_tolerance)

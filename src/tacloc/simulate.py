@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contact import ContactKind
 from .errors import InvalidSchedule
+from .estimators import (fixed_direction_residuals, fixed_point_residuals,
+                         line_contact_residuals)
 from .motion import (MarkerFrame, MotionSequence, RelativeMotion, _as_vector3,
                      _readonly, rotation_about_axis)
 
@@ -40,9 +43,13 @@ class FixedPointContact:
     """Ground truth: this world point stays in contact (a pivot)."""
 
     point: np.ndarray
+    kind = ContactKind.FIXED_POINT
 
     def __post_init__(self):
         object.__setattr__(self, "point", _readonly(_as_vector3(self.point, "point")))
+
+    def residuals(self, motions) -> np.ndarray:
+        return fixed_point_residuals(motions, self.point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +57,13 @@ class FixedDirectionContact:
     """Ground truth: this body direction stays fixed in the world (a hinge axis)."""
 
     direction: np.ndarray
+    kind = ContactKind.FIXED_DIRECTION
 
     def __post_init__(self):
         object.__setattr__(self, "direction", _readonly(_unit(self.direction, "direction")))
+
+    def residuals(self, motions) -> np.ndarray:
+        return fixed_direction_residuals(motions, self.direction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +75,7 @@ class EdgeContact:
     direction: np.ndarray
     point: np.ndarray
     surface_normal: np.ndarray
+    kind = ContactKind.LINE
 
     def __post_init__(self):
         direction = _unit(self.direction, "direction")
@@ -78,6 +90,9 @@ class EdgeContact:
     def canonical_point(self) -> np.ndarray:
         """The point on the edge closest to the origin."""
         return self.point - (self.point @ self.direction) * self.direction
+
+    def residuals(self, motions) -> np.ndarray:
+        return line_contact_residuals(motions, self.surface_normal, self.point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +190,8 @@ class ScenarioConfig:
         sigma = np.full(3, float(sigma)) if sigma.ndim == 0 else sigma.reshape(-1)
         if sigma.shape != (3,) or np.any(sigma < 0.0) or not np.all(np.isfinite(sigma)):
             raise ValueError("noise_sigma must be a nonnegative scalar or 3-vector")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "noise_sigma", _readonly(sigma))
         object.__setattr__(self, "tolerances", dict(self.tolerances))
@@ -213,33 +230,14 @@ def _truth_motion(contact, step: MotionStep, frame_index: int) -> RelativeMotion
     return RelativeMotion(rot, trans, frame_index)
 
 
-def _geometry_scale(contact) -> float:
-    if isinstance(contact, FixedPointContact):
-        return float(np.linalg.norm(contact.point))
-    if isinstance(contact, FixedDirectionContact):
-        return 1.0
-    return float(np.linalg.norm(contact.point))
-
-
 def constraint_residuals(truth: ScenarioTruth) -> np.ndarray:
     """Per-frame residual of the generating constraint, aligned with truth.motions.
 
     Valid truths satisfy their constraint to within TRUTH_RESIDUAL_TOL by
     construction; a corrupted motion shows up as a nonzero entry.
     """
-    contact = truth.contact_geometry
-    out = []
-    for m in truth.motions:
-        if isinstance(contact, FixedPointContact):
-            res = np.linalg.norm(m.rotation @ contact.point + m.translation - contact.point)
-        elif isinstance(contact, FixedDirectionContact):
-            res = np.linalg.norm((m.rotation - np.eye(3)) @ contact.direction)
-        else:
-            nk = m.rotation @ contact.surface_normal
-            nk = nk / np.linalg.norm(nk)
-            res = abs(nk @ (m.rotation @ contact.point + m.translation - contact.point))
-        out.append(res)
-    return np.array(out)
+    # the plain tuple keeps frame 0, which a MotionSequence's residuals skip
+    return truth.contact_geometry.residuals(truth.motions.motions)
 
 
 def generate(config: ScenarioConfig):
@@ -255,7 +253,8 @@ def generate(config: ScenarioConfig):
     truth = ScenarioTruth(motions=MotionSequence(tuple(motions)),
                           contact_geometry=config.contact)
 
-    scale = max(1.0, _geometry_scale(config.contact),
+    # a pivot or edge point sets the size of the geometry; a hinge has only a unit direction
+    scale = max(1.0, float(np.linalg.norm(getattr(config.contact, "point", 0.0))),
                 max(float(np.linalg.norm(m.translation)) for m in motions))
     residuals = constraint_residuals(truth)
     bad = np.nonzero(residuals > TRUTH_RESIDUAL_TOL * scale)[0]

@@ -49,7 +49,7 @@ def test_simulate_register_estimate_pipeline(tmp_path):
     report = read_report(report_path)
     np.testing.assert_allclose(report.estimate.point, [1.5, -2.0, 4.0], atol=1e-9)
     assert report.provenance["frame_count"] == 6
-    assert len(report.per_frame_residuals) == 5
+    assert len(report.estimate.per_frame_residuals) == 5
     assert len(report.provenance["input_sha256"]) == 64
 
 
@@ -70,7 +70,7 @@ def test_estimate_report_matches_library_result_exactly(tmp_path):
     assert np.array_equal(report.estimate.point, direct.point)
     assert report.estimate.residual_rms == direct.residual_rms
     assert report.estimate.conditioning.condition_number == direct.conditioning.condition_number
-    assert np.array_equal(report.per_frame_residuals,
+    assert np.array_equal(report.estimate.per_frame_residuals,
                           fixed_point_residuals(motions, direct.point))
 
 
@@ -129,13 +129,16 @@ def test_wrong_schema_exits_3(tmp_path):
 
 
 def test_estimation_failure_exits_4(tmp_path, capsys):
-    # two frames only: below the default min_frames of 3
+    # two frames, then one: below the default min_frames of 3
     grid = MarkerGrid().reference_positions()
     log = tmp_path / "short.json"
-    write_marker_log(log, MarkerLog((MarkerFrame(grid, 0), MarkerFrame(grid + 0.1, 1))))
-    assert main(["estimate", "--type", "point", "--log", str(log),
-                 "--out", str(tmp_path / "r.json")]) == 4
-    assert "estimation failed" in capsys.readouterr().err
+    for frames in ((MarkerFrame(grid, 0), MarkerFrame(grid + 0.1, 1)), (MarkerFrame(grid, 0),)):
+        write_marker_log(log, MarkerLog(frames))
+        assert main(["estimate", "--type", "point", "--log", str(log),
+                     "--out", str(tmp_path / "r.json")]) == 4
+        assert "estimation failed" in capsys.readouterr().err
+    # registering a single frame is not an estimate: it succeeds
+    assert main(["register", "--log", str(log), "--out", str(tmp_path / "m.json")]) == 0
 
 
 def small_angle_log(tmp_path, name):
@@ -185,6 +188,35 @@ def test_roundtrip_failure_exits_1(tmp_path, capsys):
     impossible.write_text(json.dumps(data))
     assert main(["roundtrip", "--scenario", str(impossible)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("keys, value", [
+    (["schedule"], 1),
+    (["schedule", 0], 1),
+    (["schedule", 0, "angle"], [0.1]),
+    (["schedule", 0, "angle"], "0.1"),
+    (["seed"], 1.5),
+    (["seed"], -1),
+    (["grid", "rows"], 11.7),
+    (["tolerances", "point_distance"], None),
+    (["tolerances", "point_distance"], "0.1"),
+], ids=["schedule_not_list", "step_not_object", "angle_list", "angle_string",
+        "seed_fraction", "seed_negative", "rows_fraction", "tolerance_missing",
+        "tolerance_string"])
+def test_malformed_scenario_exits_3(tmp_path, capsys, keys, value):
+    import pathlib
+    data = json.loads(pathlib.Path(scenario_path("pivot_point")).read_text())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    if value is None:  # None deletes the key
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["roundtrip", "--scenario", str(bad)]) == 3
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_roundtrip_keeps_workdir_files(tmp_path):

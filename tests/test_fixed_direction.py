@@ -84,6 +84,15 @@ def test_direction_sign_is_canonical():
                                est.direction, atol=1e-9)
 
 
+def test_round_off_components_do_not_choose_the_sign():
+    from tacloc.estimators import _canonical_sign
+    for vec, want in (([-1e-17, 1.0, 0.0], [-1e-17, 1.0, 0.0]),
+                      ([1e-17, -1.0, 0.0], [-1e-17, 1.0, 0.0]),
+                      ([-0.6, 0.8, 0.0], [0.6, -0.8, 0.0]),
+                      ([0.0, 1e-300, -1e-300], [0.0, 1e-300, -1e-300])):
+        assert np.array_equal(_canonical_sign(np.array(vec)), want), vec
+
+
 def test_no_unit_nudge_lowers_the_constraint_cost():
     # wobble each rotation a little so no direction is exactly preserved;
     # the reported direction must still minimize the cost over the sphere

@@ -190,18 +190,39 @@ def test_motion_reader_accepts_only_integer_frame_indices(tmp_path):
 
 
 def test_motion_sequence_round_trip(tmp_path):
-    config = read_scenario(bundled_scenario("pivot_point"))
+    config = read_scenario(bundled_scenario("pivot_point_noisy"))
     frames, truth = generate(config)
     motions = register_sequence(frames)
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    write_motion_sequence(p1, motions, rms_errors=[0.0] * len(motions))
+    write_motion_sequence(p1, motions)
     back = read_motion_sequence(p1)
     for got, want in zip(back, motions):
         assert np.array_equal(got.rotation, want.rotation)
         assert np.array_equal(got.translation, want.translation)
         assert got.frame_index == want.frame_index
-    write_motion_sequence(p2, back, rms_errors=[0.0] * len(back))
+    assert back.rms_errors == motions.rms_errors
+    write_motion_sequence(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
+
+    # the register command's output keeps every rms_error through read -> write
+    log, registered = tmp_path / "log.json", tmp_path / "registered.json"
+    write_marker_log(log, MarkerLog(tuple(frames), units=config.units))
+    assert main(["register", "--log", str(log), "--out", str(registered)]) == 0
+    write_motion_sequence(p2, read_motion_sequence(registered))
+    assert p2.read_bytes() == registered.read_bytes()
+
+    # motions without fit RMS, such as the truth, stay without
+    write_motion_sequence(p1, truth.motions)
+    assert read_motion_sequence(p1).rms_errors is None
+
+    for bad in (None, True, "0.1", -1.0):
+        data = json.loads(registered.read_text())
+        data["motions"][2]["rms_error"] = bad
+        if bad is None:
+            del data["motions"][2]["rms_error"]
+        p1.write_text(json.dumps(data))
+        with pytest.raises(ParseError):
+            read_motion_sequence(p1)
 
 
 def test_scenario_and_truth_round_trip(tmp_path):
@@ -222,13 +243,12 @@ def test_scenario_and_truth_round_trip(tmp_path):
 def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     estimate = ContactEstimate(
         kind=ContactKind.FIXED_POINT, point=np.array([1.0, 2.0, 3.0]), direction=None,
-        residual_rms=0.25,
+        residual_rms=0.25, per_frame_residuals=np.array([0.1, 0.2]),
         conditioning=ConditioningReport(max_rotation_angle=0.0,
                                         smallest_singular_value=0.0,
                                         condition_number=math.inf,
                                         well_posed=False))
-    report = EstimateReport(estimate=estimate, per_frame_residuals=np.array([0.1, 0.2]),
-                            config=EstimatorConfig(),
+    report = EstimateReport(estimate=estimate, config=EstimatorConfig(),
                             provenance={"input_sha256": "00" * 32,
                                         "tool_version": "0.1.0", "frame_count": 3})
     path = tmp_path / "report.json"
@@ -237,7 +257,7 @@ def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     back = read_report(path)
     assert math.isinf(back.estimate.conditioning.condition_number)
     assert not back.estimate.conditioning.well_posed
-    np.testing.assert_array_equal(back.per_frame_residuals, report.per_frame_residuals)
+    np.testing.assert_array_equal(back.estimate.per_frame_residuals, [0.1, 0.2])
     assert back.provenance == report.provenance
     assert back.config == EstimatorConfig()
 
@@ -249,9 +269,8 @@ def test_report_of_line_estimate_round_trips(tmp_path):
     motions = register_sequence(frames)
     n0 = config.contact.surface_normal
     est = estimate_line_contact(motions, n0)
-    report = EstimateReport(estimate=est,
-                            per_frame_residuals=line_contact_residuals(motions, n0, est.point),
-                            config=EstimatorConfig(),
+    assert np.array_equal(est.per_frame_residuals, line_contact_residuals(motions, n0, est.point))
+    report = EstimateReport(estimate=est, config=EstimatorConfig(),
                             provenance={"input_sha256": "ab", "tool_version": "x",
                                         "frame_count": len(frames)})
     path = tmp_path / "report.json"
@@ -260,7 +279,8 @@ def test_report_of_line_estimate_round_trips(tmp_path):
     assert back.estimate.kind is ContactKind.LINE
     assert np.array_equal(back.estimate.point, est.point)
     assert np.array_equal(back.estimate.direction, est.direction)
-    assert len(back.per_frame_residuals) == len(frames) - 1
+    assert np.array_equal(back.estimate.per_frame_residuals, est.per_frame_residuals)
+    assert len(back.estimate.per_frame_residuals) == len(frames) - 1
 
 
 def test_bundled_scenarios_all_parse():
@@ -408,3 +428,45 @@ def test_simulated_files_match_golden_sha256(tmp_path, name):
                  "--out", str(markers), "--truth", str(truth)]) == 0
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (markers, truth))
     assert got == SCENARIO_SHA256[name]
+
+
+# SHA-256s of the motions.json and report.json that `roundtrip --workdir`
+# writes for the bundled scenarios, taken when roundtrip still ran the
+# simulate, register and estimate commands one after another.
+ROUNDTRIP_SHA256 = {
+    "box_on_edge": ("6b69398a832c34c36e2463beac7a9aadad094deae6b7049031cc1888ce14f1a4",
+                   "da0031c593c85057c5b9c1f4fb760a9bc82367a53cddf471cfa5776cb891ed8c"),
+    "box_on_edge_noisy": ("cb3145167c4cf2ae116019ac1e4e0e3b8130437667dde903159dbfc5a4e39a59",
+                         "e42641828dd4bc2b0df9e3f10f36fe1f13871a0cef7705313a942cb8ddcac73e"),
+    "hinge_direction": ("dd9b674e53536fa625ac8453f7345eeab5ae44550f5c0e5a964ccceaeb7c7563",
+                       "6bf68fd503198f0e16776612eac0064789714801ec3fa09a9f227e9dbd5551c0"),
+    "hinge_direction_noisy": ("2b316dd3310a39bea233aae0d8ad01641d957fb075df8c8e53c0170dff1b8016",
+                             "2fdba03c9d2f8bab1bea30605c85b5ada0f7016ef147066a3f3e749593a4a941"),
+    "pivot_point": ("82ccf5fea80bd40a1950d093fec2a2c15c8364649e01a87606e1e5b20b612c38",
+                   "0a7a969550bafe5f10ba8235fe3101c6fe903eaf0c1a0c9008418713efed3391"),
+    "pivot_point_noisy": ("e36ddd046debc03a9b2166eb274049fd8093093452addcb80dc2222b2399cbda",
+                         "e737f4d861abb19e0bdaab245af55517ace87375d98c50780a1c76591ce7d57c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_SHA256))
+def test_roundtrip_files_match_golden_sha256(tmp_path, name):
+    assert main(["roundtrip", "--scenario", str(bundled_scenario(name)),
+                 "--workdir", str(tmp_path)]) == 0
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("markers.json", "truth.json", "motions.json", "report.json"))
+    assert got == SCENARIO_SHA256[name] + ROUNDTRIP_SHA256[name]
+
+
+def test_make_scenarios_reproduces_the_bundled_files(tmp_path):
+    import importlib.util
+    import pathlib
+    script = pathlib.Path(__file__).resolve().parent.parent / "tools" / "make_scenarios.py"
+    spec = importlib.util.spec_from_file_location("make_scenarios", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert sorted(c.name for c in module.SCENARIOS) == sorted(SCENARIO_SHA256)
+    for config in module.SCENARIOS:
+        out = tmp_path / f"{config.name}.json"
+        write_scenario(out, config)
+        assert out.read_bytes() == bundled_scenario(config.name).read_bytes(), config.name
