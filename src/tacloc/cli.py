@@ -136,8 +136,7 @@ def _estimate(motions: MotionSequence, kind: ContactKind, n0, config: EstimatorC
               strict: bool, log_path, out) -> None:
     """Estimate the contact from the motions registered from log_path and write the report."""
     estimate = ESTIMATORS[kind](motions, n0, config, strict)
-    provenance = {"input_sha256": sha256_of_file(log_path),
-                  "tool_version": __version__,
+    provenance = {"input_sha256": sha256_of_file(log_path), "tool_version": __version__,
                   "frame_count": len(motions)}
     write_report(out, EstimateReport(estimate=estimate, config=config, provenance=provenance))
     print(_describe(estimate))
@@ -169,32 +168,33 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
             parser.error("--type line requires --n0")
         if float(np.linalg.norm(args.n0)) == 0.0:
             parser.error("--n0 must be nonzero")
-    log = read_marker_log(args.log)
-    _estimate(register_frames(log.frames), kind, args.n0, _config_from_args(args),
-              args.strict, args.log, args.out)
+    motions = register_frames(read_marker_log(args.log).frames)
+    _estimate(motions, kind, args.n0, _config_from_args(args), args.strict, args.log, args.out)
 
 
-def _angle_between(a, b) -> float:
-    """Angle between two directions, ignoring sign, in radians."""
-    return math.acos(min(1.0, abs(float(np.dot(a, b)))))
+def _direction_angle(estimate, truth) -> float:
+    """Angle between the estimated and true directions, ignoring sign, in radians."""
+    return math.acos(min(1.0, abs(float(np.dot(estimate.direction, truth.direction)))))
 
 
-def _roundtrip_checks(estimate, truth_contact, tolerances: dict):
-    """Yield (label, measured, allowed) triples for the scenario's tolerance keys."""
-    if truth_contact.kind is ContactKind.FIXED_POINT:
-        yield ("pivot distance", float(np.linalg.norm(estimate.point - truth_contact.point)),
-               tolerances["point_distance"])
-    elif truth_contact.kind is ContactKind.FIXED_DIRECTION:
-        yield ("direction angle", _angle_between(estimate.direction, truth_contact.direction),
-               tolerances["direction_angle"])
-    else:
-        yield ("edge direction angle",
-               _angle_between(estimate.direction, truth_contact.direction),
-               tolerances["direction_angle"])
-        offset = estimate.point - truth_contact.point
-        off_edge = offset - (offset @ truth_contact.direction) * truth_contact.direction
-        yield ("point-to-edge distance", float(np.linalg.norm(off_edge)),
-               tolerances["point_distance"])
+def _point_distance(estimate, truth) -> float:
+    return float(np.linalg.norm(estimate.point - truth.point))
+
+
+def _off_edge_distance(estimate, truth) -> float:
+    """Distance from the estimated point to the true edge line."""
+    offset = estimate.point - truth.point
+    return float(np.linalg.norm(offset - (offset @ truth.direction) * truth.direction))
+
+
+# contact kind -> roundtrip's checks of an estimate against the scenario's truth
+# contact: (label, tolerance key the scenario must state, error(estimate, truth))
+CHECKS = {
+    ContactKind.FIXED_POINT: [("pivot distance", "point_distance", _point_distance)],
+    ContactKind.FIXED_DIRECTION: [("direction angle", "direction_angle", _direction_angle)],
+    ContactKind.LINE: [("edge direction angle", "direction_angle", _direction_angle),
+                       ("point-to-edge distance", "point_distance", _off_edge_distance)],
+}
 
 
 def _cmd_roundtrip(args) -> int:
@@ -208,6 +208,10 @@ def _cmd_roundtrip(args) -> int:
         workdir = Path(cleanup.name)
     try:
         config = read_scenario(args.scenario)
+        checks = CHECKS[config.contact.kind]
+        missing = [key for _, key, _ in checks if key not in config.tolerances]
+        if missing:
+            raise ParseError(f"scenario tolerances are missing {missing[0]!r}")
         log_path = workdir / "markers.json"
         report_path = workdir / "report.json"
         _simulate(config, log_path, workdir / "truth.json")
@@ -219,8 +223,8 @@ def _cmd_roundtrip(args) -> int:
         estimate = read_report(report_path).estimate
         name = config.name or Path(args.scenario).stem
         failed = False
-        for label, measured, allowed in _roundtrip_checks(estimate, config.contact,
-                                                          config.tolerances):
+        for label, key, error in checks:
+            measured, allowed = error(estimate, config.contact), config.tolerances[key]
             ok = measured <= allowed
             failed = failed or not ok
             print(f"roundtrip {name}: {label} {measured:.3g} <= {allowed:.3g} "

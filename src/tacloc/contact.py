@@ -48,7 +48,7 @@ class ContactEstimate:
     FIXED_POINT carries `point` only, FIXED_DIRECTION carries `direction`
     only, LINE carries both (point = closest point on the edge to the
     origin). per_frame_residuals holds the constraint residual at each moving
-    frame (empty when not given); residual_rms is their root mean square.
+    frame (None if not recorded: no report then); residual_rms is their RMS.
     """
 
     kind: ContactKind
@@ -56,7 +56,7 @@ class ContactEstimate:
     direction: np.ndarray | None
     residual_rms: float
     conditioning: ConditioningReport
-    per_frame_residuals: np.ndarray = ()
+    per_frame_residuals: np.ndarray | None = None
 
     def __post_init__(self):
         wants_point = self.kind in (ContactKind.FIXED_POINT, ContactKind.LINE)
@@ -72,7 +72,8 @@ class ContactEstimate:
             if abs(np.linalg.norm(direction) - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(f"direction must be unit norm, got |d| = {np.linalg.norm(direction)}")
             object.__setattr__(self, "direction", _readonly(direction))
-        residuals = np.array(self.per_frame_residuals, dtype=float).reshape(-1)
-        object.__setattr__(self, "per_frame_residuals", _readonly(residuals))
+        if self.per_frame_residuals is not None:
+            residuals = np.array(self.per_frame_residuals, dtype=float).reshape(-1)
+            object.__setattr__(self, "per_frame_residuals", _readonly(residuals))
         if not (self.residual_rms >= 0.0):
             raise ValueError(f"residual_rms must be nonnegative, got {self.residual_rms}")

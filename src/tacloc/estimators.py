@@ -106,8 +106,7 @@ def _conditioning(max_angle: float, smallest: float, cond: float,
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    """Fix the sign ambiguity: the first component that is not round-off
-    (above 1e-12 times the largest magnitude) is positive."""
+    """Fix the sign: the first component above round-off (1e-12 of the largest) is positive."""
     magnitude = np.abs(vec)
     significant = np.nonzero(magnitude > 1e-12 * magnitude.max())[0]
     if significant.size and vec[significant[0]] < 0.0:

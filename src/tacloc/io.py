@@ -32,11 +32,6 @@ SCENARIO_SCHEMA = "tacloc.scenario/1"
 TRUTH_SCHEMA = "tacloc.truth/1"
 REPORT_SCHEMA = "tacloc.report/1"
 
-# The tolerances a scenario must state for its contact kind: the ones roundtrip checks.
-TOLERANCE_KEYS = {ContactKind.FIXED_POINT: ("point_distance",),
-                  ContactKind.FIXED_DIRECTION: ("direction_angle",),
-                  ContactKind.LINE: ("direction_angle", "point_distance")}
-
 
 @dataclass(frozen=True, eq=False)
 class MarkerLog:
@@ -181,12 +176,11 @@ def _require(data, key: str, context: str, kind: type = object):
 
 
 def _float(data, key: str, context: str) -> float:
-    """data[key] as a float, or ParseError unless it is a JSON number a float can hold."""
+    """data[key] as a float, or ParseError unless it is a finite JSON number (not NaN)."""
     value = _require(data, key, context)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or abs(value) > sys.float_info.max):
-        raise ParseError(f"{context} {key!r} must be a number within float range, "
-                         f"got {type(value).__name__}")
+            or not abs(value) <= sys.float_info.max):
+        raise ParseError(f"{context} {key!r} must be a finite number, got {value!r:.40}")
     return float(value)
 
 
@@ -369,7 +363,7 @@ def read_scenario(path) -> ScenarioConfig:
             raise ParseError(f"{context}: {err}") from err
     contact = _contact_from_dict(_require(data, "contact", "scenario"))
     tolerances = _require(data, "tolerances", "scenario", dict)
-    for key in TOLERANCE_KEYS[contact.kind]:
+    for key in tolerances:
         _float(tolerances, key, "scenario tolerances")
     try:
         return ScenarioConfig(
@@ -416,6 +410,8 @@ def read_truth(path) -> ScenarioTruth:
 
 def write_report(path, report: EstimateReport) -> None:
     est = report.estimate
+    if est.per_frame_residuals is None:
+        raise ValueError("a report needs the estimate's per-frame residuals")
     cond = est.conditioning
     data = {
         "schema": REPORT_SCHEMA,

@@ -200,9 +200,10 @@ def test_roundtrip_failure_exits_1(tmp_path, capsys):
     (["grid", "rows"], 11.7),
     (["tolerances", "point_distance"], None),
     (["tolerances", "point_distance"], "0.1"),
+    (["tolerances", "point_distance"], float("nan")),
 ], ids=["schedule_not_list", "step_not_object", "angle_list", "angle_string",
         "seed_fraction", "seed_negative", "rows_fraction", "tolerance_missing",
-        "tolerance_string"])
+        "tolerance_string", "tolerance_nan"])
 def test_malformed_scenario_exits_3(tmp_path, capsys, keys, value):
     import pathlib
     data = json.loads(pathlib.Path(scenario_path("pivot_point")).read_text())

@@ -262,6 +262,18 @@ def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     assert back.config == EstimatorConfig()
 
 
+def test_report_needs_the_estimates_residuals(tmp_path):
+    estimate = ContactEstimate(
+        kind=ContactKind.FIXED_POINT, point=np.zeros(3), direction=None, residual_rms=0.25,
+        conditioning=ConditioningReport(max_rotation_angle=1.0, smallest_singular_value=1.0,
+                                        condition_number=1.0, well_posed=True))
+    assert estimate.per_frame_residuals is None
+    report = EstimateReport(estimate=estimate, config=EstimatorConfig(), provenance={})
+    with pytest.raises(ValueError, match="per-frame residuals"):
+        write_report(tmp_path / "report.json", report)
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_report_of_line_estimate_round_trips(tmp_path):
     config = read_scenario(bundled_scenario("box_on_edge"))
     frames, _ = generate(config)
