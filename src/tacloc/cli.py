@@ -13,6 +13,7 @@ error, 3 unreadable or invalid input file, 4 estimation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import tempfile
@@ -126,8 +127,8 @@ def _simulate(config, log_path, truth_path) -> None:
 
 def _register(log: MarkerLog, out) -> MotionSequence:
     """Register the log once, write the motions with their fit RMS, return them."""
-    motions = register_frames(log.frames)
-    write_motion_sequence(out, motions, units=log.units)
+    motions = dataclasses.replace(register_frames(log.frames), units=log.units)
+    write_motion_sequence(out, motions)
     print(f"registered {len(log)} frames; worst fit rms {max(motions.rms_errors):.3g} {log.units}")
     return motions
 

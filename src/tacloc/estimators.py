@@ -27,7 +27,8 @@ import numpy as np
 
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import AmbiguousDirection, IllConditioned, RankDeficientBeyondLine, TooFewFrames
-from .motion import MotionSequence, _as_vector3, _readonly, rotation_angle
+from .motion import (_EYE3, MotionSequence, _as_vector3, _max_rotation_angle, _readonly,
+                     _row_dots, _row_norms, _stack)
 
 UNIT_NORM_TOL = 1e-6
 
@@ -129,18 +130,26 @@ def _unit_or_raise(vec, name: str) -> np.ndarray:
     return v if abs(norm - 1.0) <= 1e-12 else v / norm
 
 
+def _moving(motions):
+    return motions.moving() if isinstance(motions, MotionSequence) else motions
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    return vectors / _row_norms(vectors)[:, None]
+
+
 def fixed_point_residuals(motions, point) -> np.ndarray:
     """Per-frame distance the candidate pivot moves, over the moving frames."""
     point = np.asarray(point, dtype=float)
-    moving = motions.moving() if isinstance(motions, MotionSequence) else motions
-    return np.array([np.linalg.norm(m.rotation @ point + m.translation - point) for m in moving])
+    rotations, translations = _stack(_moving(motions))
+    return _row_norms(rotations @ point + translations - point)
 
 
 def fixed_direction_residuals(motions, direction) -> np.ndarray:
     """Per-frame change of the candidate body direction, over the moving frames."""
     direction = np.asarray(direction, dtype=float)
-    moving = motions.moving() if isinstance(motions, MotionSequence) else motions
-    return np.array([np.linalg.norm((m.rotation - np.eye(3)) @ direction) for m in moving])
+    rotations, _ = _stack(_moving(motions))
+    return _row_norms((rotations - _EYE3) @ direction)
 
 
 def line_contact_residuals(motions, surface_normal, point) -> np.ndarray:
@@ -152,13 +161,9 @@ def line_contact_residuals(motions, surface_normal, point) -> np.ndarray:
     """
     n0 = np.asarray(surface_normal, dtype=float)
     point = np.asarray(point, dtype=float)
-    moving = motions.moving() if isinstance(motions, MotionSequence) else motions
-    out = []
-    for m in moving:
-        nk = m.rotation @ n0
-        nk = nk / np.linalg.norm(nk)
-        out.append(abs(nk @ (m.rotation @ point + m.translation - point)))
-    return np.array(out)
+    rotations, translations = _stack(_moving(motions))
+    normals = _unit_rows(rotations @ n0)
+    return np.abs(_row_dots(normals, rotations @ point + translations - point))
 
 
 def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = EstimatorConfig(),
@@ -180,15 +185,15 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
             posed (rotation angle or condition number out of bounds).
     """
     moving = _moving_or_raise(motions, config)
-    stacked = np.vstack([np.eye(3) - m.rotation for m in moving])
-    rhs = np.concatenate([m.translation for m in moving])
+    rotations, translations = _stack(moving)
+    stacked = (_EYE3 - rotations).reshape(-1, 3)
 
-    point, _, _, sing = np.linalg.lstsq(stacked, rhs, rcond=config.rank_tolerance)
+    point, _, _, sing = np.linalg.lstsq(stacked, translations.reshape(-1),
+                                        rcond=config.rank_tolerance)
 
     smallest = float(sing[-1])
     cond = float(sing[0] / sing[-1]) if smallest > 0.0 else math.inf
-    max_angle = max(rotation_angle(m) for m in moving)
-    report = _conditioning(max_angle, smallest, cond, config, strict)
+    report = _conditioning(_max_rotation_angle(rotations), smallest, cond, config, strict)
 
     return _estimate(ContactKind.FIXED_POINT, point, None,
                      fixed_point_residuals(moving, point), report)
@@ -212,17 +217,16 @@ def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = 
             posed.
     """
     moving = _moving_or_raise(motions, config)
-    stacked = np.vstack([m.rotation - np.eye(3) for m in moving])
-    _, sing, vt = np.linalg.svd(stacked, full_matrices=False)
+    rotations, _ = _stack(moving)
+    _, sing, vt = np.linalg.svd((rotations - _EYE3).reshape(-1, 3), full_matrices=False)
 
     if sing[0] <= 0.0 or sing[1] < config.rank_tolerance * sing[0]:
         raise AmbiguousDirection(
             "rotations share no unique fixed direction (null space dimension >= 2)")
 
     direction = _canonical_sign(vt[2])
-    max_angle = max(rotation_angle(m) for m in moving)
     cond = float(sing[0] / sing[1])
-    report = _conditioning(max_angle, float(sing[1]), cond, config, strict)
+    report = _conditioning(_max_rotation_angle(rotations), float(sing[1]), cond, config, strict)
 
     return _estimate(ContactKind.FIXED_DIRECTION, None, direction,
                      fixed_direction_residuals(moving, direction), report)
@@ -236,14 +240,9 @@ def propagate_plane(n0, x0_hint, motions: MotionSequence) -> PlaneTrack:
     """
     n0 = _unit_or_raise(n0, "n0")
     x0 = _as_vector3(x0_hint, "x0_hint")
-    normals = []
-    offsets = []
-    for m in motions:
-        nk = m.rotation @ n0
-        nk = nk / np.linalg.norm(nk)
-        normals.append(nk)
-        offsets.append(nk @ (m.rotation @ x0 + m.translation))
-    return PlaneTrack(np.array(normals), np.array(offsets))
+    rotations, translations = _stack(motions)
+    normals = _unit_rows(rotations @ n0)
+    return PlaneTrack(normals, _row_dots(normals, rotations @ x0 + translations))
 
 
 def estimate_line_direction(track: PlaneTrack,
@@ -264,7 +263,8 @@ def estimate_line_direction(track: PlaneTrack,
     """
     if len(track) < config.min_frames:
         raise TooFewFrames(f"need at least {config.min_frames} tracked planes, got {len(track)}")
-    _, sing, vt = np.linalg.svd(track.normals)
+    # thin unless fewer than 3 planes, where only the full factorization has vt[2]
+    _, sing, vt = np.linalg.svd(track.normals, full_matrices=len(track) < 3)
     # rank_tolerance compares eigenvalues of the outer-product sum, i.e. squared singular values
     if sing[1] ** 2 < config.rank_tolerance * sing[0] ** 2:
         raise AmbiguousDirection("plane normals span <= 1 dimension; edge direction ambiguous")
@@ -296,9 +296,9 @@ def _line_point(motions: MotionSequence, track: PlaneTrack, direction,
     if len(track) != len(motions):
         raise ValueError(f"track length {len(track)} != motion count {len(motions)}")
 
-    rows = np.array([(m.rotation - np.eye(3)).T @ nk
-                     for m, nk in zip(motions, track.normals)])
-    rhs = np.array([-(nk @ m.translation) for m, nk in zip(motions, track.normals)])
+    rotations, translations = _stack(motions)
+    rows = ((rotations - _EYE3).swapaxes(1, 2) @ track.normals[:, :, None])[:, :, 0]
+    rhs = -_row_dots(track.normals, translations)
 
     point, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=config.rank_tolerance)
     if rank < 2:

@@ -259,17 +259,18 @@ def _motion_from_dict(raw: dict, context: str) -> RelativeMotion:
         raise ParseError(f"{context}: {err}") from err
 
 
-def write_motion_sequence(path, motions: MotionSequence, units: str = "mm") -> None:
-    """Write the motions, each with its rms_error when the sequence has them."""
+def write_motion_sequence(path, motions: MotionSequence) -> None:
+    """Write the motions in their units, each with its rms_error when the sequence has them."""
     entries = [_motion_to_dict(m) for m in motions]
     if motions.rms_errors is not None:
         for entry, rms in zip(entries, motions.rms_errors):
             entry["rms_error"] = rms
-    _write_file(path, {"schema": MOTIONS_SCHEMA, "units": units, "motions": entries})
+    _write_file(path, {"schema": MOTIONS_SCHEMA, "units": motions.units, "motions": entries})
 
 
 def read_motion_sequence(path) -> MotionSequence:
     data = _load_file(path, MOTIONS_SCHEMA)
+    units = _require(data, "units", "motion file", str)
     raw_motions = _require(data, "motions", "motion file")
     if not isinstance(raw_motions, list) or not raw_motions:
         raise ParseError("motion file 'motions' must be a non-empty list")
@@ -278,7 +279,7 @@ def read_motion_sequence(path) -> MotionSequence:
     if any("rms_error" in raw for raw in raw_motions):
         rms_errors = [_float(raw, "rms_error", f"motion {i}") for i, raw in enumerate(raw_motions)]
     try:
-        return MotionSequence(tuple(motions), rms_errors=rms_errors)
+        return MotionSequence(tuple(motions), rms_errors=rms_errors, units=units)
     except ValueError as err:
         raise ParseError(str(err)) from err
 
@@ -446,11 +447,11 @@ def read_report(path) -> EstimateReport:
     raw_cond = _require(raw_est, "conditioning", "estimate")
     raw_cn = _require(raw_cond, "condition_number", "conditioning")
     conditioning = ConditioningReport(
-        max_rotation_angle=float(_require(raw_cond, "max_rotation_angle", "conditioning")),
-        smallest_singular_value=float(
-            _require(raw_cond, "smallest_singular_value", "conditioning")),
-        condition_number=math.inf if raw_cn is None else float(raw_cn),
-        well_posed=bool(_require(raw_cond, "well_posed", "conditioning")),
+        max_rotation_angle=_float(raw_cond, "max_rotation_angle", "conditioning"),
+        smallest_singular_value=_float(raw_cond, "smallest_singular_value", "conditioning"),
+        condition_number=(math.inf if raw_cn is None
+                          else _float(raw_cond, "condition_number", "conditioning")),
+        well_posed=_require(raw_cond, "well_posed", "conditioning", bool),
     )
     try:
         kind = ContactKind(_require(raw_est, "kind", "estimate"))
@@ -464,8 +465,8 @@ def read_report(path) -> EstimateReport:
             point=None if point is None else _as_array(point, (3,), "estimate point"),
             direction=(None if direction is None
                        else _as_array(direction, (3,), "estimate direction")),
-            residual_rms=float(_require(raw_est, "residual_rms", "estimate")),
-            per_frame_residuals=_require(data, "per_frame_residuals", "report"),
+            residual_rms=_float(raw_est, "residual_rms", "estimate"),
+            per_frame_residuals=_require(data, "per_frame_residuals", "report", list),
             conditioning=conditioning,
         )
     except ValueError as err:
@@ -473,12 +474,12 @@ def read_report(path) -> EstimateReport:
     raw_config = _require(data, "config", "report")
     try:
         config = EstimatorConfig(
-            angle_threshold=float(_require(raw_config, "angle_threshold", "config")),
-            cond_threshold=float(_require(raw_config, "cond_threshold", "config")),
-            rank_tolerance=float(_require(raw_config, "rank_tolerance", "config")),
-            min_frames=int(_require(raw_config, "min_frames", "config")),
+            angle_threshold=_float(raw_config, "angle_threshold", "config"),
+            cond_threshold=_float(raw_config, "cond_threshold", "config"),
+            rank_tolerance=_float(raw_config, "rank_tolerance", "config"),
+            min_frames=_require(raw_config, "min_frames", "config", int),
         )
     except ValueError as err:
         raise ParseError(f"config: {err}") from err
     return EstimateReport(estimate=estimate, config=config,
-                          provenance=dict(_require(data, "provenance", "report")))
+                          provenance=_require(data, "provenance", "report", dict))

@@ -15,17 +15,22 @@ import numpy as np
 # Tolerance on ||R^T R - I||_F and |det(R) - 1| for stored rotations.
 ROTATION_TOL = 1e-9
 
+_REFLECTION = "matrix is a reflection or singular, not a rotation"
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
+_EYE3 = _readonly(np.eye(3))
+
+
 def _as_vector3(value, name: str) -> np.ndarray:
     vec = np.array(value, dtype=float).reshape(-1)
     if vec.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValueError(f"{name} has non-finite entries: {vec}")
     return vec
 
@@ -39,12 +44,17 @@ def orthonormalize(matrix) -> np.ndarray:
     mat = np.array(matrix, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("rotation has non-finite entries")
+    gap = (mat.T @ mat - _EYE3).ravel()
+    if math.sqrt(gap @ gap) <= ROTATION_TOL:  # np.linalg.norm's own arithmetic
+        # already a rotation, whose determinant is +-1 to ~1e-9, so the triple
+        # product has the sign np.linalg.det would give; reprojecting would churn the last ulp
+        if _det3(mat.tolist()) <= 0.0:
+            raise ValueError(_REFLECTION)
+        return mat
     if np.linalg.det(mat) <= 0.0:
-        raise ValueError("matrix is a reflection or singular, not a rotation")
-    if np.linalg.norm(mat.T @ mat - np.eye(3)) <= ROTATION_TOL:
-        return mat  # already a rotation; reprojecting would churn the last ulp
+        raise ValueError(_REFLECTION)
     u, _, vt = np.linalg.svd(mat)
     rot = u @ vt
     if np.linalg.det(rot) < 0.0:
@@ -53,16 +63,62 @@ def orthonormalize(matrix) -> np.ndarray:
     return rot
 
 
+def _det3(rows) -> float:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a right-handed rotation of `angle` radians about `axis`."""
-    ax = _as_vector3(axis, "axis")
-    norm = np.linalg.norm(ax)
-    if norm == 0.0:
+    return _rotations_about_axes(_as_vector3(axis, "axis")[None], [angle])[0]
+
+
+def _rotations_about_axes(axes, angles) -> np.ndarray:
+    """rotation_about_axis for each row of finite `axes` (N, 3) and angle, as (N, 3, 3)."""
+    axes = np.asarray(axes, dtype=float)
+    norms = _row_norms(axes)
+    if not norms.all():
         raise ValueError("axis must be nonzero")
-    x, y, z = ax / norm
-    c, s = math.cos(angle), math.sin(angle)
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+    x, y, z = (axes / norms[:, None]).T
+    # math's cos and sin, not numpy's, whose SIMD forms may round differently
+    c = np.array([math.cos(a) for a in angles])
+    s = np.array([math.sin(a) for a in angles])
+    zero = np.zeros_like(x)
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    return _EYE3 + s[:, None, None] * k + (1.0 - c)[:, None, None] * (k @ k)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for each row k of two (N, 3) stacks.
+
+    A stacked matmul runs the same dot product as `a[k] @ b[k]` alone, so the
+    bits match; einsum or a sum over axis 1 rounds differently.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a[k]) for each row k, bit for bit (np.linalg.norm(a, axis=1) is not)."""
+    return np.sqrt(_row_dots(a, a))
+
+
+def _stack(motions) -> tuple:
+    """The rotations (N, 3, 3) and translations (N, 3) of `motions`, as two arrays."""
+    motions = tuple(motions)  # read twice below; a generator would be empty the second time
+    return (np.array([m.rotation for m in motions]).reshape(-1, 3, 3),
+            np.array([m.translation for m in motions]).reshape(-1, 3))
+
+
+def _max_rotation_angle(rotations: np.ndarray) -> float:
+    """The largest rotation_angle over a (N, 3, 3) stack of rotations; 0 when it is empty.
+
+    arccos decreases, so this is one math.acos of the smallest cosine, equal
+    bit for bit to the largest per-matrix angle.
+    """
+    if not len(rotations):
+        return 0.0
+    cos_theta = (np.trace(rotations, axis1=1, axis2=2) - 1.0) / 2.0
+    return math.acos(min(1.0, max(-1.0, float(cos_theta.min()))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +196,7 @@ class MarkerFrame:
         pos = np.array(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must have shape (m, 3), got {pos.shape}")
-        if not np.all(np.isfinite(pos)):
+        if not np.isfinite(pos).all():
             raise ValueError("marker positions must be finite")
         if self.frame_index < 0 or int(self.frame_index) != self.frame_index:
             raise ValueError(f"frame_index must be a nonnegative integer, got {self.frame_index}")
@@ -158,11 +214,13 @@ class MotionSequence:
 
     frame_index is strictly increasing; if an entry carries index 0 it must
     be the identity motion. rms_errors, when the motions were measured by
-    registration, holds each motion's marker fit RMS.
+    registration, holds each motion's marker fit RMS. units names the length
+    unit of the translations and RMS values.
     """
 
     motions: tuple
     rms_errors: tuple | None = None
+    units: str = "mm"
 
     def __post_init__(self):
         motions = tuple(self.motions)
@@ -195,4 +253,4 @@ class MotionSequence:
         return tuple(m for m in self.motions if m.frame_index != 0)
 
     def max_rotation_angle(self) -> float:
-        return max((rotation_angle(m) for m in self.moving()), default=0.0)
+        return _max_rotation_angle(_stack(self.moving())[0])

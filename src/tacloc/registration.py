@@ -3,8 +3,11 @@
 The solve is the classic SVD fit between two 3-D point sets: centroids are
 removed, the 3x3 cross-covariance is decomposed, and the reflection case is
 repaired by flipping the singular direction with the smallest singular
-value. Marker correspondence is assumed given (markers are tracked
-upstream); there is no correspondence search.
+value. The solve runs once over the whole sequence: the frames are stacked
+to (N, M, 3), their N cross-covariances are one broadcast matmul and one
+np.linalg.svd over the (N, 3, 3) stack, and register() is that same solve
+on a stack of one. Marker correspondence is assumed given (markers are
+tracked upstream); there is no correspondence search.
 """
 
 from __future__ import annotations
@@ -55,45 +58,70 @@ def register(reference: MarkerFrame, current: MarkerFrame,
         DegenerateMarkers: marker covariance rank < 2 (collinear or
             coincident markers) — the rotation is unobservable.
     """
-    if reference.marker_count < 3:
-        raise TooFewMarkers(f"need at least 3 markers, got {reference.marker_count}",
+    return _register_all(reference, [current], rank_tolerance)[0]
+
+
+def _register_all(reference: MarkerFrame, frames, rank_tolerance: float) -> list:
+    """register(reference, frame) for every frame, as one solve over the whole stack.
+
+    The checks run as register would run them frame by frame, so an error
+    names the first bad frame: the reference's marker count, then, for each
+    frame in turn, its marker count and its degeneracy.
+    """
+    if not frames:
+        return []
+    count = reference.marker_count
+    if count < 3:
+        raise TooFewMarkers(f"need at least 3 markers, got {count}",
                             frame_index=reference.frame_index)
-    if reference.marker_count != current.marker_count:
+    # frames before the first count mismatch stack; a degenerate one among them comes first
+    n_ok = next((k for k, f in enumerate(frames) if f.marker_count != count), len(frames))
+    results = _solve(reference.positions, frames[:n_ok], rank_tolerance) if n_ok else []
+    if n_ok < len(frames):
+        bad = frames[n_ok]
         raise MismatchedFrames(
-            f"marker counts differ: reference has {reference.marker_count}, "
-            f"frame {current.frame_index} has {current.marker_count}",
-            frame_index=current.frame_index)
+            f"marker counts differ: reference has {count}, "
+            f"frame {bad.frame_index} has {bad.marker_count}",
+            frame_index=bad.frame_index)
+    return results
 
-    ref = reference.positions
-    cur = current.positions
+
+def _solve(ref: np.ndarray, frames, rank_tolerance: float) -> list:
+    """The SVD fit of ref onto each frame, batched over the (N, 3, 3) cross-covariances."""
+    cur = np.stack([f.positions for f in frames])
     ref_centroid = ref.mean(axis=0)
-    cur_centroid = cur.mean(axis=0)
+    cur_centroid = cur.mean(axis=1)
 
-    cross_cov = (ref - ref_centroid).T @ (cur - cur_centroid)
+    cross_cov = (ref - ref_centroid).T @ (cur - cur_centroid[:, None])
     u, sing, vt = np.linalg.svd(cross_cov)
 
-    rank = int(np.count_nonzero(sing > rank_tolerance * sing[0])) if sing[0] > 0.0 else 0
-    if rank < 2:
+    rank = np.count_nonzero(sing > rank_tolerance * sing[:, :1], axis=1) * (sing[:, 0] > 0.0)
+    degenerate = np.nonzero(rank < 2)[0]
+    if degenerate.size:
+        k = degenerate[0]
         raise DegenerateMarkers(
-            f"marker covariance rank {rank} < 2; rotation unobservable",
-            frame_index=current.frame_index)
+            f"marker covariance rank {rank[k]} < 2; rotation unobservable",
+            frame_index=frames[k].frame_index)
 
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    rotation = v @ np.diag([1.0, 1.0, d]) @ u.T
+    v = vt.swapaxes(1, 2)
+    ut = u.swapaxes(1, 2)
+    flip = np.broadcast_to(np.eye(3), cross_cov.shape).copy()
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rotation = v @ flip @ ut
     translation = cur_centroid - rotation @ ref_centroid
 
-    residuals = ref @ rotation.T + translation - cur
-    rms = float(np.sqrt(np.mean(np.sum(residuals**2, axis=1))))
+    residuals = ref @ rotation.swapaxes(1, 2) + translation[:, None] - cur
+    rms = np.sqrt(np.mean(np.sum(residuals**2, axis=2), axis=1))
 
-    motion = RelativeMotion(rotation, translation, current.frame_index)
-    return RegistrationResult(motion=motion, rms_error=rms, marker_covariance_rank=rank)
+    return [RegistrationResult(motion=RelativeMotion(rotation[k], translation[k], f.frame_index),
+                               rms_error=float(rms[k]), marker_covariance_rank=int(rank[k]))
+            for k, f in enumerate(frames)]
 
 
 def register_frames(frames, rank_tolerance: float = RANK_TOLERANCE) -> MotionSequence:
     """Register every frame of a sequence against frames[0], which maps to the
     identity; each fit's RMS (0 for frames[0]) goes in the result's rms_errors."""
-    results = [register(frames[0], frame, rank_tolerance) for frame in frames[1:]]
+    results = _register_all(frames[0], frames[1:], rank_tolerance)
     return MotionSequence((RelativeMotion.identity(frames[0].frame_index),
                            *(r.motion for r in results)),
                           rms_errors=(0.0, *(r.rms_error for r in results)))

@@ -20,8 +20,8 @@ from .contact import ContactKind
 from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
-from .motion import (MarkerFrame, MotionSequence, RelativeMotion, _as_vector3,
-                     _readonly, rotation_about_axis)
+from .motion import (MarkerFrame, MotionSequence, RelativeMotion, _as_vector3, _readonly,
+                     _rotations_about_axes, _row_norms, _stack)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -205,29 +205,35 @@ class ScenarioTruth:
     contact_geometry: FixedPointContact | FixedDirectionContact | EdgeContact
 
 
-def _truth_motion(contact, step: MotionStep, frame_index: int) -> RelativeMotion:
-    extra = step.translation if step.translation is not None else np.zeros(3)
-    if isinstance(contact, FixedPointContact):
-        if step.axis is None:
-            raise InvalidSchedule(f"fixed-point schedule step {frame_index} needs a rotation axis")
+def _truth_motions(contact, schedule) -> list:
+    """The exact motion of each scheduled step, frames 1..N, built as one stack."""
+    for k, step in enumerate(schedule, start=1):
+        if isinstance(contact, EdgeContact):
+            if step.axis is not None:
+                raise InvalidSchedule(
+                    f"edge-contact rotations are always about the edge itself (step {k})")
+            continue
+        if isinstance(contact, FixedPointContact) and step.axis is None:
+            raise InvalidSchedule(f"fixed-point schedule step {k} needs a rotation axis")
         if step.slide != 0.0:
-            raise InvalidSchedule(f"slide is only valid for edge contact (step {frame_index})")
-        rot = rotation_about_axis(step.axis, step.angle)
+            raise InvalidSchedule(f"slide is only valid for edge contact (step {k})")
+
+    angles = [step.angle for step in schedule]
+    extra = np.array([step.translation if step.translation is not None else np.zeros(3)
+                      for step in schedule])
+    if isinstance(contact, FixedPointContact):
+        rot = _rotations_about_axes([step.axis for step in schedule], angles)
         trans = contact.point - rot @ contact.point + extra
     elif isinstance(contact, FixedDirectionContact):
-        if step.slide != 0.0:
-            raise InvalidSchedule(f"slide is only valid for edge contact (step {frame_index})")
-        axis = step.axis if step.axis is not None else contact.direction
-        rot = rotation_about_axis(axis, step.angle)
+        rot = _rotations_about_axes([step.axis if step.axis is not None else contact.direction
+                                     for step in schedule], angles)
         trans = extra  # translation is unconstrained for a fixed direction
     else:
-        if step.axis is not None:
-            raise InvalidSchedule(
-                f"edge-contact rotations are always about the edge itself (step {frame_index})")
-        rot = rotation_about_axis(contact.direction, step.angle)
+        rot = _rotations_about_axes([contact.direction] * len(schedule), angles)
+        slide = np.array([step.slide for step in schedule])
         trans = (contact.point - rot @ contact.point
-                 + step.slide * contact.direction + extra)
-    return RelativeMotion(rot, trans, frame_index)
+                 + slide[:, None] * contact.direction + extra)
+    return [RelativeMotion(r, t, k) for k, (r, t) in enumerate(zip(rot, trans), start=1)]
 
 
 def constraint_residuals(truth: ScenarioTruth) -> np.ndarray:
@@ -247,15 +253,15 @@ def generate(config: ScenarioConfig):
     motion violates the scenario's own contact constraint (for example a
     fixed-point step carrying a translation that is not through the pivot).
     """
-    motions = [RelativeMotion.identity(0)]
-    for k, step in enumerate(config.schedule, start=1):
-        motions.append(_truth_motion(config.contact, step, k))
-    truth = ScenarioTruth(motions=MotionSequence(tuple(motions)),
-                          contact_geometry=config.contact)
+    truth = ScenarioTruth(
+        motions=MotionSequence((RelativeMotion.identity(0),
+                                *_truth_motions(config.contact, config.schedule))),
+        contact_geometry=config.contact)
+    rotations, translations = _stack(truth.motions)
 
     # a pivot or edge point sets the size of the geometry; a hinge has only a unit direction
     scale = max(1.0, float(np.linalg.norm(getattr(config.contact, "point", 0.0))),
-                max(float(np.linalg.norm(m.translation)) for m in motions))
+                float(_row_norms(translations).max()))
     residuals = constraint_residuals(truth)
     bad = np.nonzero(residuals > TRUTH_RESIDUAL_TOL * scale)[0]
     if bad.size:
@@ -263,12 +269,12 @@ def generate(config: ScenarioConfig):
             f"scheduled motion at frame {truth.motions[bad[0]].frame_index} violates the "
             f"{type(config.contact).__name__} constraint (residual {residuals[bad[0]]:.3g})")
 
+    # every frame at once; the noise fills frame after frame in the order per-frame draws would
     reference = config.grid.reference_positions()
-    rng = np.random.default_rng(config.seed)
-    frames = [MarkerFrame(reference, 0)]
-    for m in truth.motions[1:]:
-        positions = m.transform(reference)
-        if np.any(config.noise_sigma > 0.0):
-            positions = positions + rng.normal(size=positions.shape) * config.noise_sigma
-        frames.append(MarkerFrame(positions, m.frame_index))
+    positions = reference @ rotations[1:].swapaxes(1, 2) + translations[1:, None]
+    if np.any(config.noise_sigma > 0.0):
+        rng = np.random.default_rng(config.seed)
+        positions = positions + rng.normal(size=positions.shape) * config.noise_sigma
+    frames = [MarkerFrame(reference, 0),
+              *(MarkerFrame(p, m.frame_index) for p, m in zip(positions, truth.motions[1:]))]
     return frames, truth

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     EstimateReport, EstimatorConfig, MarkerFrame, MarkerLog,
-                    NonFiniteValue, ParseError, SchemaVersionMismatch,
-                    generate, read_marker_log, read_motion_sequence,
+                    MotionSequence, NonFiniteValue, ParseError, RelativeMotion,
+                    SchemaVersionMismatch, generate, read_marker_log, read_motion_sequence,
                     read_report, read_scenario, read_truth, register_sequence,
                     write_marker_log, write_motion_sequence, write_report,
                     write_scenario, write_truth)
@@ -97,7 +97,6 @@ def test_schema_mismatch(tmp_path):
     with pytest.raises(SchemaVersionMismatch):
         read_marker_log(path)
     # a motions file is not a marker log
-    from tacloc import MotionSequence, RelativeMotion
     write_motion_sequence(path, MotionSequence((RelativeMotion.identity(0),
                                                 RelativeMotion.identity(1))))
     with pytest.raises(SchemaVersionMismatch):
@@ -225,6 +224,36 @@ def test_motion_sequence_round_trip(tmp_path):
             read_motion_sequence(p1)
 
 
+def test_motion_file_keeps_its_units(tmp_path):
+    motions = MotionSequence((RelativeMotion.identity(0),
+                              RelativeMotion(np.eye(3), [0.001, 0.0, -0.002], 1)),
+                             rms_errors=(0.0, 1e-5), units="m")
+    p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
+    write_motion_sequence(p1, motions)
+    back = read_motion_sequence(p1)
+    assert back.units == "m"
+    write_motion_sequence(p2, back)
+    assert p1.read_bytes() == p2.read_bytes()
+
+    # register writes the marker log's units, and they survive read -> write too
+    log, registered = tmp_path / "log.json", tmp_path / "registered.json"
+    frames, _ = generate(read_scenario(bundled_scenario("pivot_point")))
+    write_marker_log(log, MarkerLog(tuple(frames), units="m"))
+    assert main(["register", "--log", str(log), "--out", str(registered)]) == 0
+    assert json.loads(registered.read_text())["units"] == "m"
+    write_motion_sequence(p2, read_motion_sequence(registered))
+    assert p2.read_bytes() == registered.read_bytes()
+
+    for bad in (None, 1, ["m"]):
+        data = json.loads(p1.read_text())
+        data["units"] = bad
+        if bad is None:
+            del data["units"]
+        p2.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="units"):
+            read_motion_sequence(p2)
+
+
 def test_scenario_and_truth_round_trip(tmp_path):
     for name in ("box_on_edge", "pivot_point_noisy", "hinge_direction"):
         src = bundled_scenario(name)
@@ -260,6 +289,39 @@ def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     np.testing.assert_array_equal(back.estimate.per_frame_residuals, [0.1, 0.2])
     assert back.provenance == report.provenance
     assert back.config == EstimatorConfig()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("conditioning", "well_posed", "no"),
+    ("conditioning", "well_posed", 1),
+    ("conditioning", "max_rotation_angle", "0.5"),
+    ("conditioning", "smallest_singular_value", True),
+    ("conditioning", "condition_number", "12"),
+    ("estimate", "residual_rms", "0.5"),
+    ("estimate", "residual_rms", None),
+    ("config", "min_frames", "3"),
+    ("config", "min_frames", 3.0),
+    ("config", "min_frames", True),
+    ("config", "angle_threshold", "0.035"),
+    ("config", "cond_threshold", False),
+    ("config", "rank_tolerance", [1e-8]),
+    ("report", "per_frame_residuals", {}),
+    ("report", "provenance", "ab"),
+    ("report", "provenance", []),
+])
+def test_report_reader_rejects_wrong_json_types(tmp_path, section, key, value):
+    src = tmp_path / "report.json"
+    assert main(["roundtrip", "--scenario", str(bundled_scenario("pivot_point")),
+                 "--workdir", str(tmp_path)]) == 0
+    read_report(src)
+    data = json.loads(src.read_text())
+    target = {"conditioning": data["estimate"]["conditioning"], "estimate": data["estimate"],
+              "config": data["config"], "report": data}[section]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=key):
+        read_report(bad)
 
 
 def test_report_needs_the_estimates_residuals(tmp_path):
