@@ -121,7 +121,7 @@ def _simulate(config, log_path, truth_path) -> None:
     frames, truth = generate(config)
     write_marker_log(log_path, MarkerLog(tuple(frames), units=config.units))
     if truth_path:
-        write_truth(truth_path, truth, units=config.units)
+        write_truth(truth_path, truth)
     print(f"wrote {len(frames)} frames of {frames[0].marker_count} markers to {log_path}")
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import AmbiguousDirection, IllConditioned, RankDeficientBeyondLine, TooFewFrames
-from .motion import (_EYE3, MotionSequence, _as_vector3, _max_rotation_angle, _readonly,
-                     _row_dots, _row_norms, _stack)
+from .motion import (_EYE3, MotionSequence, _as_vector3, _max_rotation_angle, _moving_stack,
+                     _readonly, _row_dots, _row_norms, _stack)
 
 UNIT_NORM_TOL = 1e-6
 
@@ -83,11 +83,13 @@ class PlaneTrack:
         return self.normals.shape[0]
 
 
-def _moving_or_raise(motions: MotionSequence, config: EstimatorConfig):
-    moving = motions.moving()
-    if len(moving) < config.min_frames:
-        raise TooFewFrames(f"need at least {config.min_frames} moving frames, got {len(moving)}")
-    return moving
+def _moving_or_raise(motions: MotionSequence, config: EstimatorConfig) -> tuple:
+    """The moving frames' rotation and translation stacks, or TooFewFrames."""
+    rotations, translations = _moving_stack(motions)
+    count = len(rotations)
+    if count < config.min_frames:
+        raise TooFewFrames(f"need at least {config.min_frames} moving frames, got {count}")
+    return rotations, translations
 
 
 def _conditioning(max_angle: float, smallest: float, cond: float,
@@ -130,10 +132,6 @@ def _unit_or_raise(vec, name: str) -> np.ndarray:
     return v if abs(norm - 1.0) <= 1e-12 else v / norm
 
 
-def _moving(motions):
-    return motions.moving() if isinstance(motions, MotionSequence) else motions
-
-
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / _row_norms(vectors)[:, None]
 
@@ -141,14 +139,14 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
 def fixed_point_residuals(motions, point) -> np.ndarray:
     """Per-frame distance the candidate pivot moves, over the moving frames."""
     point = np.asarray(point, dtype=float)
-    rotations, translations = _stack(_moving(motions))
+    rotations, translations = _moving_stack(motions)
     return _row_norms(rotations @ point + translations - point)
 
 
 def fixed_direction_residuals(motions, direction) -> np.ndarray:
     """Per-frame change of the candidate body direction, over the moving frames."""
     direction = np.asarray(direction, dtype=float)
-    rotations, _ = _stack(_moving(motions))
+    rotations, _ = _moving_stack(motions)
     return _row_norms((rotations - _EYE3) @ direction)
 
 
@@ -161,7 +159,7 @@ def line_contact_residuals(motions, surface_normal, point) -> np.ndarray:
     """
     n0 = np.asarray(surface_normal, dtype=float)
     point = np.asarray(point, dtype=float)
-    rotations, translations = _stack(_moving(motions))
+    rotations, translations = _moving_stack(motions)
     normals = _unit_rows(rotations @ n0)
     return np.abs(_row_dots(normals, rotations @ point + translations - point))
 
@@ -184,8 +182,7 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
         IllConditioned: only in strict mode, when the estimate is not well
             posed (rotation angle or condition number out of bounds).
     """
-    moving = _moving_or_raise(motions, config)
-    rotations, translations = _stack(moving)
+    rotations, translations = _moving_or_raise(motions, config)
     stacked = (_EYE3 - rotations).reshape(-1, 3)
 
     point, _, _, sing = np.linalg.lstsq(stacked, translations.reshape(-1),
@@ -196,7 +193,7 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
     report = _conditioning(_max_rotation_angle(rotations), smallest, cond, config, strict)
 
     return _estimate(ContactKind.FIXED_POINT, point, None,
-                     fixed_point_residuals(moving, point), report)
+                     fixed_point_residuals(motions, point), report)
 
 
 def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = EstimatorConfig(),
@@ -216,8 +213,7 @@ def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = 
         IllConditioned: only in strict mode, when the estimate is not well
             posed.
     """
-    moving = _moving_or_raise(motions, config)
-    rotations, _ = _stack(moving)
+    rotations, _ = _moving_or_raise(motions, config)
     _, sing, vt = np.linalg.svd((rotations - _EYE3).reshape(-1, 3), full_matrices=False)
 
     if sing[0] <= 0.0 or sing[1] < config.rank_tolerance * sing[0]:
@@ -229,7 +225,7 @@ def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = 
     report = _conditioning(_max_rotation_angle(rotations), float(sing[1]), cond, config, strict)
 
     return _estimate(ContactKind.FIXED_DIRECTION, None, direction,
-                     fixed_direction_residuals(moving, direction), report)
+                     fixed_direction_residuals(motions, direction), report)
 
 
 def propagate_plane(n0, x0_hint, motions: MotionSequence) -> PlaneTrack:
@@ -265,8 +261,9 @@ def estimate_line_direction(track: PlaneTrack,
         raise TooFewFrames(f"need at least {config.min_frames} tracked planes, got {len(track)}")
     # thin unless fewer than 3 planes, where only the full factorization has vt[2]
     _, sing, vt = np.linalg.svd(track.normals, full_matrices=len(track) < 3)
-    # rank_tolerance compares eigenvalues of the outer-product sum, i.e. squared singular values
-    if sing[1] ** 2 < config.rank_tolerance * sing[0] ** 2:
+    # rank_tolerance compares eigenvalues of the outer-product sum, i.e. squared singular
+    # values; one plane has a single singular value, its normal spanning one dimension
+    if len(sing) < 2 or sing[1] ** 2 < config.rank_tolerance * sing[0] ** 2:
         raise AmbiguousDirection("plane normals span <= 1 dimension; edge direction ambiguous")
     return _canonical_sign(vt[2])
 

@@ -143,13 +143,19 @@ def _loads(text: str) -> dict:
     return data
 
 
-def _load_file(path, schema: str) -> dict:
+def _load_text(path, schema: str) -> tuple:
+    """The document in path and its text, or SchemaVersionMismatch unless it has schema."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = _loads(fh.read())
+        text = fh.read()
+    data = _loads(text)
     found = data.get("schema")
     if found != schema:
         raise SchemaVersionMismatch(f"expected schema {schema!r}, found {found!r}")
-    return data
+    return data, text
+
+
+def _load_file(path, schema: str) -> dict:
+    return _load_text(path, schema)[0]
 
 
 def _write_file(path, data: dict) -> None:
@@ -175,13 +181,17 @@ def _require(data, key: str, context: str, kind: type = object):
     return value
 
 
-def _float(data, key: str, context: str) -> float:
-    """data[key] as a float, or ParseError unless it is a finite JSON number (not NaN)."""
-    value = _require(data, key, context)
+def _number(value, what: str) -> float:
+    """value as a float, or ParseError unless it is a finite JSON number (not a bool or NaN)."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max):
-        raise ParseError(f"{context} {key!r} must be a finite number, got {value!r:.40}")
+        raise ParseError(f"{what} must be a finite number, got {value!r:.40}")
     return float(value)
+
+
+def _float(data, key: str, context: str) -> float:
+    """data[key] as a float, or ParseError unless it is a finite JSON number."""
+    return _number(_require(data, key, context), f"{context} {key!r}")
 
 
 def _as_array(value, shape: tuple, context: str) -> np.ndarray:
@@ -207,8 +217,27 @@ def write_marker_log(path, log: MarkerLog) -> None:
     _write_file(path, data)
 
 
+def _may_hold_literal(text: str) -> bool:
+    """False only when text holds no JSON true or false.
+
+    The letter at offset 2 of each literal ('u', 'l') never occurs in a
+    number, and a marker log's other occurrences sit in its few strings, so
+    each single-character search (a memchr) stops only a few times.
+    """
+    for letter, word in (("u", "true"), ("l", "false")):
+        at = text.find(letter)
+        while at != -1:
+            if at >= 2 and text.startswith(word, at - 2):
+                return True
+            at = text.find(letter, at + 1)
+    return False
+
+
 def read_marker_log(path) -> MarkerLog:
-    data = _load_file(path, MARKER_LOG_SCHEMA)
+    data, text = _load_text(path, MARKER_LOG_SCHEMA)
+    # numpy reads a boolean among numbers as 0 or 1, so look for one only when it can occur
+    literals = _may_hold_literal(text)
+    del text  # as large as the log: free it before the frames are built
     units = _require(data, "units", "marker log", str)
     raw_frames = _require(data, "frames", "marker log")
     if not isinstance(raw_frames, list) or not raw_frames:
@@ -218,11 +247,16 @@ def read_marker_log(path) -> MarkerLog:
         index = _require(raw, "frame_index", f"frame {i}", int)
         positions = _require(raw, "positions", f"frame {i}")
         try:
-            arr = np.asarray(positions, dtype=float)
-        except (TypeError, ValueError, OverflowError) as err:
+            arr = np.asarray(positions)
+        except (TypeError, ValueError) as err:
             raise ParseError(f"frame {i} positions are not numeric: {err}") from err
+        if arr.dtype.kind not in "fi":  # strings, booleans, nulls, integers beyond 64 bits
+            raise ParseError(f"frame {i} positions are not numeric: read as {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ParseError(f"frame {i} positions must be (m, 3), got {arr.shape}")
+        if literals and any(type(v) is bool for row in positions for v in row):
+            raise ParseError(f"frame {i} positions are not numeric: a coordinate is a boolean")
+        arr = arr.astype(float, copy=False)
         bad = np.nonzero(~np.isfinite(arr).all(axis=1))[0]
         if bad.size:
             raise NonFiniteValue(f"frame {index}, marker {bad[0]}: non-finite coordinate")
@@ -384,10 +418,11 @@ def read_scenario(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # Ground truth sidecar.
 
-def write_truth(path, truth: ScenarioTruth, units: str = "mm") -> None:
+def write_truth(path, truth: ScenarioTruth, units: str | None = None) -> None:
+    """Write the truth with the units of its motions, unless units names others."""
     data = {
         "schema": TRUTH_SCHEMA,
-        "units": units,
+        "units": truth.motions.units if units is None else units,
         "contact": _contact_to_dict(truth.contact_geometry),
         "motions": [_motion_to_dict(m) for m in truth.motions],
     }
@@ -396,11 +431,12 @@ def write_truth(path, truth: ScenarioTruth, units: str = "mm") -> None:
 
 def read_truth(path) -> ScenarioTruth:
     data = _load_file(path, TRUTH_SCHEMA)
+    units = _require(data, "units", "truth", str)
     contact = _contact_from_dict(_require(data, "contact", "truth"))
     raw_motions = _require(data, "motions", "truth")
     motions = [_motion_from_dict(raw, f"motion {i}") for i, raw in enumerate(raw_motions)]
     try:
-        sequence = MotionSequence(tuple(motions))
+        sequence = MotionSequence(tuple(motions), units=units)
     except ValueError as err:
         raise ParseError(str(err)) from err
     return ScenarioTruth(motions=sequence, contact_geometry=contact)
@@ -466,7 +502,9 @@ def read_report(path) -> EstimateReport:
             direction=(None if direction is None
                        else _as_array(direction, (3,), "estimate direction")),
             residual_rms=_float(raw_est, "residual_rms", "estimate"),
-            per_frame_residuals=_require(data, "per_frame_residuals", "report", list),
+            per_frame_residuals=[_number(value, f"report 'per_frame_residuals' entry {k}")
+                                 for k, value in enumerate(
+                                     _require(data, "per_frame_residuals", "report", list))],
             conditioning=conditioning,
         )
     except ValueError as err:

@@ -3,12 +3,23 @@
 All motions are expressed relative to the initial (index 0) frame, in the
 sensor base frame. Units are caller-defined; the library only requires them
 to be uniform within a dataset.
+
+Where a whole sequence is built at once, it is checked once, as a stack:
+_motion_stack runs RelativeMotion's checks over (N, 3, 3) rotations and
+(N, 3) translations, and _frame_stack runs MarkerFrame's over (N, m, 3)
+positions, each as a few array operations. The first bad entry in frame
+order raises the error its own constructor would raise. The per-frame
+objects are then read-only views into the checked stacks, and a
+MotionSequence keeps the stacks it was built from, so the estimators read
+them instead of gathering every motion's arrays again. The single-object
+constructors run the same checks on a stack of one: orthonormalize (and so
+RelativeMotion) runs _proper_rotations, and MarkerFrame runs _frame_stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +34,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr, whose memory's owner is made read-only too: a
+    view cannot be made writeable again while its owner is read-only, so
+    neither can this one nor any row taken from it."""
+    _readonly(arr if arr.base is None else arr.base)
+    return _readonly(arr.view())
+
+
 _EYE3 = _readonly(np.eye(3))
 
 
@@ -35,6 +54,13 @@ def _as_vector3(value, name: str) -> np.ndarray:
     return vec
 
 
+def _frame_index(value) -> int:
+    """value as an int, or ValueError unless it is a nonnegative integer."""
+    if value < 0 or int(value) != value:
+        raise ValueError(f"frame_index must be a nonnegative integer, got {value}")
+    return int(value)
+
+
 def orthonormalize(matrix) -> np.ndarray:
     """Project a 3x3 matrix onto the nearest proper rotation (polar projection).
 
@@ -44,28 +70,90 @@ def orthonormalize(matrix) -> np.ndarray:
     mat = np.array(matrix, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
+    return _proper_rotations(mat[None])[0]
+
+
+def _proper_rotations(mats: np.ndarray) -> np.ndarray:
+    """orthonormalize for every matrix of a float (N, 3, 3) stack, checked at once.
+
+    A matrix within ROTATION_TOL of orthonormal is kept as it is, since
+    reprojecting would churn its last ulp; only the others are projected.
+    The first matrix, in order, that orthonormalize would reject raises its
+    error. Returns mats itself when no matrix needs projecting, else a copy.
+    """
+    non_finite = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))
+    if non_finite.size:
+        _proper_rotations(mats[:non_finite[0]])  # a reflection before it is reported first
         raise ValueError("rotation has non-finite entries")
-    gap = (mat.T @ mat - _EYE3).ravel()
-    if math.sqrt(gap @ gap) <= ROTATION_TOL:  # np.linalg.norm's own arithmetic
-        # already a rotation, whose determinant is +-1 to ~1e-9, so the triple
-        # product has the sign np.linalg.det would give; reprojecting would churn the last ulp
-        if _det3(mat.tolist()) <= 0.0:
-            raise ValueError(_REFLECTION)
-        return mat
-    if np.linalg.det(mat) <= 0.0:
+    # within ROTATION_TOL of orthonormal, |det| is 1 to ~1e-9, so any determinant has its sign
+    if (np.linalg.det(mats) <= 0.0).any():
         raise ValueError(_REFLECTION)
-    u, _, vt = np.linalg.svd(mat)
+    gap = (mats.swapaxes(1, 2) @ mats - _EYE3).reshape(-1, 9)
+    # np.linalg.norm's own arithmetic, row by row; a NaN gap (overflow) counts as far
+    far = ~(np.sqrt(_row_dots(gap, gap)) <= ROTATION_TOL)
+    if not far.any():
+        return mats
+    u, _, vt = np.linalg.svd(mats[far])
     rot = u @ vt
-    if np.linalg.det(rot) < 0.0:
-        u[:, 2] = -u[:, 2]
-        rot = u @ vt
-    return rot
+    flip = np.linalg.det(rot) < 0.0
+    u[flip, :, 2] = -u[flip, :, 2]
+    rot[flip] = u[flip] @ vt[flip]
+    out = mats.copy()
+    out[far] = rot
+    return out
 
 
-def _det3(rows) -> float:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+def _motion_stack(rotations: np.ndarray, translations: np.ndarray, frame_indices) -> tuple:
+    """RelativeMotion's checks over N motions at once, as float (N, 3, 3) and (N, 3) stacks.
+
+    Returns the proper rotations and the translations, both read-only, and
+    the frame indices as ints. The first motion, in order, that
+    RelativeMotion(rotations[k], translations[k], frame_indices[k]) would
+    reject raises the error it would raise: its rotation's, then its
+    translation's, then its frame index's.
+    """
+    frame_indices = list(frame_indices)
+    finite = np.isfinite(translations).all(axis=1).tolist()
+    # the first motion whose translation or index is bad; rotations up to it come first
+    stop = next((k for k, (ok, i) in enumerate(zip(finite, frame_indices))
+                 if not (ok and i >= 0 and i % 1 == 0)), len(frame_indices))
+    rotations = _proper_rotations(rotations[:stop + 1])
+    if stop < len(frame_indices):
+        _as_vector3(translations[stop], "translation")  # raises when the translation is at fault
+        _frame_index(frame_indices[stop])  # otherwise the index is, and this raises
+    return _frozen(rotations), _frozen(translations), [int(i) for i in frame_indices]
+
+
+def _frame_stack(positions: np.ndarray, frame_indices) -> tuple:
+    """MarkerFrame's checks over N frames at once, as a float (N, m, 3) stack.
+
+    Returns the positions, read-only, and the frame indices as ints. The
+    first frame, in order, that MarkerFrame would reject raises its error.
+    """
+    if positions.ndim != 3 or positions.shape[2] != 3:
+        raise ValueError(f"positions must have shape (m, 3), got {positions.shape[1:]}")
+    indices = []
+    for finite, index in zip(np.isfinite(positions).all(axis=(1, 2)).tolist(), frame_indices):
+        if not finite:
+            raise ValueError("marker positions must be finite")
+        indices.append(_frame_index(index))
+    return _frozen(positions), indices
+
+
+def _view(cls, **fields):
+    """A cls instance holding fields that a stack check already passed, so
+    __post_init__ does not run again; its arrays are views into the stack."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)  # as __init__ sets them: no per-object dict
+    return obj
+
+
+def _marker_frames(positions: np.ndarray, frame_indices) -> tuple:
+    """The MarkerFrames of a float (N, m, 3) stack, checked once and viewing its rows."""
+    positions, indices = _frame_stack(positions, frame_indices)
+    return tuple(_view(MarkerFrame, positions=p, frame_index=i)
+                 for p, i in zip(positions, indices))
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
@@ -103,10 +191,22 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _stack(motions) -> tuple:
-    """The rotations (N, 3, 3) and translations (N, 3) of `motions`, as two arrays."""
+    """The rotations (N, 3, 3) and translations (N, 3) of `motions`: a
+    MotionSequence's own stacks, or two new arrays for any other iterable."""
+    if isinstance(motions, MotionSequence):
+        return motions.rotations, motions.translations
     motions = tuple(motions)  # read twice below; a generator would be empty the second time
     return (np.array([m.rotation for m in motions]).reshape(-1, 3, 3),
             np.array([m.translation for m in motions]).reshape(-1, 3))
+
+
+def _moving_stack(motions) -> tuple:
+    """_stack of the moving frames: a MotionSequence's stacks without its
+    frame-0 reference entry, or any other iterable of motions taken whole."""
+    rotations, translations = _stack(motions)
+    if isinstance(motions, MotionSequence) and motions and motions[0].frame_index == 0:
+        return rotations[1:], translations[1:]  # indices increase, so only the first can be 0
+    return rotations, translations
 
 
 def _max_rotation_angle(rotations: np.ndarray) -> float:
@@ -136,11 +236,9 @@ class RelativeMotion:
     def __post_init__(self):
         rot = orthonormalize(self.rotation)
         trans = _as_vector3(self.translation, "translation")
-        if self.frame_index < 0 or int(self.frame_index) != self.frame_index:
-            raise ValueError(f"frame_index must be a nonnegative integer, got {self.frame_index}")
+        object.__setattr__(self, "frame_index", _frame_index(self.frame_index))
         object.__setattr__(self, "rotation", _readonly(rot))
         object.__setattr__(self, "translation", _readonly(trans))
-        object.__setattr__(self, "frame_index", int(self.frame_index))
 
     @classmethod
     def identity(cls, frame_index: int = 0) -> "RelativeMotion":
@@ -193,15 +291,10 @@ class MarkerFrame:
     frame_index: int = 0
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError(f"positions must have shape (m, 3), got {pos.shape}")
-        if not np.isfinite(pos).all():
-            raise ValueError("marker positions must be finite")
-        if self.frame_index < 0 or int(self.frame_index) != self.frame_index:
-            raise ValueError(f"frame_index must be a nonnegative integer, got {self.frame_index}")
-        object.__setattr__(self, "positions", _readonly(pos))
-        object.__setattr__(self, "frame_index", int(self.frame_index))
+        (pos,), (index,) = _frame_stack(np.array(self.positions, dtype=float)[None],
+                                        [self.frame_index])
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "frame_index", index)
 
     @property
     def marker_count(self) -> int:
@@ -215,18 +308,41 @@ class MotionSequence:
     frame_index is strictly increasing; if an entry carries index 0 it must
     be the identity motion. rms_errors, when the motions were measured by
     registration, holds each motion's marker fit RMS. units names the length
-    unit of the translations and RMS values.
+    unit of the translations and RMS values. rotations (N, 3, 3) and
+    translations (N, 3) hold the motions' arrays as two read-only stacks.
     """
 
     motions: tuple
     rms_errors: tuple | None = None
     units: str = "mm"
+    rotations: np.ndarray = field(init=False, repr=False)
+    translations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         motions = tuple(self.motions)
         for m in motions:
             if not isinstance(m, RelativeMotion):
                 raise TypeError(f"expected RelativeMotion, got {type(m).__name__}")
+        rotations, translations = _stack(motions)
+        self._keep(motions, _frozen(rotations), _frozen(translations))
+
+    @classmethod
+    def _of_stacks(cls, rotations: np.ndarray, translations: np.ndarray, frame_indices,
+                   rms_errors=None, units: str = "mm") -> "MotionSequence":
+        """The sequence of the motions (rotations[k], translations[k], frame_indices[k]).
+
+        The stacks are checked once, as RelativeMotion would check each
+        motion, and the motions are read-only views into them.
+        """
+        rotations, translations, indices = _motion_stack(rotations, translations, frame_indices)
+        sequence = _view(cls, rms_errors=rms_errors, units=units)
+        sequence._keep(tuple(_view(RelativeMotion, rotation=r, translation=t, frame_index=i)
+                             for r, t, i in zip(rotations, translations, indices)),
+                       rotations, translations)
+        return sequence
+
+    def _keep(self, motions: tuple, rotations: np.ndarray, translations: np.ndarray) -> None:
+        """Check the sequence as a whole, then store it."""
         indices = [m.frame_index for m in motions]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError(f"frame_index must be strictly increasing, got {indices}")
@@ -238,6 +354,8 @@ class MotionSequence:
                 raise ValueError("rms_errors must be one finite nonnegative value per motion")
             object.__setattr__(self, "rms_errors", rms)
         object.__setattr__(self, "motions", motions)
+        object.__setattr__(self, "rotations", rotations)
+        object.__setattr__(self, "translations", translations)
 
     def __iter__(self):
         return iter(self.motions)
@@ -253,4 +371,4 @@ class MotionSequence:
         return tuple(m for m in self.motions if m.frame_index != 0)
 
     def max_rotation_angle(self) -> float:
-        return _max_rotation_angle(_stack(self.moving())[0])
+        return _max_rotation_angle(_moving_stack(self)[0])

@@ -6,8 +6,11 @@ repaired by flipping the singular direction with the smallest singular
 value. The solve runs once over the whole sequence: the frames are stacked
 to (N, M, 3), their N cross-covariances are one broadcast matmul and one
 np.linalg.svd over the (N, 3, 3) stack, and register() is that same solve
-on a stack of one. Marker correspondence is assumed given (markers are
-tracked upstream); there is no correspondence search.
+on a stack of one. register_frames builds its MotionSequence straight from
+the solve's rotation and translation stacks, checked once as stacks, so its
+motions are read-only views into them; only register() wraps its one fit
+in a RegistrationResult. Marker correspondence is assumed given (markers
+are tracked upstream); there is no correspondence search.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMarkers, MismatchedFrames, TooFewMarkers
-from .motion import MarkerFrame, MotionSequence, RelativeMotion
+from .motion import _EYE3, MarkerFrame, MotionSequence, RelativeMotion
 
 # Singular values below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-8
@@ -58,25 +61,30 @@ def register(reference: MarkerFrame, current: MarkerFrame,
         DegenerateMarkers: marker covariance rank < 2 (collinear or
             coincident markers) — the rotation is unobservable.
     """
-    return _register_all(reference, [current], rank_tolerance)[0]
+    rotation, translation, rms, rank = _register_all(reference, [current], rank_tolerance)
+    return RegistrationResult(motion=RelativeMotion(rotation[0], translation[0],
+                                                    current.frame_index),
+                              rms_error=float(rms[0]), marker_covariance_rank=int(rank[0]))
 
 
-def _register_all(reference: MarkerFrame, frames, rank_tolerance: float) -> list:
+def _register_all(reference: MarkerFrame, frames, rank_tolerance: float) -> tuple:
     """register(reference, frame) for every frame, as one solve over the whole stack.
 
-    The checks run as register would run them frame by frame, so an error
-    names the first bad frame: the reference's marker count, then, for each
-    frame in turn, its marker count and its degeneracy.
+    Returns the fits as stacks: rotations (N, 3, 3), translations (N, 3),
+    RMS errors (N,) and covariance ranks (N,). The checks run as register
+    would run them frame by frame, so an error names the first bad frame:
+    the reference's marker count, then, for each frame in turn, its marker
+    count and its degeneracy.
     """
     if not frames:
-        return []
+        return np.empty((0, 3, 3)), np.empty((0, 3)), np.empty(0), np.empty(0, dtype=int)
     count = reference.marker_count
     if count < 3:
         raise TooFewMarkers(f"need at least 3 markers, got {count}",
                             frame_index=reference.frame_index)
     # frames before the first count mismatch stack; a degenerate one among them comes first
     n_ok = next((k for k, f in enumerate(frames) if f.marker_count != count), len(frames))
-    results = _solve(reference.positions, frames[:n_ok], rank_tolerance) if n_ok else []
+    results = _solve(reference.positions, frames[:n_ok], rank_tolerance) if n_ok else None
     if n_ok < len(frames):
         bad = frames[n_ok]
         raise MismatchedFrames(
@@ -86,7 +94,7 @@ def _register_all(reference: MarkerFrame, frames, rank_tolerance: float) -> list
     return results
 
 
-def _solve(ref: np.ndarray, frames, rank_tolerance: float) -> list:
+def _solve(ref: np.ndarray, frames, rank_tolerance: float) -> tuple:
     """The SVD fit of ref onto each frame, batched over the (N, 3, 3) cross-covariances."""
     cur = np.stack([f.positions for f in frames])
     ref_centroid = ref.mean(axis=0)
@@ -113,18 +121,17 @@ def _solve(ref: np.ndarray, frames, rank_tolerance: float) -> list:
     residuals = ref @ rotation.swapaxes(1, 2) + translation[:, None] - cur
     rms = np.sqrt(np.mean(np.sum(residuals**2, axis=2), axis=1))
 
-    return [RegistrationResult(motion=RelativeMotion(rotation[k], translation[k], f.frame_index),
-                               rms_error=float(rms[k]), marker_covariance_rank=int(rank[k]))
-            for k, f in enumerate(frames)]
+    return rotation, translation, rms, rank
 
 
 def register_frames(frames, rank_tolerance: float = RANK_TOLERANCE) -> MotionSequence:
     """Register every frame of a sequence against frames[0], which maps to the
     identity; each fit's RMS (0 for frames[0]) goes in the result's rms_errors."""
-    results = _register_all(frames[0], frames[1:], rank_tolerance)
-    return MotionSequence((RelativeMotion.identity(frames[0].frame_index),
-                           *(r.motion for r in results)),
-                          rms_errors=(0.0, *(r.rms_error for r in results)))
+    rotations, translations, rms, _ = _register_all(frames[0], frames[1:], rank_tolerance)
+    return MotionSequence._of_stacks(np.concatenate([_EYE3[None], rotations]),
+                                     np.concatenate([np.zeros((1, 3)), translations]),
+                                     [f.frame_index for f in frames],
+                                     rms_errors=(0.0, *rms.tolist()))
 
 
 def register_sequence(frames, rank_tolerance: float = RANK_TOLERANCE) -> MotionSequence:

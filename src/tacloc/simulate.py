@@ -8,6 +8,11 @@ noisy, and never depend on noise_sigma or seed.
 
 Randomness comes from numpy's seeded PCG64 generator, so identical
 configurations produce bitwise-identical frames.
+
+generate builds the whole sequence as stacks: the truth rotations and
+translations, then every frame's marker positions from them at once. Each
+stack is checked once, and the truth motions and the marker frames are
+read-only views into the checked stacks.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from .contact import ContactKind
 from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
-from .motion import (MarkerFrame, MotionSequence, RelativeMotion, _as_vector3, _readonly,
-                     _rotations_about_axes, _row_norms, _stack)
+from .motion import (_EYE3, MarkerFrame, MotionSequence, RelativeMotion, _as_vector3,
+                     _marker_frames, _readonly, _rotations_about_axes, _row_norms)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -205,8 +210,9 @@ class ScenarioTruth:
     contact_geometry: FixedPointContact | FixedDirectionContact | EdgeContact
 
 
-def _truth_motions(contact, schedule) -> list:
-    """The exact motion of each scheduled step, frames 1..N, built as one stack."""
+def _truth_stacks(contact, schedule) -> tuple:
+    """The exact rotations (N + 1, 3, 3) and translations (N + 1, 3) of
+    frames 0..N: the identity, then the motion of each scheduled step."""
     for k, step in enumerate(schedule, start=1):
         if isinstance(contact, EdgeContact):
             if step.axis is not None:
@@ -233,7 +239,7 @@ def _truth_motions(contact, schedule) -> list:
         slide = np.array([step.slide for step in schedule])
         trans = (contact.point - rot @ contact.point
                  + slide[:, None] * contact.direction + extra)
-    return [RelativeMotion(r, t, k) for k, (r, t) in enumerate(zip(rot, trans), start=1)]
+    return np.concatenate([_EYE3[None], rot]), np.concatenate([np.zeros((1, 3)), trans])
 
 
 def constraint_residuals(truth: ScenarioTruth) -> np.ndarray:
@@ -253,28 +259,33 @@ def generate(config: ScenarioConfig):
     motion violates the scenario's own contact constraint (for example a
     fixed-point step carrying a translation that is not through the pivot).
     """
+    rotations, translations = _truth_stacks(config.contact, config.schedule)
     truth = ScenarioTruth(
-        motions=MotionSequence((RelativeMotion.identity(0),
-                                *_truth_motions(config.contact, config.schedule))),
+        motions=MotionSequence._of_stacks(rotations, translations, range(len(rotations)),
+                                          units=config.units),
         contact_geometry=config.contact)
-    rotations, translations = _stack(truth.motions)
+    rotations, translations = truth.motions.rotations, truth.motions.translations
 
     # a pivot or edge point sets the size of the geometry; a hinge has only a unit direction
     scale = max(1.0, float(np.linalg.norm(getattr(config.contact, "point", 0.0))),
                 float(_row_norms(translations).max()))
-    residuals = constraint_residuals(truth)
+    # the residuals of the moving frames, 1..N; frame 0 is the exact identity
+    residuals = config.contact.residuals(truth.motions)
     bad = np.nonzero(residuals > TRUTH_RESIDUAL_TOL * scale)[0]
     if bad.size:
         raise InvalidSchedule(
-            f"scheduled motion at frame {truth.motions[bad[0]].frame_index} violates the "
+            f"scheduled motion at frame {bad[0] + 1} violates the "
             f"{type(config.contact).__name__} constraint (residual {residuals[bad[0]]:.3g})")
 
-    # every frame at once; the noise fills frame after frame in the order per-frame draws would
+    # every frame at once; the noise fills frame after frame in the order per-frame draws would.
+    # In place: the arithmetic of R p + t + noise * sigma without stack-sized temporaries,
+    # since the frames keep this stack as their memory.
     reference = config.grid.reference_positions()
-    positions = reference @ rotations[1:].swapaxes(1, 2) + translations[1:, None]
+    positions = reference @ rotations[1:].swapaxes(1, 2)
+    positions += translations[1:, None]
     if np.any(config.noise_sigma > 0.0):
-        rng = np.random.default_rng(config.seed)
-        positions = positions + rng.normal(size=positions.shape) * config.noise_sigma
-    frames = [MarkerFrame(reference, 0),
-              *(MarkerFrame(p, m.frame_index) for p, m in zip(positions, truth.motions[1:]))]
+        noise = np.random.default_rng(config.seed).normal(size=positions.shape)
+        noise *= config.noise_sigma
+        positions += noise
+    frames = [MarkerFrame(reference, 0), *_marker_frames(positions, range(1, len(rotations)))]
     return frames, truth

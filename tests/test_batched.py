@@ -2,8 +2,11 @@
 
 The references below are the per-frame code as it was before registration,
 frame generation and the estimators' stacked systems were batched over
-(N, 3, 3) stacks, kept verbatim. Every array must come out identical, not
-merely close: the pinned file bytes and every estimate depend on it.
+(N, 3, 3) stacks, and the per-object RelativeMotion, MarkerFrame and
+MotionSequence checks as they were before whole stacks were checked at
+once, kept verbatim. Every array must come out identical, not merely close:
+the pinned file bytes and every estimate depend on it; every error must
+keep its type and message and come from the first bad entry in frame order.
 """
 
 import math
@@ -23,9 +26,10 @@ from tacloc import (DegenerateMarkers, EdgeContact, FixedDirectionContact,
                     register_frames, register_sequence, rotation_about_axis)
 from tacloc.estimators import (_canonical_sign, fixed_direction_residuals,
                                fixed_point_residuals, line_contact_residuals)
-from tacloc.motion import orthonormalize, rotation_angle
-from tacloc.registration import RANK_TOLERANCE
-from tacloc.simulate import InvalidSchedule
+from tacloc.motion import (ROTATION_TOL, _marker_frames, _proper_rotations, orthonormalize,
+                           rotation_angle)
+from tacloc.registration import RANK_TOLERANCE, _register_all
+from tacloc.simulate import InvalidSchedule, _truth_stacks
 
 # ---------------------------------------------------------------------------
 # References: the per-frame code, verbatim.
@@ -443,3 +447,320 @@ def test_a_one_frame_sequence_needs_no_registration():
     # no moving frame: nothing is registered, so even a 2-marker reference passes
     seq = register_frames([MarkerFrame(np.zeros((2, 3)), 0)])
     assert isinstance(seq, MotionSequence) and len(seq) == 1 and seq.rms_errors == (0.0,)
+
+
+# ---------------------------------------------------------------------------
+# Stacks checked once, objects as views: the per-object constructors that
+# checked and copied every motion and frame, verbatim.
+
+
+def _reference_det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _reference_orthonormalize_by_gap(matrix):
+    """orthonormalize as it was just before the stacked check: the gap test first."""
+    mat = np.array(matrix, dtype=float)
+    if mat.shape != (3, 3):
+        raise ValueError(f"rotation must be 3x3, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("rotation has non-finite entries")
+    gap = (mat.T @ mat - np.eye(3)).ravel()
+    if math.sqrt(gap @ gap) <= ROTATION_TOL:
+        if _reference_det3(mat.tolist()) <= 0.0:
+            raise ValueError("matrix is a reflection or singular, not a rotation")
+        return mat
+    if np.linalg.det(mat) <= 0.0:
+        raise ValueError("matrix is a reflection or singular, not a rotation")
+    u, _, vt = np.linalg.svd(mat)
+    rot = u @ vt
+    if np.linalg.det(rot) < 0.0:
+        u[:, 2] = -u[:, 2]
+        rot = u @ vt
+    return rot
+
+
+def _reference_vector3(value, name):
+    vec = np.array(value, dtype=float).reshape(-1)
+    if vec.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} has non-finite entries: {vec}")
+    return vec
+
+
+def _reference_motion(rotation, translation, frame_index):
+    """RelativeMotion.__post_init__ as it was, returning (rotation, translation, index)."""
+    rot = _reference_orthonormalize_by_gap(rotation)
+    trans = _reference_vector3(translation, "translation")
+    if frame_index < 0 or int(frame_index) != frame_index:
+        raise ValueError(f"frame_index must be a nonnegative integer, got {frame_index}")
+    return rot, trans, int(frame_index)
+
+
+def _reference_sequence(rotations, translations, frame_indices, rms_errors=None):
+    """One RelativeMotion per row, then MotionSequence.__post_init__'s own checks, as they were."""
+    motions = [_reference_motion(r, t, i)
+               for r, t, i in zip(rotations, translations, frame_indices)]
+    indices = [i for _, _, i in motions]
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"frame_index must be strictly increasing, got {indices}")
+    if motions and motions[0][2] == 0 and not (
+            np.linalg.norm(motions[0][0] - np.eye(3)) <= ROTATION_TOL
+            and np.linalg.norm(motions[0][1]) <= ROTATION_TOL):
+        raise ValueError("the frame-0 motion must be the identity")
+    if rms_errors is not None:
+        rms = tuple(float(e) for e in rms_errors)
+        if len(rms) != len(motions) or not all(0.0 <= e < math.inf for e in rms):
+            raise ValueError("rms_errors must be one finite nonnegative value per motion")
+    return motions
+
+
+def _reference_frames(positions, frame_indices):
+    """MarkerFrame.__post_init__ as it was, per frame, returning (positions, index) pairs."""
+    out = []
+    for p, frame_index in zip(positions, frame_indices):
+        pos = np.array(p, dtype=float)
+        if pos.ndim != 2 or pos.shape[1] != 3:
+            raise ValueError(f"positions must have shape (m, 3), got {pos.shape}")
+        if not np.isfinite(pos).all():
+            raise ValueError("marker positions must be finite")
+        if frame_index < 0 or int(frame_index) != frame_index:
+            raise ValueError(f"frame_index must be a nonnegative integer, got {frame_index}")
+        out.append((pos, int(frame_index)))
+    return out
+
+
+def _stacked_sequence(rotations, translations, frame_indices, rms_errors=None):
+    seq = MotionSequence._of_stacks(rotations, translations, frame_indices, rms_errors)
+    return [(m.rotation, m.translation, m.frame_index) for m in seq]
+
+
+def _stacked_frames(positions, frame_indices):
+    return [(f.positions, f.frame_index) for f in _marker_frames(positions, frame_indices)]
+
+
+def _raw_stacks(config):
+    """The truth, frame and registration stacks of one config, as generate and
+    register_frames build them before any check."""
+    frames, _ = generate(config)
+    rotations, translations, rms, _ = _register_all(frames[0], frames[1:], RANK_TOLERANCE)
+    return {
+        "truth": (*_truth_stacks(config.contact, config.schedule), list(range(len(frames)))),
+        "registered": (np.concatenate([np.eye(3)[None], rotations]),
+                       np.concatenate([np.zeros((1, 3)), translations]),
+                       [f.frame_index for f in frames], [0.0, *rms.tolist()]),
+        "frames": (np.stack([f.positions for f in frames[1:]]),
+                   [f.frame_index for f in frames[1:]]),
+    }
+
+
+def assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+
+
+def _copies(stacks):
+    return [s.copy() if isinstance(s, np.ndarray) else list(s) for s in stacks]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_stacks_checked_once_match_the_per_object_constructors(name):
+    config = CONFIGS[name]()
+    raw = _raw_stacks(config)
+    frames, truth = generate(config)
+    registered = register_frames(frames)
+
+    want = _reference_sequence(*_copies(raw["truth"]))
+    assert_same_rows(_stacked_sequence(*_copies(raw["truth"])), want)
+    assert_same_rows([(m.rotation, m.translation, m.frame_index) for m in truth.motions], want)
+
+    want = _reference_sequence(*_copies(raw["registered"]))
+    assert_same_rows(_stacked_sequence(*_copies(raw["registered"])), want)
+    assert_same_rows([(m.rotation, m.translation, m.frame_index) for m in registered], want)
+    assert registered.rms_errors == tuple(raw["registered"][3])
+
+    want = _reference_frames(*_copies(raw["frames"]))
+    assert_same_rows(_stacked_frames(*_copies(raw["frames"])), want)
+    assert_same_rows([(f.positions, f.frame_index) for f in frames[1:]], want)
+
+    # the sequence keeps the stacks its motions view
+    for seq in (truth.motions, registered):
+        assert np.array_equal(seq.rotations, np.array([m.rotation for m in seq]))
+        assert np.array_equal(seq.translations, np.array([m.translation for m in seq]))
+        assert all(np.shares_memory(m.rotation, seq.rotations) for m in seq)
+
+
+def _set_row(stack, k, value):
+    stack[k] = value
+
+
+# Faults for one motion k: each mutates the (rotations, translations, indices) copies.
+MOTION_FAULTS = {
+    "rotation_nan": lambda r, t, i, k: r[k].__setitem__((0, 1), np.nan),
+    "rotation_inf": lambda r, t, i, k: r[k].__setitem__((2, 2), -np.inf),
+    "reflection": lambda r, t, i, k: r[k].__setitem__((slice(None), 0), -r[k][:, 0]),
+    "singular": lambda r, t, i, k: _set_row(r, k, np.zeros((3, 3))),
+    "translation_nan": lambda r, t, i, k: t[k].__setitem__(2, np.nan),
+    "translation_inf": lambda r, t, i, k: t[k].__setitem__(0, np.inf),
+    "index_negative": lambda r, t, i, k: i.__setitem__(k, -k),
+    "index_fraction": lambda r, t, i, k: i.__setitem__(k, k + 0.5),
+    "index_repeated": lambda r, t, i, k: i.__setitem__(k, i[k - 1]),
+}
+# Faults for one frame k of the (positions, indices) copies.
+FRAME_FAULTS = {
+    "positions_nan": lambda p, i, k: p[k].__setitem__((k % p.shape[1], 1), np.nan),
+    "positions_inf": lambda p, i, k: p[k].__setitem__((0, 2), np.inf),
+    "index_negative": lambda p, i, k: i.__setitem__(k, -k - 1),
+    "index_fraction": lambda p, i, k: i.__setitem__(k, k + 0.25),
+}
+
+
+def _fault_pairs(faults):
+    names = sorted(faults)
+    return [(a, b) for a in names for b in names]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_stack_errors_name_the_first_bad_motion_in_frame_order(name):
+    raw = _raw_stacks(CONFIGS[name]())
+    for key in ("truth", "registered"):
+        rotations, translations, indices = raw[key][:3]
+        n = len(indices)
+        first, second = n // 3, 2 * n // 3
+        for fault_a, fault_b in _fault_pairs(MOTION_FAULTS):
+            outcomes = {}
+            # one bad motion, then a second later on, then two faults in one motion
+            for rows in ((first,), (first, second), (first, first))[:3 - (fault_a == fault_b)]:
+                r, t, i = _copies((rotations, translations, indices))
+                for k, fault in zip(rows, (fault_a, fault_b)):
+                    MOTION_FAULTS[fault](r, t, i, k)
+                got = _outcome(_stacked_sequence, *_copies((r, t, i)))
+                want = _outcome(_reference_sequence, *_copies((r, t, i)))
+                assert got[0] is ValueError and got == want, (key, fault_a, fault_b, rows)
+                outcomes[rows] = got
+            if fault_a != "index_repeated":  # a sequence check, made after every motion's
+                # the second fault changes nothing: the first bad motion names the error
+                assert outcomes[(first,)] == outcomes[(first, second)], (key, fault_a, fault_b)
+
+        # motion checks come before the sequence's, wherever the bad motion is
+        r, t, i = _copies((rotations, translations, indices))
+        t[0, 0] = 1e-3  # frame 0 no longer the identity
+        MOTION_FAULTS["translation_nan"](r, t, i, n - 1)
+        got = _outcome(_stacked_sequence, *_copies((r, t, i)))
+        assert got == _outcome(_reference_sequence, r, t, i)
+        assert "translation has non-finite entries" in got[2]
+        t[n - 1] = 0.0
+        got = _outcome(_stacked_sequence, *_copies((r, t, i)))
+        assert got == _outcome(_reference_sequence, r, t, i)
+        assert got[2] == "the frame-0 motion must be the identity"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_stack_errors_name_the_first_bad_frame_in_frame_order(name):
+    positions, indices = _raw_stacks(CONFIGS[name]())["frames"]
+    n = len(indices)
+    first, second = n // 3, 2 * n // 3
+    for fault_a, fault_b in _fault_pairs(FRAME_FAULTS):
+        outcomes = {}
+        for rows in ((first,), (first, second), (first, first))[:3 - (fault_a == fault_b)]:
+            p, i = _copies((positions, indices))
+            for k, fault in zip(rows, (fault_a, fault_b)):
+                FRAME_FAULTS[fault](p, i, k)
+            got = _outcome(_stacked_frames, *_copies((p, i)))
+            assert got[0] is ValueError and got == _outcome(_reference_frames, p, i)
+            outcomes[rows] = got
+        assert outcomes[(first,)] == outcomes[(first, second)], (fault_a, fault_b)
+    # a stack of the wrong shape fails on its first frame, as every frame would
+    for bad in (positions[:, :, :2], positions[:, 0]):
+        got = _outcome(_stacked_frames, bad.copy(), indices)
+        assert got[0] is ValueError and got == _outcome(_reference_frames, bad, indices)
+
+
+def _gap(mat):
+    gap = (mat.T @ mat - np.eye(3)).ravel()
+    return math.sqrt(gap @ gap)
+
+
+ROTATION_KINDS = ("orthonormal", "within_tol", "just_outside", "far_outside",
+                  "reflection", "reflection_outside", "non_finite", "singular")
+
+
+def _rotation_of_kind(kind, rng):
+    """One 3x3 matrix of the kind: a rotation, a rotation nudged to a chosen
+    distance from orthonormal (a fraction or a few multiples of
+    ROTATION_TOL), a reflection, or a matrix orthonormalize must reject."""
+    rot = rotation_about_axis(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
+    if kind.startswith("reflection"):
+        rot = rot * np.array([1.0, -1.0, 1.0])
+    if kind in ("within_tol", "just_outside", "reflection_outside"):
+        nudge = rng.normal(size=(3, 3))
+        target = ROTATION_TOL * (rng.uniform(0.0, 0.9) if kind == "within_tol"
+                                 else rng.uniform(1.1, 20.0))
+        # the distance grows linearly with a small nudge: scale it to land on target
+        rot = rot + nudge * (1e-7 * target / _gap(rot + nudge * 1e-7))
+    elif kind == "far_outside":
+        rot = rot + rng.normal(size=(3, 3)) * 1e-2
+    elif kind == "non_finite":
+        rot[rng.integers(3), rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == "singular":
+        rot[2] = 0.0
+    return rot
+
+
+def _row_by_row(orthonormalize_one, mats):
+    return np.array([orthonormalize_one(m) for m in mats]).reshape(-1, 3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(ROTATION_KINDS), min_size=1, max_size=6))
+def test_stack_check_matches_orthonormalize_row_by_row(seed, kinds):
+    rng = np.random.default_rng(seed)
+    mats = np.array([_rotation_of_kind(kind, rng) for kind in kinds])
+    got = _outcome(_proper_rotations, mats.copy())
+    for reference in (orthonormalize, _reference_orthonormalize_by_gap):
+        want = _outcome(_row_by_row, reference, mats)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) if got[0] == "ok" else got == want
+    if got[0] == "ok":
+        # the draws landed where they were aimed: only the rows outside the tolerance moved
+        for kind, mat, rot in zip(kinds, mats, got[1]):
+            assert np.array_equal(mat, rot) == (kind in ("orthonormal", "within_tol")), kind
+
+
+@pytest.mark.parametrize("kind", ROTATION_KINDS)
+def test_each_rotation_kind_lands_on_its_side_of_the_check(kind):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        mat = _rotation_of_kind(kind, rng)
+        outcome = _outcome(orthonormalize, mat)
+        if kind in ("orthonormal", "within_tol"):
+            assert _gap(mat) <= ROTATION_TOL and np.array_equal(outcome[1], mat)
+        elif kind in ("just_outside", "far_outside"):
+            assert _gap(mat) > ROTATION_TOL and outcome[0] == "ok"
+            assert _gap(outcome[1]) <= ROTATION_TOL
+        else:
+            assert outcome[0] is ValueError
+
+
+def test_stack_views_stay_read_only():
+    config = CONFIGS["pivot_point_noisy"]()
+    frames, truth = generate(config)
+    registered = register_frames(frames)
+    assert frames[1].positions.base is frames[-1].positions.base  # one stack, viewed
+    arrays = [frames[0].positions, frames[1].positions, frames[-1].positions]
+    for seq in (truth.motions, registered):
+        arrays += [seq.rotations, seq.translations, seq[0].rotation, seq[0].translation,
+                   seq[-1].rotation, seq[-1].translation]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr.view()[...] = 0.0

@@ -110,10 +110,13 @@ def test_malformed_json_exits_3(tmp_path, capsys):
 def test_wrong_json_types_in_marker_log_exit_3(tmp_path, capsys):
     log = simulate(tmp_path)
     valid = json.loads(log.read_text())
-    for key, value in (("frames", [1]), ("frame_index", "a"), ("frame_index", 0.5)):
+    for key, value in (("frames", [1]), ("frame_index", "a"), ("frame_index", 0.5),
+                       ("coordinate", "1.5"), ("coordinate", True), ("coordinate", False)):
         data = copy.deepcopy(valid)
         if key == "frames":
             data["frames"] = value
+        elif key == "coordinate":
+            data["frames"][1]["positions"][2][0] = value
         else:
             data["frames"][0]["frame_index"] = value
         bad = tmp_path / "bad.json"
@@ -300,3 +303,5 @@ def test_mutated_marker_log_exits_0_or_3_without_traceback(where, delete, value)
             code = main(["register", "--log", log, "--out", f"{tmp}/motions.json"])
     assert code in (0, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if len(prefix) == 4 and prefix[2] == "positions":  # a coordinate gone or not a number
+        assert code == 3, (doc, err.getvalue())

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     EstimateReport, EstimatorConfig, MarkerFrame, MarkerLog,
                     MotionSequence, NonFiniteValue, ParseError, RelativeMotion,
-                    SchemaVersionMismatch, generate, read_marker_log, read_motion_sequence,
-                    read_report, read_scenario, read_truth, register_sequence,
-                    write_marker_log, write_motion_sequence, write_report,
+                    ScenarioConfig, SchemaVersionMismatch, generate, read_marker_log,
+                    read_motion_sequence, read_report, read_scenario, read_truth,
+                    register_sequence, write_marker_log, write_motion_sequence, write_report,
                     write_scenario, write_truth)
 from tacloc.cli import main
 from tacloc.io import dumps
@@ -162,9 +162,15 @@ def _set(path_keys, value):
     _set(["units"], 5),
     _set(["units"], None),
     _set(["frames", 1, "positions", 0, 0], 10**400),
+    _set(["frames", 1, "positions", 0, 0], "1.5"),
+    _set(["frames", 1, "positions", 1, 2], True),
+    _set(["frames", 0, "positions", 0, 0], False),
+    _set(["frames", 0, "positions", 1], [True, False, True]),
+    _set(["frames", 1, "positions", 0, 1], None),
 ], ids=["frame_not_object", "index_string", "index_fraction",
         "index_integral_float", "index_bool", "index_negative", "units_number",
-        "units_null", "coordinate_overflows_float"])
+        "units_null", "coordinate_overflows_float", "coordinate_string", "coordinate_true",
+        "coordinate_false", "coordinate_row_of_booleans", "coordinate_null"])
 def test_marker_log_reader_rejects_wrong_json_types(tmp_path, mutate):
     path = tmp_path / "log.json"
     data = json.loads(GOLDEN_LOG)
@@ -269,6 +275,30 @@ def test_scenario_and_truth_round_trip(tmp_path):
         assert t1.read_bytes() == t2.read_bytes()
 
 
+def test_truth_file_keeps_its_units(tmp_path):
+    config = read_scenario(bundled_scenario("pivot_point"))
+    config = ScenarioConfig(contact=config.contact, grid=config.grid, schedule=config.schedule,
+                            units="m")
+    _, truth = generate(config)
+    assert truth.motions.units == "m"
+    p1, p2 = tmp_path / "t1.json", tmp_path / "t2.json"
+    write_truth(p1, truth)
+    assert json.loads(p1.read_text())["units"] == "m"
+    back = read_truth(p1)
+    assert back.motions.units == "m"
+    write_truth(p2, back)
+    assert p1.read_bytes() == p2.read_bytes()
+
+    for bad in (None, 1, ["m"]):
+        data = json.loads(p1.read_text())
+        data["units"] = bad
+        if bad is None:
+            del data["units"]
+        p2.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="units"):
+            read_truth(p2)
+
+
 def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     estimate = ContactEstimate(
         kind=ContactKind.FIXED_POINT, point=np.array([1.0, 2.0, 3.0]), direction=None,
@@ -308,6 +338,11 @@ def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     ("report", "per_frame_residuals", {}),
     ("report", "provenance", "ab"),
     ("report", "provenance", []),
+    ("report", "per_frame_residuals", ["0.5", 0.1]),
+    ("report", "per_frame_residuals", [0.1, True]),
+    ("report", "per_frame_residuals", [[0.1], [0.1]]),
+    ("report", "per_frame_residuals", [0.1, None]),
+    ("report", "per_frame_residuals", [0.1, 10**400]),
 ])
 def test_report_reader_rejects_wrong_json_types(tmp_path, section, key, value):
     src = tmp_path / "report.json"

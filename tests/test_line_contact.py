@@ -194,6 +194,13 @@ def test_min_frames_is_enforced_on_the_track():
                        direction)
 
 
+def test_one_plane_leaves_the_direction_ambiguous():
+    # one normal spans one dimension: every direction in its plane is an edge
+    track = PlaneTrack([[0.0, 0.0, 1.0]], [0.0])
+    with pytest.raises(AmbiguousDirection):
+        estimate_line_direction(track, EstimatorConfig(min_frames=1))
+
+
 def test_min_frames_counts_moving_frames_like_the_other_estimators():
     # identity frame 0 plus two moving frames: below the default min_frames of 3
     direction = np.array([1.0, 0.0, 0.0])
