@@ -169,8 +169,9 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
             parser.error("--type line requires --n0")
         if float(np.linalg.norm(args.n0)) == 0.0:
             parser.error("--n0 must be nonzero")
+    config = _config_from_args(args)  # a usage error comes before reading the log
     motions = register_frames(read_marker_log(args.log).frames)
-    _estimate(motions, kind, args.n0, _config_from_args(args), args.strict, args.log, args.out)
+    _estimate(motions, kind, args.n0, config, args.strict, args.log, args.out)
 
 
 def _direction_angle(estimate, truth) -> float:

@@ -49,8 +49,9 @@ class EstimatorConfig:
     min_frames: int = 3
 
     def __post_init__(self):
-        if self.angle_threshold <= 0.0 or self.cond_threshold <= 0.0 or self.rank_tolerance <= 0.0:
-            raise ValueError("all thresholds must be positive")
+        if not all(0.0 < x < math.inf
+                   for x in (self.angle_threshold, self.cond_threshold, self.rank_tolerance)):
+            raise ValueError("all thresholds must be positive and finite")
         if self.min_frames < 1:
             raise ValueError("min_frames must be at least 1")
 

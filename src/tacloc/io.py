@@ -3,10 +3,15 @@
 Everything is JSON with a "schema" tag. Writing is deterministic — the same
 data always produces the same bytes — so logs can be diffed and hashed.
 Floats are written with 17 significant digits, which round-trips every
-double exactly; write -> read -> write is byte-identical.
+double exactly; write -> read -> write is byte-identical. A document is
+rendered before its file is opened, so a failed write leaves the file as it was.
 
 An infinite condition number is stored as null (JSON has no Infinity) and
 restored to inf on read.
+
+Every number in a file must be a JSON number. Arrays are read by _array,
+which scans for booleans (numpy reads one among numbers as 0 or 1) only when
+_load finds that the text may hold a true or false.
 """
 
 from __future__ import annotations
@@ -15,14 +20,14 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import NonFiniteValue, ParseError, SchemaVersionMismatch
 from .estimators import EstimatorConfig
-from .motion import MarkerFrame, MotionSequence, RelativeMotion
+from .motion import MotionSequence, RelativeMotion, _marker_frames
 from .simulate import (EdgeContact, FixedDirectionContact, FixedPointContact,
                        MarkerGrid, MotionStep, ScenarioConfig, ScenarioTruth)
 
@@ -133,39 +138,50 @@ def dumps(data: dict) -> str:
     return _emit(data, 0) + "\n"
 
 
-def _loads(text: str) -> dict:
+def _write_file(path, data: dict) -> None:
+    text = dumps(data)  # before open empties the file
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def sha256_of_file(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Typed reading.
+
+def _may_hold_literal(text: str) -> bool:
+    """False only when text holds no JSON true or false.
+
+    The letter at offset 2 of each literal ('u', 'l') never occurs in a
+    number, and a document's other occurrences sit in its few strings, so
+    each single-character search (a memchr) stops only a few times.
+    """
+    for letter, word in (("u", "true"), ("l", "false")):
+        at = text.find(letter)
+        while at != -1:
+            if at >= 2 and text.startswith(word, at - 2):
+                return True
+            at = text.find(letter, at + 1)
+    return False
+
+
+def _load(path, schema: str) -> tuple:
+    """The document in path and whether its text may hold a true or false."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object at top level, got {type(data).__name__}")
-    return data
-
-
-def _load_text(path, schema: str) -> tuple:
-    """The document in path and its text, or SchemaVersionMismatch unless it has schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    data = _loads(text)
     found = data.get("schema")
     if found != schema:
         raise SchemaVersionMismatch(f"expected schema {schema!r}, found {found!r}")
-    return data, text
-
-
-def _load_file(path, schema: str) -> dict:
-    return _load_text(path, schema)[0]
-
-
-def _write_file(path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(data))
-
-
-def sha256_of_file(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return data, _may_hold_literal(text)
 
 
 def _require(data, key: str, context: str, kind: type = object):
@@ -178,6 +194,14 @@ def _require(data, key: str, context: str, kind: type = object):
     value = data[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"{context} {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _entries(data, key: str, context: str) -> list:
+    """data[key], or ParseError unless it is a non-empty list."""
+    value = _require(data, key, context)
+    if not isinstance(value, list) or not value:
+        raise ParseError(f"{context} {key!r} must be a non-empty list")
     return value
 
 
@@ -194,13 +218,28 @@ def _float(data, key: str, context: str) -> float:
     return _number(_require(data, key, context), f"{context} {key!r}")
 
 
-def _as_array(value, shape: tuple, context: str) -> np.ndarray:
+def _array(data, key: str, context: str, shape: tuple, literals: bool,
+           rows: str = "entry") -> np.ndarray:
+    """data[key] as a float array of shape (None matches any length), or
+    ParseError unless numpy infers a float or 64-bit integer dtype and, when
+    literals is set, no entry is a boolean; NonFiniteValue names the first
+    non-finite row."""
+    value, what = _require(data, key, context), f"{context} {key!r}"
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ParseError(f"{context} is not numeric: {err}") from err
-    if arr.shape != shape:
-        raise ParseError(f"{context} must have shape {shape}, got {arr.shape}")
+        arr = np.asarray(value)
+    except ValueError as err:  # ragged lists
+        raise ParseError(f"{what} is not numeric: {err}") from err
+    if arr.dtype.kind not in "fi":
+        raise ParseError(f"{what} is not numeric: read as {arr.dtype}")
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise ParseError(f"{what} must have shape {shape}, got {arr.shape}")
+    if literals and any(type(v) is bool for row in (value if arr.ndim == 2 else [value])
+                        for v in row):
+        raise ParseError(f"{what} is not numeric: an entry is a boolean")
+    arr = arr.astype(float, copy=False)
+    finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+    if not finite.all():
+        raise NonFiniteValue(f"{what}: non-finite value at {rows} {np.argmin(finite)}")
     return arr
 
 
@@ -217,57 +256,20 @@ def write_marker_log(path, log: MarkerLog) -> None:
     _write_file(path, data)
 
 
-def _may_hold_literal(text: str) -> bool:
-    """False only when text holds no JSON true or false.
-
-    The letter at offset 2 of each literal ('u', 'l') never occurs in a
-    number, and a marker log's other occurrences sit in its few strings, so
-    each single-character search (a memchr) stops only a few times.
-    """
-    for letter, word in (("u", "true"), ("l", "false")):
-        at = text.find(letter)
-        while at != -1:
-            if at >= 2 and text.startswith(word, at - 2):
-                return True
-            at = text.find(letter, at + 1)
-    return False
-
-
 def read_marker_log(path) -> MarkerLog:
-    data, text = _load_text(path, MARKER_LOG_SCHEMA)
-    # numpy reads a boolean among numbers as 0 or 1, so look for one only when it can occur
-    literals = _may_hold_literal(text)
-    del text  # as large as the log: free it before the frames are built
+    data, literals = _load(path, MARKER_LOG_SCHEMA)
     units = _require(data, "units", "marker log", str)
-    raw_frames = _require(data, "frames", "marker log")
-    if not isinstance(raw_frames, list) or not raw_frames:
-        raise ParseError("marker log 'frames' must be a non-empty list")
-    frames = []
+    raw_frames = _entries(data, "frames", "marker log")
+    shape = (None, 3)
     for i, raw in enumerate(raw_frames):
         index = _require(raw, "frame_index", f"frame {i}", int)
-        positions = _require(raw, "positions", f"frame {i}")
-        try:
-            arr = np.asarray(positions)
-        except (TypeError, ValueError) as err:
-            raise ParseError(f"frame {i} positions are not numeric: {err}") from err
-        if arr.dtype.kind not in "fi":  # strings, booleans, nulls, integers beyond 64 bits
-            raise ParseError(f"frame {i} positions are not numeric: read as {arr.dtype}")
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ParseError(f"frame {i} positions must be (m, 3), got {arr.shape}")
-        if literals and any(type(v) is bool for row in positions for v in row):
-            raise ParseError(f"frame {i} positions are not numeric: a coordinate is a boolean")
-        arr = arr.astype(float, copy=False)
-        bad = np.nonzero(~np.isfinite(arr).all(axis=1))[0]
-        if bad.size:
-            raise NonFiniteValue(f"frame {index}, marker {bad[0]}: non-finite coordinate")
-        try:
-            frames.append(MarkerFrame(arr, index))
-        except ValueError as err:
-            raise ParseError(f"frame {i}: {err}") from err
-    try:
-        return MarkerLog(tuple(frames), units=units)
-    except ValueError as err:
-        raise ParseError(str(err)) from err
+        if index != i:
+            raise ParseError(f"frame {i}: frame indices must be dense from 0, got {index}")
+        arr = _array(raw, "positions", f"frame {i}", shape, literals, "marker")
+        if i == 0:  # later frames must have frame 0's shape, so one marker count
+            shape, positions = arr.shape, np.empty((len(raw_frames),) + arr.shape)
+        positions[i] = arr
+    return MarkerLog(_marker_frames(positions, range(len(raw_frames))), units=units)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +283,30 @@ def _motion_to_dict(motion: RelativeMotion) -> dict:
     }
 
 
-def _motion_from_dict(raw: dict, context: str) -> RelativeMotion:
-    index = _require(raw, "frame_index", context, int)
-    rotation = _as_array(_require(raw, "rotation", context), (3, 3), f"{context} rotation")
-    translation = _as_array(_require(raw, "translation", context), (3,), f"{context} translation")
-    if not (np.all(np.isfinite(rotation)) and np.all(np.isfinite(translation))):
-        raise NonFiniteValue(f"{context}: non-finite coordinate")
+def _motions(data, context: str, literals: bool) -> MotionSequence:
+    """The sequence of data's non-empty 'motions' list in its 'units', with
+    each entry's rms_error when any has one, read into stacks and built once."""
+    units = _require(data, "units", context, str)
+    raw_motions = _entries(data, "motions", context)
+    count = len(raw_motions)
+    rotations, translations, indices = np.empty((count, 3, 3)), np.empty((count, 3)), [0] * count
+    for i, raw in enumerate(raw_motions):
+        entry = f"motion {i}"
+        indices[i] = _require(raw, "frame_index", entry, int)
+        rotations[i] = _array(raw, "rotation", entry, (3, 3), literals)
+        translations[i] = _array(raw, "translation", entry, (3,), literals)
+    rms_errors = None
+    if any("rms_error" in raw for raw in raw_motions):
+        rms_errors = [_float(raw, "rms_error", f"motion {i}") for i, raw in enumerate(raw_motions)]
     try:
-        return RelativeMotion(rotation, translation, index)
+        return MotionSequence._of_stacks(rotations, translations, indices, rms_errors, units)
     except ValueError as err:
-        raise ParseError(f"{context}: {err}") from err
+        for k in range(count):  # name the first motion at fault, when one is
+            try:
+                RelativeMotion(rotations[k], translations[k], indices[k])
+            except ValueError:
+                raise ParseError(f"motion {k}: {err}") from err
+        raise ParseError(str(err)) from err
 
 
 def write_motion_sequence(path, motions: MotionSequence) -> None:
@@ -303,19 +319,8 @@ def write_motion_sequence(path, motions: MotionSequence) -> None:
 
 
 def read_motion_sequence(path) -> MotionSequence:
-    data = _load_file(path, MOTIONS_SCHEMA)
-    units = _require(data, "units", "motion file", str)
-    raw_motions = _require(data, "motions", "motion file")
-    if not isinstance(raw_motions, list) or not raw_motions:
-        raise ParseError("motion file 'motions' must be a non-empty list")
-    motions = [_motion_from_dict(raw, f"motion {i}") for i, raw in enumerate(raw_motions)]
-    rms_errors = None
-    if any("rms_error" in raw for raw in raw_motions):
-        rms_errors = [_float(raw, "rms_error", f"motion {i}") for i, raw in enumerate(raw_motions)]
-    try:
-        return MotionSequence(tuple(motions), rms_errors=rms_errors, units=units)
-    except ValueError as err:
-        raise ParseError(str(err)) from err
+    data, literals = _load(path, MOTIONS_SCHEMA)
+    return _motions(data, "motion file", literals)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +335,13 @@ def _contact_to_dict(contact) -> dict:
             **{f.name: getattr(contact, f.name) for f in fields(contact)}}
 
 
-def _contact_from_dict(raw: dict):
+def _contact_from_dict(raw: dict, literals: bool):
     kind = _require(raw, "kind", "contact", str)
     if kind not in _CONTACTS:
         raise ParseError(f"unknown contact kind {kind!r}")
     cls = _CONTACTS[kind]
     try:
-        return cls(*(_as_array(_require(raw, f.name, "contact"), (3,), f"contact {f.name}")
-                     for f in fields(cls)))
+        return cls(*(_array(raw, f.name, "contact", (3,), literals) for f in fields(cls)))
     except ValueError as err:
         raise ParseError(f"contact: {err}") from err
 
@@ -369,10 +373,13 @@ def write_scenario(path, config: ScenarioConfig) -> None:
 
 
 def read_scenario(path) -> ScenarioConfig:
-    data = _load_file(path, SCENARIO_SCHEMA)
+    data, literals = _load(path, SCENARIO_SCHEMA)
     raw_grid = _require(data, "grid", "scenario")
-    pose = _motion_from_dict(_require(raw_grid, "pose", "grid"), "grid pose")
+    raw_pose = _require(raw_grid, "pose", "grid")
     try:
+        pose = RelativeMotion(_array(raw_pose, "rotation", "grid pose", (3, 3), literals),
+                              _array(raw_pose, "translation", "grid pose", (3,), literals),
+                              _require(raw_pose, "frame_index", "grid pose", int))
         grid = MarkerGrid(rows=_require(raw_grid, "rows", "grid", int),
                           cols=_require(raw_grid, "cols", "grid", int),
                           pitch=_float(raw_grid, "pitch", "grid"),
@@ -381,22 +388,21 @@ def read_scenario(path) -> ScenarioConfig:
     except ValueError as err:
         raise ParseError(f"grid: {err}") from err
     steps = []
-    for i, raw in enumerate(_require(data, "schedule", "scenario", list)):
+    for i, raw in enumerate(_entries(data, "schedule", "scenario")):
         context = f"schedule step {i}"
         angle = _float(raw, "angle", context)  # first: it checks that raw is an object
-        axis = raw.get("axis")
-        translation = raw.get("translation")
+        axis, translation = raw.get("axis"), raw.get("translation")
         try:
             steps.append(MotionStep(
                 angle=angle,
-                axis=None if axis is None else _as_array(axis, (3,), f"{context} axis"),
+                axis=None if axis is None else _array(raw, "axis", context, (3,), literals),
                 slide=_float(raw, "slide", context) if "slide" in raw else 0.0,
                 translation=(None if translation is None
-                             else _as_array(translation, (3,), f"{context} translation")),
+                             else _array(raw, "translation", context, (3,), literals)),
             ))
         except ValueError as err:
             raise ParseError(f"{context}: {err}") from err
-    contact = _contact_from_dict(_require(data, "contact", "scenario"))
+    contact = _contact_from_dict(_require(data, "contact", "scenario"), literals)
     tolerances = _require(data, "tolerances", "scenario", dict)
     for key in tolerances:
         _float(tolerances, key, "scenario tolerances")
@@ -405,13 +411,13 @@ def read_scenario(path) -> ScenarioConfig:
             contact=contact,
             grid=grid,
             schedule=tuple(steps),
-            noise_sigma=_as_array(_require(data, "noise_sigma", "scenario"), (3,), "noise_sigma"),
+            noise_sigma=_array(data, "noise_sigma", "scenario", (3,), literals),
             seed=_require(data, "seed", "scenario", int),
             name=_require(data, "name", "scenario", str),
             units=_require(data, "units", "scenario", str),
             tolerances=tolerances,
         )
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ParseError(f"scenario: {err}") from err
 
 
@@ -430,16 +436,9 @@ def write_truth(path, truth: ScenarioTruth, units: str | None = None) -> None:
 
 
 def read_truth(path) -> ScenarioTruth:
-    data = _load_file(path, TRUTH_SCHEMA)
-    units = _require(data, "units", "truth", str)
-    contact = _contact_from_dict(_require(data, "contact", "truth"))
-    raw_motions = _require(data, "motions", "truth")
-    motions = [_motion_from_dict(raw, f"motion {i}") for i, raw in enumerate(raw_motions)]
-    try:
-        sequence = MotionSequence(tuple(motions), units=units)
-    except ValueError as err:
-        raise ParseError(str(err)) from err
-    return ScenarioTruth(motions=sequence, contact_geometry=contact)
+    data, literals = _load(path, TRUTH_SCHEMA)
+    contact = _contact_from_dict(_require(data, "contact", "truth"), literals)
+    return ScenarioTruth(motions=_motions(data, "truth", literals), contact_geometry=contact)
 
 
 # ---------------------------------------------------------------------------
@@ -466,45 +465,36 @@ def write_report(path, report: EstimateReport) -> None:
             },
         },
         "per_frame_residuals": est.per_frame_residuals,
-        "config": {
-            "angle_threshold": report.config.angle_threshold,
-            "cond_threshold": report.config.cond_threshold,
-            "rank_tolerance": report.config.rank_tolerance,
-            "min_frames": report.config.min_frames,
-        },
+        "config": asdict(report.config),
         "provenance": report.provenance,
     }
     _write_file(path, data)
 
 
 def read_report(path) -> EstimateReport:
-    data = _load_file(path, REPORT_SCHEMA)
+    data, literals = _load(path, REPORT_SCHEMA)
     raw_est = _require(data, "estimate", "report")
     raw_cond = _require(raw_est, "conditioning", "estimate")
     raw_cn = _require(raw_cond, "condition_number", "conditioning")
-    conditioning = ConditioningReport(
-        max_rotation_angle=_float(raw_cond, "max_rotation_angle", "conditioning"),
-        smallest_singular_value=_float(raw_cond, "smallest_singular_value", "conditioning"),
-        condition_number=(math.inf if raw_cn is None
-                          else _float(raw_cond, "condition_number", "conditioning")),
-        well_posed=_require(raw_cond, "well_posed", "conditioning", bool),
-    )
     try:
-        kind = ContactKind(_require(raw_est, "kind", "estimate"))
+        conditioning = ConditioningReport(
+            max_rotation_angle=_float(raw_cond, "max_rotation_angle", "conditioning"),
+            smallest_singular_value=_float(raw_cond, "smallest_singular_value", "conditioning"),
+            condition_number=(math.inf if raw_cn is None
+                              else _float(raw_cond, "condition_number", "conditioning")),
+            well_posed=_require(raw_cond, "well_posed", "conditioning", bool),
+        )
     except ValueError as err:
-        raise ParseError(str(err)) from err
-    point = raw_est.get("point")
-    direction = raw_est.get("direction")
+        raise ParseError(f"conditioning: {err}") from err
+    point, direction = raw_est.get("point"), raw_est.get("direction")
     try:
         estimate = ContactEstimate(
-            kind=kind,
-            point=None if point is None else _as_array(point, (3,), "estimate point"),
+            kind=ContactKind(_require(raw_est, "kind", "estimate")),
+            point=None if point is None else _array(raw_est, "point", "estimate", (3,), literals),
             direction=(None if direction is None
-                       else _as_array(direction, (3,), "estimate direction")),
+                       else _array(raw_est, "direction", "estimate", (3,), literals)),
             residual_rms=_float(raw_est, "residual_rms", "estimate"),
-            per_frame_residuals=[_number(value, f"report 'per_frame_residuals' entry {k}")
-                                 for k, value in enumerate(
-                                     _require(data, "per_frame_residuals", "report", list))],
+            per_frame_residuals=_array(data, "per_frame_residuals", "report", (None,), literals),
             conditioning=conditioning,
         )
     except ValueError as err:
@@ -512,11 +502,9 @@ def read_report(path) -> EstimateReport:
     raw_config = _require(data, "config", "report")
     try:
         config = EstimatorConfig(
-            angle_threshold=_float(raw_config, "angle_threshold", "config"),
-            cond_threshold=_float(raw_config, "cond_threshold", "config"),
-            rank_tolerance=_float(raw_config, "rank_tolerance", "config"),
-            min_frames=_require(raw_config, "min_frames", "config", int),
-        )
+            **{key: _float(raw_config, key, "config")
+               for key in ("angle_threshold", "cond_threshold", "rank_tolerance")},
+            min_frames=_require(raw_config, "min_frames", "config", int))
     except ValueError as err:
         raise ParseError(f"config: {err}") from err
     return EstimateReport(estimate=estimate, config=config,

@@ -177,6 +177,16 @@ def test_bad_config_value_exits_2(tmp_path):
                  "--out", str(tmp_path / "r.json"), "--angle-threshold", "-1"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--angle-threshold", "--cond-threshold", "--rank-tolerance"])
+def test_non_finite_threshold_exits_2(tmp_path, capsys, flag, value):
+    log = simulate(tmp_path)
+    assert main(["estimate", "--type", "point", "--log", str(log),
+                 "--out", str(tmp_path / "r.json"), flag, value]) == 2
+    assert main(["roundtrip", "--scenario", scenario_path("pivot_point"), flag, value]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_roundtrip_all_bundled_scenarios():
     for name in ("box_on_edge", "box_on_edge_noisy", "pivot_point",
                  "pivot_point_noisy", "hinge_direction", "hinge_direction_noisy"):
@@ -221,6 +231,31 @@ def test_malformed_scenario_exits_3(tmp_path, capsys, keys, value):
     bad.write_text(json.dumps(data))
     assert main(["roundtrip", "--scenario", str(bad)]) == 3
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys", [["noise_sigma", 0], ["schedule", 0, "axis", 0],
+                                  ["grid", "pose", "rotation", 0, 0], ["contact", "point", 0]],
+                         ids=["noise_sigma", "axis", "pose", "contact_point"])
+@pytest.mark.parametrize("kind", ["string", "boolean"])
+def test_scenario_number_of_another_json_type_exits_3(tmp_path, capsys, keys, kind):
+    import pathlib
+    data = json.loads(pathlib.Path(scenario_path("pivot_point")).read_text())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    number = node[keys[-1]]
+    # the same number where JSON allows it (a 0 or 1 as false or true), so a
+    # reader that converted the value would simulate exactly as before
+    node[keys[-1]] = str(number) if kind == "string" else bool(number) if number in (0, 1) else True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    field = next(key for key in reversed(keys) if isinstance(key, str))
+    for command in (["simulate", "--scenario", str(bad), "--out", str(tmp_path / "log.json")],
+                    ["roundtrip", "--scenario", str(bad)]):
+        assert main(command) == 3, command
+        err = capsys.readouterr().err
+        assert "invalid input" in err and field in err, err
+    assert not (tmp_path / "log.json").exists()
 
 
 def test_roundtrip_keeps_workdir_files(tmp_path):

@@ -1,8 +1,11 @@
 """File formats: byte-stable serialization, validation, error reporting."""
 
+import copy
 import hashlib
 import json
 import math
+import pathlib
+import tempfile
 import textwrap
 
 import hypothesis.extra.numpy as hnp
@@ -19,7 +22,7 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     register_sequence, write_marker_log, write_motion_sequence, write_report,
                     write_scenario, write_truth)
 from tacloc.cli import main
-from tacloc.io import dumps
+from tacloc.io import _number, dumps
 
 GOLDEN_LOG = textwrap.dedent("""\
     {
@@ -343,6 +346,8 @@ def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     ("report", "per_frame_residuals", [[0.1], [0.1]]),
     ("report", "per_frame_residuals", [0.1, None]),
     ("report", "per_frame_residuals", [0.1, 10**400]),
+    ("conditioning", "condition_number", 0.5),
+    ("conditioning", "smallest_singular_value", -1),
 ])
 def test_report_reader_rejects_wrong_json_types(tmp_path, section, key, value):
     src = tmp_path / "report.json"
@@ -399,6 +404,226 @@ def test_bundled_scenarios_all_parse():
         config = read_scenario(bundled_scenario(name))
         assert config.name == name
         assert config.tolerances  # every scenario states its tolerances
+
+
+# ---------------------------------------------------------------------------
+# One numeric rule for every file: a number must be a JSON number.
+
+READERS = {"tacloc.marker_log/1": read_marker_log, "tacloc.motions/1": read_motion_sequence,
+           "tacloc.truth/1": read_truth, "tacloc.scenario/1": read_scenario,
+           "tacloc.report/1": read_report}
+
+
+@pytest.fixture(scope="module")
+def roundtrip_files(tmp_path_factory):
+    """The files of a box_on_edge roundtrip: its report is a line estimate,
+    so it carries both a point and a direction."""
+    work = tmp_path_factory.mktemp("box_on_edge")
+    assert main(["roundtrip", "--scenario", str(bundled_scenario("box_on_edge")),
+                 "--workdir", str(work)]) == 0
+    return work
+
+
+def _document(files, source):
+    """The JSON of a roundtrip file ('markers', 'motions', 'truth', 'report')
+    or of a bundled scenario."""
+    if source in ("markers", "motions", "truth", "report"):
+        return json.loads((files / f"{source}.json").read_text())
+    return json.loads(bundled_scenario(source).read_text())
+
+
+def _container(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _read(doc, directory):
+    path = pathlib.Path(directory) / "doc.json"
+    path.write_text(json.dumps(doc))
+    return READERS[doc["schema"]](path)
+
+
+# Every numeric field of the motion, truth, scenario and report files.
+NUMERIC_FIELDS = [
+    ("motions", ["motions", 1, "rotation"]),
+    ("motions", ["motions", 1, "translation"]),
+    ("motions", ["motions", 1, "rms_error"]),
+    ("motions", ["motions", 1, "frame_index"]),
+    ("truth", ["contact", "direction"]),
+    ("truth", ["contact", "point"]),
+    ("truth", ["contact", "surface_normal"]),
+    ("truth", ["motions", 1, "rotation"]),
+    ("truth", ["motions", 1, "translation"]),
+    ("truth", ["motions", 1, "frame_index"]),
+    ("pivot_point", ["noise_sigma"]),
+    ("pivot_point", ["seed"]),
+    ("pivot_point", ["grid", "rows"]),
+    ("pivot_point", ["grid", "cols"]),
+    ("pivot_point", ["grid", "pitch"]),
+    ("pivot_point", ["grid", "dome_height"]),
+    ("pivot_point", ["grid", "pose", "rotation"]),
+    ("pivot_point", ["grid", "pose", "translation"]),
+    ("pivot_point", ["grid", "pose", "frame_index"]),
+    ("pivot_point", ["contact", "point"]),
+    ("pivot_point", ["schedule", 1, "angle"]),
+    ("pivot_point", ["schedule", 1, "axis"]),
+    ("pivot_point", ["schedule", 1, "slide"]),
+    ("pivot_point", ["tolerances", "point_distance"]),
+    ("hinge_direction", ["contact", "direction"]),
+    ("hinge_direction", ["schedule", 1, "translation"]),
+    ("box_on_edge", ["contact", "direction"]),
+    ("box_on_edge", ["contact", "point"]),
+    ("box_on_edge", ["contact", "surface_normal"]),
+    ("report", ["estimate", "point"]),
+    ("report", ["estimate", "direction"]),
+    ("report", ["estimate", "residual_rms"]),
+    ("report", ["estimate", "conditioning", "max_rotation_angle"]),
+    ("report", ["estimate", "conditioning", "smallest_singular_value"]),
+    ("report", ["estimate", "conditioning", "condition_number"]),
+    ("report", ["per_frame_residuals"]),
+    ("report", ["config", "angle_threshold"]),
+    ("report", ["config", "cond_threshold"]),
+    ("report", ["config", "rank_tolerance"]),
+    ("report", ["config", "min_frames"]),
+]
+INTEGER_KEYS = {"frame_index", "seed", "rows", "cols", "min_frames"}
+FAULTS = ("string", "true", "false", "null", "row_of_booleans", "overflow", "wrong_shape")
+
+
+def _faulty(value, fault):
+    """value with one fault: in the first number of its last row when value
+    is an array, else in value itself."""
+    if fault == "wrong_shape":
+        return [value]  # one dimension too many; for a scalar, a list
+    if isinstance(value, list):
+        value = copy.deepcopy(value)
+        row = value[-1] if isinstance(value[-1], list) else value
+        if fault == "row_of_booleans":
+            row[:] = [k % 2 == 0 for k in range(len(row))]
+        else:
+            row[0] = _faulty(row[0], fault)
+        return value
+    return {"string": str(value), "true": True, "false": False, "null": None,
+            "row_of_booleans": [True, False, True], "overflow": 10**400}[fault]
+
+
+def _fault_cases():
+    for source, path in NUMERIC_FIELDS:
+        for fault in FAULTS:
+            if fault == "overflow" and path[-1] in INTEGER_KEYS:
+                continue  # a JSON integer of any size is an integer
+            if fault == "null" and path[-1] == "condition_number":
+                continue  # null is how a report stores an infinite condition number
+            yield pytest.param(source, path, fault,
+                               id=f"{source}-{'.'.join(map(str, path))}-{fault}")
+
+
+@pytest.mark.parametrize("source, path, fault", list(_fault_cases()))
+def test_every_numeric_field_rejects_other_json_types(roundtrip_files, tmp_path,
+                                                      source, path, fault):
+    doc = _document(roundtrip_files, source)
+    _read(doc, tmp_path)  # the file as written reads
+    node = _container(doc, path)
+    assert node[path[-1]] is not None
+    node[path[-1]] = _faulty(node[path[-1]], fault)
+    with pytest.raises(ParseError, match=path[-1]):
+        _read(doc, tmp_path)
+
+
+# One element of an array field in which any finite number is valid data, so
+# that the reader's verdict turns on the element's JSON type alone.
+ANY_NUMBER_ELEMENTS = [
+    ("markers", ["frames", 1, "positions", 3, 1]),
+    ("motions", ["motions", 1, "translation", 0]),
+    ("truth", ["motions", 2, "translation", 2]),
+    ("pivot_point", ["contact", "point", 1]),
+    ("pivot_point", ["grid", "pose", "translation", 0]),
+    ("hinge_direction", ["schedule", 1, "translation", 2]),
+    ("report", ["estimate", "point", 0]),
+    ("report", ["per_frame_residuals", 1]),
+]
+
+# Integers stay within 64 bits: numpy reads a longer one as an object, which
+# the array rule rejects although _number takes it.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**63, 2**63 - 1) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ANY_NUMBER_ELEMENTS), _JSON_VALUES)
+def test_an_array_element_reads_iff_it_is_a_finite_json_number(roundtrip_files, where, value):
+    source, path = where
+    doc = _document(roundtrip_files, source)
+    _container(doc, path)[path[-1]] = value
+    try:
+        _number(value, "element")
+        expected = True
+    except ParseError:
+        expected = False
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            _read(doc, tmp)
+            accepted = True
+        except (ParseError, NonFiniteValue):  # anything else is a bug and fails the test
+            accepted = False
+    assert accepted == expected, value
+
+
+def test_integers_beyond_64_bits_are_rejected_in_arrays(roundtrip_files, tmp_path):
+    doc = _document(roundtrip_files, "motions")
+    doc["motions"][1]["translation"][0] = 2**64
+    with pytest.raises(ParseError, match="translation"):
+        _read(doc, tmp_path)
+
+
+@pytest.mark.parametrize("source", ["motions", "truth"])
+def test_a_bad_motion_is_named(roundtrip_files, tmp_path, source):
+    doc = _document(roundtrip_files, source)
+    doc["motions"][2]["rotation"][2] = [-v for v in doc["motions"][2]["rotation"][2]]
+    with pytest.raises(ParseError, match="motion 2: matrix is a reflection"):
+        _read(doc, tmp_path)
+    doc = _document(roundtrip_files, source)
+    doc["motions"][3]["rotation"][1][0] = float("nan")
+    with pytest.raises(NonFiniteValue, match="motion 3 'rotation': non-finite value at entry 1"):
+        _read(doc, tmp_path)
+
+
+@pytest.mark.parametrize("motions", [5, [], {}, "motions"])
+@pytest.mark.parametrize("source", ["motions", "truth"])
+def test_motions_must_be_a_non_empty_list(roundtrip_files, tmp_path, source, motions):
+    doc = _document(roundtrip_files, source)
+    doc["motions"] = motions
+    with pytest.raises(ParseError, match="'motions' must be a non-empty list"):
+        _read(doc, tmp_path)
+
+
+def test_every_file_kind_reads_and_writes_back_byte_for_byte(roundtrip_files, tmp_path):
+    writers = {read_marker_log: write_marker_log, read_motion_sequence: write_motion_sequence,
+               read_truth: write_truth, read_scenario: write_scenario, read_report: write_report}
+    sources = [roundtrip_files / f"{name}.json" for name in ("markers", "motions", "truth",
+                                                             "report")]
+    for source in sources + [bundled_scenario("box_on_edge")]:
+        reader = READERS[json.loads(source.read_text())["schema"]]
+        out = tmp_path / "out.json"
+        writers[reader](out, reader(source))
+        assert out.read_bytes() == source.read_bytes(), source
+
+
+def test_failed_write_leaves_the_file_as_it_was(roundtrip_files, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes((roundtrip_files / "report.json").read_bytes())
+    report = read_report(path)
+    before = path.read_bytes()
+    bad = EstimateReport(estimate=report.estimate, config=report.config,
+                         provenance={**report.provenance, "note": float("nan")})
+    with pytest.raises(NonFiniteValue):
+        write_report(path, bad)
+    assert path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
