@@ -45,13 +45,19 @@ EXIT_ESTIMATION = 4
 TYPES = {"point": ContactKind.FIXED_POINT, "direction": ContactKind.FIXED_DIRECTION,
          "line": ContactKind.LINE}
 
+
+def _unit(vec: np.ndarray) -> np.ndarray:
+    """vec scaled to unit length; dividing by its largest entry first keeps the norm finite."""
+    vec = vec / np.abs(vec).max()
+    return vec / float(np.linalg.norm(vec))
+
+
 # contact kind -> its estimator, called as (motions, n0, config, strict), where
 # n0 is the contacting face normal at frame 0 (line contact only)
 ESTIMATORS = {
     ContactKind.FIXED_POINT: lambda m, n0, c, strict: estimate_fixed_point(m, c, strict),
     ContactKind.FIXED_DIRECTION: lambda m, n0, c, strict: estimate_fixed_direction(m, c, strict),
-    ContactKind.LINE: lambda m, n0, c, strict: estimate_line_contact(
-        m, n0 / float(np.linalg.norm(n0)), c, strict),
+    ContactKind.LINE: lambda m, n0, c, strict: estimate_line_contact(m, _unit(n0), c, strict),
 }
 
 
@@ -60,9 +66,12 @@ def _vector3(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected x,y,z — got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        vec = np.array([float(p) for p in parts])
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+    if not np.isfinite(vec).all():
+        raise argparse.ArgumentTypeError(f"expected finite x,y,z — got {text!r}")
+    return vec
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -167,7 +176,7 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
     if kind is ContactKind.LINE:
         if args.n0 is None:
             parser.error("--type line requires --n0")
-        if float(np.linalg.norm(args.n0)) == 0.0:
+        if not args.n0.any():
             parser.error("--n0 must be nonzero")
     config = _config_from_args(args)  # a usage error comes before reading the log
     motions = register_frames(read_marker_log(args.log).frames)

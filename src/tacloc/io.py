@@ -4,7 +4,9 @@ Everything is JSON with a "schema" tag. Writing is deterministic — the same
 data always produces the same bytes — so logs can be diffed and hashed.
 Floats are written with 17 significant digits, which round-trips every
 double exactly; write -> read -> write is byte-identical. A document is
-rendered before its file is opened, so a failed write leaves the file as it was.
+rendered to a list of text pieces (one per float array or flat list) before
+its file is opened, so a failed write leaves the file as it was, and the
+pieces are written one by one, so no nesting level copies the whole text.
 
 An infinite condition number is stored as null (JSON has no Infinity) and
 restored to inf on read.
@@ -96,7 +98,7 @@ def _emit_float_array(arr: np.ndarray, depth: int) -> str:
     return text % tuple(arr.ravel().tolist())
 
 
-def _emit(value, depth: int) -> str:
+def _scalar(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -110,43 +112,72 @@ def _emit(value, depth: int) -> str:
         if not math.isfinite(value):
             raise NonFiniteValue(f"cannot serialize {value!r}")
         return format(value, ".17g")
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_NESTED = (dict, list, tuple, np.ndarray)
+
+
+def _emit(value, depth: int, out: list) -> None:
+    """Append value's text at depth to out, a float array or flat list as one
+    piece, so no nesting level copies the text of what it holds."""
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f" and value.size and value.ndim in (1, 2):
-            return _emit_float_array(value, depth)
+            out.append(_emit_float_array(value, depth))
+            return
         value = value.tolist()
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        pad = _INDENT * (depth + 1)
-        body = ",\n".join(f"{pad}{json.dumps(str(k))}: {_emit(v, depth + 1)}"
-                          for k, v in value.items())
-        return "{\n" + body + "\n" + _INDENT * depth + "}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
-            return "[" + ", ".join(_emit(v, depth) for v in items) + "]"
-        pad = _INDENT * (depth + 1)
-        body = ",\n".join(pad + _emit(v, depth + 1) for v in items)
-        return "[\n" + body + "\n" + _INDENT * depth + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        if not isinstance(value, list):  # a 0-d array
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+    if isinstance(value, dict) and value:
+        pad, sep = _INDENT * (depth + 1), "{\n"
+        for key, item in value.items():
+            out.append(f"{sep}{pad}{json.dumps(str(key))}: ")
+            _emit(item, depth + 1, out)
+            sep = ",\n"
+        out.append("\n" + _INDENT * depth + "}")
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, _NESTED) for v in value):
+        pad, sep = _INDENT * (depth + 1), "[\n"
+        for item in value:
+            out.append(sep + pad)
+            _emit(item, depth + 1, out)
+            sep = ",\n"
+        out.append("\n" + _INDENT * depth + "]")
+    elif isinstance(value, (list, tuple)):
+        out.append("[" + ", ".join(map(_scalar, value)) + "]")
+    else:
+        out.append("{}" if isinstance(value, dict) else _scalar(value))
+
+
+def _pieces(data: dict) -> list:
+    """The canonical text of a document, as the list of pieces _emit made."""
+    out = []
+    _emit(data, 0, out)
+    out.append("\n")
+    return out
 
 
 def dumps(data: dict) -> str:
     """Render a document to its canonical byte-stable JSON text."""
-    return _emit(data, 0) + "\n"
+    return "".join(_pieces(data))
 
 
 def _write_file(path, data: dict) -> None:
-    text = dumps(data)  # before open empties the file
+    pieces = _pieces(data)  # before open empties the file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
+
+
+_HASH_BLOCK = 1 << 18
 
 
 def sha256_of_file(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    """The file's SHA-256, read block by block into one buffer."""
+    digest, block = hashlib.sha256(), bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,9 @@ class MarkerGrid:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise ValueError("grid needs at least 2 rows and 2 cols")
+        # numpy refuses any array of more than intp.max bytes: here 3 float64s per marker
+        if self.rows * self.cols * 3 * 8 > np.iinfo(np.intp).max:
+            raise ValueError("grid has more markers than an array can hold")
         if self.pitch <= 0.0:
             raise ValueError("pitch must be positive")
         if self.dome_height is None:

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import warnings
 from importlib import resources
 
 import hypothesis.strategies as st
@@ -90,6 +91,31 @@ def test_estimate_line_with_n0(tmp_path):
     report = read_report(report_path)
     np.testing.assert_allclose(report.estimate.direction, [1, 0, 0], atol=1e-9)
     np.testing.assert_allclose(report.estimate.point, [0, 2, -3], atol=1e-9)
+
+
+@pytest.mark.parametrize("n0", ["nan,0,1", "0,inf,1", "-inf,0,0", "0,1e999,1"])
+def test_non_finite_n0_exits_2_before_the_log_is_read(tmp_path, capsys, n0):
+    # the log does not exist: reading it first would exit 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--type", "line", "--log", str(tmp_path / "missing.json"),
+                  "--n0=" + n0, "--out", str(tmp_path / "r.json")])
+    assert excinfo.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scaled, plain", [("1e308,1e308,0", "1,1,0"), ("0,0,1e308", "0,0,1"),
+                                           ("1e-320,0,1e-320", "1,0,1")])
+def test_n0_is_read_at_any_scale(tmp_path, scaled, plain):
+    log = simulate(tmp_path, "box_on_edge")
+    reports = []
+    for k, n0 in enumerate((scaled, plain)):
+        out = tmp_path / f"report{k}.json"
+        assert main(["estimate", "--type", "line", "--log", str(log),
+                     "--n0=" + n0, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_missing_input_file_exits_3(tmp_path, capsys):
@@ -255,6 +281,21 @@ def test_scenario_number_of_another_json_type_exits_3(tmp_path, capsys, keys, ki
         assert main(command) == 3, command
         err = capsys.readouterr().err
         assert "invalid input" in err and field in err, err
+    assert not (tmp_path / "log.json").exists()
+
+
+@pytest.mark.parametrize("rows", [10**400, 2**62], ids=["10**400", "2**62"])
+def test_grid_no_array_can_hold_exits_3(tmp_path, capsys, rows):
+    import pathlib
+    data = json.loads(pathlib.Path(scenario_path("box_on_edge")).read_text())
+    data["grid"]["rows"] = rows
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in (["simulate", "--scenario", str(bad), "--out", str(tmp_path / "log.json")],
+                    ["roundtrip", "--scenario", str(bad)]):
+        assert main(command) == 3, command
+        err = capsys.readouterr().err
+        assert "invalid input: grid:" in err, err
     assert not (tmp_path / "log.json").exists()
 
 

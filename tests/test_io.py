@@ -7,6 +7,7 @@ import math
 import pathlib
 import tempfile
 import textwrap
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -22,7 +23,7 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     register_sequence, write_marker_log, write_motion_sequence, write_report,
                     write_scenario, write_truth)
 from tacloc.cli import main
-from tacloc.io import _number, dumps
+from tacloc.io import _HASH_BLOCK, _number, dumps, sha256_of_file
 
 GOLDEN_LOG = textwrap.dedent("""\
     {
@@ -624,6 +625,38 @@ def test_failed_write_leaves_the_file_as_it_was(roundtrip_files, tmp_path):
     with pytest.raises(NonFiniteValue):
         write_report(path, bad)
     assert path.read_bytes() == before
+
+
+def _traced_peak(call) -> int:
+    """The most bytes call had allocated at once, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_a_marker_log_holds_little_more_than_its_text(tmp_path):
+    # a writer that copies the document per nesting level peaks at 3x the file
+    rng = np.random.default_rng(17)
+    log = MarkerLog(tuple(MarkerFrame(rng.standard_normal((400, 3)), k) for k in range(20)))
+    path = tmp_path / "log.json"
+    write_marker_log(path, log)
+    first = path.read_bytes()
+    peak = _traced_peak(lambda: write_marker_log(path, log))
+    assert path.read_bytes() == first
+    assert peak < 1.5 * len(first), peak / len(first)
+
+
+@pytest.mark.parametrize("size", [0, 1, _HASH_BLOCK, 8 * _HASH_BLOCK, 8 * _HASH_BLOCK + 12345])
+def test_sha256_of_file_hashes_block_by_block(tmp_path, size):
+    path = tmp_path / "data.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    digest = []
+    peak = _traced_peak(lambda: digest.append(sha256_of_file(path)))
+    assert digest == [hashlib.sha256(path.read_bytes()).hexdigest()]
+    assert peak < 2 * _HASH_BLOCK
 
 
 # ---------------------------------------------------------------------------

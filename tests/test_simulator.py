@@ -41,6 +41,15 @@ def test_grid_pose_is_applied():
     np.testing.assert_allclose(posed, pose.transform(flat), atol=1e-12)
 
 
+def test_grid_must_fit_in_an_array():
+    # constructing a grid allocates nothing, so the bound is tested at its edge
+    largest = np.iinfo(np.intp).max // (2 * 3 * 8)
+    assert MarkerGrid(rows=largest, cols=2).rows == largest
+    for rows in (largest + 1, 2**62, 10**400):
+        with pytest.raises(ValueError, match="more markers than an array can hold"):
+            MarkerGrid(rows=rows, cols=2)
+
+
 def test_identical_seeds_give_identical_frames():
     a, _ = generate(pivot_config(noise_sigma=0.02, seed=5))
     b, _ = generate(pivot_config(noise_sigma=0.02, seed=5))
