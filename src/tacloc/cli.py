@@ -32,7 +32,7 @@ from .io import (EstimateReport, MarkerLog, read_marker_log, read_report,
                  read_scenario, sha256_of_file, write_marker_log,
                  write_motion_sequence, write_report, write_truth)
 from .motion import MotionSequence
-from .registration import register_frames
+from .registration import register_sequence
 from .simulate import generate
 
 EXIT_OK = 0
@@ -136,7 +136,7 @@ def _simulate(config, log_path, truth_path) -> None:
 
 def _register(log: MarkerLog, out) -> MotionSequence:
     """Register the log once, write the motions with their fit RMS, return them."""
-    motions = dataclasses.replace(register_frames(log.frames), units=log.units)
+    motions = dataclasses.replace(register_sequence(log.frames), units=log.units)
     write_motion_sequence(out, motions)
     print(f"registered {len(log)} frames; worst fit rms {max(motions.rms_errors):.3g} {log.units}")
     return motions
@@ -179,7 +179,7 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
         if not args.n0.any():
             parser.error("--n0 must be nonzero")
     config = _config_from_args(args)  # a usage error comes before reading the log
-    motions = register_frames(read_marker_log(args.log).frames)
+    motions = register_sequence(read_marker_log(args.log).frames)
     _estimate(motions, kind, args.n0, config, args.strict, args.log, args.out)
 
 

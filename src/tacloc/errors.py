@@ -7,28 +7,24 @@ class TaclocError(Exception):
     """Base class for all tacloc errors."""
 
 
-class MismatchedFrames(TaclocError):
+class _FrameError(TaclocError):
+    """An error that names the frame at fault, when there is one."""
+
+    def __init__(self, message: str, frame_index: int | None = None):
+        super().__init__(message)
+        self.frame_index = frame_index
+
+
+class MismatchedFrames(_FrameError):
     """Marker frames disagree in marker count."""
 
-    def __init__(self, message: str, frame_index: int | None = None):
-        super().__init__(message)
-        self.frame_index = frame_index
 
-
-class TooFewMarkers(TaclocError):
+class TooFewMarkers(_FrameError):
     """Fewer than three markers; rigid registration is undefined."""
 
-    def __init__(self, message: str, frame_index: int | None = None):
-        super().__init__(message)
-        self.frame_index = frame_index
 
-
-class DegenerateMarkers(TaclocError):
+class DegenerateMarkers(_FrameError):
     """Marker covariance rank below 2; the rotation is unobservable."""
-
-    def __init__(self, message: str, frame_index: int | None = None):
-        super().__init__(message)
-        self.frame_index = frame_index
 
 
 class TooFewFrames(TaclocError):

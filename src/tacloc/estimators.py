@@ -137,21 +137,21 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / _row_norms(vectors)[:, None]
 
 
-def fixed_point_residuals(motions, point) -> np.ndarray:
+def fixed_point_residuals(motions: MotionSequence, point) -> np.ndarray:
     """Per-frame distance the candidate pivot moves, over the moving frames."""
     point = np.asarray(point, dtype=float)
     rotations, translations = _moving_stack(motions)
     return _row_norms(rotations @ point + translations - point)
 
 
-def fixed_direction_residuals(motions, direction) -> np.ndarray:
+def fixed_direction_residuals(motions: MotionSequence, direction) -> np.ndarray:
     """Per-frame change of the candidate body direction, over the moving frames."""
     direction = np.asarray(direction, dtype=float)
     rotations, _ = _moving_stack(motions)
     return _row_norms((rotations - _EYE3) @ direction)
 
 
-def line_contact_residuals(motions, surface_normal, point) -> np.ndarray:
+def line_contact_residuals(motions: MotionSequence, surface_normal, point) -> np.ndarray:
     """Per-frame out-of-plane displacement of the candidate edge point.
 
     surface_normal is the contacting face's normal in the initial frame; the
@@ -321,14 +321,14 @@ def estimate_line_contact(motions: MotionSequence, n0,
         IllConditioned: only in strict mode, when the estimate is not well
             posed.
     """
-    _moving_or_raise(motions, config)
+    rotations, _ = _moving_or_raise(motions, config)
     track = propagate_plane(n0, np.zeros(3), motions)
     direction = estimate_line_direction(track, config)
     point, rows = _line_point(motions, track, direction, config)
     # a second factorization: lstsq's singular values differ from these in the last bits
     sing = np.linalg.svd(rows, compute_uv=False)
     cond = float(sing[0] / sing[1]) if sing[1] > 0.0 else math.inf
-    report = _conditioning(motions.max_rotation_angle(), float(sing[1]), cond, config, strict)
+    report = _conditioning(_max_rotation_angle(rotations), float(sing[1]), cond, config, strict)
 
     return _estimate(ContactKind.LINE, point, direction,
                      line_contact_residuals(motions, np.asarray(n0, dtype=float), point), report)

@@ -11,9 +11,12 @@ positions, each as a few array operations. The first bad entry in frame
 order raises the error its own constructor would raise. The per-frame
 objects are then read-only views into the checked stacks, and a
 MotionSequence keeps the stacks it was built from, so the estimators read
-them instead of gathering every motion's arrays again. The single-object
-constructors run the same checks on a stack of one: orthonormalize (and so
-RelativeMotion) runs _proper_rotations, and MarkerFrame runs _frame_stack.
+them instead of gathering every motion's arrays again. A MotionSequence is
+the only motion input the estimators and residual functions take, and its
+moving frames are its entries after a leading frame-0 entry (_moving_stack).
+The single-object constructors run the same checks on a stack of one:
+orthonormalize (and so RelativeMotion) runs _proper_rotations, and
+MarkerFrame runs _frame_stack.
 """
 
 from __future__ import annotations
@@ -191,22 +194,17 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _stack(motions) -> tuple:
-    """The rotations (N, 3, 3) and translations (N, 3) of `motions`: a
-    MotionSequence's own stacks, or two new arrays for any other iterable."""
-    if isinstance(motions, MotionSequence):
-        return motions.rotations, motions.translations
-    motions = tuple(motions)  # read twice below; a generator would be empty the second time
-    return (np.array([m.rotation for m in motions]).reshape(-1, 3, 3),
-            np.array([m.translation for m in motions]).reshape(-1, 3))
+    """A MotionSequence's rotations (N, 3, 3) and translations (N, 3) stacks."""
+    if not isinstance(motions, MotionSequence):
+        raise TypeError(f"expected a MotionSequence, got {type(motions).__name__}")
+    return motions.rotations, motions.translations
 
 
 def _moving_stack(motions) -> tuple:
-    """_stack of the moving frames: a MotionSequence's stacks without its
-    frame-0 reference entry, or any other iterable of motions taken whole."""
+    """_stack of the moving frames: without the leading entry when it is frame 0."""
     rotations, translations = _stack(motions)
-    if isinstance(motions, MotionSequence) and motions and motions[0].frame_index == 0:
-        return rotations[1:], translations[1:]  # indices increase, so only the first can be 0
-    return rotations, translations
+    start = 1 if motions and motions[0].frame_index == 0 else 0  # only the first can be frame 0
+    return rotations[start:], translations[start:]
 
 
 def _max_rotation_angle(rotations: np.ndarray) -> float:
@@ -215,10 +213,8 @@ def _max_rotation_angle(rotations: np.ndarray) -> float:
     arccos decreases, so this is one math.acos of the smallest cosine, equal
     bit for bit to the largest per-matrix angle.
     """
-    if not len(rotations):
-        return 0.0
     cos_theta = (np.trace(rotations, axis1=1, axis2=2) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, float(cos_theta.min()))))
+    return math.acos(min(1.0, max(-1.0, float(cos_theta.min(initial=1.0)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +319,8 @@ class MotionSequence:
         for m in motions:
             if not isinstance(m, RelativeMotion):
                 raise TypeError(f"expected RelativeMotion, got {type(m).__name__}")
-        rotations, translations = _stack(motions)
-        self._keep(motions, _frozen(rotations), _frozen(translations))
+        self._keep(motions, _frozen(np.array([m.rotation for m in motions]).reshape(-1, 3, 3)),
+                   _frozen(np.array([m.translation for m in motions]).reshape(-1, 3)))
 
     @classmethod
     def _of_stacks(cls, rotations: np.ndarray, translations: np.ndarray, frame_indices,

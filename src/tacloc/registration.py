@@ -3,14 +3,12 @@
 The solve is the classic SVD fit between two 3-D point sets: centroids are
 removed, the 3x3 cross-covariance is decomposed, and the reflection case is
 repaired by flipping the singular direction with the smallest singular
-value. The solve runs once over the whole sequence: the frames are stacked
-to (N, M, 3), their N cross-covariances are one broadcast matmul and one
-np.linalg.svd over the (N, 3, 3) stack, and register() is that same solve
-on a stack of one. register_frames builds its MotionSequence straight from
-the solve's rotation and translation stacks, checked once as stacks, so its
-motions are read-only views into them; only register() wraps its one fit
-in a RegistrationResult. Marker correspondence is assumed given (markers
-are tracked upstream); there is no correspondence search.
+value. It runs once over a whole sequence, as one broadcast matmul and one
+np.linalg.svd over the (N, 3, 3) cross-covariances; register() is that solve
+on a stack of one. register_sequence, the one sequence registration, builds
+its MotionSequence straight from the solved stacks, checked once, so its
+motions are read-only views into them. Marker correspondence is assumed
+given (markers are tracked upstream); there is no correspondence search.
 """
 
 from __future__ import annotations
@@ -46,8 +44,7 @@ class RegistrationResult:
             raise ValueError(f"marker_covariance_rank must be in 0..3, got {self.marker_covariance_rank}")
 
 
-def register(reference: MarkerFrame, current: MarkerFrame,
-             rank_tolerance: float = RANK_TOLERANCE) -> RegistrationResult:
+def register(reference: MarkerFrame, current: MarkerFrame) -> RegistrationResult:
     """Fit the proper rigid motion taking `reference` markers onto `current`.
 
     Minimizes the summed squared distances between moved reference markers
@@ -61,20 +58,19 @@ def register(reference: MarkerFrame, current: MarkerFrame,
         DegenerateMarkers: marker covariance rank < 2 (collinear or
             coincident markers) — the rotation is unobservable.
     """
-    rotation, translation, rms, rank = _register_all(reference, [current], rank_tolerance)
+    rotation, translation, rms, rank = _register_all(reference, [current])
     return RegistrationResult(motion=RelativeMotion(rotation[0], translation[0],
                                                     current.frame_index),
                               rms_error=float(rms[0]), marker_covariance_rank=int(rank[0]))
 
 
-def _register_all(reference: MarkerFrame, frames, rank_tolerance: float) -> tuple:
+def _register_all(reference: MarkerFrame, frames) -> tuple:
     """register(reference, frame) for every frame, as one solve over the whole stack.
 
-    Returns the fits as stacks: rotations (N, 3, 3), translations (N, 3),
-    RMS errors (N,) and covariance ranks (N,). The checks run as register
-    would run them frame by frame, so an error names the first bad frame:
-    the reference's marker count, then, for each frame in turn, its marker
-    count and its degeneracy.
+    Returns rotations (N, 3, 3), translations (N, 3), RMS errors (N,) and
+    covariance ranks (N,). An error names the first bad frame, as register
+    frame by frame would: the reference's marker count, then each frame's
+    marker count and degeneracy in turn.
     """
     if not frames:
         return np.empty((0, 3, 3)), np.empty((0, 3)), np.empty(0), np.empty(0, dtype=int)
@@ -84,7 +80,7 @@ def _register_all(reference: MarkerFrame, frames, rank_tolerance: float) -> tupl
                             frame_index=reference.frame_index)
     # frames before the first count mismatch stack; a degenerate one among them comes first
     n_ok = next((k for k, f in enumerate(frames) if f.marker_count != count), len(frames))
-    results = _solve(reference.positions, frames[:n_ok], rank_tolerance) if n_ok else None
+    results = _solve(reference.positions, frames[:n_ok]) if n_ok else None
     if n_ok < len(frames):
         bad = frames[n_ok]
         raise MismatchedFrames(
@@ -94,7 +90,7 @@ def _register_all(reference: MarkerFrame, frames, rank_tolerance: float) -> tupl
     return results
 
 
-def _solve(ref: np.ndarray, frames, rank_tolerance: float) -> tuple:
+def _solve(ref: np.ndarray, frames) -> tuple:
     """The SVD fit of ref onto each frame, batched over the (N, 3, 3) cross-covariances."""
     cur = np.stack([f.positions for f in frames])
     ref_centroid = ref.mean(axis=0)
@@ -103,7 +99,7 @@ def _solve(ref: np.ndarray, frames, rank_tolerance: float) -> tuple:
     cross_cov = (ref - ref_centroid).T @ (cur - cur_centroid[:, None])
     u, sing, vt = np.linalg.svd(cross_cov)
 
-    rank = np.count_nonzero(sing > rank_tolerance * sing[:, :1], axis=1) * (sing[:, 0] > 0.0)
+    rank = np.count_nonzero(sing > RANK_TOLERANCE * sing[:, :1], axis=1) * (sing[:, 0] > 0.0)
     degenerate = np.nonzero(rank < 2)[0]
     if degenerate.size:
         k = degenerate[0]
@@ -124,19 +120,14 @@ def _solve(ref: np.ndarray, frames, rank_tolerance: float) -> tuple:
     return rotation, translation, rms, rank
 
 
-def register_frames(frames, rank_tolerance: float = RANK_TOLERANCE) -> MotionSequence:
-    """Register every frame of a sequence against frames[0], which maps to the
-    identity; each fit's RMS (0 for frames[0]) goes in the result's rms_errors."""
-    rotations, translations, rms, _ = _register_all(frames[0], frames[1:], rank_tolerance)
+def register_sequence(frames) -> MotionSequence:
+    """Register each of one or more frames against the first, which maps to the identity;
+    each fit's RMS (0 for the first) goes in rms_errors. Errors name the frame at fault."""
+    frames = list(frames)
+    if not frames:
+        raise ValueError("need at least 1 frame, got 0")
+    rotations, translations, rms, _ = _register_all(frames[0], frames[1:])
     return MotionSequence._of_stacks(np.concatenate([_EYE3[None], rotations]),
                                      np.concatenate([np.zeros((1, 3)), translations]),
                                      [f.frame_index for f in frames],
                                      rms_errors=(0.0, *rms.tolist()))
-
-
-def register_sequence(frames, rank_tolerance: float = RANK_TOLERANCE) -> MotionSequence:
-    """register_frames for at least two frames; errors name the frame at fault."""
-    frames = list(frames)
-    if len(frames) < 2:
-        raise ValueError(f"need at least 2 frames, got {len(frames)}")
-    return register_frames(frames, rank_tolerance)

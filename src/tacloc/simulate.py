@@ -246,13 +246,12 @@ def _truth_stacks(contact, schedule) -> tuple:
 
 
 def constraint_residuals(truth: ScenarioTruth) -> np.ndarray:
-    """Per-frame residual of the generating constraint, aligned with truth.motions.
+    """Per-frame residual of the generating constraint over truth.motions' moving frames.
 
     Valid truths satisfy their constraint to within TRUTH_RESIDUAL_TOL by
     construction; a corrupted motion shows up as a nonzero entry.
     """
-    # the plain tuple keeps frame 0, which a MotionSequence's residuals skip
-    return truth.contact_geometry.residuals(truth.motions.motions)
+    return truth.contact_geometry.residuals(truth.motions)
 
 
 def generate(config: ScenarioConfig):

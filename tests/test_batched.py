@@ -23,7 +23,7 @@ from tacloc import (DegenerateMarkers, EdgeContact, FixedDirectionContact,
                     TaclocError, TooFewMarkers, estimate_fixed_direction,
                     estimate_fixed_point, estimate_line_contact, estimate_line_point,
                     generate, propagate_plane, read_scenario, register,
-                    register_frames, register_sequence, rotation_about_axis)
+                    register_sequence, rotation_about_axis)
 from tacloc.estimators import (_canonical_sign, fixed_direction_residuals,
                                fixed_point_residuals, line_contact_residuals)
 from tacloc.motion import (ROTATION_TOL, _marker_frames, _proper_rotations, orthonormalize,
@@ -235,7 +235,7 @@ def test_generate_matches_the_frame_loop(name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_register_frames_matches_the_register_loop(name):
     frames, _ = generate(CONFIGS[name]())
-    motions = register_frames(frames)
+    motions = register_sequence(frames)
     want = _reference_register_frames(frames)
     assert_same_motions(motions[1:], [m for m, _, _ in want])
     assert motions.rms_errors == (0.0, *(rms for _, rms, _ in want))
@@ -247,7 +247,7 @@ def test_register_frames_matches_the_register_loop(name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_estimator_stacks_match_the_per_frame_forms(name):
     config = CONFIGS[name]()
-    motions = register_frames(generate(config)[0])
+    motions = register_sequence(generate(config)[0])
     moving = motions.moving()
     point = np.array([1.5, -2.0, 4.0])
     direction = np.array([1.0, 2.0, 2.0]) / 3.0
@@ -274,7 +274,7 @@ def test_estimator_stacks_match_the_per_frame_forms(name):
 def test_estimates_match_the_per_frame_systems(name):
     """Each estimate from its system built frame by frame, as the loops built it."""
     config = CONFIGS[name]()
-    motions = register_frames(generate(config)[0])
+    motions = register_sequence(generate(config)[0])
     moving = motions.moving()
     max_angle = max(rotation_angle(m) for m in moving)
 
@@ -297,7 +297,7 @@ def test_estimates_match_the_per_frame_systems(name):
 @pytest.mark.parametrize("name", ["box_on_edge", "box_on_edge_noisy", "long_line"])
 def test_line_estimate_matches_the_full_svd(name):
     config = CONFIGS[name]()
-    motions = register_frames(generate(config)[0])
+    motions = register_sequence(generate(config)[0])
     n0 = config.contact.surface_normal
     est = estimate_line_contact(motions, n0)
 
@@ -333,7 +333,7 @@ def _per_frame(frames):
 
 
 def _batched(frames):
-    seq = register_frames(frames)
+    seq = register_sequence(frames)
     return [(m.rotation, m.translation, rms) for m, rms in zip(seq[1:], seq.rms_errors[1:])]
 
 
@@ -397,8 +397,7 @@ def test_errors_name_the_first_bad_frame_in_frame_order(case, error, frame_index
     frames = _error_case(case)
     want = _outcome(_per_frame, frames)
     assert want[:2] == (error, frame_index)
-    for register_all in (register_frames, register_sequence):
-        assert _outcome(register_all, frames) == want
+    assert _outcome(register_sequence, frames) == want
 
 
 def test_orthonormalize_matches_the_reference_outcomes():
@@ -445,7 +444,7 @@ def test_schedule_errors_name_the_first_bad_step():
 
 def test_a_one_frame_sequence_needs_no_registration():
     # no moving frame: nothing is registered, so even a 2-marker reference passes
-    seq = register_frames([MarkerFrame(np.zeros((2, 3)), 0)])
+    seq = register_sequence([MarkerFrame(np.zeros((2, 3)), 0)])
     assert isinstance(seq, MotionSequence) and len(seq) == 1 and seq.rms_errors == (0.0,)
 
 
@@ -543,9 +542,9 @@ def _stacked_frames(positions, frame_indices):
 
 def _raw_stacks(config):
     """The truth, frame and registration stacks of one config, as generate and
-    register_frames build them before any check."""
+    register_sequence build them before any check."""
     frames, _ = generate(config)
-    rotations, translations, rms, _ = _register_all(frames[0], frames[1:], RANK_TOLERANCE)
+    rotations, translations, rms, _ = _register_all(frames[0], frames[1:])
     return {
         "truth": (*_truth_stacks(config.contact, config.schedule), list(range(len(frames)))),
         "registered": (np.concatenate([np.eye(3)[None], rotations]),
@@ -573,7 +572,7 @@ def test_stacks_checked_once_match_the_per_object_constructors(name):
     config = CONFIGS[name]()
     raw = _raw_stacks(config)
     frames, truth = generate(config)
-    registered = register_frames(frames)
+    registered = register_sequence(frames)
 
     want = _reference_sequence(*_copies(raw["truth"]))
     assert_same_rows(_stacked_sequence(*_copies(raw["truth"])), want)
@@ -751,7 +750,7 @@ def test_each_rotation_kind_lands_on_its_side_of_the_check(kind):
 def test_stack_views_stay_read_only():
     config = CONFIGS["pivot_point_noisy"]()
     frames, truth = generate(config)
-    registered = register_frames(frames)
+    registered = register_sequence(frames)
     assert frames[1].positions.base is frames[-1].positions.base  # one stack, viewed
     arrays = [frames[0].positions, frames[1].positions, frames[-1].positions]
     for seq in (truth.motions, registered):

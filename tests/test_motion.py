@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from tacloc import (MarkerFrame, MotionSequence, RelativeMotion, compose,
-                    inverse, orthonormalize, rotation_about_axis,
-                    rotation_angle)
+from tacloc import (FixedPointContact, MarkerFrame, MotionSequence, RelativeMotion,
+                    ScenarioTruth, TooFewFrames, compose, constraint_residuals,
+                    estimate_fixed_direction, estimate_fixed_point, estimate_line_contact,
+                    estimate_line_point, fixed_direction_residuals, fixed_point_residuals,
+                    inverse, line_contact_residuals, orthonormalize, propagate_plane,
+                    rotation_about_axis, rotation_angle)
 
 
 def random_rotation(rng):
@@ -163,3 +166,48 @@ def test_motion_sequence_ordering_and_identity_rules():
     with pytest.raises(ValueError):
         MotionSequence((bad0, m1))  # frame 0 must be the identity
     assert MotionSequence(()).max_rotation_angle() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# A MotionSequence is the only motion input of every motion consumer: a list
+# or tuple of the same motions would count the frame-0 identity as moving.
+
+
+def _pivot_sequence():
+    """Frame 0 plus two moving frames about the pivot (1, 2, 3)."""
+    return MotionSequence((RelativeMotion.identity(0),
+                           RelativeMotion.about_line((1, 0, 0), 0.3, (1, 2, 3), frame_index=1),
+                           RelativeMotion.about_line((0, 1, 0), 0.2, (1, 2, 3), frame_index=2)))
+
+
+MOTION_CONSUMERS = {
+    "estimate_fixed_point": estimate_fixed_point,
+    "estimate_fixed_direction": estimate_fixed_direction,
+    "estimate_line_contact": lambda m: estimate_line_contact(m, (0, 0, 1)),
+    "fixed_point_residuals": lambda m: fixed_point_residuals(m, (1, 2, 3)),
+    "fixed_direction_residuals": lambda m: fixed_direction_residuals(m, (0, 0, 1)),
+    "line_contact_residuals": lambda m: line_contact_residuals(m, (0, 0, 1), (1, 2, 3)),
+    "propagate_plane": lambda m: propagate_plane((0, 0, 1), (0, 0, 0), m),
+    "estimate_line_point": lambda m: estimate_line_point(
+        m, propagate_plane((0, 0, 1), (0, 0, 0), _pivot_sequence()), (1, 0, 0)),
+    "constraint_residuals": lambda m: constraint_residuals(
+        ScenarioTruth(motions=m, contact_geometry=FixedPointContact((1, 2, 3)))),
+}
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+@pytest.mark.parametrize("consumer", sorted(MOTION_CONSUMERS))
+def test_motion_consumers_take_only_a_motion_sequence(consumer, container):
+    with pytest.raises(TypeError, match="MotionSequence"):
+        MOTION_CONSUMERS[consumer](container(_pivot_sequence()))
+
+
+def test_motion_consumers_count_only_the_moving_frames():
+    seq = _pivot_sequence()
+    with pytest.raises(TooFewFrames):
+        estimate_fixed_point(seq)  # two moving frames, min_frames 3
+    assert len(fixed_point_residuals(seq, (1, 2, 3))) == 2
+    assert len(constraint_residuals(
+        ScenarioTruth(motions=seq, contact_geometry=FixedPointContact((1, 2, 3))))) == 2
+    # without a frame-0 entry, every motion is a moving frame
+    assert len(fixed_point_residuals(MotionSequence(seq.moving()), (1, 2, 3))) == 2

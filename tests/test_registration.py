@@ -174,4 +174,25 @@ def test_register_sequence_recovers_every_frame():
         assert np.linalg.norm(got.rotation - want.rotation) <= 1e-9
 
     with pytest.raises(ValueError):
-        register_sequence(frames[:1])
+        register_sequence([])
+
+
+@pytest.mark.parametrize("positions", [grid_markers(), np.zeros((2, 3))])
+def test_register_sequence_of_one_frame_is_the_identity_only(positions):
+    # no moving frame: nothing is registered, so even a 2-marker frame passes
+    motions = register_sequence([MarkerFrame(positions, 0)])
+    assert len(motions) == 1 and motions.rms_errors == (0.0,)
+    assert motions[0].frame_index == 0 and motions[0].is_identity(tol=0.0)
+
+
+def test_register_sequence_takes_any_iterable_of_frames():
+    rng = np.random.default_rng(15)
+    truths = [RelativeMotion.identity(0)] + [random_motion(rng, k) for k in range(1, 4)]
+    frames = [MarkerFrame(m.transform(grid_markers()), m.frame_index) for m in truths]
+    from_list = register_sequence(frames)
+    from_generator = register_sequence(f for f in frames)
+    assert from_generator.rms_errors == from_list.rms_errors
+    assert np.array_equal(from_generator.rotations, from_list.rotations)
+    assert np.array_equal(from_generator.translations, from_list.translations)
+    with pytest.raises(ValueError):
+        register_sequence(iter([]))

@@ -136,7 +136,7 @@ def test_constraint_residuals_are_tiny_for_valid_truth():
     ]:
         _, truth = generate(ScenarioConfig(contact=contact, schedule=steps, seed=0))
         residuals = constraint_residuals(truth)
-        assert residuals[0] == 0.0  # frame 0 is the identity
+        assert len(residuals) == len(truth.motions) - 1  # the moving frames only
         assert np.max(residuals) <= 1e-12
 
 
