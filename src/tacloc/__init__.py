@@ -22,12 +22,12 @@ from .estimators import (EstimatorConfig, PlaneTrack,
                          estimate_line_point, fixed_direction_residuals,
                          fixed_point_residuals, line_contact_residuals,
                          propagate_plane)
-from .io import (EstimateReport, MarkerLog, read_marker_log,
-                 read_motion_sequence, read_report, read_scenario,
-                 read_truth, write_marker_log, write_motion_sequence,
-                 write_report, write_scenario, write_truth)
-from .motion import (MarkerFrame, MotionSequence, RelativeMotion, compose,
-                     inverse, orthonormalize, rotation_about_axis,
+from .io import (EstimateReport, read_marker_log, read_motion_sequence,
+                 read_report, read_scenario, read_truth, write_marker_log,
+                 write_motion_sequence, write_report, write_scenario,
+                 write_truth)
+from .motion import (MarkerFrame, MarkerLog, MotionSequence, RelativeMotion,
+                     compose, inverse, orthonormalize, rotation_about_axis,
                      rotation_angle)
 from .registration import RegistrationResult, register, register_sequence
 from .simulate import (EdgeContact, FixedDirectionContact, FixedPointContact,

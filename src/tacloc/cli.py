@@ -13,10 +13,10 @@ error, 3 unreadable or invalid input file, 4 estimation failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,10 @@ from .errors import (InvalidSchedule, NonFiniteValue, ParseError,
 from .estimators import (EstimatorConfig, estimate_fixed_direction,
                          estimate_fixed_point, estimate_line_contact)
 from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace it by this name
-from .io import (EstimateReport, MarkerLog, read_marker_log, read_report,
-                 read_scenario, sha256_of_file, write_marker_log,
-                 write_motion_sequence, write_report, write_truth)
-from .motion import MotionSequence
+from .io import (EstimateReport, read_marker_log, read_report, read_scenario,
+                 sha256_of_file, write_marker_log, write_motion_sequence,
+                 write_report, write_truth)
+from .motion import MarkerLog, MotionSequence
 from .registration import register_sequence
 from .simulate import generate
 
@@ -127,16 +127,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _simulate(config, log_path, truth_path) -> None:
     """Write the scenario's marker log, and its truth when truth_path is set."""
-    frames, truth = generate(config)
-    write_marker_log(log_path, MarkerLog(tuple(frames), units=config.units))
+    log, truth = generate(config)
+    write_marker_log(log_path, log)
     if truth_path:
         write_truth(truth_path, truth)
-    print(f"wrote {len(frames)} frames of {frames[0].marker_count} markers to {log_path}")
+    print(f"wrote {len(log)} frames of {log[0].marker_count} markers to {log_path}")
 
 
 def _register(log: MarkerLog, out) -> MotionSequence:
     """Register the log once, write the motions with their fit RMS, return them."""
-    motions = dataclasses.replace(register_sequence(log.frames), units=log.units)
+    motions = register_sequence(log)
     write_motion_sequence(out, motions)
     print(f"registered {len(log)} frames; worst fit rms {max(motions.rms_errors):.3g} {log.units}")
     return motions
@@ -179,7 +179,7 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
         if not args.n0.any():
             parser.error("--n0 must be nonzero")
     config = _config_from_args(args)  # a usage error comes before reading the log
-    motions = register_sequence(read_marker_log(args.log).frames)
+    motions = register_sequence(read_marker_log(args.log))
     _estimate(motions, kind, args.n0, config, args.strict, args.log, args.out)
 
 
@@ -210,14 +210,10 @@ CHECKS = {
 
 def _cmd_roundtrip(args) -> int:
     estimator_config = _config_from_args(args)
-    if args.workdir:
-        workdir = Path(args.workdir)
+    with (nullcontext(args.workdir) if args.workdir
+          else tempfile.TemporaryDirectory(prefix="tacloc-roundtrip-")) as workdir:
+        workdir = Path(workdir)
         workdir.mkdir(parents=True, exist_ok=True)
-        cleanup = None
-    else:
-        cleanup = tempfile.TemporaryDirectory(prefix="tacloc-roundtrip-")
-        workdir = Path(cleanup.name)
-    try:
         config = read_scenario(args.scenario)
         checks = CHECKS[config.contact.kind]
         missing = [key for _, key, _ in checks if key not in config.tolerances]
@@ -242,9 +238,6 @@ def _cmd_roundtrip(args) -> int:
                   f"[{'ok' if ok else 'FAIL'}]")
         print(f"roundtrip {name}: {'FAIL' if failed else 'PASS'}")
         return EXIT_OUT_OF_TOLERANCE if failed else EXIT_OK
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
 
 
 def main(argv=None) -> int:

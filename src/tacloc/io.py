@@ -18,6 +18,7 @@ _load finds that the text may hold a true or false.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ import numpy as np
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import NonFiniteValue, ParseError, SchemaVersionMismatch
 from .estimators import EstimatorConfig
-from .motion import MotionSequence, RelativeMotion, _marker_frames
+from .motion import MarkerLog, MotionSequence, RelativeMotion, _marker_frames
 from .simulate import (EdgeContact, FixedDirectionContact, FixedPointContact,
                        MarkerGrid, MotionStep, ScenarioConfig, ScenarioTruth)
 
@@ -38,29 +39,6 @@ MOTIONS_SCHEMA = "tacloc.motions/1"
 SCENARIO_SCHEMA = "tacloc.scenario/1"
 TRUTH_SCHEMA = "tacloc.truth/1"
 REPORT_SCHEMA = "tacloc.report/1"
-
-
-@dataclass(frozen=True, eq=False)
-class MarkerLog:
-    """A recording: marker frames 0..N-1 with constant marker count."""
-
-    frames: tuple
-    units: str = "mm"
-
-    def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise ValueError("marker log needs at least one frame")
-        counts = {f.marker_count for f in frames}
-        indices = [f.frame_index for f in frames]
-        if indices != list(range(len(frames))):
-            raise ValueError(f"frame indices must be dense from 0, got {indices}")
-        if len(counts) != 1:
-            raise ValueError(f"marker count must be constant, got {sorted(counts)}")
-        object.__setattr__(self, "frames", frames)
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,17 +180,28 @@ def _may_hold_literal(text: str) -> bool:
 def _load(path, schema: str) -> tuple:
     """The document in path and whether its text may hold a true or false."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
+        try:
+            text = fh.read()
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
+        except (ValueError, RecursionError) as err:  # bad UTF-8, an over-long integer, deep nesting
+            raise ParseError(str(err)) from err
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object at top level, got {type(data).__name__}")
     found = data.get("schema")
     if found != schema:
         raise SchemaVersionMismatch(f"expected schema {schema!r}, found {found!r}")
     return data, _may_hold_literal(text)
+
+
+@contextlib.contextmanager
+def _invalid(context: str):
+    """Re-raise a ValueError from the block, a constructor's own check, as ParseError."""
+    try:
+        yield
+    except ValueError as err:
+        raise ParseError(f"{context}: {err}") from err
 
 
 def _require(data, key: str, context: str, kind: type = object):
@@ -371,10 +360,8 @@ def _contact_from_dict(raw: dict, literals: bool):
     if kind not in _CONTACTS:
         raise ParseError(f"unknown contact kind {kind!r}")
     cls = _CONTACTS[kind]
-    try:
+    with _invalid("contact"):
         return cls(*(_array(raw, f.name, "contact", (3,), literals) for f in fields(cls)))
-    except ValueError as err:
-        raise ParseError(f"contact: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +394,7 @@ def read_scenario(path) -> ScenarioConfig:
     data, literals = _load(path, SCENARIO_SCHEMA)
     raw_grid = _require(data, "grid", "scenario")
     raw_pose = _require(raw_grid, "pose", "grid")
-    try:
+    with _invalid("grid"):
         pose = RelativeMotion(_array(raw_pose, "rotation", "grid pose", (3, 3), literals),
                               _array(raw_pose, "translation", "grid pose", (3,), literals),
                               _require(raw_pose, "frame_index", "grid pose", int))
@@ -416,14 +403,12 @@ def read_scenario(path) -> ScenarioConfig:
                           pitch=_float(raw_grid, "pitch", "grid"),
                           pose=pose,
                           dome_height=_float(raw_grid, "dome_height", "grid"))
-    except ValueError as err:
-        raise ParseError(f"grid: {err}") from err
     steps = []
     for i, raw in enumerate(_entries(data, "schedule", "scenario")):
         context = f"schedule step {i}"
         angle = _float(raw, "angle", context)  # first: it checks that raw is an object
         axis, translation = raw.get("axis"), raw.get("translation")
-        try:
+        with _invalid(context):
             steps.append(MotionStep(
                 angle=angle,
                 axis=None if axis is None else _array(raw, "axis", context, (3,), literals),
@@ -431,13 +416,11 @@ def read_scenario(path) -> ScenarioConfig:
                 translation=(None if translation is None
                              else _array(raw, "translation", context, (3,), literals)),
             ))
-        except ValueError as err:
-            raise ParseError(f"{context}: {err}") from err
     contact = _contact_from_dict(_require(data, "contact", "scenario"), literals)
     tolerances = _require(data, "tolerances", "scenario", dict)
     for key in tolerances:
         _float(tolerances, key, "scenario tolerances")
-    try:
+    with _invalid("scenario"):
         return ScenarioConfig(
             contact=contact,
             grid=grid,
@@ -448,8 +431,6 @@ def read_scenario(path) -> ScenarioConfig:
             units=_require(data, "units", "scenario", str),
             tolerances=tolerances,
         )
-    except ValueError as err:
-        raise ParseError(f"scenario: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +488,7 @@ def read_report(path) -> EstimateReport:
     raw_est = _require(data, "estimate", "report")
     raw_cond = _require(raw_est, "conditioning", "estimate")
     raw_cn = _require(raw_cond, "condition_number", "conditioning")
-    try:
+    with _invalid("conditioning"):
         conditioning = ConditioningReport(
             max_rotation_angle=_float(raw_cond, "max_rotation_angle", "conditioning"),
             smallest_singular_value=_float(raw_cond, "smallest_singular_value", "conditioning"),
@@ -515,10 +496,8 @@ def read_report(path) -> EstimateReport:
                               else _float(raw_cond, "condition_number", "conditioning")),
             well_posed=_require(raw_cond, "well_posed", "conditioning", bool),
         )
-    except ValueError as err:
-        raise ParseError(f"conditioning: {err}") from err
     point, direction = raw_est.get("point"), raw_est.get("direction")
-    try:
+    with _invalid("estimate"):
         estimate = ContactEstimate(
             kind=ContactKind(_require(raw_est, "kind", "estimate")),
             point=None if point is None else _array(raw_est, "point", "estimate", (3,), literals),
@@ -528,15 +507,11 @@ def read_report(path) -> EstimateReport:
             per_frame_residuals=_array(data, "per_frame_residuals", "report", (None,), literals),
             conditioning=conditioning,
         )
-    except ValueError as err:
-        raise ParseError(f"estimate: {err}") from err
     raw_config = _require(data, "config", "report")
-    try:
+    with _invalid("config"):
         config = EstimatorConfig(
             **{key: _float(raw_config, key, "config")
                for key in ("angle_threshold", "cond_threshold", "rank_tolerance")},
             min_frames=_require(raw_config, "min_frames", "config", int))
-    except ValueError as err:
-        raise ParseError(f"config: {err}") from err
     return EstimateReport(estimate=estimate, config=config,
                           provenance=_require(data, "provenance", "report", dict))

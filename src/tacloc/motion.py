@@ -275,8 +275,7 @@ def inverse(m: RelativeMotion) -> RelativeMotion:
 
 def rotation_angle(m: RelativeMotion) -> float:
     """Geodesic rotation angle in [0, pi]: arccos((trace(R) - 1) / 2)."""
-    cos_theta = (np.trace(m.rotation) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, cos_theta)))
+    return _max_rotation_angle(m.rotation[None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,6 +294,32 @@ class MarkerFrame:
     @property
     def marker_count(self) -> int:
         return self.positions.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class MarkerLog:
+    """A recording in units: the sequence of marker frames 0..N-1, with constant marker count."""
+
+    frames: tuple
+    units: str = "mm"
+
+    def __post_init__(self):
+        frames = tuple(self.frames)
+        if not frames:
+            raise ValueError("marker log needs at least one frame")
+        counts = {f.marker_count for f in frames}
+        indices = [f.frame_index for f in frames]
+        if indices != list(range(len(frames))):
+            raise ValueError(f"frame indices must be dense from 0, got {indices}")
+        if len(counts) != 1:
+            raise ValueError(f"marker count must be constant, got {sorted(counts)}")
+        object.__setattr__(self, "frames", frames)
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, i):
+        return self.frames[i]
 
 
 @dataclass(frozen=True, eq=False)

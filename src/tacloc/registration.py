@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMarkers, MismatchedFrames, TooFewMarkers
-from .motion import _EYE3, MarkerFrame, MotionSequence, RelativeMotion
+from .motion import _EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion
 
 # Singular values below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-8
@@ -122,7 +122,9 @@ def _solve(ref: np.ndarray, frames) -> tuple:
 
 def register_sequence(frames) -> MotionSequence:
     """Register each of one or more frames against the first, which maps to the identity;
-    each fit's RMS (0 for the first) goes in rms_errors. Errors name the frame at fault."""
+    each fit's RMS (0 for the first) goes in rms_errors, and a MarkerLog's units in units
+    ("mm" for other frames). Errors name the frame at fault."""
+    units = frames.units if isinstance(frames, MarkerLog) else "mm"
     frames = list(frames)
     if not frames:
         raise ValueError("need at least 1 frame, got 0")
@@ -130,4 +132,4 @@ def register_sequence(frames) -> MotionSequence:
     return MotionSequence._of_stacks(np.concatenate([_EYE3[None], rotations]),
                                      np.concatenate([np.zeros((1, 3)), translations]),
                                      [f.frame_index for f in frames],
-                                     rms_errors=(0.0, *rms.tolist()))
+                                     rms_errors=(0.0, *rms.tolist()), units=units)

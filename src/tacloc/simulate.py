@@ -25,8 +25,8 @@ from .contact import ContactKind
 from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
-from .motion import (_EYE3, MarkerFrame, MotionSequence, RelativeMotion, _as_vector3,
-                     _marker_frames, _readonly, _rotations_about_axes, _row_norms)
+from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion,
+                     _as_vector3, _marker_frames, _readonly, _rotations_about_axes, _row_norms)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -255,7 +255,7 @@ def constraint_residuals(truth: ScenarioTruth) -> np.ndarray:
 
 
 def generate(config: ScenarioConfig):
-    """Generate (marker frames, exact truth) for one scenario.
+    """Generate (marker log in the scenario's units, exact truth) for one scenario.
 
     Deterministic given the seed. Raises InvalidSchedule when a scheduled
     motion violates the scenario's own contact constraint (for example a
@@ -289,5 +289,5 @@ def generate(config: ScenarioConfig):
         noise = np.random.default_rng(config.seed).normal(size=positions.shape)
         noise *= config.noise_sigma
         positions += noise
-    frames = [MarkerFrame(reference, 0), *_marker_frames(positions, range(1, len(rotations)))]
-    return frames, truth
+    frames = (MarkerFrame(reference, 0), *_marker_frames(positions, range(1, len(rotations))))
+    return MarkerLog(frames, units=config.units), truth

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 
 from tacloc import (MarkerFrame, MarkerLog, generate, read_report, read_scenario,
                     write_marker_log)
+from tacloc import cli
 from tacloc.cli import main
 from tacloc.simulate import MarkerGrid
 
@@ -118,6 +119,19 @@ def test_n0_is_read_at_any_scale(tmp_path, scaled, plain):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("n0, type_, message", [
+    ("1,2", "point", "expected x,y,z"),
+    ("a,b,c", "point", "could not convert"),
+    ("0,0,0", "line", "--n0 must be nonzero"),
+], ids=["two_entries", "not_numbers", "zero_line_normal"])
+def test_bad_n0_exits_2_before_the_log_is_read(tmp_path, capsys, n0, type_, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["estimate", "--type", type_, "--log", str(tmp_path / "missing.json"),
+              "--n0=" + n0, "--out", str(tmp_path / "r.json")])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_input_file_exits_3(tmp_path, capsys):
     assert main(["register", "--log", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out.json")]) == 3
@@ -149,6 +163,36 @@ def test_wrong_json_types_in_marker_log_exit_3(tmp_path, capsys):
         bad.write_text(json.dumps(data))
         assert main(["register", "--log", str(bad), "--out", str(tmp_path / "o.json")]) == 3
         assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b'{"schema": "tacloc.marker_log/1", "units": "mm", "frames": ' + b"1" * 5001 + b"}",
+    b"[" * 200_000,
+], ids=["not_utf8", "integer_beyond_digit_limit", "nesting_too_deep"])
+def test_undecodable_input_file_exits_3(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["register", "--log", str(bad), "--out", str(tmp_path / "o.json")]) == 3
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "Traceback" not in err
+
+
+def test_register_writes_the_sequence_register_sequence_returned(tmp_path, monkeypatch):
+    original, registered, written = cli.register_sequence, [], []
+
+    def register_sequence(frames):
+        registered.append(original(frames))
+        return registered[-1]
+    monkeypatch.setattr(cli, "register_sequence", register_sequence)
+    monkeypatch.setattr(cli, "write_motion_sequence",
+                        lambda path, motions: written.append(motions))
+    assert main(["register", "--log", str(simulate(tmp_path)),
+                 "--out", str(tmp_path / "motions.json")]) == 0
+    (motions,) = written
+    assert motions is registered[0]
+    # its motions still view the stacks registration built
+    assert all(np.shares_memory(m.rotation, motions.rotations) for m in motions)
 
 
 def test_wrong_schema_exits_3(tmp_path):

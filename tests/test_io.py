@@ -95,6 +95,13 @@ def test_parse_error_reports_line_and_column(tmp_path):
     assert excinfo.value.column is not None
 
 
+def test_a_top_level_array_is_a_parse_error(tmp_path):
+    path = tmp_path / "log.json"
+    path.write_text("[1]")
+    with pytest.raises(ParseError, match="expected a JSON object at top level, got list"):
+        read_marker_log(path)
+
+
 def test_schema_mismatch(tmp_path):
     path = tmp_path / "log.json"
     path.write_text('{"schema": "tacloc.marker_log/2", "units": "mm", "frames": []}')
@@ -580,6 +587,24 @@ def test_integers_beyond_64_bits_are_rejected_in_arrays(roundtrip_files, tmp_pat
     doc["motions"][1]["translation"][0] = 2**64
     with pytest.raises(ParseError, match="translation"):
         _read(doc, tmp_path)
+
+
+@pytest.mark.parametrize("source, path, value, message", [
+    ("box_on_edge", ["contact", "kind"], "wedge", "unknown contact kind 'wedge'"),
+    ("box_on_edge", ["contact", "surface_normal"], [1, 0, 0],
+     "contact: surface_normal must be perpendicular to the edge"),
+    ("pivot_point", ["schedule", 1, "axis"], [0, 0, 0], "schedule step 1: axis must be nonzero"),
+    ("report", ["estimate", "direction"], [2, 0, 0], "estimate: direction must be unit norm"),
+    ("report", ["config", "min_frames"], 0, "config: min_frames must be at least 1"),
+], ids=["unknown_contact_kind", "edge_normal_along_edge", "zero_axis", "direction_not_unit",
+        "min_frames_zero"])
+def test_a_value_its_type_rejects_is_a_parse_error_naming_its_context(
+        roundtrip_files, tmp_path, source, path, value, message):
+    doc = _document(roundtrip_files, source)
+    _container(doc, path)[path[-1]] = value
+    with pytest.raises(ParseError) as excinfo:
+        _read(doc, tmp_path)
+    assert str(excinfo.value).startswith(message)
 
 
 @pytest.mark.parametrize("source", ["motions", "truth"])

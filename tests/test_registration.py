@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from tacloc import (DegenerateMarkers, MarkerFrame, MismatchedFrames,
-                    MotionSequence, RelativeMotion, TooFewMarkers, register,
-                    register_sequence, rotation_about_axis)
+from tacloc import (DegenerateMarkers, MarkerFrame, MarkerLog, MismatchedFrames,
+                    MotionSequence, RelativeMotion, TooFewMarkers, read_marker_log,
+                    register, register_sequence, rotation_about_axis,
+                    write_marker_log)
 from tacloc.simulate import MarkerGrid
 
 
@@ -196,3 +197,20 @@ def test_register_sequence_takes_any_iterable_of_frames():
     assert np.array_equal(from_generator.translations, from_list.translations)
     with pytest.raises(ValueError):
         register_sequence(iter([]))
+
+
+def test_register_sequence_of_a_marker_log_keeps_its_units(tmp_path):
+    rng = np.random.default_rng(16)
+    truths = [RelativeMotion.identity(0)] + [random_motion(rng, k) for k in range(1, 4)]
+    frames = [MarkerFrame(m.transform(grid_markers()), m.frame_index) for m in truths]
+    path = tmp_path / "log.json"
+    write_marker_log(path, MarkerLog(frames, units="m"))
+    log = read_marker_log(path)
+    in_metres = register_sequence(log)
+    assert in_metres.units == "m"
+    # any other iterable of frames has no units of its own
+    in_default = register_sequence(list(log))
+    assert in_default.units == register_sequence(log.frames).units == "mm"
+    assert in_default.rms_errors == in_metres.rms_errors
+    assert np.array_equal(in_default.rotations, in_metres.rotations)
+    assert np.array_equal(in_default.translations, in_metres.translations)

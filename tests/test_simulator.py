@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tacloc import (EdgeContact, FixedDirectionContact, FixedPointContact,
-                    InvalidSchedule, MarkerGrid, MotionStep, RelativeMotion,
-                    ScenarioConfig, constraint_residuals, generate,
-                    rotation_about_axis)
+                    InvalidSchedule, MarkerGrid, MarkerLog, MotionStep,
+                    RelativeMotion, ScenarioConfig, constraint_residuals,
+                    generate, rotation_about_axis)
 
 PIVOT_STEPS = [MotionStep(angle=0.3, axis=(1, 0, 0)),
                MotionStep(angle=0.25, axis=(0, 1, 0)),
@@ -48,6 +48,18 @@ def test_grid_must_fit_in_an_array():
     for rows in (largest + 1, 2**62, 10**400):
         with pytest.raises(ValueError, match="more markers than an array can hold"):
             MarkerGrid(rows=rows, cols=2)
+
+
+@pytest.mark.parametrize("units", ["mm", "m"])
+def test_generate_returns_the_scenarios_marker_log(units):
+    log, truth = generate(pivot_config(units=units))
+    assert isinstance(log, MarkerLog)
+    assert log.units == truth.motions.units == units
+    # the log is the sequence of its frames
+    first, *rest = log
+    assert first is log[0] is log.frames[0] and len(rest) == len(log) - 1 == 3
+    assert log[1:] == log.frames[1:] and list(log) == list(log.frames)
+    assert [f.frame_index for f in log] == [0, 1, 2, 3]
 
 
 def test_identical_seeds_give_identical_frames():
