@@ -31,7 +31,7 @@ from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace i
 from .io import (EstimateReport, read_marker_log, read_report, read_scenario,
                  sha256_of_file, write_marker_log, write_motion_sequence,
                  write_report, write_truth)
-from .motion import MarkerLog, MotionSequence
+from .motion import MarkerLog, MotionSequence, _unit
 from .registration import register_sequence
 from .simulate import generate
 
@@ -46,18 +46,12 @@ TYPES = {"point": ContactKind.FIXED_POINT, "direction": ContactKind.FIXED_DIRECT
          "line": ContactKind.LINE}
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    """vec scaled to unit length; dividing by its largest entry first keeps the norm finite."""
-    vec = vec / np.abs(vec).max()
-    return vec / float(np.linalg.norm(vec))
-
-
 # contact kind -> its estimator, called as (motions, n0, config, strict), where
 # n0 is the contacting face normal at frame 0 (line contact only)
 ESTIMATORS = {
     ContactKind.FIXED_POINT: lambda m, n0, c, strict: estimate_fixed_point(m, c, strict),
     ContactKind.FIXED_DIRECTION: lambda m, n0, c, strict: estimate_fixed_direction(m, c, strict),
-    ContactKind.LINE: lambda m, n0, c, strict: estimate_line_contact(m, _unit(n0), c, strict),
+    ContactKind.LINE: lambda m, n0, c, strict: estimate_line_contact(m, _unit(n0, "n0"), c, strict),
 }
 
 
@@ -223,9 +217,8 @@ def _cmd_roundtrip(args) -> int:
         report_path = workdir / "report.json"
         _simulate(config, log_path, workdir / "truth.json")
         motions = _register(read_marker_log(log_path), workdir / "motions.json")
-        kind = config.contact.kind
-        n0 = config.contact.surface_normal if kind is ContactKind.LINE else None
-        _estimate(motions, kind, n0, estimator_config, False, log_path, report_path)
+        _estimate(motions, config.contact.kind, getattr(config.contact, "surface_normal", None),
+                  estimator_config, False, log_path, report_path)
 
         estimate = read_report(report_path).estimate
         name = config.name or Path(args.scenario).stem

@@ -28,7 +28,7 @@ import numpy as np
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import AmbiguousDirection, IllConditioned, RankDeficientBeyondLine, TooFewFrames
 from .motion import (_EYE3, MotionSequence, _as_vector3, _max_rotation_angle, _moving_stack,
-                     _readonly, _row_dots, _row_norms, _stack)
+                     _readonly, _row_dots, _row_norms, _stack, _unit, _unit_rows)
 
 UNIT_NORM_TOL = 1e-6
 
@@ -125,16 +125,12 @@ def _estimate(kind: ContactKind, point, direction, residuals: np.ndarray,
                            per_frame_residuals=residuals, conditioning=report)
 
 
-def _unit_or_raise(vec, name: str) -> np.ndarray:
+def _checked_unit(vec, name: str) -> np.ndarray:
     v = _as_vector3(vec, name)
-    norm = np.linalg.norm(v)
+    norm = np.linalg.norm(v) if np.abs(v).max() <= 2.0 else math.inf  # else the norm may overflow
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"{name} must be a unit vector, got norm {norm}")
-    return v if abs(norm - 1.0) <= 1e-12 else v / norm
-
-
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    return vectors / _row_norms(vectors)[:, None]
+    return _unit(v, name)
 
 
 def fixed_point_residuals(motions: MotionSequence, point) -> np.ndarray:
@@ -161,7 +157,7 @@ def line_contact_residuals(motions: MotionSequence, surface_normal, point) -> np
     n0 = np.asarray(surface_normal, dtype=float)
     point = np.asarray(point, dtype=float)
     rotations, translations = _moving_stack(motions)
-    normals = _unit_rows(rotations @ n0)
+    normals = _unit_rows(rotations @ n0, "surface_normal")
     return np.abs(_row_dots(normals, rotations @ point + translations - point))
 
 
@@ -235,10 +231,10 @@ def propagate_plane(n0, x0_hint, motions: MotionSequence) -> PlaneTrack:
     The plane with unit normal n0 through x0_hint is moved rigidly: the
     normal rotates, and the offset follows the transformed through-point.
     """
-    n0 = _unit_or_raise(n0, "n0")
+    n0 = _checked_unit(n0, "n0")
     x0 = _as_vector3(x0_hint, "x0_hint")
     rotations, translations = _stack(motions)
-    normals = _unit_rows(rotations @ n0)
+    normals = _unit_rows(rotations @ n0, "n0")
     return PlaneTrack(normals, _row_dots(normals, rotations @ x0 + translations))
 
 
@@ -290,7 +286,7 @@ def estimate_line_point(motions: MotionSequence, track: PlaneTrack, direction,
 def _line_point(motions: MotionSequence, track: PlaneTrack, direction,
                 config: EstimatorConfig):
     """estimate_line_point's point, plus the stacked rows of its system."""
-    direction = _unit_or_raise(direction, "direction")
+    direction = _checked_unit(direction, "direction")
     if len(track) != len(motions):
         raise ValueError(f"track length {len(track)} != motion count {len(motions)}")
 

@@ -31,6 +31,8 @@ ROTATION_TOL = 1e-9
 
 _REFLECTION = "matrix is a reflection or singular, not a rotation"
 
+_PLAIN = (2.0**-511, 2.0**511)  # largest entries whose sum of squares is a finite normal double
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -166,11 +168,7 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
 
 def _rotations_about_axes(axes, angles) -> np.ndarray:
     """rotation_about_axis for each row of finite `axes` (N, 3) and angle, as (N, 3, 3)."""
-    axes = np.asarray(axes, dtype=float)
-    norms = _row_norms(axes)
-    if not norms.all():
-        raise ValueError("axis must be nonzero")
-    x, y, z = (axes / norms[:, None]).T
+    x, y, z = _unit_rows(axes, "axis").T
     # math's cos and sin, not numpy's, whose SIMD forms may round differently
     c = np.array([math.cos(a) for a in angles])
     s = np.array([math.sin(a) for a in angles])
@@ -191,6 +189,27 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """np.linalg.norm(a[k]) for each row k, bit for bit (np.linalg.norm(a, axis=1) is not)."""
     return np.sqrt(_row_dots(a, a))
+
+
+def _unit_rows(rows, name: str) -> np.ndarray:
+    """Each row of a finite (N, 3) stack divided by its norm (np.linalg.norm's arithmetic),
+    and first by its largest entry when that lies outside _PLAIN. ValueError on a zero row."""
+    rows = np.asarray(rows, dtype=float)
+    largest = np.maximum.reduce(list(np.abs(rows).T))  # .max(axis=1) is slow on rows of 3
+    if not largest.all():
+        raise ValueError(f"{name} must be nonzero")
+    far = (largest < _PLAIN[0]) | (largest > _PLAIN[1])
+    rows = np.where(far[:, None], rows / largest[:, None], rows) if far.any() else rows
+    return rows / _row_norms(rows)[:, None]
+
+
+def _unit(value, name: str) -> np.ndarray:
+    """_unit_rows of one finite 3-vector, but one within 1e-12 of unit length is kept as it is."""
+    vec = _as_vector3(value, name)
+    if not _PLAIN[0] <= max(map(abs, vec.tolist())) <= _PLAIN[1]:
+        return _unit_rows(vec[None], name)[0]
+    norm = np.linalg.norm(vec)
+    return vec if abs(norm - 1.0) <= 1e-12 else vec / norm
 
 
 def _stack(motions) -> tuple:

@@ -25,22 +25,12 @@ from .contact import ContactKind
 from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
-from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion,
-                     _as_vector3, _marker_frames, _readonly, _rotations_about_axes, _row_norms)
+from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _as_vector3,
+                     _marker_frames, _readonly, _rotations_about_axes, _row_norms, _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
 TRUTH_RESIDUAL_TOL = 1e-12
-
-
-def _unit(value, name: str) -> np.ndarray:
-    vec = _as_vector3(value, name)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ValueError(f"{name} must be nonzero")
-    if abs(norm - 1.0) <= 1e-12:
-        return vec  # already unit; dividing again would churn the last ulp
-    return vec / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +142,8 @@ class MarkerGrid:
             raise ValueError("grid has more markers than an array can hold")
         if self.pitch <= 0.0:
             raise ValueError("pitch must be positive")
+        if not np.isfinite(self.extent * self.extent):  # reference_positions squares it
+            raise ValueError(f"grid extent {self.extent:g} is too large: its square overflows")
         if self.dome_height is None:
             object.__setattr__(self, "dome_height", 0.05 * self.pitch)
 
@@ -227,18 +219,16 @@ def _truth_stacks(contact, schedule) -> tuple:
         if step.slide != 0.0:
             raise InvalidSchedule(f"slide is only valid for edge contact (step {k})")
 
-    angles = [step.angle for step in schedule]
+    # a step's own axis, else the hinge or edge direction (a pivot step always has one)
+    rot = _rotations_about_axes([contact.direction if step.axis is None else step.axis
+                                 for step in schedule], [step.angle for step in schedule])
     extra = np.array([step.translation if step.translation is not None else np.zeros(3)
                       for step in schedule])
     if isinstance(contact, FixedPointContact):
-        rot = _rotations_about_axes([step.axis for step in schedule], angles)
         trans = contact.point - rot @ contact.point + extra
     elif isinstance(contact, FixedDirectionContact):
-        rot = _rotations_about_axes([step.axis if step.axis is not None else contact.direction
-                                     for step in schedule], angles)
         trans = extra  # translation is unconstrained for a fixed direction
     else:
-        rot = _rotations_about_axes([contact.direction] * len(schedule), angles)
         slide = np.array([step.slide for step in schedule])
         trans = (contact.point - rot @ contact.point
                  + slide[:, None] * contact.direction + extra)

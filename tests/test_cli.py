@@ -425,3 +425,61 @@ def test_mutated_marker_log_exits_0_or_3_without_traceback(where, delete, value)
     assert "Traceback" not in err.getvalue()
     if len(prefix) == 4 and prefix[2] == "positions":  # a coordinate gone or not a number
         assert code == 3, (doc, err.getvalue())
+
+
+def test_estimate_n0_is_normalized_as_the_library_normalizes_it(tmp_path):
+    # 0.1,0.2,5 is not within 1e-12 of unit length, so --n0 is divided by its norm
+    from tacloc import (EstimateReport, EstimatorConfig, __version__, estimate_line_contact,
+                        read_marker_log, register_sequence, write_report)
+    from tacloc.io import sha256_of_file
+
+    log_path = simulate(tmp_path, "box_on_edge")
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--type", "line", "--log", str(log_path),
+                 "--n0=0.1,0.2,5", "--out", str(out)]) == 0
+    n0 = np.array([0.1, 0.2, 5.0])
+    motions = register_sequence(read_marker_log(log_path))
+    expected = tmp_path / "expected.json"
+    write_report(expected, EstimateReport(
+        estimate=estimate_line_contact(motions, n0 / np.linalg.norm(n0)),
+        config=EstimatorConfig(),
+        provenance={"input_sha256": sha256_of_file(log_path), "tool_version": __version__,
+                    "frame_count": len(motions)}))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def _edited_scenario(tmp_path, name, path, value):
+    doc = json.loads((resources.files("tacloc") / "scenarios" / f"{name}.json").read_text())
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    return scenario
+
+
+def _run_without_warnings(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(args)
+
+
+@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
+@pytest.mark.parametrize("pitch", [1e200, 1e300])
+def test_a_grid_whose_coordinates_overflow_is_an_invalid_input_file(tmp_path, capsys,
+                                                                    command, pitch):
+    scenario = _edited_scenario(tmp_path, "pivot_point", ["grid", "pitch"], pitch)
+    args = [command, "--scenario", str(scenario)]
+    args += ["--out", str(tmp_path / "log.json")] if command == "simulate" else []
+    assert _run_without_warnings(args) == 3
+    err = capsys.readouterr().err
+    assert "invalid input: grid: grid extent" in err and "its square overflows" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("axis", [[1e308, 1e308, 0], [1e-320, 0, 1e-320]])
+def test_a_schedule_axis_is_read_at_any_finite_scale(tmp_path, axis):
+    scenario = _edited_scenario(tmp_path, "pivot_point", ["schedule", 1, "axis"], axis)
+    assert _run_without_warnings(["roundtrip", "--scenario", str(scenario),
+                                  "--workdir", str(tmp_path / "work")]) == 0

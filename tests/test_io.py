@@ -596,8 +596,17 @@ def test_integers_beyond_64_bits_are_rejected_in_arrays(roundtrip_files, tmp_pat
     ("pivot_point", ["schedule", 1, "axis"], [0, 0, 0], "schedule step 1: axis must be nonzero"),
     ("report", ["estimate", "direction"], [2, 0, 0], "estimate: direction must be unit norm"),
     ("report", ["config", "min_frames"], 0, "config: min_frames must be at least 1"),
+    ("report", ["estimate", "point"], None,
+     "estimate: line estimate must carry a point iff the kind does"),
+    ("report", ["estimate", "kind"], "fixed_point",
+     "estimate: fixed_point estimate must carry a direction iff the kind does"),
+    ("report", ["estimate", "residual_rms"], -1, "estimate: residual_rms must be nonnegative"),
+    ("pivot_point", ["grid", "rows"], 1, "grid: grid needs at least 2 rows and 2 cols"),
+    ("pivot_point", ["grid", "pitch"], 0, "grid: pitch must be positive"),
+    ("pivot_point", ["grid", "pitch"], 1e300, "grid: grid extent 1e+301 is too large"),
 ], ids=["unknown_contact_kind", "edge_normal_along_edge", "zero_axis", "direction_not_unit",
-        "min_frames_zero"])
+        "min_frames_zero", "line_report_without_point", "point_report_with_direction",
+        "negative_residual_rms", "one_grid_row", "zero_pitch", "overflowing_grid"])
 def test_a_value_its_type_rejects_is_a_parse_error_naming_its_context(
         roundtrip_files, tmp_path, source, path, value, message):
     doc = _document(roundtrip_files, source)

@@ -1,13 +1,16 @@
 """Rigid-motion value types: construction, algebra, invariants."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from tacloc import (FixedPointContact, MarkerFrame, MotionSequence, RelativeMotion,
-                    ScenarioTruth, TooFewFrames, compose, constraint_residuals,
-                    estimate_fixed_direction, estimate_fixed_point, estimate_line_contact,
-                    estimate_line_point, fixed_direction_residuals, fixed_point_residuals,
-                    inverse, line_contact_residuals, orthonormalize, propagate_plane,
+from tacloc import (EdgeContact, FixedDirectionContact, FixedPointContact, MarkerFrame,
+                    MotionSequence, MotionStep, RelativeMotion, ScenarioTruth, TooFewFrames,
+                    compose, constraint_residuals, estimate_fixed_direction,
+                    estimate_fixed_point, estimate_line_contact, estimate_line_point,
+                    fixed_direction_residuals, fixed_point_residuals, inverse,
+                    line_contact_residuals, orthonormalize, propagate_plane,
                     rotation_about_axis, rotation_angle)
 
 
@@ -211,3 +214,55 @@ def test_motion_consumers_count_only_the_moving_frames():
         ScenarioTruth(motions=seq, contact_geometry=FixedPointContact((1, 2, 3))))) == 2
     # without a frame-0 entry, every motion is a moving frame
     assert len(fixed_point_residuals(MotionSequence(seq.moving()), (1, 2, 3))) == 2
+
+
+# Integer directions: each nonzero entry is at most 100, and each entry of
+# the cross product of two of them at most 2 * 100**2 < 2**15.
+_INTEGER_DIRECTIONS = st.lists(st.integers(-100, 100), min_size=3, max_size=3)
+
+
+def _squares_stay_normal(vec) -> bool:
+    """Whether every nonzero entry's square is a normal double and a sum of
+    three squares stays finite: each nonzero magnitude lies in [2**-511, 2**511]."""
+    magnitudes = np.abs(vec[vec != 0.0])
+    return bool(((2.0**-511 <= magnitudes) & (magnitudes <= 2.0**511)).all())
+
+
+def _directions_read_from(direction, normal):
+    """Every unit direction tacloc takes from a vector, for these two perpendicular vectors."""
+    edge = EdgeContact(direction, np.zeros(3), normal)
+    return [MotionStep(angle=0.3, axis=direction).axis,
+            FixedDirectionContact(direction).direction,
+            edge.direction, edge.surface_normal,
+            rotation_about_axis(direction, 0.3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INTEGER_DIRECTIONS, _INTEGER_DIRECTIONS, st.integers(-1022, 1008))
+def test_a_direction_does_not_depend_on_the_scale_of_its_vector(d, e, k):
+    # 2**k keeps every nonzero entry of d and of the normal a normal double,
+    # and scaling by it is exact, so the direction read must not move
+    d = np.array(d, dtype=float)
+    normal = np.cross(d, np.array(e, dtype=float))
+    assume(normal.any())
+    scale = 2.0**k
+    scaled = _directions_read_from(d * scale, normal * scale)
+    plain = _directions_read_from(d, normal)
+    bitwise = _squares_stay_normal(d * scale) and _squares_stay_normal(normal * scale)
+    for a, b in zip(scaled, plain):
+        if bitwise:
+            assert np.array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("read, scaled, plain", [
+    (lambda v: rotation_about_axis(v, 0.5), [1e308, 1e308, 0], [1, 1, 0]),
+    (lambda v: rotation_about_axis(v, 0.5), [1e-200, 1e-200, 0], [1, 1, 0]),
+    (lambda v: RelativeMotion.about_line(v, 0.3).rotation, [0, 0, 1e300], [0, 0, 1]),
+    (lambda v: FixedDirectionContact(v).direction, [0, 1e200, 0], [0, 1, 0]),
+    (lambda v: MotionStep(angle=0.3, axis=v).axis, [5e-324, 0, 5e-324], [1, 0, 1]),
+], ids=["huge_axis", "tiny_axis", "huge_line_axis", "huge_hinge", "subnormal_step_axis"])
+def test_a_vector_at_an_extreme_scale_gives_its_direction(read, scaled, plain):
+    np.testing.assert_allclose(read(scaled), read(plain), rtol=0.0,
+                               atol=4 * np.finfo(float).eps)
