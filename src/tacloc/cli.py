@@ -13,6 +13,7 @@ error, 3 unreadable or invalid input file, 4 estimation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import tempfile
@@ -31,7 +32,7 @@ from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace i
 from .io import (EstimateReport, read_marker_log, read_report, read_scenario,
                  sha256_of_file, write_marker_log, write_motion_sequence,
                  write_report, write_truth)
-from .motion import MarkerLog, MotionSequence, _unit
+from .motion import MarkerLog, MotionSequence, _row_norms, _unit
 from .registration import register_sequence
 from .simulate import generate
 
@@ -69,17 +70,9 @@ def _vector3(text: str) -> np.ndarray:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = EstimatorConfig()
-    parser.add_argument("--angle-threshold", type=float, default=defaults.angle_threshold,
-                        help="max rotation angle (rad) below which the estimate is "
-                             f"flagged ill-posed (default {defaults.angle_threshold})")
-    parser.add_argument("--cond-threshold", type=float, default=defaults.cond_threshold,
-                        help=f"condition number limit (default {defaults.cond_threshold:g})")
-    parser.add_argument("--rank-tolerance", type=float, default=defaults.rank_tolerance,
-                        help="relative singular value cutoff "
-                             f"(default {defaults.rank_tolerance:g})")
-    parser.add_argument("--min-frames", type=int, default=defaults.min_frames,
-                        help=f"minimum moving frames required (default {defaults.min_frames})")
+    for f in dataclasses.fields(EstimatorConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default, help=f"{f.metadata['help']} (default {f.default:g})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,10 +140,8 @@ def _estimate(motions: MotionSequence, kind: ContactKind, n0, config: EstimatorC
 
 
 def _config_from_args(args) -> EstimatorConfig:
-    return EstimatorConfig(angle_threshold=args.angle_threshold,
-                           cond_threshold=args.cond_threshold,
-                           rank_tolerance=args.rank_tolerance,
-                           min_frames=args.min_frames)
+    return EstimatorConfig(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(EstimatorConfig)})
 
 
 def _describe(estimate) -> str:
@@ -183,13 +174,13 @@ def _direction_angle(estimate, truth) -> float:
 
 
 def _point_distance(estimate, truth) -> float:
-    return float(np.linalg.norm(estimate.point - truth.point))
+    return float(_row_norms((estimate.point - truth.point)[None])[0])
 
 
 def _off_edge_distance(estimate, truth) -> float:
     """Distance from the estimated point to the true edge line."""
     offset = estimate.point - truth.point
-    return float(np.linalg.norm(offset - (offset @ truth.direction) * truth.direction))
+    return float(_row_norms((offset - (offset @ truth.direction) * truth.direction)[None])[0])
 
 
 # contact kind -> roundtrip's checks of an estimate against the scenario's truth

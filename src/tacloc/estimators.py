@@ -21,14 +21,14 @@ problem itself, not its square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import AmbiguousDirection, IllConditioned, RankDeficientBeyondLine, TooFewFrames
-from .motion import (_EYE3, MotionSequence, _as_vector3, _max_rotation_angle, _moving_stack,
-                     _readonly, _row_dots, _row_norms, _stack, _unit, _unit_rows)
+from .motion import (_EYE3, MotionSequence, _as_vector3, _exponent, _max_rotation_angle,
+                     _moving_stack, _readonly, _row_dots, _row_norms, _stack, _unit, _unit_rows)
 
 UNIT_NORM_TOL = 1e-6
 
@@ -43,10 +43,11 @@ class EstimatorConfig:
     to the largest singular value (scale-free).
     """
 
-    angle_threshold: float = 0.035
-    cond_threshold: float = 1e6
-    rank_tolerance: float = 1e-8
-    min_frames: int = 3
+    angle_threshold: float = field(default=0.035, metadata={
+        "help": "max rotation angle (rad) below which the estimate is flagged ill-posed"})
+    cond_threshold: float = field(default=1e6, metadata={"help": "condition number limit"})
+    rank_tolerance: float = field(default=1e-8, metadata={"help": "relative singular value cutoff"})
+    min_frames: int = field(default=3, metadata={"help": "minimum moving frames required"})
 
     def __post_init__(self):
         if not all(0.0 < x < math.inf
@@ -74,8 +75,7 @@ class PlaneTrack:
             raise ValueError(f"normals must have shape (k, 3), got {normals.shape}")
         if normals.shape[0] != offsets.shape[0]:
             raise ValueError("normals and offsets must have equal length")
-        norms = np.linalg.norm(normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if np.any(np.abs(_row_norms(normals) - 1.0) > 1e-9):
             raise ValueError("plane normals must be unit vectors")
         object.__setattr__(self, "normals", _readonly(normals))
         object.__setattr__(self, "offsets", _readonly(offsets))
@@ -120,17 +120,10 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
 
 def _estimate(kind: ContactKind, point, direction, residuals: np.ndarray,
               report: ConditioningReport) -> ContactEstimate:
-    return ContactEstimate(kind=kind, point=point, direction=direction,
-                           residual_rms=float(np.sqrt(np.mean(residuals**2))),
+    e = _exponent(residuals)
+    rms = np.ldexp(np.sqrt(np.mean(np.ldexp(residuals, -e)**2)), e)
+    return ContactEstimate(kind=kind, point=point, direction=direction, residual_rms=float(rms),
                            per_frame_residuals=residuals, conditioning=report)
-
-
-def _checked_unit(vec, name: str) -> np.ndarray:
-    v = _as_vector3(vec, name)
-    norm = np.linalg.norm(v) if np.abs(v).max() <= 2.0 else math.inf  # else the norm may overflow
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"{name} must be a unit vector, got norm {norm}")
-    return _unit(v, name)
 
 
 def fixed_point_residuals(motions: MotionSequence, point) -> np.ndarray:
@@ -182,8 +175,10 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
     rotations, translations = _moving_or_raise(motions, config)
     stacked = (_EYE3 - rotations).reshape(-1, 3)
 
-    point, _, _, sing = np.linalg.lstsq(stacked, translations.reshape(-1),
+    e = _exponent(translations)
+    point, _, _, sing = np.linalg.lstsq(stacked, np.ldexp(translations.reshape(-1), -e),
                                         rcond=config.rank_tolerance)
+    point = np.ldexp(point, e)
 
     smallest = float(sing[-1])
     cond = float(sing[0] / sing[-1]) if smallest > 0.0 else math.inf
@@ -231,7 +226,7 @@ def propagate_plane(n0, x0_hint, motions: MotionSequence) -> PlaneTrack:
     The plane with unit normal n0 through x0_hint is moved rigidly: the
     normal rotates, and the offset follows the transformed through-point.
     """
-    n0 = _checked_unit(n0, "n0")
+    n0 = _unit(n0, "n0", UNIT_NORM_TOL)
     x0 = _as_vector3(x0_hint, "x0_hint")
     rotations, translations = _stack(motions)
     normals = _unit_rows(rotations @ n0, "n0")
@@ -286,19 +281,20 @@ def estimate_line_point(motions: MotionSequence, track: PlaneTrack, direction,
 def _line_point(motions: MotionSequence, track: PlaneTrack, direction,
                 config: EstimatorConfig):
     """estimate_line_point's point, plus the stacked rows of its system."""
-    direction = _checked_unit(direction, "direction")
+    direction = _unit(direction, "direction", UNIT_NORM_TOL)
     if len(track) != len(motions):
         raise ValueError(f"track length {len(track)} != motion count {len(motions)}")
 
     rotations, translations = _stack(motions)
     rows = ((rotations - _EYE3).swapaxes(1, 2) @ track.normals[:, :, None])[:, :, 0]
-    rhs = -_row_dots(track.normals, translations)
+    e = _exponent(translations)
+    rhs = -_row_dots(track.normals, np.ldexp(translations, -e))
 
     point, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=config.rank_tolerance)
     if rank < 2:
         raise RankDeficientBeyondLine(
             f"edge-point system rank {rank} < 2; position undetermined beyond the line")
-    return point - (point @ direction) * direction, rows
+    return np.ldexp(point - (point @ direction) * direction, e), rows
 
 
 def estimate_line_contact(motions: MotionSequence, n0,

@@ -509,9 +509,9 @@ def read_report(path) -> EstimateReport:
         )
     raw_config = _require(data, "config", "report")
     with _invalid("config"):
-        config = EstimatorConfig(
-            **{key: _float(raw_config, key, "config")
-               for key in ("angle_threshold", "cond_threshold", "rank_tolerance")},
-            min_frames=_require(raw_config, "min_frames", "config", int))
+        config = EstimatorConfig(**{
+            f.name: (_require(raw_config, f.name, "config", int) if type(f.default) is int
+                     else _float(raw_config, f.name, "config"))
+            for f in fields(EstimatorConfig)})
     return EstimateReport(estimate=estimate, config=config,
                           provenance=_require(data, "provenance", "report", dict))

@@ -31,8 +31,6 @@ ROTATION_TOL = 1e-9
 
 _REFLECTION = "matrix is a reflection or singular, not a rotation"
 
-_PLAIN = (2.0**-511, 2.0**511)  # largest entries whose sum of squares is a finite normal double
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -94,7 +92,7 @@ def _proper_rotations(mats: np.ndarray) -> np.ndarray:
     if (np.linalg.det(mats) <= 0.0).any():
         raise ValueError(_REFLECTION)
     gap = (mats.swapaxes(1, 2) @ mats - _EYE3).reshape(-1, 9)
-    # np.linalg.norm's own arithmetic, row by row; a NaN gap (overflow) counts as far
+    # sqrt(gap[k] @ gap[k]), row by row; a NaN gap (overflow) counts as far
     far = ~(np.sqrt(_row_dots(gap, gap)) <= ROTATION_TOL)
     if not far.any():
         return mats
@@ -186,30 +184,46 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _exponent(a: np.ndarray, rows: bool = False):
+    """The exponent e (0 for zeros) that brings the largest |entry| of a, or of each row of an
+    (N, 3) stack with rows, into [0.5, 1): the one magnitude rule. A length computation scales
+    by 2**-e, exactly, before it sums squares or products, so the sums stay finite and normal,
+    then scales its result back by 2**e; no result depends on the power of two lengths carry."""
+    if rows:  # .max(axis=1) is slow on rows of 3
+        x, y, z = np.abs(a).T
+        return np.frexp(np.maximum(np.maximum(x, y), z))[1]
+    return math.frexp(np.abs(a).max(initial=0.0))[1]
+
+
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a[k]) for each row k, bit for bit (np.linalg.norm(a, axis=1) is not)."""
-    return np.sqrt(_row_dots(a, a))
+    """Each row's norm: sqrt(a[k] @ a[k]) bit for bit (axis=1 norms are not), after _exponent."""
+    e = _exponent(a, rows=True)
+    scaled = np.ldexp(a, -e[:, None])
+    return np.ldexp(np.sqrt(_row_dots(scaled, scaled)), e)
 
 
 def _unit_rows(rows, name: str) -> np.ndarray:
-    """Each row of a finite (N, 3) stack divided by its norm (np.linalg.norm's arithmetic),
-    and first by its largest entry when that lies outside _PLAIN. ValueError on a zero row."""
-    rows = np.asarray(rows, dtype=float)
-    largest = np.maximum.reduce(list(np.abs(rows).T))  # .max(axis=1) is slow on rows of 3
-    if not largest.all():
+    """Each row of a finite (N, 3) stack, scaled by _exponent, over its norm; ValueError if zero."""
+    scaled = np.ldexp(rows, -_exponent(rows, rows=True)[:, None])
+    norms = np.sqrt(_row_dots(scaled, scaled))
+    if not norms.all():
         raise ValueError(f"{name} must be nonzero")
-    far = (largest < _PLAIN[0]) | (largest > _PLAIN[1])
-    rows = np.where(far[:, None], rows / largest[:, None], rows) if far.any() else rows
-    return rows / _row_norms(rows)[:, None]
+    return scaled / norms[:, None]
 
 
-def _unit(value, name: str) -> np.ndarray:
-    """_unit_rows of one finite 3-vector, but one within 1e-12 of unit length is kept as it is."""
+def _unit(value, name: str, tol: float = math.inf) -> np.ndarray:
+    """A finite 3-vector divided by its norm as _unit_rows divides a row, but kept as it is within
+    1e-12 of unit length. ValueError if it is zero or its norm is farther than tol from 1."""
     vec = _as_vector3(value, name)
-    if not _PLAIN[0] <= max(map(abs, vec.tolist())) <= _PLAIN[1]:
-        return _unit_rows(vec[None], name)[0]
-    norm = np.linalg.norm(vec)
-    return vec if abs(norm - 1.0) <= 1e-12 else vec / norm
+    e = _exponent(vec)
+    scaled = np.ldexp(vec, -e)
+    norm = math.sqrt(scaled @ scaled)  # the sum _row_dots takes of a row
+    length = math.ldexp(norm, e) if e < 1024 or norm < 1.0 else math.inf  # above every double
+    if abs(length - 1.0) > tol:
+        raise ValueError(f"{name} must be a unit vector, got norm {length}")
+    if not norm:
+        raise ValueError(f"{name} must be nonzero")
+    return vec if abs(length - 1.0) <= 1e-12 else scaled / norm
 
 
 def _stack(motions) -> tuple:
@@ -274,7 +288,7 @@ class RelativeMotion:
 
     def is_identity(self, tol: float = ROTATION_TOL) -> bool:
         return (np.linalg.norm(self.rotation - np.eye(3)) <= tol
-                and np.linalg.norm(self.translation) <= tol)
+                and _row_norms(self.translation[None])[0] <= tol)
 
 
 def compose(a: RelativeMotion, b: RelativeMotion) -> RelativeMotion:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMarkers, MismatchedFrames, TooFewMarkers
-from .motion import _EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion
+from .motion import _EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _exponent
 
 # Singular values below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-8
@@ -93,6 +93,8 @@ def _register_all(reference: MarkerFrame, frames) -> tuple:
 def _solve(ref: np.ndarray, frames) -> tuple:
     """The SVD fit of ref onto each frame, batched over the (N, 3, 3) cross-covariances."""
     cur = np.stack([f.positions for f in frames])
+    e = max(_exponent(ref), _exponent(cur))  # one scale for both clouds, undone on return
+    ref, cur = np.ldexp(ref, -e), np.ldexp(cur, -e, out=cur)  # cur is this solve's own copy
     ref_centroid = ref.mean(axis=0)
     cur_centroid = cur.mean(axis=1)
 
@@ -117,7 +119,7 @@ def _solve(ref: np.ndarray, frames) -> tuple:
     residuals = ref @ rotation.swapaxes(1, 2) + translation[:, None] - cur
     rms = np.sqrt(np.mean(np.sum(residuals**2, axis=2), axis=1))
 
-    return rotation, translation, rms, rank
+    return rotation, np.ldexp(translation, e), np.ldexp(rms, e), rank
 
 
 def register_sequence(frames) -> MotionSequence:

@@ -26,7 +26,7 @@ from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
 from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _as_vector3,
-                     _marker_frames, _readonly, _rotations_about_axes, _row_norms, _unit)
+                     _exponent, _marker_frames, _readonly, _rotations_about_axes, _row_norms, _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -152,7 +152,8 @@ class MarkerGrid:
         xs = (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.pitch
         ys = (np.arange(self.rows) - (self.rows - 1) / 2.0) * self.pitch
         gx, gy = np.meshgrid(xs, ys)
-        r2 = gx**2 + gy**2
+        e = _exponent(np.stack([gx, gy]))
+        r2 = np.ldexp(gx, -e)**2 + np.ldexp(gy, -e)**2  # r2 / r2_max does not depend on e
         r2_max = r2.max() if r2.max() > 0.0 else 1.0
         gz = self.dome_height * (1.0 - r2 / r2_max)
         flat = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
@@ -259,8 +260,8 @@ def generate(config: ScenarioConfig):
     rotations, translations = truth.motions.rotations, truth.motions.translations
 
     # a pivot or edge point sets the size of the geometry; a hinge has only a unit direction
-    scale = max(1.0, float(np.linalg.norm(getattr(config.contact, "point", 0.0))),
-                float(_row_norms(translations).max()))
+    point = getattr(config.contact, "point", np.zeros(3))
+    scale = max(1.0, float(_row_norms(np.vstack([point, translations])).max()))
     # the residuals of the moving frames, 1..N; frame 0 is the exact identity
     residuals = config.contact.residuals(truth.motions)
     bad = np.nonzero(residuals > TRUTH_RESIDUAL_TOL * scale)[0]

@@ -106,9 +106,12 @@ def test_non_finite_n0_exits_2_before_the_log_is_read(tmp_path, capsys, n0):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scaled, plain", [("1e308,1e308,0", "1,1,0"), ("0,0,1e308", "0,0,1"),
-                                           ("1e-320,0,1e-320", "1,0,1")])
-def test_n0_is_read_at_any_scale(tmp_path, scaled, plain):
+@pytest.mark.parametrize("scaled, plain, same_bytes", [
+    (f"{2.0**1023!r},{2.0**1023!r},0", "1,1,0", True), ("0,0,1e308", "0,0,1", True),
+    (f"{2.0**-1074!r},0,{2.0**-1074!r}", "1,0,1", True),
+    # not power-of-two multiples of the plain vector: the unit n0 may move in its last bit
+    ("1e308,1e308,0", "1,1,0", False), ("1e-320,0,1e-320", "1,0,1", False)])
+def test_n0_is_read_at_any_scale(tmp_path, scaled, plain, same_bytes):
     log = simulate(tmp_path, "box_on_edge")
     reports = []
     for k, n0 in enumerate((scaled, plain)):
@@ -116,7 +119,14 @@ def test_n0_is_read_at_any_scale(tmp_path, scaled, plain):
         assert main(["estimate", "--type", "line", "--log", str(log),
                      "--n0=" + n0, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    if same_bytes:
+        assert reports[0] == reports[1]
+    # a last-bit change of n0 moves the estimate by at most its condition number times as much
+    scaled_est, plain_est = [json.loads(report)["estimate"] for report in reports]
+    bound = 4 * np.finfo(float).eps * plain_est["conditioning"]["condition_number"]
+    for key in ("point", "direction"):
+        got, want = np.array(scaled_est[key]), np.array(plain_est[key])
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("n0, type_, message", [
@@ -483,3 +493,22 @@ def test_a_schedule_axis_is_read_at_any_finite_scale(tmp_path, axis):
     scenario = _edited_scenario(tmp_path, "pivot_point", ["schedule", 1, "axis"], axis)
     assert _run_without_warnings(["roundtrip", "--scenario", str(scenario),
                                   "--workdir", str(tmp_path / "work")]) == 0
+
+
+def test_a_grid_too_coarse_for_its_tolerance_runs_to_its_verdict(tmp_path, capsys):
+    # a 1e-9 mm tolerance is below what a 1e154 mm grid resolves
+    scenario = _edited_scenario(tmp_path, "pivot_point", ["grid", "pitch"], 1e153)
+    doc = json.loads(scenario.read_text())
+    doc["grid"]["dome_height"] = 5e151
+    scenario.write_text(json.dumps(doc))
+    assert _run_without_warnings(["roundtrip", "--scenario", str(scenario)]) == 1
+    assert capsys.readouterr().out.endswith("roundtrip pivot_point: FAIL\n")
+
+
+def test_a_pivot_too_far_to_square_simulates_without_a_warning(tmp_path, capsys):
+    scenario = _edited_scenario(tmp_path, "pivot_point", ["contact", "point"], [1e308, 0, 0])
+    assert _run_without_warnings(["simulate", "--scenario", str(scenario),
+                                  "--out", str(tmp_path / "log.json")]) == 0
+    # the moved markers round to one point, so no rotation can be registered
+    assert _run_without_warnings(["roundtrip", "--scenario", str(scenario)]) == 4
+    assert "marker covariance rank 0 < 2" in capsys.readouterr().err

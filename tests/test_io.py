@@ -8,6 +8,7 @@ import pathlib
 import tempfile
 import textwrap
 import tracemalloc
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -370,6 +371,20 @@ def test_report_reader_rejects_wrong_json_types(tmp_path, section, key, value):
     bad.write_text(json.dumps(data))
     with pytest.raises(ParseError, match=key):
         read_report(bad)
+
+
+def test_a_report_direction_too_long_to_square_is_rejected_without_a_warning(tmp_path):
+    src = tmp_path / "report.json"
+    assert main(["roundtrip", "--scenario", str(bundled_scenario("hinge_direction")),
+                 "--workdir", str(tmp_path)]) == 0
+    data = json.loads(src.read_text())
+    data["estimate"]["direction"] = [1e308, 1e308, 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=r"unit norm, got \|d\| = 1.414\d*e\+308"):
+            read_report(bad)
 
 
 def test_report_needs_the_estimates_residuals(tmp_path):

@@ -221,13 +221,6 @@ def test_motion_consumers_count_only_the_moving_frames():
 _INTEGER_DIRECTIONS = st.lists(st.integers(-100, 100), min_size=3, max_size=3)
 
 
-def _squares_stay_normal(vec) -> bool:
-    """Whether every nonzero entry's square is a normal double and a sum of
-    three squares stays finite: each nonzero magnitude lies in [2**-511, 2**511]."""
-    magnitudes = np.abs(vec[vec != 0.0])
-    return bool(((2.0**-511 <= magnitudes) & (magnitudes <= 2.0**511)).all())
-
-
 def _directions_read_from(direction, normal):
     """Every unit direction tacloc takes from a vector, for these two perpendicular vectors."""
     edge = EdgeContact(direction, np.zeros(3), normal)
@@ -248,12 +241,8 @@ def test_a_direction_does_not_depend_on_the_scale_of_its_vector(d, e, k):
     scale = 2.0**k
     scaled = _directions_read_from(d * scale, normal * scale)
     plain = _directions_read_from(d, normal)
-    bitwise = _squares_stay_normal(d * scale) and _squares_stay_normal(normal * scale)
     for a, b in zip(scaled, plain):
-        if bitwise:
-            assert np.array_equal(a, b)
-        else:
-            np.testing.assert_allclose(a, b, rtol=0.0, atol=4 * np.finfo(float).eps)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("read, scaled, plain", [
