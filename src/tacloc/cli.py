@@ -32,7 +32,7 @@ from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace i
 from .io import (EstimateReport, read_marker_log, read_report, read_scenario,
                  sha256_of_file, write_marker_log, write_motion_sequence,
                  write_report, write_truth)
-from .motion import MarkerLog, MotionSequence, _row_norms, _unit
+from .motion import MarkerLog, MotionSequence, _norm, _unit
 from .registration import register_sequence
 from .simulate import generate
 
@@ -118,7 +118,7 @@ def _simulate(config, log_path, truth_path) -> None:
     write_marker_log(log_path, log)
     if truth_path:
         write_truth(truth_path, truth)
-    print(f"wrote {len(log)} frames of {log[0].marker_count} markers to {log_path}")
+    print(f"wrote {len(log)} frames of {log.positions.shape[1]} markers to {log_path}")
 
 
 def _register(log: MarkerLog, out) -> MotionSequence:
@@ -174,13 +174,13 @@ def _direction_angle(estimate, truth) -> float:
 
 
 def _point_distance(estimate, truth) -> float:
-    return float(_row_norms((estimate.point - truth.point)[None])[0])
+    return _norm(estimate.point - truth.point)
 
 
 def _off_edge_distance(estimate, truth) -> float:
     """Distance from the estimated point to the true edge line."""
     offset = estimate.point - truth.point
-    return float(_row_norms((offset - (offset @ truth.direction) * truth.direction)[None])[0])
+    return _norm(offset - (offset @ truth.direction) * truth.direction)
 
 
 # contact kind -> roundtrip's checks of an estimate against the scenario's truth

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .motion import _as_vector3, _readonly, _row_norms
+from .motion import _as_vector3, _norm, _readonly
 
 UNIT_NORM_TOL = 1e-9
 
@@ -69,7 +69,7 @@ class ContactEstimate:
             object.__setattr__(self, "point", _readonly(_as_vector3(self.point, "point")))
         if self.direction is not None:
             direction = _as_vector3(self.direction, "direction")
-            if abs((norm := _row_norms(direction[None])[0]) - 1.0) > UNIT_NORM_TOL:
+            if abs((norm := _norm(direction)) - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(f"direction must be unit norm, got |d| = {norm}")
             object.__setattr__(self, "direction", _readonly(direction))
         if self.per_frame_residuals is not None:

@@ -30,7 +30,7 @@ import numpy as np
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import NonFiniteValue, ParseError, SchemaVersionMismatch
 from .estimators import EstimatorConfig
-from .motion import MarkerLog, MotionSequence, RelativeMotion, _marker_frames
+from .motion import MarkerLog, MotionSequence, RelativeMotion
 from .simulate import (EdgeContact, FixedDirectionContact, FixedPointContact,
                        MarkerGrid, MotionStep, ScenarioConfig, ScenarioTruth)
 
@@ -270,8 +270,7 @@ def write_marker_log(path, log: MarkerLog) -> None:
     data = {
         "schema": MARKER_LOG_SCHEMA,
         "units": log.units,
-        "frames": [{"frame_index": f.frame_index, "positions": f.positions}
-                   for f in log.frames],
+        "frames": [{"frame_index": k, "positions": p} for k, p in enumerate(log.positions)],
     }
     _write_file(path, data)
 
@@ -289,18 +288,19 @@ def read_marker_log(path) -> MarkerLog:
         if i == 0:  # later frames must have frame 0's shape, so one marker count
             shape, positions = arr.shape, np.empty((len(raw_frames),) + arr.shape)
         positions[i] = arr
-    return MarkerLog(_marker_frames(positions, range(len(raw_frames))), units=units)
+    return MarkerLog._of_stack(positions, units=units)
 
 
 # ---------------------------------------------------------------------------
 # Motion sequences.
 
-def _motion_to_dict(motion: RelativeMotion) -> dict:
-    return {
-        "frame_index": motion.frame_index,
-        "rotation": motion.rotation,
-        "translation": motion.translation,
-    }
+def _motion_to_dict(frame_index: int, rotation: np.ndarray, translation: np.ndarray) -> dict:
+    return {"frame_index": frame_index, "rotation": rotation, "translation": translation}
+
+
+def _motion_dicts(motions: MotionSequence) -> list:
+    return [_motion_to_dict(*entry) for entry in
+            zip(motions.frame_indices, motions.rotations, motions.translations)]
 
 
 def _motions(data, context: str, literals: bool) -> MotionSequence:
@@ -331,7 +331,7 @@ def _motions(data, context: str, literals: bool) -> MotionSequence:
 
 def write_motion_sequence(path, motions: MotionSequence) -> None:
     """Write the motions in their units, each with its rms_error when the sequence has them."""
-    entries = [_motion_to_dict(m) for m in motions]
+    entries = _motion_dicts(motions)
     if motions.rms_errors is not None:
         for entry, rms in zip(entries, motions.rms_errors):
             entry["rms_error"] = rms
@@ -381,7 +381,8 @@ def write_scenario(path, config: ScenarioConfig) -> None:
             "cols": config.grid.cols,
             "pitch": config.grid.pitch,
             "dome_height": config.grid.dome_height,
-            "pose": _motion_to_dict(config.grid.pose),
+            "pose": _motion_to_dict(config.grid.pose.frame_index, config.grid.pose.rotation,
+                                    config.grid.pose.translation),
         },
         "contact": _contact_to_dict(config.contact),
         "schedule": steps,
@@ -442,7 +443,7 @@ def write_truth(path, truth: ScenarioTruth, units: str | None = None) -> None:
         "schema": TRUTH_SCHEMA,
         "units": truth.motions.units if units is None else units,
         "contact": _contact_to_dict(truth.contact_geometry),
-        "motions": [_motion_to_dict(m) for m in truth.motions],
+        "motions": _motion_dicts(truth.motions),
     }
     _write_file(path, data)
 

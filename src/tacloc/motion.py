@@ -4,25 +4,25 @@ All motions are expressed relative to the initial (index 0) frame, in the
 sensor base frame. Units are caller-defined; the library only requires them
 to be uniform within a dataset.
 
-Where a whole sequence is built at once, it is checked once, as a stack:
-_motion_stack runs RelativeMotion's checks over (N, 3, 3) rotations and
-(N, 3) translations, and _frame_stack runs MarkerFrame's over (N, m, 3)
-positions, each as a few array operations. The first bad entry in frame
-order raises the error its own constructor would raise. The per-frame
-objects are then read-only views into the checked stacks, and a
-MotionSequence keeps the stacks it was built from, so the estimators read
-them instead of gathering every motion's arrays again. A MotionSequence is
-the only motion input the estimators and residual functions take, and its
-moving frames are its entries after a leading frame-0 entry (_moving_stack).
-The single-object constructors run the same checks on a stack of one:
-orthonormalize (and so RelativeMotion) runs _proper_rotations, and
-MarkerFrame runs _frame_stack.
+A MarkerLog is stored as its (N, m, 3) positions, checked once by
+_frame_stack as MarkerFrame checks a frame, and a MotionSequence as its
+(N, 3, 3) rotations, (N, 3) translations and frame indices, checked once by
+_motion_stack as RelativeMotion checks a motion; the first bad entry in
+frame order raises the error its own constructor would raise. log.frames
+and seq.motions are read-only views into the stacks, built the first time
+they are read and then kept; the estimators, registration and the writers
+read the stacks and build none. A MotionSequence is the only motion input
+the estimators and residual functions take, and its moving frames are its
+entries after a leading frame-0 entry (_moving_stack). The single-object
+constructors run the same checks on a stack of one: orthonormalize (and so
+RelativeMotion) runs _proper_rotations, and MarkerFrame runs _frame_stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,20 +127,14 @@ def _motion_stack(rotations: np.ndarray, translations: np.ndarray, frame_indices
     return _frozen(rotations), _frozen(translations), [int(i) for i in frame_indices]
 
 
-def _frame_stack(positions: np.ndarray, frame_indices) -> tuple:
-    """MarkerFrame's checks over N frames at once, as a float (N, m, 3) stack.
-
-    Returns the positions, read-only, and the frame indices as ints. The
-    first frame, in order, that MarkerFrame would reject raises its error.
-    """
+def _frame_stack(positions: np.ndarray) -> np.ndarray:
+    """MarkerFrame's position checks over a float (N, m, 3) stack, returned read-only; the first
+    frame, in order, that MarkerFrame would reject raises its error."""
     if positions.ndim != 3 or positions.shape[2] != 3:
         raise ValueError(f"positions must have shape (m, 3), got {positions.shape[1:]}")
-    indices = []
-    for finite, index in zip(np.isfinite(positions).all(axis=(1, 2)).tolist(), frame_indices):
-        if not finite:
-            raise ValueError("marker positions must be finite")
-        indices.append(_frame_index(index))
-    return _frozen(positions), indices
+    if not np.isfinite(positions).all():
+        raise ValueError("marker positions must be finite")
+    return _frozen(positions)
 
 
 def _view(cls, **fields):
@@ -150,13 +144,6 @@ def _view(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)  # as __init__ sets them: no per-object dict
     return obj
-
-
-def _marker_frames(positions: np.ndarray, frame_indices) -> tuple:
-    """The MarkerFrames of a float (N, m, 3) stack, checked once and viewing its rows."""
-    positions, indices = _frame_stack(positions, frame_indices)
-    return tuple(_view(MarkerFrame, positions=p, frame_index=i)
-                 for p, i in zip(positions, indices))
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
@@ -196,10 +183,11 @@ def _exponent(a: np.ndarray, rows: bool = False):
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Each row's norm: sqrt(a[k] @ a[k]) bit for bit (axis=1 norms are not), after _exponent."""
+    """Each row's norm, sqrt(a[k] @ a[k]) bit for bit, after _exponent; inf above every double."""
     e = _exponent(a, rows=True)
     scaled = np.ldexp(a, -e[:, None])
-    return np.ldexp(np.sqrt(_row_dots(scaled, scaled)), e)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(_row_dots(scaled, scaled)), e)
 
 
 def _unit_rows(rows, name: str) -> np.ndarray:
@@ -211,14 +199,25 @@ def _unit_rows(rows, name: str) -> np.ndarray:
     return scaled / norms[:, None]
 
 
+def _scaled_norm(vec: np.ndarray) -> tuple:
+    """vec times 2**-e for its whole-array _exponent e, the norm of that (the sum _row_dots takes
+    of a row), and that norm times 2**e: inf, without a warning, above every double."""
+    e = _exponent(vec)
+    scaled = np.ldexp(vec, -e)
+    norm = math.sqrt(scaled @ scaled)
+    return scaled, norm, math.ldexp(norm, e) if e < 1024 or norm < 1.0 else math.inf
+
+
+def _norm(vec: np.ndarray) -> float:
+    """A vector's norm: _row_norms of it as one row, bit for bit, at a single vector's cost."""
+    return _scaled_norm(vec)[2]
+
+
 def _unit(value, name: str, tol: float = math.inf) -> np.ndarray:
     """A finite 3-vector divided by its norm as _unit_rows divides a row, but kept as it is within
     1e-12 of unit length. ValueError if it is zero or its norm is farther than tol from 1."""
     vec = _as_vector3(value, name)
-    e = _exponent(vec)
-    scaled = np.ldexp(vec, -e)
-    norm = math.sqrt(scaled @ scaled)  # the sum _row_dots takes of a row
-    length = math.ldexp(norm, e) if e < 1024 or norm < 1.0 else math.inf  # above every double
+    scaled, norm, length = _scaled_norm(vec)
     if abs(length - 1.0) > tol:
         raise ValueError(f"{name} must be a unit vector, got norm {length}")
     if not norm:
@@ -236,7 +235,7 @@ def _stack(motions) -> tuple:
 def _moving_stack(motions) -> tuple:
     """_stack of the moving frames: without the leading entry when it is frame 0."""
     rotations, translations = _stack(motions)
-    start = 1 if motions and motions[0].frame_index == 0 else 0  # only the first can be frame 0
+    start = 1 if motions.frame_indices[:1] == (0,) else 0  # only the first can be frame 0
     return rotations[start:], translations[start:]
 
 
@@ -287,8 +286,11 @@ class RelativeMotion:
         return pts @ self.rotation.T + self.translation
 
     def is_identity(self, tol: float = ROTATION_TOL) -> bool:
-        return (np.linalg.norm(self.rotation - np.eye(3)) <= tol
-                and _row_norms(self.translation[None])[0] <= tol)
+        return _is_identity(self.rotation, self.translation, tol)
+
+
+def _is_identity(rotation: np.ndarray, translation: np.ndarray, tol: float = ROTATION_TOL) -> bool:
+    return np.linalg.norm(rotation - _EYE3) <= tol and _norm(translation) <= tol
 
 
 def compose(a: RelativeMotion, b: RelativeMotion) -> RelativeMotion:
@@ -319,25 +321,28 @@ class MarkerFrame:
     frame_index: int = 0
 
     def __post_init__(self):
-        (pos,), (index,) = _frame_stack(np.array(self.positions, dtype=float)[None],
-                                        [self.frame_index])
+        pos = _frame_stack(np.array(self.positions, dtype=float)[None])[0]
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "frame_index", index)
+        object.__setattr__(self, "frame_index", _frame_index(self.frame_index))
 
     @property
     def marker_count(self) -> int:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MarkerLog:
-    """A recording in units: the sequence of marker frames 0..N-1, with constant marker count."""
+    """A recording in units: marker frames 0..N-1 with a constant marker count.
 
-    frames: tuple
-    units: str = "mm"
+    It is stored as one read-only (N, m, 3) positions stack; frames views its
+    rows, built on first access unless the constructor got them.
+    """
 
-    def __post_init__(self):
-        frames = tuple(self.frames)
+    positions: np.ndarray
+    units: str
+
+    def __init__(self, frames, units: str = "mm"):
+        frames = tuple(frames)
         if not frames:
             raise ValueError("marker log needs at least one frame")
         counts = {f.marker_count for f in frames}
@@ -346,76 +351,87 @@ class MarkerLog:
             raise ValueError(f"frame indices must be dense from 0, got {indices}")
         if len(counts) != 1:
             raise ValueError(f"marker count must be constant, got {sorted(counts)}")
-        object.__setattr__(self, "frames", frames)
+        positions = _frozen(np.array([f.positions for f in frames]))
+        # past the frozen __setattr__; frames fills the cached_property, so log[k] is frames[k]
+        self.__dict__.update(positions=positions, units=units, frames=frames)
+
+    @classmethod
+    def _of_stack(cls, positions: np.ndarray, units: str = "mm") -> "MarkerLog":
+        """The log of frames 0..N-1 of a float (N, m, 3) stack (N >= 1), checked once."""
+        return _view(cls, positions=_frame_stack(positions), units=units)
+
+    @cached_property
+    def frames(self) -> tuple:
+        return tuple(_view(MarkerFrame, positions=p, frame_index=k)
+                     for k, p in enumerate(self.positions))
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.positions)
 
     def __getitem__(self, i):
         return self.frames[i]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MotionSequence:
     """Ordered motions of one object, all relative to frame 0.
 
-    frame_index is strictly increasing; if an entry carries index 0 it must
-    be the identity motion. rms_errors, when the motions were measured by
-    registration, holds each motion's marker fit RMS. units names the length
-    unit of the translations and RMS values. rotations (N, 3, 3) and
-    translations (N, 3) hold the motions' arrays as two read-only stacks.
+    frame_indices is strictly increasing; if an entry carries index 0 it
+    must be the identity motion. rms_errors, when the motions were measured
+    by registration, holds each motion's marker fit RMS. units names the
+    length unit of the translations and RMS values. The motions are stored
+    as read-only stacks, rotations (N, 3, 3) and translations (N, 3); motions
+    views their rows, built on first access unless the constructor got them.
     """
 
-    motions: tuple
-    rms_errors: tuple | None = None
-    units: str = "mm"
-    rotations: np.ndarray = field(init=False, repr=False)
-    translations: np.ndarray = field(init=False, repr=False)
+    rotations: np.ndarray
+    translations: np.ndarray
+    frame_indices: tuple
+    rms_errors: tuple | None
+    units: str
 
-    def __post_init__(self):
-        motions = tuple(self.motions)
+    def __init__(self, motions, rms_errors=None, units: str = "mm"):
+        motions = tuple(motions)
         for m in motions:
             if not isinstance(m, RelativeMotion):
                 raise TypeError(f"expected RelativeMotion, got {type(m).__name__}")
-        self._keep(motions, _frozen(np.array([m.rotation for m in motions]).reshape(-1, 3, 3)),
-                   _frozen(np.array([m.translation for m in motions]).reshape(-1, 3)))
+        self._keep(_frozen(np.array([m.rotation for m in motions]).reshape(-1, 3, 3)),
+                   _frozen(np.array([m.translation for m in motions]).reshape(-1, 3)),
+                   [m.frame_index for m in motions], rms_errors, units)
+        self.__dict__["motions"] = motions  # fills the cached_property: seq[k] is motions[k]
 
     @classmethod
     def _of_stacks(cls, rotations: np.ndarray, translations: np.ndarray, frame_indices,
                    rms_errors=None, units: str = "mm") -> "MotionSequence":
-        """The sequence of the motions (rotations[k], translations[k], frame_indices[k]).
-
-        The stacks are checked once, as RelativeMotion would check each
-        motion, and the motions are read-only views into them.
-        """
-        rotations, translations, indices = _motion_stack(rotations, translations, frame_indices)
-        sequence = _view(cls, rms_errors=rms_errors, units=units)
-        sequence._keep(tuple(_view(RelativeMotion, rotation=r, translation=t, frame_index=i)
-                             for r, t, i in zip(rotations, translations, indices)),
-                       rotations, translations)
+        """The sequence of the motions (rotations[k], translations[k], frame_indices[k]), checked
+        once as RelativeMotion would check each; it keeps the stacks, read-only."""
+        sequence = object.__new__(cls)
+        sequence._keep(*_motion_stack(rotations, translations, frame_indices), rms_errors, units)
         return sequence
 
-    def _keep(self, motions: tuple, rotations: np.ndarray, translations: np.ndarray) -> None:
+    def _keep(self, rotations, translations, indices: list, rms_errors, units: str) -> None:
         """Check the sequence as a whole, then store it."""
-        indices = [m.frame_index for m in motions]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError(f"frame_index must be strictly increasing, got {indices}")
-        if motions and motions[0].frame_index == 0 and not motions[0].is_identity():
+        if indices and indices[0] == 0 and not _is_identity(rotations[0], translations[0]):
             raise ValueError("the frame-0 motion must be the identity")
-        if self.rms_errors is not None:
-            rms = tuple(float(e) for e in self.rms_errors)
-            if len(rms) != len(motions) or not all(0.0 <= e < math.inf for e in rms):
+        if rms_errors is not None:
+            rms_errors = tuple(float(e) for e in rms_errors)
+            if len(rms_errors) != len(indices) or not all(0.0 <= e < math.inf for e in rms_errors):
                 raise ValueError("rms_errors must be one finite nonnegative value per motion")
-            object.__setattr__(self, "rms_errors", rms)
-        object.__setattr__(self, "motions", motions)
-        object.__setattr__(self, "rotations", rotations)
-        object.__setattr__(self, "translations", translations)
+        self.__dict__.update(rotations=rotations, translations=translations,
+                             frame_indices=tuple(indices), rms_errors=rms_errors, units=units)
+
+    @cached_property
+    def motions(self) -> tuple:
+        return tuple(_view(RelativeMotion, rotation=r, translation=t, frame_index=i)
+                     for r, t, i in zip(self.rotations, self.translations, self.frame_indices))
 
     def __iter__(self):
         return iter(self.motions)
 
     def __len__(self) -> int:
-        return len(self.motions)
+        return len(self.frame_indices)
 
     def __getitem__(self, i) -> RelativeMotion:
         return self.motions[i]

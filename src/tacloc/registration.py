@@ -3,12 +3,14 @@
 The solve is the classic SVD fit between two 3-D point sets: centroids are
 removed, the 3x3 cross-covariance is decomposed, and the reflection case is
 repaired by flipping the singular direction with the smallest singular
-value. It runs once over a whole sequence, as one broadcast matmul and one
-np.linalg.svd over the (N, 3, 3) cross-covariances; register() is that solve
-on a stack of one. register_sequence, the one sequence registration, builds
-its MotionSequence straight from the solved stacks, checked once, so its
-motions are read-only views into them. Marker correspondence is assumed
-given (markers are tracked upstream); there is no correspondence search.
+value. It runs once over a whole (N, m, 3) positions stack, a MarkerLog's
+own or a list of frames stacked, as one broadcast matmul and one
+np.linalg.svd over the cross-covariances; register() is that solve on a
+stack of two. register_sequence, the one sequence registration, builds its
+MotionSequence straight from the solved stacks, checked once, and builds no
+per-frame object: its motions are views built on first access. Marker
+correspondence is assumed given (markers are tracked upstream); there is
+no correspondence search.
 """
 
 from __future__ import annotations
@@ -58,45 +60,53 @@ def register(reference: MarkerFrame, current: MarkerFrame) -> RegistrationResult
         DegenerateMarkers: marker covariance rank < 2 (collinear or
             coincident markers) — the rotation is unobservable.
     """
-    rotation, translation, rms, rank = _register_all(reference, [current])
+    rotation, translation, rms, rank, _ = _register_all([reference, current])
     return RegistrationResult(motion=RelativeMotion(rotation[0], translation[0],
                                                     current.frame_index),
                               rms_error=float(rms[0]), marker_covariance_rank=int(rank[0]))
 
 
-def _register_all(reference: MarkerFrame, frames) -> tuple:
-    """register(reference, frame) for every frame, as one solve over the whole stack.
+def _register_all(frames) -> tuple:
+    """register(frames[0], frame) for every later frame, as one solve over the (N, m, 3)
+    positions stack: a MarkerLog's own, or a list of one or more MarkerFrames stacked.
 
-    Returns rotations (N, 3, 3), translations (N, 3), RMS errors (N,) and
-    covariance ranks (N,). An error names the first bad frame, as register
-    frame by frame would: the reference's marker count, then each frame's
-    marker count and degeneracy in turn.
+    Returns rotations (N - 1, 3, 3), translations, RMS errors and covariance
+    ranks of the N - 1 fits, and the N frame indices. An error names the
+    first bad frame, as register frame by frame would: the reference's
+    marker count, then each frame's marker count and degeneracy in turn.
     """
-    if not frames:
-        return np.empty((0, 3, 3)), np.empty((0, 3)), np.empty(0), np.empty(0, dtype=int)
-    count = reference.marker_count
-    if count < 3:
-        raise TooFewMarkers(f"need at least 3 markers, got {count}",
-                            frame_index=reference.frame_index)
-    # frames before the first count mismatch stack; a degenerate one among them comes first
-    n_ok = next((k for k, f in enumerate(frames) if f.marker_count != count), len(frames))
-    results = _solve(reference.positions, frames[:n_ok]) if n_ok else None
-    if n_ok < len(frames):
-        bad = frames[n_ok]
+    if isinstance(frames, MarkerLog):
+        positions, indices, mismatch = frames.positions, range(len(frames)), None
+    else:
+        frames = list(frames)
+        if not frames:
+            raise ValueError("need at least 1 frame, got 0")
+        # frames before the first count mismatch stack; a degenerate one among them comes first
+        count = frames[0].marker_count
+        n_ok = next((k for k, f in enumerate(frames) if f.marker_count != count), len(frames))
+        positions = np.stack([f.positions for f in frames[:n_ok]])
+        indices = [f.frame_index for f in frames]
+        mismatch = frames[n_ok] if n_ok < len(frames) else None
+    count = positions.shape[1]
+    if len(indices) > 1 and count < 3:
+        raise TooFewMarkers(f"need at least 3 markers, got {count}", frame_index=indices[0])
+    results = _solve(positions, indices)
+    if mismatch is not None:
         raise MismatchedFrames(
             f"marker counts differ: reference has {count}, "
-            f"frame {bad.frame_index} has {bad.marker_count}",
-            frame_index=bad.frame_index)
-    return results
+            f"frame {mismatch.frame_index} has {mismatch.marker_count}",
+            frame_index=mismatch.frame_index)
+    return (*results, indices)
 
 
-def _solve(ref: np.ndarray, frames) -> tuple:
-    """The SVD fit of ref onto each frame, batched over the (N, 3, 3) cross-covariances."""
-    cur = np.stack([f.positions for f in frames])
-    e = max(_exponent(ref), _exponent(cur))  # one scale for both clouds, undone on return
-    ref, cur = np.ldexp(ref, -e), np.ldexp(cur, -e, out=cur)  # cur is this solve's own copy
+def _solve(positions: np.ndarray, frame_indices) -> tuple:
+    """The SVD fit of frame 0 onto each later frame of an (N, m, 3) stack, batched over the
+    (N - 1, 3, 3) cross-covariances; frame_indices name a degenerate frame."""
+    e = _exponent(positions)  # one scale for both clouds, undone on return
+    scaled = np.ldexp(positions, -e)  # a new array: the stack may be a log's own
+    ref, cur = scaled[0], scaled[1:]
     ref_centroid = ref.mean(axis=0)
-    cur_centroid = cur.mean(axis=1)
+    cur_centroid = np.einsum("nmk->nk", cur) / cur.shape[1]  # cur.mean(axis=1), bit for bit
 
     cross_cov = (ref - ref_centroid).T @ (cur - cur_centroid[:, None])
     u, sing, vt = np.linalg.svd(cross_cov)
@@ -107,7 +117,7 @@ def _solve(ref: np.ndarray, frames) -> tuple:
         k = degenerate[0]
         raise DegenerateMarkers(
             f"marker covariance rank {rank[k]} < 2; rotation unobservable",
-            frame_index=frames[k].frame_index)
+            frame_index=frame_indices[k + 1])
 
     v = vt.swapaxes(1, 2)
     ut = u.swapaxes(1, 2)
@@ -116,22 +126,18 @@ def _solve(ref: np.ndarray, frames) -> tuple:
     rotation = v @ flip @ ut
     translation = cur_centroid - rotation @ ref_centroid
 
-    residuals = ref @ rotation.swapaxes(1, 2) + translation[:, None] - cur
-    rms = np.sqrt(np.mean(np.sum(residuals**2, axis=2), axis=1))
+    x, y, z = np.moveaxis(ref @ rotation.swapaxes(1, 2) + translation[:, None] - cur, 2, 0)
+    rms = np.sqrt(np.mean(x * x + y * y + z * z, axis=1))  # np.sum(r**2, axis=2), bit for bit
 
     return rotation, np.ldexp(translation, e), np.ldexp(rms, e), rank
 
 
 def register_sequence(frames) -> MotionSequence:
-    """Register each of one or more frames against the first, which maps to the identity;
-    each fit's RMS (0 for the first) goes in rms_errors, and a MarkerLog's units in units
-    ("mm" for other frames). Errors name the frame at fault."""
+    """Register each of a MarkerLog's frames, or of one or more MarkerFrames, against the first,
+    which maps to the identity; each fit's RMS (0 for the first) goes in rms_errors, and a
+    MarkerLog's units in units ("mm" for other frames). Errors name the frame at fault."""
     units = frames.units if isinstance(frames, MarkerLog) else "mm"
-    frames = list(frames)
-    if not frames:
-        raise ValueError("need at least 1 frame, got 0")
-    rotations, translations, rms, _ = _register_all(frames[0], frames[1:])
+    rotations, translations, rms, _, indices = _register_all(frames)
     return MotionSequence._of_stacks(np.concatenate([_EYE3[None], rotations]),
                                      np.concatenate([np.zeros((1, 3)), translations]),
-                                     [f.frame_index for f in frames],
-                                     rms_errors=(0.0, *rms.tolist()), units=units)
+                                     indices, rms_errors=(0.0, *rms.tolist()), units=units)

@@ -10,9 +10,9 @@ Randomness comes from numpy's seeded PCG64 generator, so identical
 configurations produce bitwise-identical frames.
 
 generate builds the whole sequence as stacks: the truth rotations and
-translations, then every frame's marker positions from them at once. Each
-stack is checked once, and the truth motions and the marker frames are
-read-only views into the checked stacks.
+translations, then every frame's marker positions from them at once, as
+one (N, m, 3) stack. Each stack is checked once and kept by the truth
+MotionSequence or the MarkerLog, which build per-frame objects on access.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .contact import ContactKind
 from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
-from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _as_vector3,
-                     _exponent, _marker_frames, _readonly, _rotations_about_axes, _row_norms, _unit)
+from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _as_vector3, _exponent,
+                     _readonly, _rotations_about_axes, _row_norms, _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -225,14 +225,18 @@ def _truth_stacks(contact, schedule) -> tuple:
                                  for step in schedule], [step.angle for step in schedule])
     extra = np.array([step.translation if step.translation is not None else np.zeros(3)
                       for step in schedule])
-    if isinstance(contact, FixedPointContact):
-        trans = contact.point - rot @ contact.point + extra
-    elif isinstance(contact, FixedDirectionContact):
-        trans = extra  # translation is unconstrained for a fixed direction
-    else:
-        slide = np.array([step.slide for step in schedule])
-        trans = (contact.point - rot @ contact.point
-                 + slide[:, None] * contact.direction + extra)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite translation raises below
+        if isinstance(contact, FixedPointContact):
+            trans = contact.point - rot @ contact.point + extra
+        elif isinstance(contact, FixedDirectionContact):
+            trans = extra  # translation is unconstrained for a fixed direction
+        else:
+            slide = np.array([step.slide for step in schedule])
+            trans = (contact.point - rot @ contact.point
+                     + slide[:, None] * contact.direction + extra)
+    bad = np.flatnonzero(~np.isfinite(trans).all(axis=1))
+    if bad.size:
+        raise InvalidSchedule(f"schedule step {bad[0] + 1} moves the object beyond every double")
     return np.concatenate([_EYE3[None], rot]), np.concatenate([np.zeros((1, 3)), trans])
 
 
@@ -270,15 +274,16 @@ def generate(config: ScenarioConfig):
             f"scheduled motion at frame {bad[0] + 1} violates the "
             f"{type(config.contact).__name__} constraint (residual {residuals[bad[0]]:.3g})")
 
-    # every frame at once; the noise fills frame after frame in the order per-frame draws would.
-    # In place: the arithmetic of R p + t + noise * sigma without stack-sized temporaries,
-    # since the frames keep this stack as their memory.
+    # every frame at once: frame 0 is the reference, and the noise fills the moving frames frame
+    # after frame in the order per-frame draws would. In place: the arithmetic of
+    # R p + t + noise * sigma without stack-sized temporaries, since the log keeps this stack.
     reference = config.grid.reference_positions()
-    positions = reference @ rotations[1:].swapaxes(1, 2)
-    positions += translations[1:, None]
+    positions = np.empty((len(rotations), *reference.shape))
+    positions[0] = reference
+    moving = np.matmul(reference, rotations[1:].swapaxes(1, 2), out=positions[1:])
+    moving += translations[1:, None]
     if np.any(config.noise_sigma > 0.0):
-        noise = np.random.default_rng(config.seed).normal(size=positions.shape)
+        noise = np.random.default_rng(config.seed).normal(size=moving.shape)
         noise *= config.noise_sigma
-        positions += noise
-    frames = (MarkerFrame(reference, 0), *_marker_frames(positions, range(1, len(rotations))))
-    return MarkerLog(frames, units=config.units), truth
+        moving += noise
+    return MarkerLog._of_stack(positions, units=config.units), truth

@@ -26,9 +26,10 @@ from tacloc import (DegenerateMarkers, EdgeContact, FixedDirectionContact,
                     register_sequence, rotation_about_axis)
 from tacloc.estimators import (_canonical_sign, fixed_direction_residuals,
                                fixed_point_residuals, line_contact_residuals)
-from tacloc.motion import (ROTATION_TOL, _marker_frames, _proper_rotations, orthonormalize,
+from tacloc.motion import (ROTATION_TOL, MarkerLog, _proper_rotations, orthonormalize,
                            rotation_angle)
-from tacloc.registration import RANK_TOLERANCE, _register_all
+from tacloc import motion
+from tacloc.registration import RANK_TOLERANCE, _register_all, _solve
 from tacloc.simulate import InvalidSchedule, _truth_stacks
 
 # ---------------------------------------------------------------------------
@@ -536,22 +537,22 @@ def _stacked_sequence(rotations, translations, frame_indices, rms_errors=None):
     return [(m.rotation, m.translation, m.frame_index) for m in seq]
 
 
-def _stacked_frames(positions, frame_indices):
-    return [(f.positions, f.frame_index) for f in _marker_frames(positions, frame_indices)]
+def _stacked_frames(positions):
+    """The frames of a log kept as its (N, m, 3) stack, built on first access."""
+    return [(f.positions, f.frame_index) for f in MarkerLog._of_stack(positions).frames]
 
 
 def _raw_stacks(config):
     """The truth, frame and registration stacks of one config, as generate and
     register_sequence build them before any check."""
     frames, _ = generate(config)
-    rotations, translations, rms, _ = _register_all(frames[0], frames[1:])
+    rotations, translations, rms, _, _ = _register_all(list(frames))
     return {
         "truth": (*_truth_stacks(config.contact, config.schedule), list(range(len(frames)))),
         "registered": (np.concatenate([np.eye(3)[None], rotations]),
                        np.concatenate([np.zeros((1, 3)), translations]),
                        [f.frame_index for f in frames], [0.0, *rms.tolist()]),
-        "frames": (np.stack([f.positions for f in frames[1:]]),
-                   [f.frame_index for f in frames[1:]]),
+        "frames": np.stack([f.positions for f in frames]),
     }
 
 
@@ -583,9 +584,9 @@ def test_stacks_checked_once_match_the_per_object_constructors(name):
     assert_same_rows([(m.rotation, m.translation, m.frame_index) for m in registered], want)
     assert registered.rms_errors == tuple(raw["registered"][3])
 
-    want = _reference_frames(*_copies(raw["frames"]))
-    assert_same_rows(_stacked_frames(*_copies(raw["frames"])), want)
-    assert_same_rows([(f.positions, f.frame_index) for f in frames[1:]], want)
+    want = _reference_frames(raw["frames"].copy(), range(len(frames)))
+    assert_same_rows(_stacked_frames(raw["frames"].copy()), want)
+    assert_same_rows([(f.positions, f.frame_index) for f in frames], want)
 
     # the sequence keeps the stacks its motions view
     for seq in (truth.motions, registered):
@@ -610,12 +611,10 @@ MOTION_FAULTS = {
     "index_fraction": lambda r, t, i, k: i.__setitem__(k, k + 0.5),
     "index_repeated": lambda r, t, i, k: i.__setitem__(k, i[k - 1]),
 }
-# Faults for one frame k of the (positions, indices) copies.
+# Faults for one frame k of a positions copy; a log's frame indices are 0..N-1 by construction.
 FRAME_FAULTS = {
-    "positions_nan": lambda p, i, k: p[k].__setitem__((k % p.shape[1], 1), np.nan),
-    "positions_inf": lambda p, i, k: p[k].__setitem__((0, 2), np.inf),
-    "index_negative": lambda p, i, k: i.__setitem__(k, -k - 1),
-    "index_fraction": lambda p, i, k: i.__setitem__(k, k + 0.25),
+    "positions_nan": lambda p, k: p[k].__setitem__((k % p.shape[1], 1), np.nan),
+    "positions_inf": lambda p, k: p[k].__setitem__((0, 2), np.inf),
 }
 
 
@@ -661,22 +660,22 @@ def test_stack_errors_name_the_first_bad_motion_in_frame_order(name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_stack_errors_name_the_first_bad_frame_in_frame_order(name):
-    positions, indices = _raw_stacks(CONFIGS[name]())["frames"]
-    n = len(indices)
-    first, second = n // 3, 2 * n // 3
+    positions = _raw_stacks(CONFIGS[name]())["frames"]
+    indices = range(len(positions))
+    first, second = len(positions) // 3, 2 * len(positions) // 3
     for fault_a, fault_b in _fault_pairs(FRAME_FAULTS):
         outcomes = {}
         for rows in ((first,), (first, second), (first, first))[:3 - (fault_a == fault_b)]:
-            p, i = _copies((positions, indices))
+            p = positions.copy()
             for k, fault in zip(rows, (fault_a, fault_b)):
-                FRAME_FAULTS[fault](p, i, k)
-            got = _outcome(_stacked_frames, *_copies((p, i)))
-            assert got[0] is ValueError and got == _outcome(_reference_frames, p, i)
+                FRAME_FAULTS[fault](p, k)
+            got = _outcome(_stacked_frames, p.copy())
+            assert got[0] is ValueError and got == _outcome(_reference_frames, p, indices)
             outcomes[rows] = got
         assert outcomes[(first,)] == outcomes[(first, second)], (fault_a, fault_b)
     # a stack of the wrong shape fails on its first frame, as every frame would
     for bad in (positions[:, :, :2], positions[:, 0]):
-        got = _outcome(_stacked_frames, bad.copy(), indices)
+        got = _outcome(_stacked_frames, bad.copy())
         assert got[0] is ValueError and got == _outcome(_reference_frames, bad, indices)
 
 
@@ -751,8 +750,8 @@ def test_stack_views_stay_read_only():
     config = CONFIGS["pivot_point_noisy"]()
     frames, truth = generate(config)
     registered = register_sequence(frames)
-    assert frames[1].positions.base is frames[-1].positions.base  # one stack, viewed
-    arrays = [frames[0].positions, frames[1].positions, frames[-1].positions]
+    assert frames[0].positions.base is frames[-1].positions.base  # one stack, viewed
+    arrays = [frames.positions, frames[0].positions, frames[1].positions, frames[-1].positions]
     for seq in (truth.motions, registered):
         arrays += [seq.rotations, seq.translations, seq[0].rotation, seq[0].translation,
                    seq[-1].rotation, seq[-1].translation]
@@ -763,3 +762,80 @@ def test_stack_views_stay_read_only():
             arr[0] = 1.0
         with pytest.raises(ValueError):
             arr.view()[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# A log's stack goes straight to the solve; no per-frame object on the way.
+
+
+def _reference_solve(positions):
+    """_solve as it was, on the frames of a stack: re-stacked, mean(axis=1), sum(r**2, axis=2)."""
+    ref, frames = positions[0], [MarkerFrame(p, k) for k, p in enumerate(positions[1:], 1)]
+    cur = np.stack([f.positions for f in frames])
+    e = max(motion._exponent(ref), motion._exponent(cur))
+    ref, cur = np.ldexp(ref, -e), np.ldexp(cur, -e, out=cur)
+    ref_centroid = ref.mean(axis=0)
+    cur_centroid = cur.mean(axis=1)
+    cross_cov = (ref - ref_centroid).T @ (cur - cur_centroid[:, None])
+    u, sing, vt = np.linalg.svd(cross_cov)
+    rank = np.count_nonzero(sing > RANK_TOLERANCE * sing[:, :1], axis=1) * (sing[:, 0] > 0.0)
+    v = vt.swapaxes(1, 2)
+    ut = u.swapaxes(1, 2)
+    flip = np.broadcast_to(np.eye(3), cross_cov.shape).copy()
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rotation = v @ flip @ ut
+    translation = cur_centroid - rotation @ ref_centroid
+    residuals = ref @ rotation.swapaxes(1, 2) + translation[:, None] - cur
+    rms = np.sqrt(np.mean(np.sum(residuals**2, axis=2), axis=1))
+    return rotation, np.ldexp(translation, e), np.ldexp(rms, e), rank
+
+
+@pytest.mark.parametrize("moving", [1, 2, 2000])
+@pytest.mark.parametrize("markers", [3, 4, 8, 9, 121, 1600])
+def test_the_solve_on_a_stack_matches_the_restacked_solve(markers, moving):
+    rng = np.random.default_rng([markers, moving])
+    cloud = rng.normal(size=(markers, 3))
+    rotations = np.array([rotation_about_axis(a, t) for a, t in
+                          zip(rng.normal(size=(moving, 3)), rng.uniform(-3.0, 3.0, moving))])
+    positions = np.concatenate([cloud[None], cloud @ rotations.swapaxes(1, 2)])
+    positions[1:] += rng.normal(size=(moving, 1, 3)) + rng.normal(size=positions[1:].shape) * 1e-3
+    for k in (-500, 0, 500):
+        scaled = np.ldexp(positions, k)
+        got, want = _solve(scaled, range(moving + 1)), _reference_solve(scaled)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), (markers, moving, k)
+
+
+@pytest.mark.parametrize("kind", ["point", "direction", "line"])
+def test_a_long_run_builds_no_per_frame_object(monkeypatch, kind):
+    config = long_config(kind, steps=1999)
+    built = []
+    view = motion._view
+    monkeypatch.setattr(motion, "_view", lambda cls, **fields: (built.append(cls),
+                                                                  view(cls, **fields))[1])
+    for cls in (MarkerFrame, RelativeMotion):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=init: (built.append(type(self)), init(self))[1])
+
+    log, truth = generate(config)
+    motions = register_sequence(log)
+    {"point": estimate_fixed_point, "direction": estimate_fixed_direction,
+     "line": lambda m: estimate_line_contact(m, EDGE.surface_normal)}[kind](motions)
+    assert MarkerLog in built and not {MarkerFrame, RelativeMotion} & set(built)
+    assert len(log) == len(motions) == len(truth.motions) == 2000
+    assert "frames" not in vars(log)
+    assert "motions" not in vars(motions) and "motions" not in vars(truth.motions)
+
+    # on first access, each object views its stack's row, read-only, and is kept
+    assert log[0] is log[0] and motions[-1] is motions[-1]
+    for k, frame in enumerate(log.frames):
+        assert frame.frame_index == k and np.shares_memory(frame.positions, log.positions)
+        assert np.array_equal(frame.positions, log.positions[k])
+        assert not frame.positions.flags.writeable
+    for seq in (motions, truth.motions):
+        for k, m in enumerate(seq):
+            assert m.frame_index == seq.frame_indices[k] == k
+            assert np.array_equal(m.rotation, seq.rotations[k])
+            assert np.array_equal(m.translation, seq.translations[k])
+            assert not (m.rotation.flags.writeable or m.translation.flags.writeable)

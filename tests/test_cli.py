@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from tacloc import (MarkerFrame, MarkerLog, generate, read_report, read_scenario,
-                    write_marker_log)
+from tacloc import (MarkerFrame, MarkerLog, generate, read_marker_log, read_report,
+                    read_scenario, rotation_about_axis, write_marker_log)
 from tacloc import cli
 from tacloc.cli import main
 from tacloc.simulate import MarkerGrid
@@ -58,8 +58,7 @@ def test_simulate_register_estimate_pipeline(tmp_path):
 def test_estimate_report_matches_library_result_exactly(tmp_path):
     # the CLI may serialize, never reformat: reading the report back must
     # reproduce the library's numbers bit for bit
-    from tacloc import (estimate_fixed_point, fixed_point_residuals,
-                        read_marker_log, register_sequence)
+    from tacloc import estimate_fixed_point, fixed_point_residuals, register_sequence
 
     log_path = simulate(tmp_path, "pivot_point_noisy")
     report_path = tmp_path / "report.json"
@@ -512,3 +511,27 @@ def test_a_pivot_too_far_to_square_simulates_without_a_warning(tmp_path, capsys)
     # the moved markers round to one point, so no rotation can be registered
     assert _run_without_warnings(["roundtrip", "--scenario", str(scenario)]) == 4
     assert "marker covariance rank 0 < 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
+def test_a_pivot_whose_truth_translation_overflows_is_an_invalid_input_file(tmp_path, capsys,
+                                                                           command):
+    point = np.array([1.7e308, 1.7e308, 0.0])
+    scenario = _edited_scenario(tmp_path, "pivot_point", ["contact", "point"], point.tolist())
+    # the first step whose rotated pivot is above every double, found without tacloc
+    with np.errstate(over="ignore"):
+        step = next(k for k, raw in enumerate(json.loads(scenario.read_text())["schedule"], 1)
+                    if not np.isfinite(rotation_about_axis(raw["axis"], raw["angle"]) @ point).all())
+    args = [command, "--scenario", str(scenario)]
+    args += ["--out", str(tmp_path / "log.json")] if command == "simulate" else []
+    assert _run_without_warnings(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tacloc: invalid input: ") and f"schedule step {step} " in err
+
+
+def test_a_hinge_translation_whose_norm_overflows_simulates_without_a_warning(tmp_path):
+    scenario = _edited_scenario(tmp_path, "hinge_direction", ["schedule", 0, "translation"],
+                                [1.7e308, 1.7e308, 0])
+    out = tmp_path / "log.json"
+    assert _run_without_warnings(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert read_marker_log(out).positions[1].max() == 1.7e308

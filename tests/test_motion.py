@@ -150,6 +150,9 @@ def test_marker_frame_validation():
         MarkerFrame(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         MarkerFrame(np.array([[0.0, 0.0, np.inf]]))
+    for index in (-1, 0.5):
+        with pytest.raises(ValueError, match="frame_index must be a nonnegative integer"):
+            MarkerFrame(np.zeros((5, 3)), frame_index=index)
     frame = MarkerFrame(np.zeros((5, 3)), frame_index=2)
     assert frame.marker_count == 5
 

@@ -22,6 +22,7 @@ from tacloc import (ContactKind, MarkerFrame, MarkerLog, MotionSequence, MotionS
                     estimate_line_contact, generate, propagate_plane, read_scenario,
                     register_sequence)
 from tacloc.cli import main
+from tacloc.motion import _norm, _row_norms
 
 BUNDLED = ["box_on_edge", "box_on_edge_noisy", "hinge_direction", "hinge_direction_noisy",
            "pivot_point", "pivot_point_noisy"]
@@ -144,3 +145,19 @@ def test_a_vector_whose_norm_is_above_every_double_still_gives_its_direction():
                                    np.full(3, 3**-0.5), rtol=0.0, atol=4 * np.finfo(float).eps)
         with pytest.raises(ValueError, match="n0 must be a unit vector, got norm inf"):
             propagate_plane(vector, np.zeros(3), MotionSequence((RelativeMotion.identity(),)))
+
+
+def _norm_cases():
+    tiny, huge = 2.0**-1074, np.finfo(float).max
+    extremes = [[0.0, 0.0, 0.0], [tiny, 0.0, 0.0], [tiny, -tiny, tiny], [2.0**-1022, 0.0, -tiny],
+                [2.0**1023, 0.0, 0.0], [2.0**1023, -2.0**1023, 2.0**1023], [huge, 0.0, tiny],
+                [huge, huge, huge], [1.7e308, 1.7e308, 0.0], [1.0, 2.0, 2.0]]
+    rng = np.random.default_rng(12)
+    rows = rng.uniform(-1.0, 1.0, (400, 3)) * 2.0 ** rng.integers(-20, 20, (400, 3))
+    return [np.array(v) for v in extremes] + list(np.ldexp(rows, rng.integers(-1050, 1000, 400)[:, None]))
+
+
+def test_a_single_norm_is_its_row_norm_bit_for_bit():
+    for vector in _norm_cases():
+        got, want = _norm(vector), _row_norms(vector[None])[0]
+        assert type(got) is float and got == want, vector
