@@ -13,7 +13,11 @@ restored to inf on read.
 
 Every number in a file must be a JSON number. Arrays are read by _array,
 which scans for booleans (numpy reads one among numbers as 0 or 1) only when
-_load finds that the text may hold a true or false.
+_load finds that the text may hold a true or false. A marker log is read
+frame by frame: the decoder's object_hook makes each frame's positions an
+array as its object closes, so at most one frame of Python floats is alive.
+The hook runs only on text without a true or false, so its arrays need no
+boolean scan; other text is decoded plain, and _array scans its lists.
 """
 
 from __future__ import annotations
@@ -177,12 +181,15 @@ def _may_hold_literal(text: str) -> bool:
     return False
 
 
-def _load(path, schema: str) -> tuple:
-    """The document in path and whether its text may hold a true or false."""
+def _load(path, schema: str, hook=None) -> tuple:
+    """The document in path and whether its text may hold a true or false.
+    hook, the decoder's object_hook, runs only on text that holds neither:
+    the arrays it makes would hide the booleans _array scans for."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
-            data = json.loads(text)
+            literals = _may_hold_literal(text)
+            data = json.loads(text, object_hook=None if literals else hook)
         except json.JSONDecodeError as err:
             raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
         except (ValueError, RecursionError) as err:  # bad UTF-8, an over-long integer, deep nesting
@@ -192,7 +199,7 @@ def _load(path, schema: str) -> tuple:
     found = data.get("schema")
     if found != schema:
         raise SchemaVersionMismatch(f"expected schema {schema!r}, found {found!r}")
-    return data, _may_hold_literal(text)
+    return data, literals
 
 
 @contextlib.contextmanager
@@ -266,6 +273,15 @@ def _array(data, key: str, context: str, shape: tuple, literals: bool,
 # ---------------------------------------------------------------------------
 # Marker logs.
 
+def _positions_array(obj: dict) -> dict:
+    """obj with a list 'positions' made an array, so one frame's floats and row
+    lists live only until its object closes; a ragged list stays for _array."""
+    if isinstance(obj.get("positions"), list):
+        with contextlib.suppress(ValueError):
+            obj["positions"] = np.asarray(obj["positions"])
+    return obj
+
+
 def write_marker_log(path, log: MarkerLog) -> None:
     data = {
         "schema": MARKER_LOG_SCHEMA,
@@ -276,7 +292,7 @@ def write_marker_log(path, log: MarkerLog) -> None:
 
 
 def read_marker_log(path) -> MarkerLog:
-    data, literals = _load(path, MARKER_LOG_SCHEMA)
+    data, literals = _load(path, MARKER_LOG_SCHEMA, _positions_array)
     units = _require(data, "units", "marker log", str)
     raw_frames = _entries(data, "frames", "marker log")
     shape = (None, 3)

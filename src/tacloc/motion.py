@@ -21,6 +21,7 @@ RelativeMotion) runs _proper_rotations, and MarkerFrame runs _frame_stack.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -411,7 +412,7 @@ class MotionSequence:
 
     def _keep(self, rotations, translations, indices: list, rms_errors, units: str) -> None:
         """Check the sequence as a whole, then store it."""
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+        if any(map(operator.ge, indices, indices[1:])):
             raise ValueError(f"frame_index must be strictly increasing, got {indices}")
         if indices and indices[0] == 0 and not _is_identity(rotations[0], translations[0]):
             raise ValueError("the frame-0 motion must be the identity")

@@ -223,8 +223,10 @@ def _truth_stacks(contact, schedule) -> tuple:
     # a step's own axis, else the hinge or edge direction (a pivot step always has one)
     rot = _rotations_about_axes([contact.direction if step.axis is None else step.axis
                                  for step in schedule], [step.angle for step in schedule])
-    extra = np.array([step.translation if step.translation is not None else np.zeros(3)
-                      for step in schedule])
+    extra = np.zeros((len(schedule), 3))
+    for k, step in enumerate(schedule):
+        if step.translation is not None:
+            extra[k] = step.translation
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite translation raises below
         if isinstance(contact, FixedPointContact):
             trans = contact.point - rot @ contact.point + extra
@@ -254,7 +256,8 @@ def generate(config: ScenarioConfig):
 
     Deterministic given the seed. Raises InvalidSchedule when a scheduled
     motion violates the scenario's own contact constraint (for example a
-    fixed-point step carrying a translation that is not through the pivot).
+    fixed-point step carrying a translation that is not through the pivot),
+    or moves a frame's markers beyond the largest double.
     """
     rotations, translations = _truth_stacks(config.contact, config.schedule)
     truth = ScenarioTruth(
@@ -280,10 +283,14 @@ def generate(config: ScenarioConfig):
     reference = config.grid.reference_positions()
     positions = np.empty((len(rotations), *reference.shape))
     positions[0] = reference
-    moving = np.matmul(reference, rotations[1:].swapaxes(1, 2), out=positions[1:])
-    moving += translations[1:, None]
-    if np.any(config.noise_sigma > 0.0):
-        noise = np.random.default_rng(config.seed).normal(size=moving.shape)
-        noise *= config.noise_sigma
-        moving += noise
+    with np.errstate(over="ignore", invalid="ignore"):  # a frame beyond every double raises below
+        moving = np.matmul(reference, rotations[1:].swapaxes(1, 2), out=positions[1:])
+        moving += translations[1:, None]
+        if np.any(config.noise_sigma > 0.0):
+            noise = np.random.default_rng(config.seed).normal(size=moving.shape)
+            noise *= config.noise_sigma
+            moving += noise
+    bad = np.flatnonzero(~np.isfinite(moving).all(axis=(1, 2)))
+    if bad.size:
+        raise InvalidSchedule(f"frame {bad[0] + 1} moves the markers beyond every double")
     return MarkerLog._of_stack(positions, units=config.units), truth

@@ -529,6 +529,24 @@ def test_a_pivot_whose_truth_translation_overflows_is_an_invalid_input_file(tmp_
     assert err.startswith("tacloc: invalid input: ") and f"schedule step {step} " in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
+def test_a_grid_pose_whose_rotated_markers_overflow_is_an_invalid_input_file(tmp_path, capsys,
+                                                                             command):
+    offset = np.array([1.7e308, 1.7e308, 0.0])
+    scenario = _edited_scenario(tmp_path, "pivot_point", ["grid", "pose", "translation"],
+                                offset.tolist())
+    # every marker sits at the offset to within a few pitches, far below its last bit, so the
+    # first frame beyond every double is the first step that rotates the offset beyond them
+    with np.errstate(over="ignore"):
+        frame = next(k for k, raw in enumerate(json.loads(scenario.read_text())["schedule"], 1)
+                     if not np.isfinite(rotation_about_axis(raw["axis"], raw["angle"]) @ offset).all())
+    args = [command, "--scenario", str(scenario)]
+    args += ["--out", str(tmp_path / "log.json")] if command == "simulate" else []
+    assert _run_without_warnings(args) == 3
+    err = capsys.readouterr().err
+    assert err == f"tacloc: invalid input: frame {frame} moves the markers beyond every double\n"
+
+
 def test_a_hinge_translation_whose_norm_overflows_simulates_without_a_warning(tmp_path):
     scenario = _edited_scenario(tmp_path, "hinge_direction", ["schedule", 0, "translation"],
                                 [1.7e308, 1.7e308, 0])

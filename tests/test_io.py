@@ -24,7 +24,8 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     register_sequence, write_marker_log, write_motion_sequence, write_report,
                     write_scenario, write_truth)
 from tacloc.cli import main
-from tacloc.io import _HASH_BLOCK, _number, dumps, sha256_of_file
+from tacloc.io import (_HASH_BLOCK, _array, _entries, _number, _require, dumps,
+                       sha256_of_file)
 
 GOLDEN_LOG = textwrap.dedent("""\
     {
@@ -190,6 +191,94 @@ def test_marker_log_reader_rejects_wrong_json_types(tmp_path, mutate):
     path.write_text(json.dumps(data))
     with pytest.raises(ParseError):
         read_marker_log(path)
+
+
+def _reference_read_marker_log(path) -> MarkerLog:
+    """A marker log read the plain way: the whole document decoded to Python
+    objects first, then each frame's positions list through _array, which
+    always scans for booleans."""
+    data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    units = _require(data, "units", "marker log", str)
+    raw_frames = _entries(data, "frames", "marker log")
+    shape, stack = (None, 3), []
+    for i, raw in enumerate(raw_frames):
+        index = _require(raw, "frame_index", f"frame {i}", int)
+        if index != i:
+            raise ParseError(f"frame {i}: frame indices must be dense from 0, got {index}")
+        stack.append(_array(raw, "positions", f"frame {i}", shape, True, "marker"))
+        shape = stack[0].shape
+    return MarkerLog._of_stack(np.array(stack), units=units)
+
+
+def _read_outcome(read, path):
+    """The log's units, stack shape and bytes, or the type and message of the error raised."""
+    try:
+        log = read(path)
+    except (ParseError, NonFiniteValue) as err:  # anything else fails the test
+        return type(err), str(err)
+    return log.units, log.positions.shape, log.positions.tobytes()
+
+
+_NESTED_FRAME = {"frame_index": 0, "positions": [[1.0, 2.0, 3.0]]}
+# What replaces one coordinate, or one frame's whole positions.
+COORDINATE_CORRUPTIONS = {"string": "1.5", "true": True, "false": False, "null": None,
+                          "overflow": 10**400, "big_integer": 2**64, "nan": math.nan,
+                          "infinity": -math.inf, "nested_object": _NESTED_FRAME}
+POSITIONS_CORRUPTIONS = {"positions_object": _NESTED_FRAME, "positions_empty": [],
+                         "positions_number": 2.0}
+# The other corruptions, each of a document, one frame of it, a marker and an axis.
+SHAPE_CORRUPTIONS = {
+    "none": lambda doc, frame, m, a: None,
+    "ragged_row": lambda doc, frame, m, a: frame["positions"][m].pop(a),
+    "long_row": lambda doc, frame, m, a: frame["positions"][m].append(1.0),
+    "extra_marker": lambda doc, frame, m, a: frame["positions"].append([0.0, 0.0, 0.0]),
+    "row_is_number": lambda doc, frame, m, a: frame["positions"].__setitem__(m, 1.0),
+    "nested_row": lambda doc, frame, m, a: frame["positions"].__setitem__(m, _NESTED_FRAME),
+    "frame_index": lambda doc, frame, m, a: frame.__setitem__("frame_index", 7),
+    "stray_top_level": lambda doc, frame, m, a: doc.__setitem__("positions", [[1.0, 2.0], [3.0]]),
+    "stray_top_level_floats": lambda doc, frame, m, a: doc.__setitem__(
+        "positions", frame["positions"]),
+    "units_spelling_true": lambda doc, frame, m, a: doc.__setitem__("units", "untrue"),
+}
+LOG_CORRUPTIONS = sorted({**COORDINATE_CORRUPTIONS, **POSITIONS_CORRUPTIONS, **SHAPE_CORRUPTIONS})
+
+
+def _corrupt(doc, corruption, f, m, a) -> None:
+    frame = doc["frames"][f]
+    if corruption in COORDINATE_CORRUPTIONS:
+        frame["positions"][m][a] = COORDINATE_CORRUPTIONS[corruption]
+    elif corruption in POSITIONS_CORRUPTIONS:
+        frame["positions"] = POSITIONS_CORRUPTIONS[corruption]
+    else:
+        SHAPE_CORRUPTIONS[corruption](doc, frame, m, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=4).map(
+           lambda s: s[:2] + (3,)), elements=st.floats(allow_nan=False, allow_infinity=False)),
+       corruption=st.sampled_from(LOG_CORRUPTIONS), where=st.tuples(*[st.integers(0)] * 3))
+def test_marker_log_reader_matches_a_plain_reader(stack, corruption, where):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "log.json"
+        write_marker_log(path, MarkerLog._of_stack(stack))
+        doc = json.loads(path.read_text())
+        f, m, a = (k % n for k, n in zip(where, stack.shape))
+        _corrupt(doc, corruption, f, m, a)
+        if corruption != "none":
+            path.write_text(json.dumps(doc))
+        got = _read_outcome(read_marker_log, path)
+        assert got == _read_outcome(_reference_read_marker_log, path), corruption
+        if corruption == "none":  # -0.0 is written as the JSON integer -0, which reads as 0
+            assert got[2] == (stack + 0.0).tobytes()
+
+
+def test_reading_a_marker_log_holds_about_twice_its_text(tmp_path):
+    # decoding the whole document before converting it peaks at 3.4x the file
+    rng = np.random.default_rng(19)
+    path = tmp_path / "log.json"
+    write_marker_log(path, MarkerLog._of_stack(rng.standard_normal((30, 400, 3))))
+    peak = _traced_peak(lambda: read_marker_log(path))
+    assert peak < 2.5 * path.stat().st_size, peak / path.stat().st_size
 
 
 def test_motion_reader_accepts_only_integer_frame_indices(tmp_path):

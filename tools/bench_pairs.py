@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload large_log --pairs 10
+
+Each pair runs `bench/run.py --trace 0` once in each checkout, one after the
+other, as its own process; the side that goes first flips from pair to
+pair, so a drift of the host's speed falls on both sides alike. Every run's
+end-to-end metrics are printed as it ends. Then, per metric, come both
+medians, the interquartile range of the parent's runs, and how many pairs
+each side won; a tie counts for neither. The run length, the metrics and
+which way each is better are read from the repository's BENCHMARK.json.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def benchmark_spec() -> tuple:
+    """The run seconds, and {metric name: "higher" or "lower"} for the gated
+    end-to-end metrics."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last line of one untraced bench run in checkout, as its JSON object."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summarize(pairs: list, better: dict) -> dict:
+    """Per metric: the parent's and the change's median, the parent's
+    interquartile range, and the pairs won by the change and by the parent.
+
+    pairs holds one (parent values, change values) per pair, each a
+    {metric: value} dict; better maps each metric to "higher" or "lower".
+    """
+    summary = {}
+    for name, direction in better.items():
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        sign = 1.0 if direction == "higher" else -1.0
+        q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                     if len(parent) > 1 else parent * 3)
+        summary[name] = {
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "parent_iqr": q3 - q1,
+            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "parent_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the checkout compared against")
+    parser.add_argument("--change", type=Path, required=True, help="the checkout under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="the workload seed; check a claim on one not used while tuning")
+    args = parser.parse_args(argv)
+
+    seconds, better = benchmark_spec()
+    pairs = []
+    for k in range(args.pairs):
+        sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        values = {}
+        for side in sides:
+            result = run_once(getattr(args, side), args.workload, args.seed, seconds)
+            values[side] = {name: result["metrics"][name]["value"] for name in better}
+            figures = " ".join(f"{name}={value:.6g}" for name, value in values[side].items())
+            failed = f" failed={result['failed']}/{result['attempted']}" if result["failed"] else ""
+            print(f"pair {k} {side} {figures}{failed}", flush=True)
+        pairs.append((values["parent"], values["change"]))
+
+    for name, s in summarize(pairs, better).items():
+        print(f"{name} ({better[name]} is better): parent median {s['parent_median']:.6g}"
+              f" (IQR {s['parent_iqr']:.6g}), change median {s['change_median']:.6g},"
+              f" change better in {s['change_wins']}/{len(pairs)},"
+              f" parent better in {s['parent_wins']}/{len(pairs)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
