@@ -3,7 +3,8 @@
 Everything is JSON with a "schema" tag. Writing is deterministic — the same
 data always produces the same bytes — so logs can be diffed and hashed.
 Floats are written with 17 significant digits, which round-trips every
-double exactly; write -> read -> write is byte-identical. A document is
+double exactly, and negative zero as -0.0 (-0 would read as the integer 0);
+write -> read -> write is byte-identical. A document is
 rendered to a list of text pieces (one per float array or flat list) before
 its file is opened, so a failed write leaves the file as it was, and the
 pieces are written one by one, so no nesting level copies the whole text.
@@ -11,13 +12,13 @@ pieces are written one by one, so no nesting level copies the whole text.
 An infinite condition number is stored as null (JSON has no Infinity) and
 restored to inf on read.
 
-Every number in a file must be a JSON number. Arrays are read by _array,
-which scans for booleans (numpy reads one among numbers as 0 or 1) only when
-_load finds that the text may hold a true or false. A marker log is read
-frame by frame: the decoder's object_hook makes each frame's positions an
-array as its object closes, so at most one frame of Python floats is alive.
-The hook runs only on text without a true or false, so its arrays need no
-boolean scan; other text is decoded plain, and _array scans its lists.
+Every number in a file must be a JSON number. Every file is decoded one way.
+Arrays are read by _array, which rejects a list holding a true or false
+(numpy reads one among numbers as 1 or 0). A marker log is read frame by
+frame: the decoder's object_hook makes each frame's positions an array as
+its object closes, so at most one frame of Python floats is alive. The hook
+scans the rows numpy read as holding a 0 or a 1 and leaves a list holding a
+boolean as it is, for _array to reject.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -77,7 +79,10 @@ def _emit_float_array(arr: np.ndarray, depth: int) -> str:
     if arr.ndim == 2:
         pad = _INDENT * (depth + 1)
         text = "[\n" + ",\n".join([pad + text] * arr.shape[0]) + "\n" + _INDENT * depth + "]"
-    return text % tuple(arr.ravel().tolist())
+    # "%.17g" writes -0.0 as -0, which reads as the integer 0; no other number
+    # ends in -0, as an exponent has at least two digits
+    text %= tuple(arr.ravel().tolist())
+    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
 
 
 def _scalar(value) -> str:
@@ -93,7 +98,8 @@ def _scalar(value) -> str:
         value = float(value)
         if not math.isfinite(value):
             raise NonFiniteValue(f"cannot serialize {value!r}")
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        return "-0.0" if text == "-0" else text
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -165,31 +171,11 @@ def sha256_of_file(path) -> str:
 # ---------------------------------------------------------------------------
 # Typed reading.
 
-def _may_hold_literal(text: str) -> bool:
-    """False only when text holds no JSON true or false.
-
-    The letter at offset 2 of each literal ('u', 'l') never occurs in a
-    number, and a document's other occurrences sit in its few strings, so
-    each single-character search (a memchr) stops only a few times.
-    """
-    for letter, word in (("u", "true"), ("l", "false")):
-        at = text.find(letter)
-        while at != -1:
-            if at >= 2 and text.startswith(word, at - 2):
-                return True
-            at = text.find(letter, at + 1)
-    return False
-
-
-def _load(path, schema: str, hook=None) -> tuple:
-    """The document in path and whether its text may hold a true or false.
-    hook, the decoder's object_hook, runs only on text that holds neither:
-    the arrays it makes would hide the booleans _array scans for."""
+def _load(path, schema: str) -> dict:
+    """The document in path, each frame's positions made an array by _positions_array."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
-            literals = _may_hold_literal(text)
-            data = json.loads(text, object_hook=None if literals else hook)
+            data = json.loads(fh.read(), object_hook=_positions_array)
         except json.JSONDecodeError as err:
             raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
         except (ValueError, RecursionError) as err:  # bad UTF-8, an over-long integer, deep nesting
@@ -199,7 +185,7 @@ def _load(path, schema: str, hook=None) -> tuple:
     found = data.get("schema")
     if found != schema:
         raise SchemaVersionMismatch(f"expected schema {schema!r}, found {found!r}")
-    return data, literals
+    return data
 
 
 @contextlib.contextmanager
@@ -245,12 +231,16 @@ def _float(data, key: str, context: str) -> float:
     return _number(_require(data, key, context), f"{context} {key!r}")
 
 
-def _array(data, key: str, context: str, shape: tuple, literals: bool,
-           rows: str = "entry") -> np.ndarray:
+def _holds_bool(rows) -> bool:
+    """Whether some row, a list of JSON values, holds a true or false."""
+    return bool in map(type, chain.from_iterable(rows))
+
+
+def _array(data, key: str, context: str, shape: tuple, rows: str = "entry") -> np.ndarray:
     """data[key] as a float array of shape (None matches any length), or
-    ParseError unless numpy infers a float or 64-bit integer dtype and, when
-    literals is set, no entry is a boolean; NonFiniteValue names the first
-    non-finite row."""
+    ParseError unless numpy infers a float or 64-bit integer dtype and, for a
+    list, no entry is a boolean; NonFiniteValue names the first non-finite row.
+    An array, which only _positions_array makes, holds no boolean."""
     value, what = _require(data, key, context), f"{context} {key!r}"
     try:
         arr = np.asarray(value)
@@ -260,8 +250,7 @@ def _array(data, key: str, context: str, shape: tuple, literals: bool,
         raise ParseError(f"{what} is not numeric: read as {arr.dtype}")
     if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
         raise ParseError(f"{what} must have shape {shape}, got {arr.shape}")
-    if literals and any(type(v) is bool for row in (value if arr.ndim == 2 else [value])
-                        for v in row):
+    if isinstance(value, list) and _holds_bool(value if arr.ndim == 2 else [value]):
         raise ParseError(f"{what} is not numeric: an entry is a boolean")
     arr = arr.astype(float, copy=False)
     finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
@@ -275,10 +264,17 @@ def _array(data, key: str, context: str, shape: tuple, literals: bool,
 
 def _positions_array(obj: dict) -> dict:
     """obj with a list 'positions' made an array, so one frame's floats and row
-    lists live only until its object closes; a ragged list stays for _array."""
-    if isinstance(obj.get("positions"), list):
-        with contextlib.suppress(ValueError):
-            obj["positions"] = np.asarray(obj["positions"])
+    lists live only until its object closes. A list that numpy does not read
+    as a 2-D array of numbers stays for _array to report, as does one with a
+    boolean, which numpy reads as 1 or 0: only rows holding one are scanned."""
+    rows = obj.get("positions")
+    if isinstance(rows, list):
+        with contextlib.suppress(ValueError):  # ragged
+            arr = np.asarray(rows)
+            if arr.ndim == 2 and arr.dtype.kind in "fi":
+                suspect = np.flatnonzero((arr == 0) | (arr == 1)) // arr.shape[1]
+                if not _holds_bool(map(rows.__getitem__, suspect.tolist())):
+                    obj["positions"] = arr
     return obj
 
 
@@ -292,7 +288,7 @@ def write_marker_log(path, log: MarkerLog) -> None:
 
 
 def read_marker_log(path) -> MarkerLog:
-    data, literals = _load(path, MARKER_LOG_SCHEMA, _positions_array)
+    data = _load(path, MARKER_LOG_SCHEMA)
     units = _require(data, "units", "marker log", str)
     raw_frames = _entries(data, "frames", "marker log")
     shape = (None, 3)
@@ -300,7 +296,7 @@ def read_marker_log(path) -> MarkerLog:
         index = _require(raw, "frame_index", f"frame {i}", int)
         if index != i:
             raise ParseError(f"frame {i}: frame indices must be dense from 0, got {index}")
-        arr = _array(raw, "positions", f"frame {i}", shape, literals, "marker")
+        arr = _array(raw, "positions", f"frame {i}", shape, "marker")
         if i == 0:  # later frames must have frame 0's shape, so one marker count
             shape, positions = arr.shape, np.empty((len(raw_frames),) + arr.shape)
         positions[i] = arr
@@ -319,7 +315,7 @@ def _motion_dicts(motions: MotionSequence) -> list:
             zip(motions.frame_indices, motions.rotations, motions.translations)]
 
 
-def _motions(data, context: str, literals: bool) -> MotionSequence:
+def _motions(data, context: str) -> MotionSequence:
     """The sequence of data's non-empty 'motions' list in its 'units', with
     each entry's rms_error when any has one, read into stacks and built once."""
     units = _require(data, "units", context, str)
@@ -329,8 +325,8 @@ def _motions(data, context: str, literals: bool) -> MotionSequence:
     for i, raw in enumerate(raw_motions):
         entry = f"motion {i}"
         indices[i] = _require(raw, "frame_index", entry, int)
-        rotations[i] = _array(raw, "rotation", entry, (3, 3), literals)
-        translations[i] = _array(raw, "translation", entry, (3,), literals)
+        rotations[i] = _array(raw, "rotation", entry, (3, 3))
+        translations[i] = _array(raw, "translation", entry, (3,))
     rms_errors = None
     if any("rms_error" in raw for raw in raw_motions):
         rms_errors = [_float(raw, "rms_error", f"motion {i}") for i, raw in enumerate(raw_motions)]
@@ -355,8 +351,8 @@ def write_motion_sequence(path, motions: MotionSequence) -> None:
 
 
 def read_motion_sequence(path) -> MotionSequence:
-    data, literals = _load(path, MOTIONS_SCHEMA)
-    return _motions(data, "motion file", literals)
+    data = _load(path, MOTIONS_SCHEMA)
+    return _motions(data, "motion file")
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +367,13 @@ def _contact_to_dict(contact) -> dict:
             **{f.name: getattr(contact, f.name) for f in fields(contact)}}
 
 
-def _contact_from_dict(raw: dict, literals: bool):
+def _contact_from_dict(raw: dict):
     kind = _require(raw, "kind", "contact", str)
     if kind not in _CONTACTS:
         raise ParseError(f"unknown contact kind {kind!r}")
     cls = _CONTACTS[kind]
     with _invalid("contact"):
-        return cls(*(_array(raw, f.name, "contact", (3,), literals) for f in fields(cls)))
+        return cls(*(_array(raw, f.name, "contact", (3,)) for f in fields(cls)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +404,12 @@ def write_scenario(path, config: ScenarioConfig) -> None:
 
 
 def read_scenario(path) -> ScenarioConfig:
-    data, literals = _load(path, SCENARIO_SCHEMA)
+    data = _load(path, SCENARIO_SCHEMA)
     raw_grid = _require(data, "grid", "scenario")
     raw_pose = _require(raw_grid, "pose", "grid")
     with _invalid("grid"):
-        pose = RelativeMotion(_array(raw_pose, "rotation", "grid pose", (3, 3), literals),
-                              _array(raw_pose, "translation", "grid pose", (3,), literals),
+        pose = RelativeMotion(_array(raw_pose, "rotation", "grid pose", (3, 3)),
+                              _array(raw_pose, "translation", "grid pose", (3,)),
                               _require(raw_pose, "frame_index", "grid pose", int))
         grid = MarkerGrid(rows=_require(raw_grid, "rows", "grid", int),
                           cols=_require(raw_grid, "cols", "grid", int),
@@ -428,12 +424,12 @@ def read_scenario(path) -> ScenarioConfig:
         with _invalid(context):
             steps.append(MotionStep(
                 angle=angle,
-                axis=None if axis is None else _array(raw, "axis", context, (3,), literals),
+                axis=None if axis is None else _array(raw, "axis", context, (3,)),
                 slide=_float(raw, "slide", context) if "slide" in raw else 0.0,
                 translation=(None if translation is None
-                             else _array(raw, "translation", context, (3,), literals)),
+                             else _array(raw, "translation", context, (3,))),
             ))
-    contact = _contact_from_dict(_require(data, "contact", "scenario"), literals)
+    contact = _contact_from_dict(_require(data, "contact", "scenario"))
     tolerances = _require(data, "tolerances", "scenario", dict)
     for key in tolerances:
         _float(tolerances, key, "scenario tolerances")
@@ -442,7 +438,7 @@ def read_scenario(path) -> ScenarioConfig:
             contact=contact,
             grid=grid,
             schedule=tuple(steps),
-            noise_sigma=_array(data, "noise_sigma", "scenario", (3,), literals),
+            noise_sigma=_array(data, "noise_sigma", "scenario", (3,)),
             seed=_require(data, "seed", "scenario", int),
             name=_require(data, "name", "scenario", str),
             units=_require(data, "units", "scenario", str),
@@ -465,9 +461,9 @@ def write_truth(path, truth: ScenarioTruth, units: str | None = None) -> None:
 
 
 def read_truth(path) -> ScenarioTruth:
-    data, literals = _load(path, TRUTH_SCHEMA)
-    contact = _contact_from_dict(_require(data, "contact", "truth"), literals)
-    return ScenarioTruth(motions=_motions(data, "truth", literals), contact_geometry=contact)
+    data = _load(path, TRUTH_SCHEMA)
+    contact = _contact_from_dict(_require(data, "contact", "truth"))
+    return ScenarioTruth(motions=_motions(data, "truth"), contact_geometry=contact)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +497,7 @@ def write_report(path, report: EstimateReport) -> None:
 
 
 def read_report(path) -> EstimateReport:
-    data, literals = _load(path, REPORT_SCHEMA)
+    data = _load(path, REPORT_SCHEMA)
     raw_est = _require(data, "estimate", "report")
     raw_cond = _require(raw_est, "conditioning", "estimate")
     raw_cn = _require(raw_cond, "condition_number", "conditioning")
@@ -517,11 +513,11 @@ def read_report(path) -> EstimateReport:
     with _invalid("estimate"):
         estimate = ContactEstimate(
             kind=ContactKind(_require(raw_est, "kind", "estimate")),
-            point=None if point is None else _array(raw_est, "point", "estimate", (3,), literals),
+            point=None if point is None else _array(raw_est, "point", "estimate", (3,)),
             direction=(None if direction is None
-                       else _array(raw_est, "direction", "estimate", (3,), literals)),
+                       else _array(raw_est, "direction", "estimate", (3,))),
             residual_rms=_float(raw_est, "residual_rms", "estimate"),
-            per_frame_residuals=_array(data, "per_frame_residuals", "report", (None,), literals),
+            per_frame_residuals=_array(data, "per_frame_residuals", "report", (None,)),
             conditioning=conditioning,
         )
     raw_config = _require(data, "config", "report")

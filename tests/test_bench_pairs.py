@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import textwrap
 
 import pytest
 
@@ -38,3 +39,50 @@ def test_one_pair_has_no_spread(bench_pairs):
     summary = bench_pairs.summarize([({"m": 2.0}, {"m": 1.0})], {"m": "lower"})
     assert summary["m"] == {"parent_median": 2.0, "change_median": 1.0, "parent_iqr": 0.0,
                             "change_wins": 1, "parent_wins": 0}
+
+
+def _fake_checkout(root: pathlib.Path, script: str) -> pathlib.Path:
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(script)
+    return root
+
+
+def test_a_broken_run_stops_with_its_exit_code_and_stderr(bench_pairs, tmp_path, capsys):
+    broken = _fake_checkout(tmp_path / "broken", textwrap.dedent("""\
+        import sys
+        print("partial output")
+        print("first line", file=sys.stderr)
+        print("Traceback: it broke", file=sys.stderr)
+        sys.exit(3)
+        """))
+    assert bench_pairs.main(["--parent", str(broken), "--change", str(broken),
+                             "--workload", "scenarios", "--pairs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"bench_pairs: the parent run of pair 0 in {broken} exited with exit code 3;"
+                   " its stderr ends:\nfirst line\nTraceback: it broke\n")
+
+
+def test_a_run_without_a_json_result_stops(bench_pairs, tmp_path, capsys):
+    silent = _fake_checkout(tmp_path / "silent", "print('no result')\n")
+    assert bench_pairs.main(["--parent", str(silent), "--change", str(silent),
+                             "--workload", "scenarios", "--pairs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bench_pairs: the parent run of pair 0 in {silent} printed no JSON"
+                          " result with exit code 0;")
+    assert err.endswith("(stderr is empty)\n")
+
+
+def test_a_run_whose_ops_failed_prints_correct_false(bench_pairs, tmp_path, capsys):
+    metrics = {name: {"value": 1.0} for name in bench_pairs.benchmark_spec()[1]}
+    script = "import json\nprint(json.dumps({}))\n"
+    good = _fake_checkout(tmp_path / "good", script.format(repr(
+        {"correct": True, "attempted": 4, "failed": 0, "metrics": metrics})))
+    bad = _fake_checkout(tmp_path / "bad", script.format(repr(
+        {"correct": False, "attempted": 4, "failed": 1, "metrics": metrics})))
+    assert bench_pairs.main(["--parent", str(good), "--change", str(bad),
+                             "--workload", "scenarios", "--pairs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("pair 0 parent ") and lines[0].endswith("setup_s=1")
+    assert lines[1].startswith("pair 0 change ") and lines[1].endswith(
+        "setup_s=1 failed=1/4 correct=false")

@@ -1,6 +1,7 @@
 """File formats: byte-stable serialization, validation, error reporting."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
-                    EstimateReport, EstimatorConfig, MarkerFrame, MarkerLog,
-                    MotionSequence, NonFiniteValue, ParseError, RelativeMotion,
-                    ScenarioConfig, SchemaVersionMismatch, generate, read_marker_log,
-                    read_motion_sequence, read_report, read_scenario, read_truth,
-                    register_sequence, write_marker_log, write_motion_sequence, write_report,
-                    write_scenario, write_truth)
+                    EstimateReport, EstimatorConfig, FixedPointContact, MarkerFrame,
+                    MarkerLog, MotionSequence, MotionStep, NonFiniteValue, ParseError,
+                    RelativeMotion, ScenarioConfig, SchemaVersionMismatch, generate,
+                    read_marker_log, read_motion_sequence, read_report, read_scenario,
+                    read_truth, register_sequence, write_marker_log, write_motion_sequence,
+                    write_report, write_scenario, write_truth)
 from tacloc.cli import main
 from tacloc.io import (_HASH_BLOCK, _array, _entries, _number, _require, dumps,
                        sha256_of_file)
@@ -195,8 +196,8 @@ def test_marker_log_reader_rejects_wrong_json_types(tmp_path, mutate):
 
 def _reference_read_marker_log(path) -> MarkerLog:
     """A marker log read the plain way: the whole document decoded to Python
-    objects first, then each frame's positions list through _array, which
-    always scans for booleans."""
+    objects first, then each frame's positions list through _array and a
+    scan of every entry for a boolean, which numpy would read as 1 or 0."""
     data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
     units = _require(data, "units", "marker log", str)
     raw_frames = _entries(data, "frames", "marker log")
@@ -205,7 +206,9 @@ def _reference_read_marker_log(path) -> MarkerLog:
         index = _require(raw, "frame_index", f"frame {i}", int)
         if index != i:
             raise ParseError(f"frame {i}: frame indices must be dense from 0, got {index}")
-        stack.append(_array(raw, "positions", f"frame {i}", shape, True, "marker"))
+        stack.append(_array(raw, "positions", f"frame {i}", shape, "marker"))
+        if any(type(v) is bool for row in raw["positions"] for v in row):
+            raise ParseError(f"frame {i} 'positions' is not numeric: an entry is a boolean")
         shape = stack[0].shape
     return MarkerLog._of_stack(np.array(stack), units=units)
 
@@ -268,17 +271,26 @@ def test_marker_log_reader_matches_a_plain_reader(stack, corruption, where):
             path.write_text(json.dumps(doc))
         got = _read_outcome(read_marker_log, path)
         assert got == _read_outcome(_reference_read_marker_log, path), corruption
-        if corruption == "none":  # -0.0 is written as the JSON integer -0, which reads as 0
-            assert got[2] == (stack + 0.0).tobytes()
+        if corruption == "none":
+            assert got[2] == stack.tobytes()
 
 
 def test_reading_a_marker_log_holds_about_twice_its_text(tmp_path):
     # decoding the whole document before converting it peaks at 3.4x the file
     rng = np.random.default_rng(19)
     path = tmp_path / "log.json"
-    write_marker_log(path, MarkerLog._of_stack(rng.standard_normal((30, 400, 3))))
-    peak = _traced_peak(lambda: read_marker_log(path))
-    assert peak < 2.5 * path.stat().st_size, peak / path.stat().st_size
+    stack = rng.standard_normal((30, 400, 3))
+    write_marker_log(path, MarkerLog._of_stack(stack))
+    canonical = path.read_text()
+    # a true anywhere in the text, even inside a string, is read the same way
+    for text in (canonical,
+                 canonical.replace('  "units": "mm",\n', '  "units": "mm",\n  "note": true,\n'),
+                 canonical.replace('"units": "mm"', '"units": "untrue"')):
+        assert text.count("true") == (text != canonical)
+        path.write_text(text)
+        peak = _traced_peak(lambda: read_marker_log(path))
+        assert peak < 2.5 * path.stat().st_size, peak / path.stat().st_size
+        assert read_marker_log(path).positions.tobytes() == stack.tobytes()
 
 
 def test_motion_reader_accepts_only_integer_frame_indices(tmp_path):
@@ -359,6 +371,37 @@ def test_motion_file_keeps_its_units(tmp_path):
         p2.write_text(json.dumps(data))
         with pytest.raises(ParseError, match="units"):
             read_motion_sequence(p2)
+
+
+def test_negative_zero_round_trips_bit_exact(tmp_path):
+    # "%.17g" writes -0.0 as -0, which JSON reads back as the integer 0
+    stack = np.array([[[-0.0, 1.0, 0.0], [2.0, -0.0, -0.0]], [[0.0, -0.0, 1.0], [2.0, 0.5, 0.0]]])
+    motions = MotionSequence((RelativeMotion.identity(0),
+                              RelativeMotion([[1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 0.0, 1.0]],
+                                             [-0.0, 0.5, 0.0], 1)),
+                             rms_errors=(-0.0, 1e-5))
+    pivot = read_scenario(bundled_scenario("pivot_point"))
+    config = dataclasses.replace(
+        pivot, contact=FixedPointContact([-0.0, 0.0, 1.0]), noise_sigma=(0.0, -0.0, 0.0),
+        schedule=(MotionStep(angle=-0.0, axis=(-0.0, 0.0, 1.0)),) + pivot.schedule[1:])
+    cases = [
+        (write_marker_log, read_marker_log, MarkerLog._of_stack(stack),
+         lambda log: [log.positions]),
+        (write_motion_sequence, read_motion_sequence, motions,
+         lambda m: [m.rotations, m.translations, m.rms_errors]),
+        (write_scenario, read_scenario, config,
+         lambda c: [c.contact.point, c.noise_sigma, c.schedule[0].angle, c.schedule[0].axis]),
+    ]
+    for write, read, value, parts in cases:
+        p1, p2 = tmp_path / "first.json", tmp_path / "second.json"
+        write(p1, value)
+        assert "-0.0" in p1.read_text()
+        back = read(p1)
+        for want, got in zip(parts(value), parts(back)):
+            assert np.array_equal(np.signbit(got), np.signbit(want)), write.__name__
+            assert np.array_equal(got, want)
+        write(p2, back)
+        assert p2.read_bytes() == p1.read_bytes(), write.__name__
 
 
 def test_scenario_and_truth_round_trip(tmp_path):
@@ -817,6 +860,8 @@ def _reference_emit(value, depth: int) -> str:
         value = float(value)
         if not math.isfinite(value):
             raise NonFiniteValue(f"cannot serialize {value!r}")
+        if value == 0 and math.copysign(1.0, value) < 0:
+            return "-0.0"  # -0 would read back as the integer 0
         return format(value, ".17g")
     if isinstance(value, np.ndarray):
         value = value.tolist()

@@ -6,10 +6,13 @@
 Each pair runs `bench/run.py --trace 0` once in each checkout, one after the
 other, as its own process; the side that goes first flips from pair to
 pair, so a drift of the host's speed falls on both sides alike. Every run's
-end-to-end metrics are printed as it ends. Then, per metric, come both
-medians, the interquartile range of the parent's runs, and how many pairs
-each side won; a tie counts for neither. The run length, the metrics and
-which way each is better are read from the repository's BENCHMARK.json.
+end-to-end metrics are printed as it ends, with correct=false when one of
+its ops failed its check. Then, per metric, come both medians, the
+interquartile range of the parent's runs, and how many pairs each side won;
+a tie counts for neither. The run length, the metrics and which way each is
+better are read from the repository's BENCHMARK.json. A run that exits
+nonzero, or whose last line is not JSON, stops the comparison with the tail
+of its stderr and exit code 1.
 """
 
 import argparse
@@ -20,6 +23,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL = 20  # lines of a broken run's stderr to show
+
+
+class RunFailed(Exception):
+    """A bench run that exited nonzero or printed no JSON result."""
 
 
 def benchmark_spec() -> tuple:
@@ -30,12 +38,21 @@ def benchmark_spec() -> tuple:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last line of one untraced bench run in checkout, as its JSON object."""
+    """The last line of one untraced bench run in checkout, as its JSON object,
+    or RunFailed with the exit code and the tail of the run's stderr."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        if done.returncode == 0 and lines:
+            return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        pass
+    tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL:]) or "(stderr is empty)"
+    what = "printed no JSON result" if done.returncode == 0 else "exited"
+    raise RunFailed(f"{what} with exit code {done.returncode}; its stderr ends:\n{tail}")
 
 
 def summarize(pairs: list, better: dict) -> dict:
@@ -78,11 +95,18 @@ def main(argv=None) -> int:
         sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         values = {}
         for side in sides:
-            result = run_once(getattr(args, side), args.workload, args.seed, seconds)
+            checkout = getattr(args, side)
+            try:
+                result = run_once(checkout, args.workload, args.seed, seconds)
+            except RunFailed as err:
+                print(f"bench_pairs: the {side} run of pair {k} in {checkout} {err}",
+                      file=sys.stderr)
+                return 1
             values[side] = {name: result["metrics"][name]["value"] for name in better}
             figures = " ".join(f"{name}={value:.6g}" for name, value in values[side].items())
             failed = f" failed={result['failed']}/{result['attempted']}" if result["failed"] else ""
-            print(f"pair {k} {side} {figures}{failed}", flush=True)
+            correct = "" if result["correct"] else " correct=false"
+            print(f"pair {k} {side} {figures}{failed}{correct}", flush=True)
         pairs.append((values["parent"], values["change"]))
 
     for name, s in summarize(pairs, better).items():
