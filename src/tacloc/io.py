@@ -6,19 +6,28 @@ Floats are written with 17 significant digits, which round-trips every
 double exactly, and negative zero as -0.0 (-0 would read as the integer 0);
 write -> read -> write is byte-identical. A document is
 rendered to a list of text pieces (one per float array or flat list) before
-its file is opened, so a failed write leaves the file as it was, and the
+its file is opened, so a render failure leaves the file as it was, and the
 pieces are written one by one, so no nesting level copies the whole text.
+An existing regular file is overwritten in place and any old tail trimmed,
+because truncating it to zero as it is opened can cost far more than the
+write (on ext4 mounted with discard, an open took 0.1 ms for a 3 KB file and
+10 ms for an 11 MB one, against 0.05 ms or less in place). An I/O error
+part-way through a write can therefore leave the new head over the old
+tail, where truncating first left a short file; files are never fsynced, so
+neither is durable across a power loss. A FIFO or device is not trimmed.
 
 An infinite condition number is stored as null (JSON has no Infinity) and
 restored to inf on read.
 
-Every number in a file must be a JSON number. Every file is decoded one way.
-Arrays are read by _array, which rejects a list holding a true or false
-(numpy reads one among numbers as 1 or 0). A marker log is read frame by
-frame: the decoder's object_hook makes each frame's positions an array as
-its object closes, so at most one frame of Python floats is alive. The hook
-scans the rows numpy read as holding a 0 or a 1 and leaves a list holding a
-boolean as it is, for _array to reject.
+Every number in a file must be a JSON number. Every file is decoded by one
+json.loads call. Arrays are read by _array, which rejects a list holding a
+true or false (numpy reads one among numbers as 1 or 0). A marker log is read
+frame by frame: the decoder's object_hook makes each frame's positions an
+array as its object closes, so at most one frame of Python floats is alive.
+The hook scans the rows numpy read as holding a 0 or a 1 and leaves a list
+holding a boolean as it is, for _array to reject. Other files are decoded
+without it, so a "positions" key elsewhere, as in a report's provenance,
+reads back as the JSON it holds.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ import contextlib
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
@@ -150,9 +161,13 @@ def dumps(data: dict) -> str:
 
 
 def _write_file(path, data: dict) -> None:
-    pieces = _pieces(data)  # before open empties the file
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write data's canonical text over the file at path, created if missing."""
+    pieces = _pieces(data)  # before the file is touched
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
         fh.writelines(pieces)
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # a FIFO cannot tell, nor a device truncate
+            fh.truncate()
 
 
 _HASH_BLOCK = 1 << 18
@@ -172,10 +187,12 @@ def sha256_of_file(path) -> str:
 # Typed reading.
 
 def _load(path, schema: str) -> dict:
-    """The document in path, each frame's positions made an array by _positions_array."""
+    """The document in path; in a marker log, each frame's positions made an
+    array by _positions_array."""
+    hook = _positions_array if schema == MARKER_LOG_SCHEMA else None
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.loads(fh.read(), object_hook=_positions_array)
+            data = json.loads(fh.read(), object_hook=hook)
         except json.JSONDecodeError as err:
             raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
         except (ValueError, RecursionError) as err:  # bad UTF-8, an over-long integer, deep nesting

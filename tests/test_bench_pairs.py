@@ -86,3 +86,27 @@ def test_a_run_whose_ops_failed_prints_correct_false(bench_pairs, tmp_path, caps
     assert lines[0].startswith("pair 0 parent ") and lines[0].endswith("setup_s=1")
     assert lines[1].startswith("pair 0 change ") and lines[1].endswith(
         "setup_s=1 failed=1/4 correct=false")
+
+
+def test_fewer_than_one_pair_is_a_usage_error(bench_pairs, capsys):
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", ".", "--change", ".", "--workload", "scenarios",
+                          "--pairs", "0"])
+    assert stop.value.code == 2
+    assert "--pairs must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_the_summary_gives_the_relative_change_of_medians(bench_pairs, tmp_path, capsys):
+    def checkout(name, value):
+        metrics = {metric: {"value": value} for metric in bench_pairs.benchmark_spec()[1]}
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        return _fake_checkout(tmp_path / name, f"import json\nprint(json.dumps({result!r}))\n")
+
+    assert bench_pairs.main(["--parent", str(checkout("parent", 8.0)),
+                             "--change", str(checkout("change", 10.0)),
+                             "--workload", "scenarios", "--pairs", "2"]) == 0
+    summary = capsys.readouterr().out.splitlines()[4:]
+    assert summary[0] == ("throughput_frames_per_s (higher is better): parent median 8"
+                          " (IQR 0), change median 10 (+25.00%), change better in 2/2,"
+                          " parent better in 0/2")
+    assert len(summary) == 4 and all("change median 10 (+25.00%)," in line for line in summary)

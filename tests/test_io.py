@@ -5,9 +5,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pathlib
+import stat
 import tempfile
 import textwrap
+import threading
 import tracemalloc
 import warnings
 
@@ -806,6 +809,97 @@ def test_failed_write_leaves_the_file_as_it_was(roundtrip_files, tmp_path):
     with pytest.raises(NonFiniteValue):
         write_report(path, bad)
     assert path.read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# An existing output is overwritten in place, and its old tail trimmed.
+
+def _log(frame_count):
+    rng = np.random.default_rng(frame_count)
+    return MarkerLog(tuple(MarkerFrame(rng.standard_normal((40, 3)), k)
+                           for k in range(frame_count)))
+
+
+def _report(frame_count, provenance):
+    estimate = ContactEstimate(
+        kind=ContactKind.FIXED_POINT, point=np.array([1.0, 2.0, 3.0]), direction=None,
+        residual_rms=0.25, per_frame_residuals=np.linspace(0.0, 1.0, frame_count),
+        conditioning=ConditioningReport(max_rotation_angle=1.0, smallest_singular_value=1.0,
+                                        condition_number=1.0, well_posed=True))
+    return EstimateReport(estimate=estimate, config=EstimatorConfig(), provenance=provenance)
+
+
+@pytest.mark.parametrize("writer, long, short", [
+    (write_marker_log, _log(100), _log(2)),
+    (write_report, _report(500, {"note": "x" * 5000}), _report(2, {})),
+], ids=["marker_log", "report"])
+def test_a_shorter_document_over_a_longer_file_leaves_no_tail(tmp_path, writer, long, short):
+    path, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+    writer(path, long)
+    long_size = path.stat().st_size
+    writer(path, short)
+    writer(fresh, short)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert 10 * len(fresh.read_bytes()) < long_size
+
+
+def test_a_fifo_receives_the_whole_document(tmp_path):
+    fifo, fresh = tmp_path / "fifo", tmp_path / "fresh.json"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_marker_log(fifo, _log(100))  # blocks until the reader opens the FIFO
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    write_marker_log(fresh, _log(100))
+    assert received == [fresh.read_bytes()]
+
+
+def test_dev_null_is_a_target():
+    write_report(os.devnull, _report(3, {}))
+    assert main(["simulate", "--scenario", str(bundled_scenario("pivot_point")),
+                 "--out", os.devnull, "--truth", os.devnull]) == 0
+
+
+def test_a_symlinked_output_is_written_through_and_kept(tmp_path):
+    target, link, fresh = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "f.json"
+    write_marker_log(target, _log(100))
+    link.symlink_to(target)
+    write_marker_log(link, _log(2))
+    write_marker_log(fresh, _log(2))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_permission_bits_are_kept_and_a_new_file_gets_those_open_gives(tmp_path):
+    existing, new, plain = tmp_path / "existing.json", tmp_path / "new.json", tmp_path / "p"
+    existing.write_text("x" * 10000)
+    existing.chmod(0o640)
+    write_report(existing, _report(2, {}))
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+    write_report(new, _report(2, {}))
+    with open(plain, "w"):
+        pass
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_a_directory_as_out_exits_3(tmp_path, capsys):
+    log = tmp_path / "log.json"
+    write_marker_log(log, _log(3))
+    assert main(["register", "--log", str(log), "--out", str(tmp_path)]) == 3
+    assert "cannot read or write file" in capsys.readouterr().err
+
+
+def test_a_positions_key_outside_a_marker_log_reads_back_as_json(tmp_path):
+    provenance = {"extra": {"positions": [[12345678901234567891, 0.5]]}}
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_report(first, _report(3, provenance))
+    back = read_report(first)
+    assert back.provenance == provenance
+    assert type(back.provenance["extra"]["positions"]) is list
+    write_report(second, back)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def _traced_peak(call) -> int:

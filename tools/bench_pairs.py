@@ -8,8 +8,8 @@ other, as its own process; the side that goes first flips from pair to
 pair, so a drift of the host's speed falls on both sides alike. Every run's
 end-to-end metrics are printed as it ends, with correct=false when one of
 its ops failed its check. Then, per metric, come both medians, the
-interquartile range of the parent's runs, and how many pairs each side won;
-a tie counts for neither. The run length, the metrics and which way each is
+interquartile range of the parent's runs, the change's median relative to
+the parent's, and how many pairs each side won; a tie counts for neither. The run length, the metrics and which way each is
 better are read from the repository's BENCHMARK.json. A run that exits
 nonzero, or whose last line is not JSON, stops the comparison with the tail
 of its stderr and exit code 1.
@@ -84,10 +84,12 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="the checkout compared against")
     parser.add_argument("--change", type=Path, required=True, help="the checkout under test")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="at least 1")
     parser.add_argument("--seed", type=int, default=0,
                         help="the workload seed; check a claim on one not used while tuning")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     seconds, better = benchmark_spec()
     pairs = []
@@ -111,7 +113,8 @@ def main(argv=None) -> int:
 
     for name, s in summarize(pairs, better).items():
         print(f"{name} ({better[name]} is better): parent median {s['parent_median']:.6g}"
-              f" (IQR {s['parent_iqr']:.6g}), change median {s['change_median']:.6g},"
+              f" (IQR {s['parent_iqr']:.6g}), change median {s['change_median']:.6g}"
+              f" ({s['change_median'] / s['parent_median'] - 1:+.2%}),"
               f" change better in {s['change_wins']}/{len(pairs)},"
               f" parent better in {s['parent_wins']}/{len(pairs)}")
     return 0
