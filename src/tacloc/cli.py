@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import tempfile
@@ -75,6 +76,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                             default=f.default, help=f"{f.metadata['help']} (default {f.default:g})")
 
 
+# built once per process: argparse keeps no state between parse_args calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tacloc",
@@ -97,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--log", required=True, help="marker log JSON file")
     p_est.add_argument("--out", required=True, help="estimate report to write")
     p_est.add_argument("--n0", type=_vector3, metavar="X,Y,Z",
-                       help="contacting face normal at frame 0 (required for --type line)")
+                       help="contacting face normal at frame 0 (required for --type line); "
+                            "write --n0=X,Y,Z when X is negative")
     p_est.add_argument("--strict", action="store_true",
                        help="fail (exit 4) instead of reporting an ill-conditioned fit")
     _add_config_flags(p_est)

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import io
 import json
+import pathlib
 import tempfile
 import warnings
 from importlib import resources
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from tacloc import (MarkerFrame, MarkerLog, generate, read_marker_log, read_report,
-                    read_scenario, rotation_about_axis, write_marker_log)
+from tacloc import (EstimatorConfig, MarkerFrame, MarkerLog, __version__, generate,
+                    read_marker_log, read_report, read_scenario, rotation_about_axis,
+                    write_marker_log)
 from tacloc import cli
 from tacloc.cli import main
 from tacloc.simulate import MarkerGrid
@@ -245,7 +247,7 @@ def test_strict_ill_conditioned_exits_4(tmp_path):
     for type_args, log in cases:
         args = ["estimate", *type_args, "--log", str(log), "--out", str(tmp_path / "r.json")]
         assert main(args + ["--strict"]) == 4, type_args
-        # non-strict succeeds but flags the answer
+        # non-strict succeeds but flags the answer: --strict ends with its call
         assert main(args) == 0, type_args
         assert read_report(tmp_path / "r.json").estimate.conditioning.well_posed is False
 
@@ -273,7 +275,6 @@ def test_roundtrip_all_bundled_scenarios():
 
 
 def test_roundtrip_failure_exits_1(tmp_path, capsys):
-    import pathlib
     data = json.loads(pathlib.Path(scenario_path("pivot_point_noisy")).read_text())
     data["tolerances"]["point_distance"] = 1e-15  # unreachable under noise
     impossible = tmp_path / "impossible.json"
@@ -297,7 +298,6 @@ def test_roundtrip_failure_exits_1(tmp_path, capsys):
         "seed_fraction", "seed_negative", "rows_fraction", "tolerance_missing",
         "tolerance_string", "tolerance_nan"])
 def test_malformed_scenario_exits_3(tmp_path, capsys, keys, value):
-    import pathlib
     data = json.loads(pathlib.Path(scenario_path("pivot_point")).read_text())
     node = data
     for key in keys[:-1]:
@@ -317,7 +317,6 @@ def test_malformed_scenario_exits_3(tmp_path, capsys, keys, value):
                          ids=["noise_sigma", "axis", "pose", "contact_point"])
 @pytest.mark.parametrize("kind", ["string", "boolean"])
 def test_scenario_number_of_another_json_type_exits_3(tmp_path, capsys, keys, kind):
-    import pathlib
     data = json.loads(pathlib.Path(scenario_path("pivot_point")).read_text())
     node = data
     for key in keys[:-1]:
@@ -339,7 +338,6 @@ def test_scenario_number_of_another_json_type_exits_3(tmp_path, capsys, keys, ki
 
 @pytest.mark.parametrize("rows", [10**400, 2**62], ids=["10**400", "2**62"])
 def test_grid_no_array_can_hold_exits_3(tmp_path, capsys, rows):
-    import pathlib
     data = json.loads(pathlib.Path(scenario_path("box_on_edge")).read_text())
     data["grid"]["rows"] = rows
     bad = tmp_path / "bad.json"
@@ -553,3 +551,80 @@ def test_a_hinge_translation_whose_norm_overflows_simulates_without_a_warning(tm
     out = tmp_path / "log.json"
     assert _run_without_warnings(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
     assert read_marker_log(out).positions[1].max() == 1.7e308
+
+
+def test_a_flag_of_one_call_does_not_leak_into_the_next(tmp_path):
+    assert cli._build_parser() is cli._build_parser()  # one parser serves every call
+    scenario = scenario_path("box_on_edge")
+    assert main(["roundtrip", "--scenario", scenario, "--cond-threshold", "5",
+                 "--workdir", str(tmp_path / "a")]) == 0
+    assert main(["roundtrip", "--scenario", scenario, "--workdir", str(tmp_path / "b")]) == 0
+    assert read_report(tmp_path / "a" / "report.json").config.cond_threshold == 5
+    assert read_report(tmp_path / "b" / "report.json").config == EstimatorConfig()
+
+
+def _help_transcript() -> dict:
+    """{argv: stdout} of each --help in cli_help_columns80.txt, where a line
+    `$ tacloc ARGS` starts the text that ARGS prints at COLUMNS=80."""
+    texts = {}
+    path = pathlib.Path(__file__).parent / "cli_help_columns80.txt"
+    for line in path.read_text().splitlines(keepends=True):
+        if line.startswith("$ tacloc "):
+            argv = tuple(line.split()[2:])
+            texts[argv] = ""
+        else:
+            texts[argv] += line
+    return texts
+
+
+def _printed(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_help_and_version_text_is_pinned(capsys, monkeypatch):
+    # recorded with CPython 3.11's argparse; a second round shows that a
+    # parser shared by every call prints the same text each time
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = _help_transcript()
+    assert len(transcript) == 5
+    for _ in range(2):
+        for argv, text in transcript.items():
+            assert _printed(capsys, argv) == text, argv
+        assert _printed(capsys, ["--version"]) == f"tacloc {__version__}\n"
+
+
+def test_help_wraps_at_the_columns_of_the_moment_it_is_printed(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    wide = _printed(capsys, ["estimate", "--help"])
+    monkeypatch.setenv("COLUMNS", "60")
+    narrow = _printed(capsys, ["estimate", "--help"])
+    assert max(map(len, wide.splitlines())) > 60
+    assert max(map(len, narrow.splitlines())) <= 60
+    assert "".join(narrow.split()) == "".join(wide.split())
+
+
+def test_n0_with_a_negative_x_is_written_with_an_equals_sign(tmp_path, capsys):
+    # an edge along y whose contacting face looks down -x
+    scenario = tmp_path / "edge_along_y.json"
+    doc = json.loads(pathlib.Path(scenario_path("box_on_edge")).read_text())
+    doc["contact"].update(direction=[0, 1, 0], surface_normal=[-1, 0, 0])
+    scenario.write_text(json.dumps(doc))
+    log, report = tmp_path / "log.json", tmp_path / "report.json"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(log)]) == 0
+    args = ["estimate", "--type", "line", "--log", str(log), "--out", str(report)]
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(args + ["--n0", "-1,0,0"])
+    assert excinfo.value.code == 2
+    assert "argument --n0: expected one argument" in capsys.readouterr().err
+
+    assert main(args + ["--n0=-1,0,0"]) == 0
+    estimate = read_report(report).estimate
+    assert abs(estimate.direction @ [0, 1, 0]) == pytest.approx(1, abs=1e-9)
+    np.testing.assert_allclose(estimate.point[[0, 2]], [0, -3], atol=1e-9)
+    assert "--n0=X,Y,Z" in _printed(capsys, ["estimate", "--help"])
