@@ -16,12 +16,11 @@ from .errors import (AmbiguousDirection, DegenerateMarkers, IllConditioned,
                      ParseError, RankDeficientBeyondLine,
                      SchemaVersionMismatch, TaclocError, TooFewFrames,
                      TooFewMarkers)
-from .estimators import (EstimatorConfig, PlaneTrack,
-                         estimate_fixed_direction, estimate_fixed_point,
-                         estimate_line_contact, estimate_line_direction,
-                         estimate_line_point, fixed_direction_residuals,
-                         fixed_point_residuals, line_contact_residuals,
-                         propagate_plane)
+from .estimators import (EstimatorConfig, estimate_fixed_direction,
+                         estimate_fixed_point, estimate_line_contact,
+                         estimate_line_direction, estimate_line_point,
+                         fixed_direction_residuals, fixed_point_residuals,
+                         line_contact_residuals, propagate_plane)
 from .io import (EstimateReport, read_marker_log, read_motion_sequence,
                  read_report, read_scenario, read_truth, write_marker_log,
                  write_motion_sequence, write_report, write_scenario,
@@ -57,7 +56,6 @@ __all__ = [
     "MotionStep",
     "NonFiniteValue",
     "ParseError",
-    "PlaneTrack",
     "RankDeficientBeyondLine",
     "RegistrationResult",
     "RelativeMotion",

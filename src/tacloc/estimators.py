@@ -21,14 +21,15 @@ problem itself, not its square.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import AmbiguousDirection, IllConditioned, RankDeficientBeyondLine, TooFewFrames
-from .motion import (_EYE3, MotionSequence, _as_vector3, _exponent, _max_rotation_angle,
-                     _moving_stack, _readonly, _row_dots, _row_norms, _stack, _unit, _unit_rows)
+from .motion import (_EYE3, MotionSequence, _exponent, _max_rotation_angle, _moving_stack,
+                     _row_dots, _row_norms, _stack, _unit, _unit_rows)
 
 UNIT_NORM_TOL = 1e-6
 
@@ -50,38 +51,16 @@ class EstimatorConfig:
     min_frames: int = field(default=3, metadata={"help": "minimum moving frames required"})
 
     def __post_init__(self):
-        if not all(0.0 < x < math.inf
-                   for x in (self.angle_threshold, self.cond_threshold, self.rank_tolerance)):
+        # the same types a report's config reads back: a bool is neither a number nor an integer
+        thresholds = (self.angle_threshold, self.cond_threshold, self.rank_tolerance)
+        if any(isinstance(x, bool) for x in thresholds):
+            raise ValueError("thresholds must be numbers, got bool")
+        if not all(0.0 < x < math.inf for x in thresholds):
             raise ValueError("all thresholds must be positive and finite")
+        if isinstance(self.min_frames, bool) or not isinstance(self.min_frames, numbers.Integral):
+            raise ValueError(f"min_frames must be an integer, got {type(self.min_frames).__name__}")
         if self.min_frames < 1:
             raise ValueError("min_frames must be at least 1")
-
-
-@dataclass(frozen=True, eq=False)
-class PlaneTrack:
-    """The contacting face's plane per frame: unit normals and offsets.
-
-    Each plane is {x : normals[k] . x = offsets[k]}; their common
-    intersection is the candidate contact edge.
-    """
-
-    normals: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        normals = np.array(self.normals, dtype=float)
-        offsets = np.array(self.offsets, dtype=float).reshape(-1)
-        if normals.ndim != 2 or normals.shape[1] != 3:
-            raise ValueError(f"normals must have shape (k, 3), got {normals.shape}")
-        if normals.shape[0] != offsets.shape[0]:
-            raise ValueError("normals and offsets must have equal length")
-        if np.any(np.abs(_row_norms(normals) - 1.0) > 1e-9):
-            raise ValueError("plane normals must be unit vectors")
-        object.__setattr__(self, "normals", _readonly(normals))
-        object.__setattr__(self, "offsets", _readonly(offsets))
-
-    def __len__(self) -> int:
-        return self.normals.shape[0]
 
 
 def _moving_or_raise(motions: MotionSequence, config: EstimatorConfig) -> tuple:
@@ -93,9 +72,13 @@ def _moving_or_raise(motions: MotionSequence, config: EstimatorConfig) -> tuple:
     return rotations, translations
 
 
-def _conditioning(max_angle: float, smallest: float, cond: float,
+def _conditioning(rotations: np.ndarray, sing: np.ndarray, k: int,
                   config: EstimatorConfig, strict: bool) -> ConditioningReport:
-    """The conditioning report; in strict mode, IllConditioned unless it is well posed."""
+    """The report for singular values sing whose k-th is the weakest determined (cond inf when
+    it is 0); in strict mode, IllConditioned unless it is well posed."""
+    max_angle = _max_rotation_angle(rotations)
+    smallest = float(sing[k])
+    cond = float(sing[0] / sing[k]) if smallest > 0.0 else math.inf
     report = ConditioningReport(
         max_rotation_angle=max_angle,
         smallest_singular_value=smallest,
@@ -179,10 +162,7 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
     point, _, _, sing = np.linalg.lstsq(stacked, np.ldexp(translations.reshape(-1), -e),
                                         rcond=config.rank_tolerance)
     point = np.ldexp(point, e)
-
-    smallest = float(sing[-1])
-    cond = float(sing[0] / sing[-1]) if smallest > 0.0 else math.inf
-    report = _conditioning(_max_rotation_angle(rotations), smallest, cond, config, strict)
+    report = _conditioning(rotations, sing, -1, config, strict)
 
     return _estimate(ContactKind.FIXED_POINT, point, None,
                      fixed_point_residuals(motions, point), report)
@@ -213,46 +193,43 @@ def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = 
             "rotations share no unique fixed direction (null space dimension >= 2)")
 
     direction = _canonical_sign(vt[2])
-    cond = float(sing[0] / sing[1])
-    report = _conditioning(_max_rotation_angle(rotations), float(sing[1]), cond, config, strict)
+    report = _conditioning(rotations, sing, 1, config, strict)
 
     return _estimate(ContactKind.FIXED_DIRECTION, None, direction,
                      fixed_direction_residuals(motions, direction), report)
 
 
-def propagate_plane(n0, x0_hint, motions: MotionSequence) -> PlaneTrack:
-    """Carry the initial contact plane through every motion in the sequence.
-
-    The plane with unit normal n0 through x0_hint is moved rigidly: the
-    normal rotates, and the offset follows the transformed through-point.
-    """
+def propagate_plane(n0, motions: MotionSequence) -> np.ndarray:
+    """The contacting face's unit normal in every frame, (N, 3): n0 rotated by each motion."""
     n0 = _unit(n0, "n0", UNIT_NORM_TOL)
-    x0 = _as_vector3(x0_hint, "x0_hint")
-    rotations, translations = _stack(motions)
-    normals = _unit_rows(rotations @ n0, "n0")
-    return PlaneTrack(normals, _row_dots(normals, rotations @ x0 + translations))
+    rotations, _ = _stack(motions)
+    return _unit_rows(rotations @ n0, "n0")
 
 
-def estimate_line_direction(track: PlaneTrack,
+def estimate_line_direction(motions: MotionSequence, n0,
                             config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
-    """Direction of the edge common to all tracked planes.
+    """Direction of the edge that the face with initial normal n0 keeps holding.
 
-    The edge must be perpendicular to every plane normal, so the direction
-    is the eigenvector with the smallest eigenvalue of the summed normal
-    outer products — computed here as the smallest right singular vector of
-    the stacked normals, which is the exact global minimizer (no iteration,
-    no initial guess).
+    The edge must be perpendicular to every propagated normal, so the
+    direction is the eigenvector with the smallest eigenvalue of the summed
+    normal outer products — computed here as the smallest right singular
+    vector of the stacked normals, which is the exact global minimizer (no
+    iteration, no initial guess).
 
     Raises:
-        TooFewFrames: fewer than config.min_frames tracked planes.
+        TooFewFrames: fewer than config.min_frames moving frames.
         AmbiguousDirection: the normals span <= 1 dimension (no rotation
             about any axis perpendicular to the edge occurred), so the two
             smallest eigenvalues coincide within rank_tolerance.
     """
-    if len(track) < config.min_frames:
-        raise TooFewFrames(f"need at least {config.min_frames} tracked planes, got {len(track)}")
+    _moving_or_raise(motions, config)
+    return _line_direction(propagate_plane(n0, motions), config)
+
+
+def _line_direction(normals: np.ndarray, config: EstimatorConfig) -> np.ndarray:
+    """estimate_line_direction's direction from the propagated normals."""
     # thin unless fewer than 3 planes, where only the full factorization has vt[2]
-    _, sing, vt = np.linalg.svd(track.normals, full_matrices=len(track) < 3)
+    _, sing, vt = np.linalg.svd(normals, full_matrices=len(normals) < 3)
     # rank_tolerance compares eigenvalues of the outer-product sum, i.e. squared singular
     # values; one plane has a single singular value, its normal spanning one dimension
     if len(sing) < 2 or sing[1] ** 2 < config.rank_tolerance * sing[0] ** 2:
@@ -260,35 +237,32 @@ def estimate_line_direction(track: PlaneTrack,
     return _canonical_sign(vt[2])
 
 
-def estimate_line_point(motions: MotionSequence, track: PlaneTrack, direction,
+def estimate_line_point(motions: MotionSequence, n0, direction,
                         config: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     """Point pinning down the edge's position.
 
     Each frame contributes one row n_k^T (R_k - I) with right-hand side
     -n_k^T t_k, stating that the edge point does not move out of the
-    contacting plane. The system is rank-deficient along the edge, so the
-    minimum-norm least-squares solution is taken and then projected exactly
-    onto the plane perpendicular to `direction`: the returned point is the
-    point on the estimated edge closest to the origin.
+    contacting plane (n_k from propagate_plane). The system is rank-deficient
+    along the edge, so the minimum-norm least-squares solution is taken and
+    then projected exactly onto the plane perpendicular to `direction`: the
+    returned point is the point on the estimated edge closest to the origin.
 
     Raises:
         RankDeficientBeyondLine: the stacked system has rank < 2, so the
             edge position is not determined transverse to its direction.
     """
-    return _line_point(motions, track, direction, config)[0]
+    return _line_point(motions, propagate_plane(n0, motions), direction, config)[0]
 
 
-def _line_point(motions: MotionSequence, track: PlaneTrack, direction,
+def _line_point(motions: MotionSequence, normals: np.ndarray, direction,
                 config: EstimatorConfig):
     """estimate_line_point's point, plus the stacked rows of its system."""
     direction = _unit(direction, "direction", UNIT_NORM_TOL)
-    if len(track) != len(motions):
-        raise ValueError(f"track length {len(track)} != motion count {len(motions)}")
-
     rotations, translations = _stack(motions)
-    rows = ((rotations - _EYE3).swapaxes(1, 2) @ track.normals[:, :, None])[:, :, 0]
+    rows = ((rotations - _EYE3).swapaxes(1, 2) @ normals[:, :, None])[:, :, 0]
     e = _exponent(translations)
-    rhs = -_row_dots(track.normals, np.ldexp(translations, -e))
+    rhs = -_row_dots(normals, np.ldexp(translations, -e))
 
     point, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=config.rank_tolerance)
     if rank < 2:
@@ -302,7 +276,7 @@ def estimate_line_contact(motions: MotionSequence, n0,
                           strict: bool = False) -> ContactEstimate:
     """Full slipping-line-contact estimate from the contacting face normal.
 
-    Propagates the initial plane through the sequence, recovers the edge
+    Propagates the initial normal through the sequence, recovers the edge
     direction and then its canonical point. The conditioning margin is the
     second-largest singular value of the edge-point system — the weakest of
     its two determined directions (the third is rank-deficient along the
@@ -314,13 +288,11 @@ def estimate_line_contact(motions: MotionSequence, n0,
             posed.
     """
     rotations, _ = _moving_or_raise(motions, config)
-    track = propagate_plane(n0, np.zeros(3), motions)
-    direction = estimate_line_direction(track, config)
-    point, rows = _line_point(motions, track, direction, config)
+    normals = propagate_plane(n0, motions)
+    direction = _line_direction(normals, config)
+    point, rows = _line_point(motions, normals, direction, config)
     # a second factorization: lstsq's singular values differ from these in the last bits
-    sing = np.linalg.svd(rows, compute_uv=False)
-    cond = float(sing[0] / sing[1]) if sing[1] > 0.0 else math.inf
-    report = _conditioning(_max_rotation_angle(rotations), float(sing[1]), cond, config, strict)
+    report = _conditioning(rotations, np.linalg.svd(rows, compute_uv=False), 1, config, strict)
 
     return _estimate(ContactKind.LINE, point, direction,
                      line_contact_residuals(motions, np.asarray(n0, dtype=float), point), report)

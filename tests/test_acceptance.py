@@ -185,14 +185,14 @@ def test_5_direction_eigen_vs_grid():
             motions.append(RelativeMotion(
                 about.rotation, about.translation + rng.uniform(-0.5, 0.5) * edge_dir, k))
         seq = MotionSequence(tuple(motions))
-        track = propagate_plane(n0, np.zeros(3), seq)
-        closed_form = estimate_line_direction(track)
-        costs = np.sum((grid @ track.normals.T) ** 2, axis=1)
+        normals = propagate_plane(n0, seq)
+        closed_form = estimate_line_direction(seq, n0)
+        costs = np.sum((grid @ normals.T) ** 2, axis=1)
         brute = grid[np.argmin(costs)]
         agreement = np.arccos(min(1.0, abs(float(closed_form @ brute))))
         assert agreement <= np.deg2rad(1.0)
         # the closed form must never lose to any of the 32760 grid nodes
-        assert float(np.sum((track.normals @ closed_form) ** 2)) <= costs.min() + 1e-12
+        assert float(np.sum((normals @ closed_form) ** 2)) <= costs.min() + 1e-12
     print("acceptance 5 direction_eigen_vs_grid: PASS")
 
 

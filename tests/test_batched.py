@@ -21,8 +21,8 @@ from tacloc import (DegenerateMarkers, EdgeContact, FixedDirectionContact,
                     FixedPointContact, MarkerFrame, MarkerGrid, MismatchedFrames,
                     MotionSequence, MotionStep, RelativeMotion, ScenarioConfig,
                     TaclocError, TooFewMarkers, estimate_fixed_direction,
-                    estimate_fixed_point, estimate_line_contact, estimate_line_point,
-                    generate, propagate_plane, read_scenario, register,
+                    estimate_fixed_point, estimate_line_contact, estimate_line_direction,
+                    estimate_line_point, generate, propagate_plane, read_scenario, register,
                     register_sequence, rotation_about_axis)
 from tacloc.estimators import (_canonical_sign, fixed_direction_residuals,
                                fixed_point_residuals, line_contact_residuals)
@@ -162,16 +162,15 @@ def _reference_residuals(kind, moving, *geometry):
 
 
 def _reference_plane_track(n0, motions):
-    """propagate_plane's normals and offsets through zero, then the line system's rows and rhs."""
-    normals, offsets = [], []
+    """propagate_plane's normals, then the line system's rows and rhs."""
+    normals = []
     for m in motions:
         nk = m.rotation @ n0
         nk = nk / np.linalg.norm(nk)
         normals.append(nk)
-        offsets.append(nk @ (m.rotation @ np.zeros(3) + m.translation))
     rows = np.array([(m.rotation - np.eye(3)).T @ nk for m, nk in zip(motions, normals)])
     rhs = np.array([-(nk @ m.translation) for m, nk in zip(motions, normals)])
-    return np.array(normals), np.array(offsets), rows, rhs
+    return np.array(normals), rows, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +260,10 @@ def test_estimator_stacks_match_the_per_frame_forms(name):
                           _reference_residuals("line", moving, n0, point))
     assert motions.max_rotation_angle() == max(rotation_angle(m) for m in moving)
 
-    normals, offsets, rows, rhs = _reference_plane_track(n0, motions)
-    track = propagate_plane(n0, np.zeros(3), motions)
-    assert np.array_equal(track.normals, normals)
-    assert np.array_equal(track.offsets, offsets)
+    normals, rows, rhs = _reference_plane_track(n0, motions)
+    assert np.array_equal(propagate_plane(n0, motions), normals)
     # the line point is the minimum-norm solution of these rows, projected off the edge
-    got = estimate_line_point(motions, track, direction)
+    got = estimate_line_point(motions, n0, direction)
     want = np.linalg.lstsq(rows, rhs, rcond=1e-8)[0]
     assert np.array_equal(got, want - (want @ direction) * direction)
 
@@ -302,14 +299,14 @@ def test_line_estimate_matches_the_full_svd(name):
     n0 = config.contact.surface_normal
     est = estimate_line_contact(motions, n0)
 
-    normals, _, rows, _ = _reference_plane_track(n0, motions)
+    normals, rows, _ = _reference_plane_track(n0, motions)
     assert len(normals) >= 3
     _, _, vt = np.linalg.svd(normals)  # full_matrices: the U is len x len
     direction = _canonical_sign(vt[2])
     sing = np.linalg.svd(rows, compute_uv=False)
-    track = propagate_plane(n0, np.zeros(3), motions)
     assert np.array_equal(est.direction, direction)
-    assert np.array_equal(est.point, estimate_line_point(motions, track, direction))
+    assert np.array_equal(estimate_line_direction(motions, n0), direction)
+    assert np.array_equal(est.point, estimate_line_point(motions, n0, direction))
     assert est.conditioning.condition_number == float(sing[0] / sing[1])
     assert est.conditioning.max_rotation_angle == max(rotation_angle(m)
                                                       for m in motions.moving())

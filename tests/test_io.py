@@ -534,6 +534,33 @@ def test_report_needs_the_estimates_residuals(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("min_frames", 2.5, "min_frames must be an integer, got float"),
+    ("min_frames", 3.0, "min_frames must be an integer, got float"),
+    ("min_frames", True, "min_frames must be an integer, got bool"),
+    ("min_frames", "3", "min_frames must be an integer, got str"),
+    ("angle_threshold", True, "thresholds must be numbers, got bool"),
+    ("cond_threshold", True, "thresholds must be numbers, got bool"),
+    ("rank_tolerance", False, "thresholds must be numbers, got bool"),
+])
+def test_a_config_that_its_report_would_not_read_back_is_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        EstimatorConfig(**{field: value})
+
+
+def test_a_numpy_integer_min_frames_round_trips_through_a_report(tmp_path):
+    config = EstimatorConfig(min_frames=np.int64(4), cond_threshold=np.float64(1e5))
+    estimate = ContactEstimate(
+        kind=ContactKind.FIXED_POINT, point=np.zeros(3), direction=None, residual_rms=0.0,
+        per_frame_residuals=np.zeros(4),
+        conditioning=ConditioningReport(max_rotation_angle=0.5, smallest_singular_value=1.0,
+                                        condition_number=2.0, well_posed=True))
+    path = tmp_path / "report.json"
+    write_report(path, EstimateReport(estimate=estimate, config=config, provenance={}))
+    assert json.loads(path.read_text())["config"]["min_frames"] == 4
+    assert read_report(path).config == EstimatorConfig(min_frames=4, cond_threshold=1e5)
+
+
 def test_report_of_line_estimate_round_trips(tmp_path):
     config = read_scenario(bundled_scenario("box_on_edge"))
     frames, _ = generate(config)

@@ -14,7 +14,6 @@ from tacloc import (AmbiguousDirection, EstimatorConfig, MotionSequence,
                     estimate_line_contact, estimate_line_direction,
                     estimate_line_point, line_contact_residuals,
                     propagate_plane, rotation_about_axis)
-from tacloc.estimators import PlaneTrack
 
 
 def edge_sequence(direction, point, angles, slides):
@@ -53,31 +52,29 @@ def test_propagate_plane_tracks_the_rigid_plane():
     point = np.array([0.0, 2.0, -3.0])
     n0 = np.array([0.0, 0.0, 1.0])
     seq = edge_sequence(direction, point, [0.1, -0.2, 0.3], [0.5, -0.2, 0.1])
-    track = propagate_plane(n0, point, seq)
-    assert len(track) == len(seq)
-    np.testing.assert_allclose(track.normals[0], n0, atol=1e-15)
-    for m, nk, ck in zip(seq, track.normals, track.offsets):
+    normals = propagate_plane(n0, seq)
+    assert normals.shape == (len(seq), 3)
+    np.testing.assert_allclose(normals[0], n0, atol=1e-15)
+    for m, nk in zip(seq, normals):
         np.testing.assert_allclose(nk, m.rotation @ n0, atol=1e-12)
-        # any material point of the plane stays on the tracked plane
+        # any material point of the plane stays on the plane with the propagated normal
         for s in (-1.0, 0.5):
             q = point + s * perpendicular_unit(n0, rng)
             q -= (q - point) @ n0 * n0
-            assert abs(nk @ m.transform(q) - ck) <= 1e-9
+            assert abs(nk @ (m.transform(q) - m.transform(point))) <= 1e-9
 
 
 def test_propagate_plane_closed_forms():
     n0 = np.array([0.0, 0.0, 1.0])
     still = MotionSequence(tuple(RelativeMotion(np.eye(3), np.zeros(3), k)
                                  if k else RelativeMotion.identity(0) for k in range(3)))
-    track = propagate_plane(n0, np.array([0.3, -0.2, 0.1]), still)
-    np.testing.assert_allclose(track.normals, [n0] * 3, atol=1e-15)
-    assert len(set(np.round(track.offsets, 15))) == 1
+    np.testing.assert_allclose(propagate_plane(n0, still), [n0] * 3, atol=1e-15)
 
     tilt = MotionSequence((RelativeMotion.identity(0),
                            RelativeMotion(rotation_about_axis((1, 0, 0), np.pi / 6),
                                           np.zeros(3), 1)))
-    tilted = propagate_plane(n0, np.zeros(3), tilt)
-    np.testing.assert_allclose(tilted.normals[1], [0.0, -0.5, np.sqrt(3) / 2], atol=1e-9)
+    tilted = propagate_plane(n0, tilt)
+    np.testing.assert_allclose(tilted[1], [0.0, -0.5, np.sqrt(3) / 2], atol=1e-9)
 
 
 def test_exact_edge_recovery_with_slip():
@@ -147,9 +144,8 @@ def test_direction_matches_spherical_grid_oracle():
         n0 = perpendicular_unit(direction, rng)
         seq = edge_sequence(direction, rng.normal(size=3),
                             rng.uniform(0.1, 0.4, size=4), rng.uniform(-0.4, 0.4, size=4))
-        track = propagate_plane(n0, np.zeros(3), seq)
-        est_dir = estimate_line_direction(track)
-        cost = np.sum((grid @ track.normals.T) ** 2, axis=1)
+        est_dir = estimate_line_direction(seq, n0)
+        cost = np.sum((grid @ propagate_plane(n0, seq).T) ** 2, axis=1)
         oracle = grid[np.argmin(cost)]
         assert angle_between(est_dir, oracle) <= np.deg2rad(1.0)
 
@@ -171,34 +167,24 @@ def test_repeated_rotation_leaves_point_rank_deficient():
     point = np.array([0.0, 1.0, 1.0])
     n0 = np.array([0.0, 0.0, 1.0])
     seq = edge_sequence(direction, point, [0.3, 0.3, 0.3], [0.1, 0.5, -0.3])
-    track = propagate_plane(n0, np.zeros(3), seq)
-    est_dir = estimate_line_direction(track)
+    est_dir = estimate_line_direction(seq, n0)
     assert direction_distance(est_dir, direction) <= 1e-9
     with pytest.raises(RankDeficientBeyondLine):
-        estimate_line_point(seq, track, est_dir)
+        estimate_line_point(seq, n0, est_dir)
 
     # identity motions are the extreme case: every row of the system vanishes
     still = MotionSequence(tuple(RelativeMotion(np.eye(3), np.zeros(3), k)
                                  if k else RelativeMotion.identity(0) for k in range(4)))
-    still_track = propagate_plane(n0, np.zeros(3), still)
     with pytest.raises(RankDeficientBeyondLine):
-        estimate_line_point(still, still_track, direction)
-
-
-def test_min_frames_is_enforced_on_the_track():
-    direction = np.array([0.0, 0.0, 1.0])
-    track = PlaneTrack(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2))
-    with pytest.raises(TooFewFrames):
-        estimate_line_direction(track)
-    assert np.allclose(estimate_line_direction(track, EstimatorConfig(min_frames=2)),
-                       direction)
+        estimate_line_point(still, n0, direction)
 
 
 def test_one_plane_leaves_the_direction_ambiguous():
-    # one normal spans one dimension: every direction in its plane is an edge
-    track = PlaneTrack([[0.0, 0.0, 1.0]], [0.0])
+    # one motion without frame 0 gives one normal, spanning one dimension:
+    # every direction in its plane is an edge
+    seq = MotionSequence((RelativeMotion.about_line((1, 0, 0), 0.3, frame_index=1),))
     with pytest.raises(AmbiguousDirection):
-        estimate_line_direction(track, EstimatorConfig(min_frames=1))
+        estimate_line_direction(seq, (0.0, 0.0, 1.0), EstimatorConfig(min_frames=1))
 
 
 def test_min_frames_counts_moving_frames_like_the_other_estimators():
@@ -207,12 +193,15 @@ def test_min_frames_counts_moving_frames_like_the_other_estimators():
     seq = edge_sequence(direction, [0.0, 2.0, -3.0], [0.3, -0.2], [0.1, 0.2])
     n0 = np.array([0.0, 0.0, 1.0])
     for estimate in (lambda c: estimate_line_contact(seq, n0, c),
+                     lambda c: estimate_line_direction(seq, n0, c),
                      lambda c: estimate_fixed_point(seq, c),
                      lambda c: estimate_fixed_direction(seq, c)):
         with pytest.raises(TooFewFrames):
             estimate(EstimatorConfig())
     est = estimate_line_contact(seq, n0, EstimatorConfig(min_frames=2))
     assert direction_distance(est.direction, direction) <= 1e-9
+    assert np.array_equal(estimate_line_direction(seq, n0, EstimatorConfig(min_frames=2)),
+                          est.direction)
 
 
 def test_residual_helper_vanishes_on_the_true_edge():

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from tacloc import (EdgeContact, FixedDirectionContact, FixedPointContact, MarkerFrame,
                     MotionSequence, MotionStep, RelativeMotion, ScenarioTruth, TooFewFrames,
                     compose, constraint_residuals, estimate_fixed_direction,
-                    estimate_fixed_point, estimate_line_contact, estimate_line_point,
-                    fixed_direction_residuals, fixed_point_residuals, inverse,
+                    estimate_fixed_point, estimate_line_contact, estimate_line_direction,
+                    estimate_line_point, fixed_direction_residuals, fixed_point_residuals, inverse,
                     line_contact_residuals, orthonormalize, propagate_plane,
                     rotation_about_axis, rotation_angle)
 
@@ -193,9 +193,9 @@ MOTION_CONSUMERS = {
     "fixed_point_residuals": lambda m: fixed_point_residuals(m, (1, 2, 3)),
     "fixed_direction_residuals": lambda m: fixed_direction_residuals(m, (0, 0, 1)),
     "line_contact_residuals": lambda m: line_contact_residuals(m, (0, 0, 1), (1, 2, 3)),
-    "propagate_plane": lambda m: propagate_plane((0, 0, 1), (0, 0, 0), m),
-    "estimate_line_point": lambda m: estimate_line_point(
-        m, propagate_plane((0, 0, 1), (0, 0, 0), _pivot_sequence()), (1, 0, 0)),
+    "propagate_plane": lambda m: propagate_plane((0, 0, 1), m),
+    "estimate_line_direction": lambda m: estimate_line_direction(m, (0, 0, 1)),
+    "estimate_line_point": lambda m: estimate_line_point(m, (0, 0, 1), (1, 0, 0)),
     "constraint_residuals": lambda m: constraint_residuals(
         ScenarioTruth(motions=m, contact_geometry=FixedPointContact((1, 2, 3)))),
 }

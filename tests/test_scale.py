@@ -144,7 +144,7 @@ def test_a_vector_whose_norm_is_above_every_double_still_gives_its_direction():
         np.testing.assert_allclose(MotionStep(angle=0.3, axis=vector).axis,
                                    np.full(3, 3**-0.5), rtol=0.0, atol=4 * np.finfo(float).eps)
         with pytest.raises(ValueError, match="n0 must be a unit vector, got norm inf"):
-            propagate_plane(vector, np.zeros(3), MotionSequence((RelativeMotion.identity(),)))
+            propagate_plane(vector, MotionSequence((RelativeMotion.identity(),)))
 
 
 def _norm_cases():
