@@ -130,10 +130,13 @@ def line_contact_residuals(motions: MotionSequence, surface_normal, point) -> np
     residual at frame k is the component of the point's motion along the
     rotated normal.
     """
-    n0 = np.asarray(surface_normal, dtype=float)
-    point = np.asarray(point, dtype=float)
     rotations, translations = _moving_stack(motions)
-    normals = _unit_rows(rotations @ n0, "surface_normal")
+    normals = _unit_rows(rotations @ np.asarray(surface_normal, dtype=float), "surface_normal")
+    return _line_residuals(normals, rotations, translations, np.asarray(point, dtype=float))
+
+
+def _line_residuals(normals, rotations, translations, point) -> np.ndarray:
+    """line_contact_residuals from the moving frames' stacks and their unit normals."""
     return np.abs(_row_dots(normals, rotations @ point + translations - point))
 
 
@@ -287,12 +290,13 @@ def estimate_line_contact(motions: MotionSequence, n0,
         IllConditioned: only in strict mode, when the estimate is not well
             posed.
     """
-    rotations, _ = _moving_or_raise(motions, config)
+    rotations, translations = _moving_or_raise(motions, config)
     normals = propagate_plane(n0, motions)
     direction = _line_direction(normals, config)
     point, rows = _line_point(motions, normals, direction, config)
     # a second factorization: lstsq's singular values differ from these in the last bits
     report = _conditioning(rotations, np.linalg.svd(rows, compute_uv=False), 1, config, strict)
 
-    return _estimate(ContactKind.LINE, point, direction,
-                     line_contact_residuals(motions, np.asarray(n0, dtype=float), point), report)
+    # the moving frames' normals are the last ones, after frame 0's if the motions hold it
+    return _estimate(ContactKind.LINE, point, direction, _line_residuals(
+        normals[len(normals) - len(rotations):], rotations, translations, point), report)

@@ -32,6 +32,8 @@ ROTATION_TOL = 1e-9
 
 _REFLECTION = "matrix is a reflection or singular, not a rotation"
 
+_BLOCK_BYTES = 1 << 17  # of a stack per block of a pass over it: its temporaries stay in cache
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -136,6 +138,12 @@ def _frame_stack(positions: np.ndarray) -> np.ndarray:
     if not np.isfinite(positions).all():
         raise ValueError("marker positions must be finite")
     return _frozen(positions)
+
+
+def _blocks(stack: np.ndarray) -> list:
+    """Slices of stack's frames in order, each of at most _BLOCK_BYTES but one frame at least."""
+    step = max(1, _BLOCK_BYTES // max(1, stack[:1].nbytes))
+    return [slice(k, k + step) for k in range(0, len(stack), step)]
 
 
 def _view(cls, **fields):

@@ -4,7 +4,7 @@ The solve is the classic SVD fit between two 3-D point sets: centroids are
 removed, the 3x3 cross-covariance is decomposed, and the reflection case is
 repaired by flipping the singular direction with the smallest singular
 value. It runs once over a whole (N, m, 3) positions stack, a MarkerLog's
-own or a list of frames stacked, as one broadcast matmul and one
+own or a list of frames stacked, as two passes over blocks of frames and one
 np.linalg.svd over the cross-covariances; register() is that solve on a
 stack of two. register_sequence, the one sequence registration, builds its
 MotionSequence straight from the solved stacks, checked once, and builds no
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMarkers, MismatchedFrames, TooFewMarkers
-from .motion import _EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _exponent
+from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _blocks,
+                     _exponent)
 
 # Singular values below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-8
@@ -102,13 +103,17 @@ def _register_all(frames) -> tuple:
 def _solve(positions: np.ndarray, frame_indices) -> tuple:
     """The SVD fit of frame 0 onto each later frame of an (N, m, 3) stack, batched over the
     (N - 1, 3, 3) cross-covariances; frame_indices name a degenerate frame."""
-    e = _exponent(positions)  # one scale for both clouds, undone on return
-    scaled = np.ldexp(positions, -e)  # a new array: the stack may be a log's own
-    ref, cur = scaled[0], scaled[1:]
+    moving, blocks = positions[1:], _blocks(positions[1:])  # no temporary as large as the stack
+    # one scale for both clouds, undone on return; frexp's exponent grows with |x|
+    e = max(_exponent(positions[b]) for b in _blocks(positions))
+    ref = np.ldexp(positions[0], -e)  # new arrays, block by block: the stack may be a log's own
     ref_centroid = ref.mean(axis=0)
-    cur_centroid = np.einsum("nmk->nk", cur) / cur.shape[1]  # cur.mean(axis=1), bit for bit
-
-    cross_cov = (ref - ref_centroid).T @ (cur - cur_centroid[:, None])
+    ref_centered = (ref - ref_centroid).T
+    cur_centroid, cross_cov = np.empty((len(moving), 3)), np.empty((len(moving), 3, 3))
+    for b in blocks:
+        cur = np.ldexp(moving[b], -e)
+        cur_centroid[b] = np.einsum("nmk->nk", cur) / cur.shape[1]  # cur.mean(axis=1), bit for bit
+        np.matmul(ref_centered, cur - cur_centroid[b, None], out=cross_cov[b])
     u, sing, vt = np.linalg.svd(cross_cov)
 
     rank = np.count_nonzero(sing > RANK_TOLERANCE * sing[:, :1], axis=1) * (sing[:, 0] > 0.0)
@@ -126,8 +131,13 @@ def _solve(positions: np.ndarray, frame_indices) -> tuple:
     rotation = v @ flip @ ut
     translation = cur_centroid - rotation @ ref_centroid
 
-    x, y, z = np.moveaxis(ref @ rotation.swapaxes(1, 2) + translation[:, None] - cur, 2, 0)
-    rms = np.sqrt(np.mean(x * x + y * y + z * z, axis=1))  # np.sum(r**2, axis=2), bit for bit
+    rotation_t = np.ascontiguousarray(rotation.swapaxes(1, 2))  # the view's bits, but faster
+    rms = np.empty(len(moving))
+    for b in blocks:
+        residuals = np.matmul(ref, rotation_t[b]) + translation[b, None]
+        residuals -= np.ldexp(moving[b], -e)
+        x, y, z = np.moveaxis(residuals, 2, 0)  # x * x + ...: np.sum(r**2, axis=2), bit for bit
+        rms[b] = np.sqrt(np.mean(x * x + y * y + z * z, axis=1))
 
     return rotation, np.ldexp(translation, e), np.ldexp(rms, e), rank
 

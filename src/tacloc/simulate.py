@@ -10,7 +10,7 @@ Randomness comes from numpy's seeded PCG64 generator, so identical
 configurations produce bitwise-identical frames.
 
 generate builds the whole sequence as stacks: the truth rotations and
-translations, then every frame's marker positions from them at once, as
+translations, then every frame's marker positions from them, by blocks, in
 one (N, m, 3) stack. Each stack is checked once and kept by the truth
 MotionSequence or the MarkerLog, which build per-frame objects on access.
 """
@@ -25,8 +25,8 @@ from .contact import ContactKind
 from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
-from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _as_vector3, _exponent,
-                     _readonly, _rotations_about_axes, _row_norms, _unit)
+from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _as_vector3, _blocks,
+                     _exponent, _readonly, _rotations_about_axes, _row_norms, _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -277,20 +277,23 @@ def generate(config: ScenarioConfig):
             f"scheduled motion at frame {bad[0] + 1} violates the "
             f"{type(config.contact).__name__} constraint (residual {residuals[bad[0]]:.3g})")
 
-    # every frame at once: frame 0 is the reference, and the noise fills the moving frames frame
-    # after frame in the order per-frame draws would. In place: the arithmetic of
-    # R p + t + noise * sigma without stack-sized temporaries, since the log keeps this stack.
+    # R p + t + noise * sigma into the stack the log keeps, by blocks with one noise buffer: the
+    # noise fills the moving frames in the order per-frame draws would; frame 0 is the reference
     reference = config.grid.reference_positions()
     positions = np.empty((len(rotations), *reference.shape))
     positions[0] = reference
+    moving, blocks = positions[1:], _blocks(positions[1:])
+    rotations_t = np.ascontiguousarray(rotations[1:].swapaxes(1, 2))  # the bits of the view, faster
+    rng = np.random.default_rng(config.seed) if np.any(config.noise_sigma > 0.0) else None
+    noise = None if rng is None else np.empty_like(moving[blocks[0]])
     with np.errstate(over="ignore", invalid="ignore"):  # a frame beyond every double raises below
-        moving = np.matmul(reference, rotations[1:].swapaxes(1, 2), out=positions[1:])
-        moving += translations[1:, None]
-        if np.any(config.noise_sigma > 0.0):
-            noise = np.random.default_rng(config.seed).normal(size=moving.shape)
-            noise *= config.noise_sigma
-            moving += noise
-    bad = np.flatnonzero(~np.isfinite(moving).all(axis=(1, 2)))
-    if bad.size:
-        raise InvalidSchedule(f"frame {bad[0] + 1} moves the markers beyond every double")
+        for b in blocks:
+            block = np.matmul(reference, rotations_t[b], out=moving[b])
+            block += translations[1:][b, None]
+            if rng is not None:
+                drawn = rng.standard_normal(out=noise[:len(block)])
+                block += np.multiply(drawn, config.noise_sigma, out=drawn)
+            if (bad := np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))).size:
+                raise InvalidSchedule(
+                    f"frame {b.start + bad[0] + 1} moves the markers beyond every double")
     return MarkerLog._of_stack(positions, units=config.units), truth

@@ -11,6 +11,7 @@ keep its type and message and come from the first bad entry in frame order.
 
 import math
 import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -221,9 +222,16 @@ def assert_same_motions(got, want):
         assert np.array_equal(g.translation, w.translation)
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+# frames per block of a stack pass at these marker counts (motion._blocks)
+BLOCK_FRAMES = {markers: motion._BLOCK_BYTES // (markers * 3 * 8) for markers in (121, 1600)}
+# one more moving frame than a block of the 11x11 grid: the noise buffer is reused, then cut
+GENERATE_CONFIGS = {**CONFIGS,
+                    "long_line_block": lambda: long_config("line", steps=BLOCK_FRAMES[121] + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE_CONFIGS))
 def test_generate_matches_the_frame_loop(name):
-    config = CONFIGS[name]()
+    config = GENERATE_CONFIGS[name]()
     frames, truth = generate(config)
     want_frames, want_motions = _reference_generate(config)
     assert_same_motions(truth.motions, want_motions)
@@ -787,8 +795,11 @@ def _reference_solve(positions):
     return rotation, np.ldexp(translation, e), np.ldexp(rms, e), rank
 
 
-@pytest.mark.parametrize("moving", [1, 2, 2000])
-@pytest.mark.parametrize("markers", [3, 4, 8, 9, 121, 1600])
+@pytest.mark.parametrize("markers, moving", [
+    *((markers, moving) for markers in (3, 4, 8, 9, 121, 1600) for moving in (1, 2, 2000)),
+    # across the block boundaries of the solve's passes
+    *((markers, moving) for markers, block in BLOCK_FRAMES.items()
+      for moving in (block - 1, block, block + 1, 2 * block + 1))])
 def test_the_solve_on_a_stack_matches_the_restacked_solve(markers, moving):
     rng = np.random.default_rng([markers, moving])
     cloud = rng.normal(size=(markers, 3))
@@ -801,6 +812,26 @@ def test_the_solve_on_a_stack_matches_the_restacked_solve(markers, moving):
         got, want = _solve(scaled, range(moving + 1)), _reference_solve(scaled)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b), (markers, moving, k)
+
+
+def _peak_bytes(fn) -> int:
+    """The most memory tracemalloc saw allocated, numpy's arrays included, while fn ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["point", "direction", "line"])
+def test_a_long_run_makes_no_stack_sized_temporary(kind):
+    config = long_config(kind, steps=1999)
+    log, _ = generate(config)
+    stack = log.positions.nbytes
+    assert _peak_bytes(lambda: register_sequence(log)) <= 0.35 * stack
+    # the log generate returns is the stack itself
+    assert _peak_bytes(lambda: generate(config)) <= 1.3 * stack
 
 
 @pytest.mark.parametrize("kind", ["point", "direction", "line"])

@@ -81,11 +81,31 @@ def test_a_run_whose_ops_failed_prints_correct_false(bench_pairs, tmp_path, caps
     bad = _fake_checkout(tmp_path / "bad", script.format(repr(
         {"correct": False, "attempted": 4, "failed": 1, "metrics": metrics})))
     assert bench_pairs.main(["--parent", str(good), "--change", str(bad),
-                             "--workload", "scenarios", "--pairs", "1"]) == 0
+                             "--workload", "scenarios", "--pairs", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("pair 0 parent ") and lines[0].endswith("setup_s=1")
     assert lines[1].startswith("pair 0 change ") and lines[1].endswith(
         "setup_s=1 failed=1/4 correct=false")
+
+
+def test_runs_with_failed_ops_are_named_after_the_summary_and_exit_1(bench_pairs, monkeypatch,
+                                                                    capsys):
+    metrics = {name: {"value": 1.0} for name in bench_pairs.benchmark_spec()[1]}
+    # in call order: pair 0 parent then change, pair 1 change then parent, pair 2 parent, change
+    runs = iter([(True, 0), (False, 0), (True, 0), (True, 2), (True, 0), (True, 0)])
+
+    def run_once(checkout, workload, seed, seconds):
+        correct, failed = next(runs)
+        return {"correct": correct, "attempted": 4, "failed": failed, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "scenarios",
+                             "--pairs", "3"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 6 + 4  # every run, then the summary of every metric
+    assert lines[6].startswith("throughput_frames_per_s (higher is better): parent median 1 ")
+    assert err == "bench_pairs: ops failed their check in pair 0 change, pair 1 parent\n"
 
 
 def test_fewer_than_one_pair_is_a_usage_error(bench_pairs, capsys):

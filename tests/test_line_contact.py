@@ -14,6 +14,8 @@ from tacloc import (AmbiguousDirection, EstimatorConfig, MotionSequence,
                     estimate_line_contact, estimate_line_direction,
                     estimate_line_point, line_contact_residuals,
                     propagate_plane, rotation_about_axis)
+from tacloc import estimators
+from tacloc.motion import _unit
 
 
 def edge_sequence(direction, point, angles, slides):
@@ -224,6 +226,24 @@ def test_estimate_carries_both_fields_and_diagnostics():
     assert est.point is not None and est.direction is not None
     assert est.conditioning.well_posed
     assert est.conditioning.max_rotation_angle == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("frame_0", [True, False])
+def test_the_estimate_rotates_the_face_normal_once(monkeypatch, frame_0):
+    # the residuals reuse the normals the direction and point came from
+    direction = np.array([1.0, 0.0, 0.0])
+    n0 = np.array([0.0, 0.6, 0.8]) * (1.0 + 1e-9)  # within the unit tolerance, not within 1e-12
+    seq = edge_sequence(direction, [0.0, 2.0, -3.0], [0.1, -0.2, 0.3], [0.5, -0.2, 0.1])
+    seq = seq if frame_0 else MotionSequence(tuple(seq)[1:])
+    calls = []
+    unit_rows = estimators._unit_rows
+    monkeypatch.setattr(estimators, "_unit_rows",
+                        lambda rows, name: (calls.append(name), unit_rows(rows, name))[1])
+    est = estimate_line_contact(seq, n0)
+    assert calls == ["n0"]
+    # the residual function's form for the normalized n0 the estimate used
+    assert np.array_equal(est.per_frame_residuals,
+                          line_contact_residuals(seq, _unit(n0, "n0"), est.point))
 
 
 def test_no_slip_data_agrees_with_fixed_point_and_direction_estimators():

@@ -9,10 +9,12 @@ pair, so a drift of the host's speed falls on both sides alike. Every run's
 end-to-end metrics are printed as it ends, with correct=false when one of
 its ops failed its check. Then, per metric, come both medians, the
 interquartile range of the parent's runs, the change's median relative to
-the parent's, and how many pairs each side won; a tie counts for neither. The run length, the metrics and which way each is
-better are read from the repository's BENCHMARK.json. A run that exits
-nonzero, or whose last line is not JSON, stops the comparison with the tail
-of its stderr and exit code 1.
+the parent's, and how many pairs each side won; a tie counts for neither.
+The run length, the metrics and which way each is better are read from the
+repository's BENCHMARK.json. A run that exits nonzero, or whose last line is
+not JSON, stops the comparison with the tail of its stderr and exit code 1.
+A run whose ops failed their check still counts toward the summary, but
+after it each such run is named by pair and side, and the exit code is 1.
 """
 
 import argparse
@@ -92,7 +94,7 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     seconds, better = benchmark_spec()
-    pairs = []
+    pairs, failed_runs = [], []
     for k in range(args.pairs):
         sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         values = {}
@@ -109,6 +111,8 @@ def main(argv=None) -> int:
             failed = f" failed={result['failed']}/{result['attempted']}" if result["failed"] else ""
             correct = "" if result["correct"] else " correct=false"
             print(f"pair {k} {side} {figures}{failed}{correct}", flush=True)
+            if result["failed"] or not result["correct"]:
+                failed_runs.append(f"pair {k} {side}")
         pairs.append((values["parent"], values["change"]))
 
     for name, s in summarize(pairs, better).items():
@@ -117,6 +121,9 @@ def main(argv=None) -> int:
               f" ({s['change_median'] / s['parent_median'] - 1:+.2%}),"
               f" change better in {s['change_wins']}/{len(pairs)},"
               f" parent better in {s['parent_wins']}/{len(pairs)}")
+    if failed_runs:
+        print(f"bench_pairs: ops failed their check in {', '.join(failed_runs)}", file=sys.stderr)
+        return 1
     return 0
 
 
