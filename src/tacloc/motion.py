@@ -4,18 +4,17 @@ All motions are expressed relative to the initial (index 0) frame, in the
 sensor base frame. Units are caller-defined; the library only requires them
 to be uniform within a dataset.
 
-A MarkerLog is stored as its (N, m, 3) positions, checked once by
-_frame_stack as MarkerFrame checks a frame, and a MotionSequence as its
-(N, 3, 3) rotations, (N, 3) translations and frame indices, checked once by
-_motion_stack as RelativeMotion checks a motion; the first bad entry in
-frame order raises the error its own constructor would raise. log.frames
-and seq.motions are read-only views into the stacks, built the first time
-they are read and then kept; the estimators, registration and the writers
-read the stacks and build none. A MotionSequence is the only motion input
-the estimators and residual functions take, and its moving frames are its
-entries after a leading frame-0 entry (_moving_stack). The single-object
-constructors run the same checks on a stack of one: orthonormalize (and so
-RelativeMotion) runs _proper_rotations, and MarkerFrame runs _frame_stack.
+A MarkerLog is stored as its (N, m, 3) positions, each frame checked where
+the stack is made (MarkerFrame, generate, read_marker_log), and a
+MotionSequence as its (N, 3, 3) rotations, (N, 3) translations and frame
+indices, checked once by _motion_stack as RelativeMotion checks a motion;
+the first bad entry in frame order raises the error its own constructor
+would raise. log.frames and seq.motions are read-only views into the
+stacks, built the first time they are read and then kept; the estimators,
+registration and the writers read the stacks and build none. A
+MotionSequence is the only motion input the estimators and residual
+functions take, and its moving frames are its entries after a leading
+frame-0 entry (_moving_stack).
 """
 
 from __future__ import annotations
@@ -128,16 +127,6 @@ def _motion_stack(rotations: np.ndarray, translations: np.ndarray, frame_indices
         _as_vector3(translations[stop], "translation")  # raises when the translation is at fault
         _frame_index(frame_indices[stop])  # otherwise the index is, and this raises
     return _frozen(rotations), _frozen(translations), [int(i) for i in frame_indices]
-
-
-def _frame_stack(positions: np.ndarray) -> np.ndarray:
-    """MarkerFrame's position checks over a float (N, m, 3) stack, returned read-only; the first
-    frame, in order, that MarkerFrame would reject raises its error."""
-    if positions.ndim != 3 or positions.shape[2] != 3:
-        raise ValueError(f"positions must have shape (m, 3), got {positions.shape[1:]}")
-    if not np.isfinite(positions).all():
-        raise ValueError("marker positions must be finite")
-    return _frozen(positions)
 
 
 def _blocks(stack: np.ndarray) -> list:
@@ -330,8 +319,12 @@ class MarkerFrame:
     frame_index: int = 0
 
     def __post_init__(self):
-        pos = _frame_stack(np.array(self.positions, dtype=float)[None])[0]
-        object.__setattr__(self, "positions", pos)
+        pos = np.array(self.positions, dtype=float)
+        if pos.ndim != 2 or pos.shape[1] != 3:
+            raise ValueError(f"positions must have shape (m, 3), got {pos.shape}")
+        if not np.isfinite(pos).all():
+            raise ValueError("marker positions must be finite")
+        object.__setattr__(self, "positions", _frozen(pos))
         object.__setattr__(self, "frame_index", _frame_index(self.frame_index))
 
     @property
@@ -366,8 +359,9 @@ class MarkerLog:
 
     @classmethod
     def _of_stack(cls, positions: np.ndarray, units: str = "mm") -> "MarkerLog":
-        """The log of frames 0..N-1 of a float (N, m, 3) stack (N >= 1), checked once."""
-        return _view(cls, positions=_frame_stack(positions), units=units)
+        """The log of frames 0..N-1 of a float (N, m, 3) stack (N >= 1), unchecked: generate and
+        read_marker_log have checked each frame as they made the stack, naming the first bad one."""
+        return _view(cls, positions=_frozen(positions), units=units)
 
     @cached_property
     def frames(self) -> tuple:

@@ -9,10 +9,9 @@ noisy, and never depend on noise_sigma or seed.
 Randomness comes from numpy's seeded PCG64 generator, so identical
 configurations produce bitwise-identical frames.
 
-generate builds the whole sequence as stacks: the truth rotations and
-translations, then every frame's marker positions from them, by blocks, in
-one (N, m, 3) stack. Each stack is checked once and kept by the truth
-MotionSequence or the MarkerLog, which build per-frame objects on access.
+generate builds the truth rotations and translations as stacks, then writes
+and checks every frame's marker positions block by block in one (N, m, 3)
+stack; the truth MotionSequence and the MarkerLog keep the stacks.
 """
 
 from __future__ import annotations
@@ -135,17 +134,23 @@ class MarkerGrid:
     dome_height: float | None = None
 
     def __post_init__(self):
+        for name, value in (("rows", self.rows), ("cols", self.cols)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rows < 2 or self.cols < 2:
             raise ValueError("grid needs at least 2 rows and 2 cols")
         # numpy refuses any array of more than intp.max bytes: here 3 float64s per marker
         if self.rows * self.cols * 3 * 8 > np.iinfo(np.intp).max:
             raise ValueError("grid has more markers than an array can hold")
+        if self.dome_height is None:
+            object.__setattr__(self, "dome_height", 0.05 * self.pitch)
+        for name, value in (("pitch", self.pitch), ("dome_height", self.dome_height)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.pitch <= 0.0:
             raise ValueError("pitch must be positive")
         if not np.isfinite(self.extent * self.extent):  # reference_positions squares it
             raise ValueError(f"grid extent {self.extent:g} is too large: its square overflows")
-        if self.dome_height is None:
-            object.__setattr__(self, "dome_height", 0.05 * self.pitch)
 
     def reference_positions(self) -> np.ndarray:
         """Marker positions at frame 0, centered and posed, shape (rows*cols, 3)."""
@@ -277,8 +282,8 @@ def generate(config: ScenarioConfig):
             f"scheduled motion at frame {bad[0] + 1} violates the "
             f"{type(config.contact).__name__} constraint (residual {residuals[bad[0]]:.3g})")
 
-    # R p + t + noise * sigma into the stack the log keeps, by blocks with one noise buffer: the
-    # noise fills the moving frames in the order per-frame draws would; frame 0 is the reference
+    # R p + t + noise * sigma into the stack the log keeps, by blocks with one noise buffer, drawn
+    # in per-frame draw order. Frame 0, the reference, is unchecked: frame 1 inherits any inf or NaN
     reference = config.grid.reference_positions()
     positions = np.empty((len(rotations), *reference.shape))
     positions[0] = reference

@@ -9,6 +9,7 @@ the pinned file bytes and every estimate depend on it; every error must
 keep its type and message and come from the first bad entry in frame order.
 """
 
+import json
 import math
 import re
 import tracemalloc
@@ -20,13 +21,14 @@ from hypothesis import given, settings
 
 from tacloc import (DegenerateMarkers, EdgeContact, FixedDirectionContact,
                     FixedPointContact, MarkerFrame, MarkerGrid, MismatchedFrames,
-                    MotionSequence, MotionStep, RelativeMotion, ScenarioConfig,
-                    TaclocError, TooFewMarkers, estimate_fixed_direction,
+                    MotionSequence, MotionStep, NonFiniteValue, ParseError, RelativeMotion,
+                    ScenarioConfig, TaclocError, TooFewMarkers, estimate_fixed_direction,
                     estimate_fixed_point, estimate_line_contact, estimate_line_direction,
-                    estimate_line_point, generate, propagate_plane, read_scenario, register,
-                    register_sequence, rotation_about_axis)
+                    estimate_line_point, generate, propagate_plane, read_marker_log,
+                    read_scenario, register, register_sequence, rotation_about_axis)
 from tacloc.estimators import (_canonical_sign, fixed_direction_residuals,
                                fixed_point_residuals, line_contact_residuals)
+from tacloc.io import MARKER_LOG_SCHEMA
 from tacloc.motion import (ROTATION_TOL, MarkerLog, _proper_rotations, orthonormalize,
                            rotation_angle)
 from tacloc import motion
@@ -663,10 +665,19 @@ def test_stack_errors_name_the_first_bad_motion_in_frame_order(name):
         assert got[2] == "the frame-0 motion must be the identity"
 
 
+def _read_frames(path, positions):
+    """read_marker_log of a log file holding the (N, m, ...) positions as they are: json.dumps
+    writes a NaN or an infinity as NaN or Infinity, which json.loads reads back."""
+    frames = [{"frame_index": k, "positions": p.tolist()} for k, p in enumerate(positions)]
+    path.write_text(json.dumps({"schema": MARKER_LOG_SCHEMA, "units": "mm", "frames": frames}))
+    return read_marker_log(path)
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_stack_errors_name_the_first_bad_frame_in_frame_order(name):
+def test_stack_errors_name_the_first_bad_frame_in_frame_order(name, tmp_path):
+    # a marker stack is checked where it is made; for a read log, frame by frame as it is read
+    path = tmp_path / "markers.json"
     positions = _raw_stacks(CONFIGS[name]())["frames"]
-    indices = range(len(positions))
     first, second = len(positions) // 3, 2 * len(positions) // 3
     for fault_a, fault_b in _fault_pairs(FRAME_FAULTS):
         outcomes = {}
@@ -674,14 +685,17 @@ def test_stack_errors_name_the_first_bad_frame_in_frame_order(name):
             p = positions.copy()
             for k, fault in zip(rows, (fault_a, fault_b)):
                 FRAME_FAULTS[fault](p, k)
-            got = _outcome(_stacked_frames, p.copy())
-            assert got[0] is ValueError and got == _outcome(_reference_frames, p, indices)
+            got = _outcome(_read_frames, path, p)
+            assert got[0] is NonFiniteValue, (fault_a, fault_b, rows)
+            assert got[2].startswith(f"frame {first} 'positions': non-finite value at marker ")
             outcomes[rows] = got
+        # the second fault changes nothing: the first bad frame names the error
         assert outcomes[(first,)] == outcomes[(first, second)], (fault_a, fault_b)
     # a stack of the wrong shape fails on its first frame, as every frame would
     for bad in (positions[:, :, :2], positions[:, 0]):
-        got = _outcome(_stacked_frames, bad.copy())
-        assert got[0] is ValueError and got == _outcome(_reference_frames, bad, indices)
+        got = _outcome(_read_frames, path, bad)
+        assert got[0] is ParseError
+        assert got[2] == f"frame 0 'positions' must have shape (None, 3), got {bad.shape[1:]}"
 
 
 def _gap(mat):
@@ -831,7 +845,7 @@ def test_a_long_run_makes_no_stack_sized_temporary(kind):
     stack = log.positions.nbytes
     assert _peak_bytes(lambda: register_sequence(log)) <= 0.35 * stack
     # the log generate returns is the stack itself
-    assert _peak_bytes(lambda: generate(config)) <= 1.3 * stack
+    assert _peak_bytes(lambda: generate(config)) <= 1.15 * stack
 
 
 @pytest.mark.parametrize("kind", ["point", "direction", "line"])

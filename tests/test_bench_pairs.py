@@ -20,25 +20,31 @@ def bench_pairs():
 def test_runs_and_metrics_are_the_benchmarks_own(bench_pairs):
     assert bench_pairs.benchmark_spec() == (30, {
         "throughput_frames_per_s": "higher", "latency_p50_ms": "lower",
-        "peak_rss_mb": "lower", "setup_s": "lower"})
+        "peak_rss_mb": "lower", "setup_s": "lower"}, {
+        "throughput_frames_per_s": 0.25, "latency_p50_ms": 0.25,
+        "peak_rss_mb": 0.2, "setup_s": 0.25})
 
 
 def test_summary_gives_medians_the_parents_spread_and_wins(bench_pairs):
     parent = [10.0, 12.0, 11.0, 13.0, 11.0]
     change = [11.0, 11.0, 12.0, 13.0, 15.0]  # pair 1 worse, pair 3 a tie
     pairs = [({"up": p, "down": p}, {"up": c, "down": c}) for p, c in zip(parent, change)]
-    summary = bench_pairs.summarize(pairs, {"up": "higher", "down": "lower"})
+    summary = bench_pairs.summarize(pairs, {"up": "higher", "down": "lower"},
+                                    {"up": 0.25, "down": 0.25})
     # inclusive quartiles of 10, 11, 11, 12, 13 are 11 and 12
     assert summary["up"] == {"parent_median": 11.0, "change_median": 12.0, "parent_iqr": 1.0,
-                             "change_wins": 3, "parent_wins": 1}
+                             "change_wins": 3, "parent_wins": 1, "verdict": "within bound",
+                             "gain": False}
     assert summary["down"] == {"parent_median": 11.0, "change_median": 12.0, "parent_iqr": 1.0,
-                               "change_wins": 1, "parent_wins": 3}
+                               "change_wins": 1, "parent_wins": 3, "verdict": "within bound",
+                               "gain": False}
 
 
 def test_one_pair_has_no_spread(bench_pairs):
-    summary = bench_pairs.summarize([({"m": 2.0}, {"m": 1.0})], {"m": "lower"})
+    summary = bench_pairs.summarize([({"m": 2.0}, {"m": 1.0})], {"m": "lower"}, {"m": 0.25})
     assert summary["m"] == {"parent_median": 2.0, "change_median": 1.0, "parent_iqr": 0.0,
-                            "change_wins": 1, "parent_wins": 0}
+                            "change_wins": 1, "parent_wins": 0, "verdict": "within bound",
+                            "gain": True}
 
 
 def _fake_checkout(root: pathlib.Path, script: str) -> pathlib.Path:
@@ -123,10 +129,76 @@ def test_the_summary_gives_the_relative_change_of_medians(bench_pairs, tmp_path,
         return _fake_checkout(tmp_path / name, f"import json\nprint(json.dumps({result!r}))\n")
 
     assert bench_pairs.main(["--parent", str(checkout("parent", 8.0)),
-                             "--change", str(checkout("change", 10.0)),
+                             "--change", str(checkout("change", 8.4)),
                              "--workload", "scenarios", "--pairs", "2"]) == 0
     summary = capsys.readouterr().out.splitlines()[4:]
     assert summary[0] == ("throughput_frames_per_s (higher is better): parent median 8"
-                          " (IQR 0), change median 10 (+25.00%), change better in 2/2,"
-                          " parent better in 0/2")
-    assert len(summary) == 4 and all("change median 10 (+25.00%)," in line for line in summary)
+                          " (IQR 0), change median 8.4 (+5.00%), change better in 2/2,"
+                          " parent better in 0/2; within bound (bound 25%); gain rule met")
+    assert len(summary) == 4 and all("change median 8.4 (+5.00%)," in line for line in summary)
+
+
+def _stub_runs(bench_pairs, monkeypatch, values: dict):
+    """Stub run_once: run k of a side gets values[metric][side][k] for each metric."""
+    count = {"parent": 0, "change": 0}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = str(checkout)
+        k, count[side] = count[side], count[side] + 1
+        metrics = {name: {"value": runs[side][k]} for name, runs in values.items()}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+
+
+def test_each_metric_gets_a_verdict_and_a_worse_one_exits_1(bench_pairs, monkeypatch, capsys):
+    steady = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+    noisy = [10.0, 14.0, 6.0, 13.0, 7.0, 12.0, 8.0, 11.0, 9.0, 10.0]  # IQR/median 0.35
+    _stub_runs(bench_pairs, monkeypatch, {
+        # 10% more frames/s in every pair
+        "throughput_frames_per_s": {"parent": steady, "change": [1.1 * v for v in steady]},
+        # 30% slower: beyond the 25% bound
+        "latency_p50_ms": {"parent": steady, "change": [1.3 * v for v in steady]},
+        # a parent too noisy to tell whether the same values, reordered, are worse
+        "peak_rss_mb": {"parent": noisy, "change": noisy[::-1]},
+        # as noisy, but every change run beats every parent run
+        "setup_s": {"parent": noisy, "change": [0.5 * min(noisy)] * 10},
+    })
+    assert bench_pairs.main(["--parent", "parent", "--change", "change",
+                             "--workload", "scenarios", "--pairs", "10"]) == 1
+    out, err = capsys.readouterr()
+    verdicts = [line.split("; ", 1)[1] for line in out.splitlines()[20:]]
+    assert verdicts == ["within bound (bound 25%); gain rule met",
+                        "worse beyond bound (bound 25%); gain rule not met",
+                        "unresolved (bound 20%); gain rule not met",
+                        "within bound (bound 25%); gain rule met"]
+    assert err == "bench_pairs: worse beyond bound: latency_p50_ms\n"
+
+
+@pytest.mark.parametrize("wins, ahead, met", [
+    (10, 2.0, True), (9, 2.0, True),  # 9/10 of the pairs is enough
+    (8, 2.0, False),
+    (10, 1.0, False),  # the medians differ by less than the parent's IQR of 1.5
+])
+def test_the_gain_rule_wants_nine_pairs_in_ten_and_medians_apart(bench_pairs, monkeypatch,
+                                                                  capsys, wins, ahead, met):
+    parent = [10.0, 11.0, 12.0, 10.0, 11.0, 12.0, 10.0, 11.0, 12.0, 11.0]  # IQR 1.5
+    change = [p + ahead if k < wins else p - 0.5 for k, p in enumerate(parent)]
+    _stub_runs(bench_pairs, monkeypatch,
+               {"throughput_frames_per_s": {"parent": parent, "change": change}})
+    monkeypatch.setattr(bench_pairs, "benchmark_spec", lambda: (
+        30, {"throughput_frames_per_s": "higher"}, {"throughput_frames_per_s": 0.25}))
+    assert bench_pairs.main(["--parent", "parent", "--change", "change",
+                             "--workload", "scenarios", "--pairs", "10"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.endswith(f"change better in {wins}/10, parent better in {10 - wins}/10;"
+                         f" within bound (bound 25%); gain rule {'met' if met else 'not met'}")
+
+
+def test_a_metric_just_at_its_bound_is_within_it(bench_pairs):
+    # 25% worse is not more than the bound of 25%; a hair more is
+    pairs = [({"m": 8.0}, {"m": 10.0})] * 3
+    assert bench_pairs.summarize(pairs, {"m": "lower"}, {"m": 0.25})["m"]["verdict"] == (
+        "within bound")
+    assert bench_pairs.summarize(pairs, {"m": "lower"}, {"m": 0.2499})["m"]["verdict"] == (
+        "worse beyond bound")

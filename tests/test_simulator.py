@@ -50,6 +50,27 @@ def test_grid_must_fit_in_an_array():
             MarkerGrid(rows=rows, cols=2)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("rows", 3.5, "rows must be an integer, got 3.5"),
+    ("rows", 4.0, "rows must be an integer, got 4.0"),
+    ("cols", True, "cols must be an integer, got True"),
+    ("pitch", np.nan, "pitch must be finite, got nan"),
+    ("pitch", np.inf, "pitch must be finite, got inf"),
+    ("dome_height", np.inf, "dome_height must be finite, got inf"),
+    ("dome_height", -np.inf, "dome_height must be finite, got -inf"),
+    ("dome_height", np.nan, "dome_height must be finite, got nan"),
+])
+def test_grid_rejects_sizes_it_cannot_build(field, value, message):
+    with pytest.raises(ValueError) as err:
+        MarkerGrid(**{field: value})
+    assert str(err.value) == message
+
+
+def test_grid_takes_numpy_integers():
+    grid = MarkerGrid(rows=np.int64(3), cols=np.int32(4))
+    assert grid.reference_positions().shape == (12, 3)
+
+
 @pytest.mark.parametrize("units", ["mm", "m"])
 def test_generate_returns_the_scenarios_marker_log(units):
     log, truth = generate(pivot_config(units=units))

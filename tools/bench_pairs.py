@@ -10,11 +10,18 @@ end-to-end metrics are printed as it ends, with correct=false when one of
 its ops failed its check. Then, per metric, come both medians, the
 interquartile range of the parent's runs, the change's median relative to
 the parent's, and how many pairs each side won; a tie counts for neither.
-The run length, the metrics and which way each is better are read from the
-repository's BENCHMARK.json. A run that exits nonzero, or whose last line is
-not JSON, stops the comparison with the tail of its stderr and exit code 1.
-A run whose ops failed their check still counts toward the summary, but
-after it each such run is named by pair and side, and the exit code is 1.
+Each metric then gets a verdict against its bound, a fraction of the
+parent's median: "worse beyond bound" when the change's median is worse than
+the parent's by more than the bound; else "unresolved" when the parent's IQR
+exceeds the bound, unless every change run beats every parent run; else
+"within bound". Last comes whether the gain rule is met: the change better
+in at least 9/10 of the pairs, its median ahead of the parent's by more than
+the parent's IQR. The run length, the metrics, which way each is better and
+its bound are read from the repository's BENCHMARK.json. A run that exits
+nonzero, or whose last line is not JSON, stops the comparison with the tail
+of its stderr and exit code 1. A run whose ops failed their check still
+counts toward the summary, but after it each such run is named by pair and
+side, and the exit code is 1; so is a metric worse beyond its bound.
 """
 
 import argparse
@@ -26,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STDERR_TAIL = 20  # lines of a broken run's stderr to show
+GAIN_SHARE = 0.9  # of the pairs the change must win for the gain rule
+WORSE = "worse beyond bound"
 
 
 class RunFailed(Exception):
@@ -33,10 +42,12 @@ class RunFailed(Exception):
 
 
 def benchmark_spec() -> tuple:
-    """The run seconds, and {metric name: "higher" or "lower"} for the gated
-    end-to-end metrics."""
+    """The run seconds, {metric name: "higher" or "lower"} and {metric name:
+    bound} for the gated end-to-end metrics."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = spec["end_to_end"]
+    return (spec["run_seconds"], {m["name"]: m["better"] for m in metrics},
+            {m["name"]: m["bound"] for m in metrics})
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -57,12 +68,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     raise RunFailed(f"{what} with exit code {done.returncode}; its stderr ends:\n{tail}")
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def summarize(pairs: list, better: dict, bounds: dict) -> dict:
     """Per metric: the parent's and the change's median, the parent's
-    interquartile range, and the pairs won by the change and by the parent.
+    interquartile range, the pairs won by the change and by the parent, the
+    verdict against the metric's bound and whether the gain rule is met.
 
     pairs holds one (parent values, change values) per pair, each a
-    {metric: value} dict; better maps each metric to "higher" or "lower".
+    {metric: value} dict; better maps each metric to "higher" or "lower",
+    and bounds each metric to its bound.
     """
     summary = {}
     for name, direction in better.items():
@@ -71,12 +84,24 @@ def summarize(pairs: list, better: dict) -> dict:
         sign = 1.0 if direction == "higher" else -1.0
         q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
                      if len(parent) > 1 else parent * 3)
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        change_wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        slack = bounds[name] * parent_median
+        if sign * (parent_median - change_median) > slack:
+            verdict = WORSE
+        elif q3 - q1 > slack and min(sign * c for c in change) <= max(sign * p for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         summary[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "parent_median": parent_median,
+            "change_median": change_median,
             "parent_iqr": q3 - q1,
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_wins": change_wins,
             "parent_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+            "verdict": verdict,
+            "gain": (change_wins >= GAIN_SHARE * len(pairs)
+                     and sign * (change_median - parent_median) > q3 - q1),
         }
     return summary
 
@@ -93,7 +118,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
-    seconds, better = benchmark_spec()
+    seconds, better, bounds = benchmark_spec()
     pairs, failed_runs = [], []
     for k in range(args.pairs):
         sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -115,16 +140,21 @@ def main(argv=None) -> int:
                 failed_runs.append(f"pair {k} {side}")
         pairs.append((values["parent"], values["change"]))
 
-    for name, s in summarize(pairs, better).items():
+    summary = summarize(pairs, better, bounds)
+    for name, s in summary.items():
         print(f"{name} ({better[name]} is better): parent median {s['parent_median']:.6g}"
               f" (IQR {s['parent_iqr']:.6g}), change median {s['change_median']:.6g}"
               f" ({s['change_median'] / s['parent_median'] - 1:+.2%}),"
               f" change better in {s['change_wins']}/{len(pairs)},"
-              f" parent better in {s['parent_wins']}/{len(pairs)}")
+              f" parent better in {s['parent_wins']}/{len(pairs)};"
+              f" {s['verdict']} (bound {bounds[name]:.0%});"
+              f" gain rule {'met' if s['gain'] else 'not met'}")
     if failed_runs:
         print(f"bench_pairs: ops failed their check in {', '.join(failed_runs)}", file=sys.stderr)
-        return 1
-    return 0
+    worse = [name for name, s in summary.items() if s["verdict"] == WORSE]
+    if worse:
+        print(f"bench_pairs: {WORSE}: {', '.join(worse)}", file=sys.stderr)
+    return 1 if failed_runs or worse else 0
 
 
 if __name__ == "__main__":
