@@ -135,6 +135,14 @@ def _blocks(stack: np.ndarray) -> list:
     return [slice(k, k + step) for k in range(0, len(stack), step)]
 
 
+def _per_frame(ufunc, block: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """block = ufunc(block, vectors[:, None]) in place, for an (n, m, 3) block and (n, 3)
+    vectors: column by column, so numpy's inner loop runs along the m markers, not along 3."""
+    for k in range(3):
+        ufunc(block[..., k], vectors[:, k, None], out=block[..., k])
+    return block
+
+
 def _view(cls, **fields):
     """A cls instance holding fields that a stack check already passed, so
     __post_init__ does not run again; its arrays are views into the stack."""

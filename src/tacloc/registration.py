@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateMarkers, MismatchedFrames, TooFewMarkers
 from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _blocks,
-                     _exponent)
+                     _exponent, _per_frame)
 
 # Singular values below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-8
@@ -113,7 +113,7 @@ def _solve(positions: np.ndarray, frame_indices) -> tuple:
     for b in blocks:
         cur = np.ldexp(moving[b], -e)
         cur_centroid[b] = np.einsum("nmk->nk", cur) / cur.shape[1]  # cur.mean(axis=1), bit for bit
-        np.matmul(ref_centered, cur - cur_centroid[b, None], out=cross_cov[b])
+        np.matmul(ref_centered, _per_frame(np.subtract, cur, cur_centroid[b]), out=cross_cov[b])
     u, sing, vt = np.linalg.svd(cross_cov)
 
     rank = np.count_nonzero(sing > RANK_TOLERANCE * sing[:, :1], axis=1) * (sing[:, 0] > 0.0)
@@ -134,10 +134,12 @@ def _solve(positions: np.ndarray, frame_indices) -> tuple:
     rotation_t = np.ascontiguousarray(rotation.swapaxes(1, 2))  # the view's bits, but faster
     rms = np.empty(len(moving))
     for b in blocks:
-        residuals = np.matmul(ref, rotation_t[b]) + translation[b, None]
+        residuals = _per_frame(np.add, np.matmul(ref, rotation_t[b]), translation[b])
         residuals -= np.ldexp(moving[b], -e)
-        x, y, z = np.moveaxis(residuals, 2, 0)  # x * x + ...: np.sum(r**2, axis=2), bit for bit
-        rms[b] = np.sqrt(np.mean(x * x + y * y + z * z, axis=1))
+        residuals *= residuals  # squared in place, then x * x + y * y + z * z by columns:
+        sums = residuals[..., 0] + residuals[..., 1]  # np.sum(r**2, axis=2), bit for bit
+        sums += residuals[..., 2]
+        rms[b] = np.sqrt(np.mean(sums, axis=1))
 
     return rotation, np.ldexp(translation, e), np.ldexp(rms, e), rank
 

@@ -25,7 +25,7 @@ from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
 from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _as_vector3, _blocks,
-                     _exponent, _readonly, _rotations_about_axes, _row_norms, _unit)
+                     _exponent, _per_frame, _readonly, _rotations_about_axes, _row_norms, _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -107,6 +107,9 @@ class MotionStep:
     translation: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, value in (("angle", self.angle), ("slide", self.slide)):
+            if isinstance(value, (bool, np.bool_)):  # a scenario file holds no bool there
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not np.isfinite(self.angle):
             raise ValueError("angle must be finite")
         if self.axis is not None:
@@ -145,6 +148,8 @@ class MarkerGrid:
         if self.dome_height is None:
             object.__setattr__(self, "dome_height", 0.05 * self.pitch)
         for name, value in (("pitch", self.pitch), ("dome_height", self.dome_height)):
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.pitch <= 0.0:
@@ -196,6 +201,8 @@ class ScenarioConfig:
         sigma = np.full(3, float(sigma)) if sigma.ndim == 0 else sigma.reshape(-1)
         if sigma.shape != (3,) or np.any(sigma < 0.0) or not np.all(np.isfinite(sigma)):
             raise ValueError("noise_sigma must be a nonnegative scalar or 3-vector")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "schedule", schedule)
@@ -259,10 +266,10 @@ def constraint_residuals(truth: ScenarioTruth) -> np.ndarray:
 def generate(config: ScenarioConfig):
     """Generate (marker log in the scenario's units, exact truth) for one scenario.
 
-    Deterministic given the seed. Raises InvalidSchedule when a scheduled
-    motion violates the scenario's own contact constraint (for example a
-    fixed-point step carrying a translation that is not through the pivot),
-    or moves a frame's markers beyond the largest double.
+    Deterministic given the seed. Raises InvalidSchedule when a scheduled motion
+    violates the scenario's own contact constraint (for example a fixed-point step
+    carrying a translation that is not through the pivot) or moves a frame's
+    markers beyond the largest double, and when the posed grid's markers lie there.
     """
     rotations, translations = _truth_stacks(config.contact, config.schedule)
     truth = ScenarioTruth(
@@ -283,21 +290,24 @@ def generate(config: ScenarioConfig):
             f"{type(config.contact).__name__} constraint (residual {residuals[bad[0]]:.3g})")
 
     # R p + t + noise * sigma into the stack the log keeps, by blocks with one noise buffer, drawn
-    # in per-frame draw order. Frame 0, the reference, is unchecked: frame 1 inherits any inf or NaN
-    reference = config.grid.reference_positions()
-    positions = np.empty((len(rotations), *reference.shape))
-    positions[0] = reference
-    moving, blocks = positions[1:], _blocks(positions[1:])
-    rotations_t = np.ascontiguousarray(rotations[1:].swapaxes(1, 2))  # the bits of the view, faster
-    rng = np.random.default_rng(config.seed) if np.any(config.noise_sigma > 0.0) else None
-    noise = None if rng is None else np.empty_like(moving[blocks[0]])
-    with np.errstate(over="ignore", invalid="ignore"):  # a frame beyond every double raises below
+    # in per-frame draw order; t is added column by column and sigma tiled along a frame's row
+    with np.errstate(over="ignore", invalid="ignore"):  # a grid or frame beyond every double raises
+        reference = config.grid.reference_positions()
+        if not np.isfinite(reference).all():
+            raise InvalidSchedule("the grid's pose and dome put its markers beyond every double")
+        positions = np.empty((len(rotations), *reference.shape))
+        positions[0] = reference
+        moving, blocks = positions[1:], _blocks(positions[1:])
+        rotations_t = np.ascontiguousarray(rotations[1:].swapaxes(1, 2))  # the view's bits, faster
+        rng = np.random.default_rng(config.seed) if np.any(config.noise_sigma > 0.0) else None
+        sigma = np.tile(config.noise_sigma, len(reference))
+        noise = None if rng is None else np.empty((len(moving[blocks[0]]), sigma.size))
         for b in blocks:
-            block = np.matmul(reference, rotations_t[b], out=moving[b])
-            block += translations[1:][b, None]
+            block = _per_frame(np.add, np.matmul(reference, rotations_t[b], out=moving[b]),
+                               translations[1:][b])
             if rng is not None:
                 drawn = rng.standard_normal(out=noise[:len(block)])
-                block += np.multiply(drawn, config.noise_sigma, out=drawn)
+                block += np.multiply(drawn, sigma, out=drawn).reshape(block.shape)
             if (bad := np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))).size:
                 raise InvalidSchedule(
                     f"frame {b.start + bad[0] + 1} moves the markers beyond every double")

@@ -188,7 +188,7 @@ EDGE = EdgeContact(direction=(1.0, 0.0, 0.0), point=(0.0, 2.0, -3.0),
                    surface_normal=(0.0, 0.0, 1.0))
 
 
-def long_config(kind, steps=299, seed=5):
+def long_config(kind, steps=299, seed=5, noise_sigma=0.01):
     rng = np.random.default_rng([seed, 2])
     if kind == "point":
         schedule = [MotionStep(angle=math.radians(a), axis=ax) for a, ax in
@@ -203,7 +203,7 @@ def long_config(kind, steps=299, seed=5):
                     zip(rng.uniform(-20.0, 20.0, steps), rng.uniform(-0.5, 0.5, steps))]
         contact = EDGE
     return ScenarioConfig(contact=contact, grid=MarkerGrid(pose=GRID_POSE), schedule=schedule,
-                          noise_sigma=0.01, seed=seed)
+                          noise_sigma=noise_sigma, seed=seed)
 
 
 def bundled(name):
@@ -226,9 +226,12 @@ def assert_same_motions(got, want):
 
 # frames per block of a stack pass at these marker counts (motion._blocks)
 BLOCK_FRAMES = {markers: motion._BLOCK_BYTES // (markers * 3 * 8) for markers in (121, 1600)}
-# one more moving frame than a block of the 11x11 grid: the noise buffer is reused, then cut
+# one more moving frame than a block of the 11x11 grid: the noise buffer is reused, then cut;
+# a different sigma per axis catches a noise scale applied along the wrong axis
 GENERATE_CONFIGS = {**CONFIGS,
-                    "long_line_block": lambda: long_config("line", steps=BLOCK_FRAMES[121] + 1)}
+                    "long_line_block": lambda: long_config("line", steps=BLOCK_FRAMES[121] + 1),
+                    "long_point_anisotropic": lambda: long_config(
+                        "point", steps=BLOCK_FRAMES[121] + 1, noise_sigma=(0.004, 0.01, 0.025))}
 
 
 @pytest.mark.parametrize("name", sorted(GENERATE_CONFIGS))

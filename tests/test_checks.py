@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from tacloc import (ContactKind, MarkerFrame, MarkerLog, MotionSequence, MotionStep,
-                    RankDeficientBeyondLine, RegistrationResult, RelativeMotion,
-                    ScenarioConfig, estimate_line_point, orthonormalize, propagate_plane,
-                    rotation_about_axis)
+from tacloc import (ContactKind, FixedPointContact, MarkerFrame, MarkerGrid, MarkerLog,
+                    MotionSequence, MotionStep, RankDeficientBeyondLine, RegistrationResult,
+                    RelativeMotion, ScenarioConfig, estimate_line_point, orthonormalize,
+                    propagate_plane, rotation_about_axis)
 from tacloc.io import dumps
 
 GRID = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -42,11 +42,23 @@ MOTIONS = MotionSequence((RelativeMotion.identity(0),
     (lambda: MotionStep(angle=0.1, slide=math.inf), ValueError, "slide must be finite"),
     (lambda: ScenarioConfig(contact=ContactKind.LINE, schedule=(MotionStep(angle=0.1),)),
      TypeError, "unknown contact type ContactKind"),
+    # each would write a scenario file that read_scenario rejects
+    (lambda: MotionStep(angle=True), ValueError, "angle must be a number, got True"),
+    (lambda: MotionStep(angle=0.1, slide=True), ValueError, "slide must be a number, got True"),
+    (lambda: MarkerGrid(pitch=True), ValueError, "pitch must be a number, got True"),
+    (lambda: MarkerGrid(dome_height=True), ValueError, "dome_height must be a number, got True"),
+    (lambda: ScenarioConfig(contact=FixedPointContact((0, 0, 0)), seed=True,
+                            schedule=(MotionStep(angle=0.1, axis=(0, 0, 1)),)),
+     ValueError, "seed must be an integer, got True"),
+    (lambda: ScenarioConfig(contact=FixedPointContact((0, 0, 0)), seed=2.5,
+                            schedule=(MotionStep(angle=0.1, axis=(0, 0, 1)),)),
+     ValueError, "seed must be an integer, got 2.5"),
 ], ids=["n0_not_unit", "n0_huge", "line_point_of_no_motions",
         "unserializable_value", "rotation_not_3x3", "zero_axis", "empty_log",
         "log_indices_not_dense", "log_marker_counts_differ", "sequence_of_non_motions",
         "negative_fit_rms", "covariance_rank_above_3", "non_finite_angle",
-        "non_finite_slide", "unknown_contact_type"])
+        "non_finite_slide", "unknown_contact_type", "bool_angle", "bool_slide", "bool_pitch",
+        "bool_dome_height", "bool_seed", "fractional_seed"])
 def test_a_check_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
         call()

@@ -545,6 +545,22 @@ def test_a_grid_pose_whose_rotated_markers_overflow_is_an_invalid_input_file(tmp
     assert err == f"tacloc: invalid input: frame {frame} moves the markers beyond every double\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
+def test_a_grid_whose_dome_overflows_its_pose_is_an_invalid_input_file(tmp_path, capsys,
+                                                                       command):
+    # the pose turns the dome's +z into -y, onto a translation that fits a double only alone
+    scenario = _edited_scenario(tmp_path, "pivot_point", ["grid", "pose", "translation"],
+                                [0, -1.7e308, 0])
+    doc = json.loads(scenario.read_text())
+    doc["grid"]["dome_height"] = 1e308
+    scenario.write_text(json.dumps(doc))
+    args = [command, "--scenario", str(scenario)]
+    args += ["--out", str(tmp_path / "log.json")] if command == "simulate" else []
+    assert _run_without_warnings(args) == 3
+    assert capsys.readouterr().err == ("tacloc: invalid input: the grid's pose and dome put its "
+                                       "markers beyond every double\n")
+
+
 def test_a_hinge_translation_whose_norm_overflows_simulates_without_a_warning(tmp_path):
     scenario = _edited_scenario(tmp_path, "hinge_direction", ["schedule", 0, "translation"],
                                 [1.7e308, 1.7e308, 0])

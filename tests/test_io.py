@@ -422,6 +422,22 @@ def test_scenario_and_truth_round_trip(tmp_path):
         assert t1.read_bytes() == t2.read_bytes()
 
 
+def test_a_scenario_of_numpy_numbers_reads_back(tmp_path):
+    # the constructors reject a bool or fractional seed; numpy numbers still write and read
+    pivot = read_scenario(bundled_scenario("pivot_point"))
+    step = pivot.schedule[0]
+    config = dataclasses.replace(
+        pivot, seed=np.int64(3), grid=dataclasses.replace(pivot.grid, pitch=np.float64(2.0),
+                                                          dome_height=np.float64(0.1)),
+        schedule=(MotionStep(angle=np.float64(step.angle), axis=step.axis, slide=np.float64(0)),))
+    p1, p2 = tmp_path / "first.json", tmp_path / "second.json"
+    write_scenario(p1, config)
+    back = read_scenario(p1)
+    assert (back.seed, back.grid.pitch, back.grid.dome_height) == (3, 2.0, 0.1)
+    write_scenario(p2, back)
+    assert p2.read_bytes() == p1.read_bytes()
+
+
 def test_truth_file_keeps_its_units(tmp_path):
     config = read_scenario(bundled_scenario("pivot_point"))
     config = ScenarioConfig(contact=config.contact, grid=config.grid, schedule=config.schedule,

@@ -1,5 +1,7 @@
 """Scenario generation: determinism, truth invariance, noise, schedule checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,16 @@ def test_constraint_violations_raise_invalid_schedule():
     with pytest.raises(InvalidSchedule):
         generate(ScenarioConfig(contact=hinge,
                                 schedule=[MotionStep(angle=0.2, axis=(1, 0, 0))], seed=0))
+
+
+def test_a_grid_whose_markers_overflow_is_blamed_on_the_grid():
+    # the dome and the pose's translation each fit a double; the posed markers do not
+    grid = MarkerGrid(dome_height=1e308, pose=RelativeMotion(
+        rotation_about_axis((1, 0, 0), math.pi / 2), (0, -1.7e308, 0)))
+    config = pivot_config(grid=grid, schedule=[MotionStep(angle=0.1, axis=(0, 0, 1))])
+    with pytest.raises(InvalidSchedule) as err:
+        generate(config)
+    assert str(err.value) == "the grid's pose and dome put its markers beyond every double"
 
 
 def test_schedule_validation():
