@@ -397,8 +397,6 @@ def _contact_from_dict(raw: dict):
 # Scenarios.
 
 def write_scenario(path, config: ScenarioConfig) -> None:
-    steps = [{"angle": step.angle, "axis": step.axis, "slide": step.slide,
-              "translation": step.translation} for step in config.schedule]
     data = {
         "schema": SCENARIO_SCHEMA,
         "name": config.name,
@@ -414,7 +412,7 @@ def write_scenario(path, config: ScenarioConfig) -> None:
                                     config.grid.pose.translation),
         },
         "contact": _contact_to_dict(config.contact),
-        "schedule": steps,
+        "schedule": [asdict(step) for step in config.schedule],
         "tolerances": config.tolerances,
     }
     _write_file(path, data)
@@ -490,7 +488,7 @@ def write_report(path, report: EstimateReport) -> None:
     est = report.estimate
     if est.per_frame_residuals is None:
         raise ValueError("a report needs the estimate's per-frame residuals")
-    cond = est.conditioning
+    cond = est.conditioning.condition_number
     data = {
         "schema": REPORT_SCHEMA,
         "estimate": {
@@ -498,13 +496,8 @@ def write_report(path, report: EstimateReport) -> None:
             "point": est.point,
             "direction": est.direction,
             "residual_rms": est.residual_rms,
-            "conditioning": {
-                "max_rotation_angle": cond.max_rotation_angle,
-                "smallest_singular_value": cond.smallest_singular_value,
-                "condition_number": (None if math.isinf(cond.condition_number)
-                                     else cond.condition_number),
-                "well_posed": cond.well_posed,
-            },
+            "conditioning": {**asdict(est.conditioning),
+                             "condition_number": None if math.isinf(cond) else cond},
         },
         "per_frame_residuals": est.per_frame_residuals,
         "config": asdict(report.config),

@@ -31,6 +31,8 @@ ROTATION_TOL = 1e-9
 
 _REFLECTION = "matrix is a reflection or singular, not a rotation"
 
+_BOOLS = frozenset({bool, np.bool_})  # no file reads one back as a number
+
 _BLOCK_BYTES = 1 << 17  # of a stack per block of a pass over it: its temporaries stay in cache
 
 
@@ -60,10 +62,17 @@ def _as_vector3(value, name: str) -> np.ndarray:
 
 
 def _frame_index(value) -> int:
-    """value as an int, or ValueError unless it is a nonnegative integer."""
-    if value < 0 or int(value) != value:
+    """value as an int, or ValueError unless it is a nonnegative integer and no bool."""
+    if type(value) in _BOOLS or not (value >= 0 and value % 1 == 0):
         raise ValueError(f"frame_index must be a nonnegative integer, got {value}")
     return int(value)
+
+
+def _text(value, name: str) -> str:
+    """value, or ValueError unless it is a str, as every file holds there."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def orthonormalize(matrix) -> np.ndarray:
@@ -82,7 +91,8 @@ def _proper_rotations(mats: np.ndarray) -> np.ndarray:
     """orthonormalize for every matrix of a float (N, 3, 3) stack, checked at once.
 
     A matrix within ROTATION_TOL of orthonormal is kept as it is, since
-    reprojecting would churn its last ulp; only the others are projected.
+    reprojecting would churn its last ulp; only the others are projected, by
+    _proper_product of their SVD factors, the repair registration uses too.
     The first matrix, in order, that orthonormalize would reject raises its
     error. Returns mats itself when no matrix needs projecting, else a copy.
     """
@@ -99,13 +109,19 @@ def _proper_rotations(mats: np.ndarray) -> np.ndarray:
     if not far.any():
         return mats
     u, _, vt = np.linalg.svd(mats[far])
+    out = mats.copy()
+    out[far] = _proper_product(u, vt)
+    return out
+
+
+def _proper_product(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """u @ vt of (N, 3, 3) SVD factors, u's last column negated in place where that is a
+    reflection: the nearest proper rotation, the one repair of both SVD rotation fits."""
     rot = u @ vt
     flip = np.linalg.det(rot) < 0.0
     u[flip, :, 2] = -u[flip, :, 2]
     rot[flip] = u[flip] @ vt[flip]
-    out = mats.copy()
-    out[far] = rot
-    return out
+    return rot
 
 
 def _motion_stack(rotations: np.ndarray, translations: np.ndarray, frame_indices) -> tuple:
@@ -119,9 +135,11 @@ def _motion_stack(rotations: np.ndarray, translations: np.ndarray, frame_indices
     """
     frame_indices = list(frame_indices)
     finite = np.isfinite(translations).all(axis=1).tolist()
-    # the first motion whose translation or index is bad; rotations up to it come first
+    # the first motion whose translation or index (by _frame_index's test, inline for speed) is
+    # bad; rotations up to it come first
     stop = next((k for k, (ok, i) in enumerate(zip(finite, frame_indices))
-                 if not (ok and i >= 0 and i % 1 == 0)), len(frame_indices))
+                 if not (ok and type(i) not in _BOOLS and i >= 0 and i % 1 == 0)),
+                len(frame_indices))
     rotations = _proper_rotations(rotations[:stop + 1])
     if stop < len(frame_indices):
         _as_vector3(translations[stop], "translation")  # raises when the translation is at fault
@@ -363,7 +381,7 @@ class MarkerLog:
             raise ValueError(f"marker count must be constant, got {sorted(counts)}")
         positions = _frozen(np.array([f.positions for f in frames]))
         # past the frozen __setattr__; frames fills the cached_property, so log[k] is frames[k]
-        self.__dict__.update(positions=positions, units=units, frames=frames)
+        self.__dict__.update(positions=positions, units=_text(units, "units"), frames=frames)
 
     @classmethod
     def _of_stack(cls, positions: np.ndarray, units: str = "mm") -> "MarkerLog":
@@ -427,11 +445,16 @@ class MotionSequence:
         if indices and indices[0] == 0 and not _is_identity(rotations[0], translations[0]):
             raise ValueError("the frame-0 motion must be the identity")
         if rms_errors is not None:
-            rms_errors = tuple(float(e) for e in rms_errors)
+            rms_errors = tuple(rms_errors)
+            if not _BOOLS.isdisjoint(map(type, rms_errors)):
+                flag = next(e for e in rms_errors if type(e) in _BOOLS)
+                raise ValueError(f"rms_error must be a number, got {flag!r}")
+            rms_errors = tuple(map(float, rms_errors))
             if len(rms_errors) != len(indices) or not all(0.0 <= e < math.inf for e in rms_errors):
                 raise ValueError("rms_errors must be one finite nonnegative value per motion")
         self.__dict__.update(rotations=rotations, translations=translations,
-                             frame_indices=tuple(indices), rms_errors=rms_errors, units=units)
+                             frame_indices=tuple(indices), rms_errors=rms_errors,
+                             units=_text(units, "units"))
 
     @cached_property
     def motions(self) -> tuple:

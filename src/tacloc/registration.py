@@ -3,10 +3,11 @@
 The solve is the classic SVD fit between two 3-D point sets: centroids are
 removed, the 3x3 cross-covariance is decomposed, and the reflection case is
 repaired by flipping the singular direction with the smallest singular
-value. It runs once over a whole (N, m, 3) positions stack, a MarkerLog's
-own or a list of frames stacked, as two passes over blocks of frames and one
-np.linalg.svd over the cross-covariances; register() is that solve on a
-stack of two. register_sequence, the one sequence registration, builds its
+value (motion._proper_product, orthonormalize's one repair too). It runs
+once over a whole (N, m, 3) positions stack, a MarkerLog's own or a list of
+frames stacked, as two passes over blocks of frames and one np.linalg.svd
+over the cross-covariances; register() is that solve on a stack of two.
+register_sequence, the one sequence registration, builds its
 MotionSequence straight from the solved stacks, checked once, and builds no
 per-frame object: its motions are views built on first access. Marker
 correspondence is assumed given (markers are tracked upstream); there is
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateMarkers, MismatchedFrames, TooFewMarkers
 from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _blocks,
-                     _exponent, _per_frame)
+                     _exponent, _per_frame, _proper_product)
 
 # Singular values below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-8
@@ -124,11 +125,7 @@ def _solve(positions: np.ndarray, frame_indices) -> tuple:
             f"marker covariance rank {rank[k]} < 2; rotation unobservable",
             frame_index=frame_indices[k + 1])
 
-    v = vt.swapaxes(1, 2)
-    ut = u.swapaxes(1, 2)
-    flip = np.broadcast_to(np.eye(3), cross_cov.shape).copy()
-    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
-    rotation = v @ flip @ ut
+    rotation = _proper_product(vt.swapaxes(1, 2).copy(), u.swapaxes(1, 2))
     translation = cur_centroid - rotation @ ref_centroid
 
     rotation_t = np.ascontiguousarray(rotation.swapaxes(1, 2))  # the view's bits, but faster

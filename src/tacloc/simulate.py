@@ -16,6 +16,7 @@ stack; the truth MotionSequence and the MarkerLog keep the stacks.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,8 @@ from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
 from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _as_vector3, _blocks,
-                     _exponent, _per_frame, _readonly, _rotations_about_axes, _row_norms, _unit)
+                     _exponent, _per_frame, _readonly, _rotations_about_axes, _row_norms, _text,
+                     _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -197,17 +199,30 @@ class ScenarioConfig:
         for step in schedule:
             if not isinstance(step, MotionStep):
                 raise TypeError(f"schedule entries must be MotionStep, got {type(step).__name__}")
-        sigma = np.asarray(self.noise_sigma, dtype=float)
+        given = np.asarray(self.noise_sigma)
+        sigma = given.astype(float, copy=False)
         sigma = np.full(3, float(sigma)) if sigma.ndim == 0 else sigma.reshape(-1)
-        if sigma.shape != (3,) or np.any(sigma < 0.0) or not np.all(np.isfinite(sigma)):
-            raise ValueError("noise_sigma must be a nonnegative scalar or 3-vector")
+        if (given.dtype == bool or sigma.shape != (3,) or np.any(sigma < 0.0)
+                or not np.all(np.isfinite(sigma))):
+            raise ValueError(
+                f"noise_sigma must be a nonnegative scalar or 3-vector, got {self.noise_sigma!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _text(self.name, "name")
+        _text(self.units, "units")
+        tolerances = dict(self.tolerances)
+        for key, value in tolerances.items():  # each as read_scenario reads it back
+            if not isinstance(key, str):
+                raise ValueError(f"tolerance names must be strings, got {key!r}")
+            value = value.item() if isinstance(value, (np.integer, np.floating)) else value
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"tolerance {key!r} must be a finite number, got {value!r:.40}")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "noise_sigma", _readonly(sigma))
-        object.__setattr__(self, "tolerances", dict(self.tolerances))
+        object.__setattr__(self, "tolerances", tolerances)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,11 @@ MOTIONS = MotionSequence((RelativeMotion.identity(0),
                           RelativeMotion.about_line((1, 0, 0), 0.3, frame_index=1)))
 
 
+def _scenario(**fields):
+    return ScenarioConfig(contact=FixedPointContact((0, 0, 0)),
+                          schedule=(MotionStep(angle=0.1, axis=(0, 0, 1)),), **fields)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: propagate_plane((0, 0, 2), MOTIONS), ValueError,
      "n0 must be a unit vector, got norm 2.0"),
@@ -47,19 +52,54 @@ MOTIONS = MotionSequence((RelativeMotion.identity(0),
     (lambda: MotionStep(angle=0.1, slide=True), ValueError, "slide must be a number, got True"),
     (lambda: MarkerGrid(pitch=True), ValueError, "pitch must be a number, got True"),
     (lambda: MarkerGrid(dome_height=True), ValueError, "dome_height must be a number, got True"),
-    (lambda: ScenarioConfig(contact=FixedPointContact((0, 0, 0)), seed=True,
-                            schedule=(MotionStep(angle=0.1, axis=(0, 0, 1)),)),
-     ValueError, "seed must be an integer, got True"),
-    (lambda: ScenarioConfig(contact=FixedPointContact((0, 0, 0)), seed=2.5,
-                            schedule=(MotionStep(angle=0.1, axis=(0, 0, 1)),)),
-     ValueError, "seed must be an integer, got 2.5"),
+    (lambda: _scenario(seed=True), ValueError, "seed must be an integer, got True"),
+    (lambda: _scenario(seed=2.5), ValueError, "seed must be an integer, got 2.5"),
+    # each was taken, and its writer then failed or wrote a file that its reader rejects or
+    # reads back as another value
+    (lambda: _scenario(tolerances={"point_distance": True}), ValueError,
+     "tolerance 'point_distance' must be a finite number, got True"),
+    (lambda: _scenario(tolerances={"point_distance": math.nan}), ValueError,
+     "tolerance 'point_distance' must be a finite number, got nan"),
+    (lambda: _scenario(tolerances={"point_distance": "x"}), ValueError,
+     "tolerance 'point_distance' must be a finite number, got 'x'"),
+    (lambda: _scenario(tolerances={1: 0.1}), ValueError,
+     "tolerance names must be strings, got 1"),
+    (lambda: _scenario(name=5), ValueError, "name must be a string, got 5"),
+    (lambda: _scenario(units=3), ValueError, "units must be a string, got 3"),
+    (lambda: _scenario(noise_sigma=True), ValueError,
+     "noise_sigma must be a nonnegative scalar or 3-vector, got True"),
+    (lambda: RelativeMotion.identity(True), ValueError,
+     "frame_index must be a nonnegative integer, got True"),
+    (lambda: MarkerFrame(GRID, True), ValueError,
+     "frame_index must be a nonnegative integer, got True"),
+    (lambda: MotionSequence._of_stacks(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, True]),
+     ValueError, "frame_index must be a nonnegative integer, got True"),
+    (lambda: MotionSequence(MOTIONS.motions, rms_errors=[0.0, True]), ValueError,
+     "rms_error must be a number, got True"),
+    (lambda: MotionSequence(MOTIONS.motions, units=5), ValueError,
+     "units must be a string, got 5"),
+    (lambda: MarkerLog((MarkerFrame(GRID, 0),), units=5), ValueError,
+     "units must be a string, got 5"),
 ], ids=["n0_not_unit", "n0_huge", "line_point_of_no_motions",
         "unserializable_value", "rotation_not_3x3", "zero_axis", "empty_log",
         "log_indices_not_dense", "log_marker_counts_differ", "sequence_of_non_motions",
         "negative_fit_rms", "covariance_rank_above_3", "non_finite_angle",
         "non_finite_slide", "unknown_contact_type", "bool_angle", "bool_slide", "bool_pitch",
-        "bool_dome_height", "bool_seed", "fractional_seed"])
+        "bool_dome_height", "bool_seed", "fractional_seed", "bool_tolerance", "nan_tolerance",
+        "str_tolerance", "int_tolerance_name", "int_name", "int_units", "bool_noise_sigma",
+        "bool_motion_index", "bool_frame_index", "bool_index_in_a_stack", "bool_rms_error",
+        "int_sequence_units", "int_log_units"])
 def test_a_check_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+
+def test_numpy_numbers_are_still_taken():
+    config = _scenario(tolerances={"point_distance": np.float32(0.5), "frames": np.int64(3)},
+                       noise_sigma=np.float32(0.25), seed=np.int64(2))
+    assert config.noise_sigma.tolist() == [0.25] * 3
+    assert RelativeMotion.identity(np.int64(2)).frame_index == 2
+    sequence = MotionSequence(MOTIONS.motions, rms_errors=[0.0, np.float32(0.5)])
+    assert sequence.rms_errors == (0.0, 0.5)

@@ -8,12 +8,12 @@ the true edge and carry the canonical (closest-to-origin) parameterization.
 import numpy as np
 import pytest
 
-from tacloc import (AmbiguousDirection, EstimatorConfig, MotionSequence,
-                    RankDeficientBeyondLine, RelativeMotion, TooFewFrames,
-                    estimate_fixed_direction, estimate_fixed_point,
+from tacloc import (AmbiguousDirection, EstimatorConfig, MarkerFrame, MarkerGrid,
+                    MotionSequence, RankDeficientBeyondLine, RelativeMotion, TooFewFrames,
+                    compose, estimate_fixed_direction, estimate_fixed_point,
                     estimate_line_contact, estimate_line_direction,
                     estimate_line_point, line_contact_residuals,
-                    propagate_plane, rotation_about_axis)
+                    propagate_plane, register_sequence, rotation_about_axis)
 from tacloc import estimators
 from tacloc.motion import _unit
 
@@ -264,3 +264,31 @@ def test_no_slip_data_agrees_with_fixed_point_and_direction_estimators():
 
         assert angle_between(hinge_est.direction, line_est.direction) <= 1e-6
         np.testing.assert_allclose(pivot_est.point, line_est.point, atol=1e-6)
+
+
+def test_the_edge_is_found_under_spins_the_fixed_direction_misses():
+    # the edge need only stay in the face plane: besides turning about the edge and sliding
+    # along it, the object may spin about the face normal and slide across the edge in the face
+    direction, point = np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, -3.0])
+    n0 = np.array([0.0, 0.0, 1.0])
+    motions = [RelativeMotion.identity(0)]
+    for k, (turn, spin, slide) in enumerate(zip([0.2, -0.25, 0.3, -0.15, 0.1],
+                                                [0.3, -0.2, 0.1, -0.3, 0.25],
+                                                [0.4, -0.3, 0.2, 0.5, -0.1]), start=1):
+        turned = RelativeMotion.about_line(direction, turn, point, frame_index=k)
+        normal = turned.rotation @ n0
+        spun = compose(RelativeMotion.about_line(normal, spin, point, frame_index=k), turned)
+        shift = slide * direction + (0.3 * np.cross(normal, direction) if k == 3 else 0.0)
+        motions.append(RelativeMotion(spun.rotation, spun.translation + shift, k))
+    seq = MotionSequence(tuple(motions))
+    assert np.all(line_contact_residuals(seq, n0, point) <= 1e-12)  # the motions keep the edge
+
+    grid = MarkerGrid().reference_positions()
+    registered = register_sequence([MarkerFrame(m.transform(grid), m.frame_index) for m in seq])
+    for motions in (seq, registered):
+        est = estimate_line_contact(motions, n0)
+        assert direction_distance(est.direction, direction) <= 1e-12
+        np.testing.assert_allclose(est.point, point, rtol=0.0, atol=1e-12)
+        assert est.residual_rms <= 1e-12
+    # no body direction stays fixed, so the hinge estimator cannot stand in for the line one
+    assert estimate_fixed_direction(seq).residual_rms > 1e-2
