@@ -35,6 +35,15 @@ class ConditioningReport:
     well_posed: bool
 
     def __post_init__(self):
+        # only what read_report reads back: a bool is no number, and well_posed is nothing else
+        for name in ("max_rotation_angle", "smallest_singular_value"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
+        if isinstance(self.condition_number, (bool, np.bool_)):
+            raise ValueError(f"condition_number must be a number, got {self.condition_number}")
+        if not isinstance(self.well_posed, (bool, np.bool_)):
+            raise ValueError(f"well_posed must be a bool, got {self.well_posed!r}")
         if self.smallest_singular_value < 0.0:
             raise ValueError("smallest_singular_value must be nonnegative")
         if not (self.condition_number >= 1.0 or np.isinf(self.condition_number)):
@@ -75,5 +84,7 @@ class ContactEstimate:
         if self.per_frame_residuals is not None:
             residuals = np.array(self.per_frame_residuals, dtype=float).reshape(-1)
             object.__setattr__(self, "per_frame_residuals", _readonly(residuals))
+        if isinstance(self.residual_rms, (bool, np.bool_)):  # no report reads one back
+            raise ValueError(f"residual_rms must be a number, got {self.residual_rms}")
         if not (self.residual_rms >= 0.0):
             raise ValueError(f"residual_rms must be nonnegative, got {self.residual_rms}")

@@ -39,7 +39,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -47,7 +47,7 @@ import numpy as np
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import NonFiniteValue, ParseError, SchemaVersionMismatch
 from .estimators import EstimatorConfig
-from .motion import MarkerLog, MotionSequence, RelativeMotion
+from .motion import MarkerLog, MotionSequence, RelativeMotion, _first_bad_motion
 from .simulate import (EdgeContact, FixedDirectionContact, FixedPointContact,
                        MarkerGrid, MotionStep, ScenarioConfig, ScenarioTruth)
 
@@ -67,7 +67,26 @@ class EstimateReport:
     provenance: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "provenance", dict(self.provenance))
+        provenance = dict(self.provenance)
+        _check_json(provenance, "provenance")
+        object.__setattr__(self, "provenance", provenance)
+
+
+def _check_json(value, what: str) -> None:
+    """ValueError unless value is what a file reads back as itself: None, a bool, a string, a
+    finite number, or a list or a string-keyed dict of these (no tuple, array or NaN)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise ValueError(f"{what} keys must be strings, got {key!r}")
+            _check_json(item, f"{what}[{key!r}]")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            _check_json(item, f"{what}[{k}]")
+    elif not (value is None or isinstance(value, (str, int, np.integer, np.bool_))
+              or isinstance(value, (float, np.floating)) and math.isfinite(value)):
+        raise ValueError(f"{what} must be None, a bool, a string, a finite number, a list or "
+                         f"a dict, got {value!r:.40}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +368,9 @@ def _motions(data, context: str) -> MotionSequence:
         rms_errors = [_float(raw, "rms_error", f"motion {i}") for i, raw in enumerate(raw_motions)]
     try:
         return MotionSequence._of_stacks(rotations, translations, indices, rms_errors, units)
-    except ValueError as err:
-        for k in range(count):  # name the first motion at fault, when one is
-            try:
-                RelativeMotion(rotations[k], translations[k], indices[k])
-            except ValueError:
-                raise ParseError(f"motion {k}: {err}") from err
-        raise ParseError(str(err)) from err
+    except ValueError as err:  # a motion's, named, or else the sequence's as a whole
+        k = _first_bad_motion(rotations, translations, indices)
+        raise ParseError(f"motion {k}: {err}" if k >= 0 else str(err)) from err
 
 
 def write_motion_sequence(path, motions: MotionSequence) -> None:
@@ -379,9 +394,13 @@ def read_motion_sequence(path) -> MotionSequence:
 _CONTACTS = {cls.kind.value: cls for cls in (FixedPointContact, FixedDirectionContact, EdgeContact)}
 
 
+def _record(obj) -> dict:
+    """A dataclass's fields by name, in field order, as they are: asdict would deep-copy them."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _contact_to_dict(contact) -> dict:
-    return {"kind": contact.kind.value,
-            **{f.name: getattr(contact, f.name) for f in fields(contact)}}
+    return {"kind": contact.kind.value, **_record(contact)}
 
 
 def _contact_from_dict(raw: dict):
@@ -412,7 +431,7 @@ def write_scenario(path, config: ScenarioConfig) -> None:
                                     config.grid.pose.translation),
         },
         "contact": _contact_to_dict(config.contact),
-        "schedule": [asdict(step) for step in config.schedule],
+        "schedule": [_record(step) for step in config.schedule],
         "tolerances": config.tolerances,
     }
     _write_file(path, data)
@@ -496,11 +515,11 @@ def write_report(path, report: EstimateReport) -> None:
             "point": est.point,
             "direction": est.direction,
             "residual_rms": est.residual_rms,
-            "conditioning": {**asdict(est.conditioning),
+            "conditioning": {**_record(est.conditioning),
                              "condition_number": None if math.isinf(cond) else cond},
         },
         "per_frame_residuals": est.per_frame_residuals,
-        "config": asdict(report.config),
+        "config": _record(report.config),
         "provenance": report.provenance,
     }
     _write_file(path, data)
@@ -536,5 +555,6 @@ def read_report(path) -> EstimateReport:
             f.name: (_require(raw_config, f.name, "config", int) if type(f.default) is int
                      else _float(raw_config, f.name, "config"))
             for f in fields(EstimatorConfig)})
-    return EstimateReport(estimate=estimate, config=config,
-                          provenance=_require(data, "provenance", "report", dict))
+    provenance = _require(data, "provenance", "report", dict)
+    with _invalid("report"):  # a NaN or an infinity, which json reads
+        return EstimateReport(estimate=estimate, config=config, provenance=provenance)

@@ -7,14 +7,14 @@ to be uniform within a dataset.
 A MarkerLog is stored as its (N, m, 3) positions, each frame checked where
 the stack is made (MarkerFrame, generate, read_marker_log), and a
 MotionSequence as its (N, 3, 3) rotations, (N, 3) translations and frame
-indices, checked once by _motion_stack as RelativeMotion checks a motion;
-the first bad entry in frame order raises the error its own constructor
-would raise. log.frames and seq.motions are read-only views into the
-stacks, built the first time they are read and then kept; the estimators,
-registration and the writers read the stacks and build none. A
-MotionSequence is the only motion input the estimators and residual
-functions take, and its moving frames are its entries after a leading
-frame-0 entry (_moving_stack).
+indices, checked once by _motion_stack: one mask of RelativeMotion's tests
+finds the first bad entry in frame order (_first_bad_motion), and that
+entry's own RelativeMotion raises the error. log.frames and seq.motions
+are read-only views into the stacks, built the first time they are read
+and then kept; the estimators, registration and the writers read the
+stacks and build none. A MotionSequence is the only motion input the
+estimators and residual functions take, and its moving frames are its
+entries after a leading frame-0 entry (_moving_stack).
 """
 
 from __future__ import annotations
@@ -84,25 +84,23 @@ def orthonormalize(matrix) -> np.ndarray:
     mat = np.array(matrix, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("rotation has non-finite entries")
+    # within ROTATION_TOL of orthonormal, |det| is 1 to ~1e-9, so any determinant has its sign
+    if np.linalg.det(mat) <= 0.0:
+        raise ValueError(_REFLECTION)
     return _proper_rotations(mat[None])[0]
 
 
 def _proper_rotations(mats: np.ndarray) -> np.ndarray:
-    """orthonormalize for every matrix of a float (N, 3, 3) stack, checked at once.
+    """orthonormalize's projection of each matrix of a float (N, 3, 3) stack, all of them
+    finite with a positive determinant: the callers check that, this does not.
 
     A matrix within ROTATION_TOL of orthonormal is kept as it is, since
     reprojecting would churn its last ulp; only the others are projected, by
     _proper_product of their SVD factors, the repair registration uses too.
-    The first matrix, in order, that orthonormalize would reject raises its
-    error. Returns mats itself when no matrix needs projecting, else a copy.
+    Returns mats itself when no matrix needs projecting, else a copy.
     """
-    non_finite = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))
-    if non_finite.size:
-        _proper_rotations(mats[:non_finite[0]])  # a reflection before it is reported first
-        raise ValueError("rotation has non-finite entries")
-    # within ROTATION_TOL of orthonormal, |det| is 1 to ~1e-9, so any determinant has its sign
-    if (np.linalg.det(mats) <= 0.0).any():
-        raise ValueError(_REFLECTION)
     gap = (mats.swapaxes(1, 2) @ mats - _EYE3).reshape(-1, 9)
     # sqrt(gap[k] @ gap[k]), row by row; a NaN gap (overflow) counts as far
     far = ~(np.sqrt(_row_dots(gap, gap)) <= ROTATION_TOL)
@@ -124,27 +122,30 @@ def _proper_product(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
     return rot
 
 
+def _first_bad_motion(rotations: np.ndarray, translations: np.ndarray, frame_indices) -> int:
+    """The first k, in order, whose motion RelativeMotion(rotations[k], translations[k],
+    frame_indices[k]) would reject, or -1: one mask of its tests over the stacks."""
+    finite = np.isfinite(rotations).all(axis=(1, 2))
+    bad = ~finite | ~np.isfinite(translations).all(axis=1)
+    bad[finite] |= np.linalg.det(rotations[finite]) <= 0.0  # numpy warns on a non-finite one
+    bad[[k for k, i in enumerate(frame_indices)  # _frame_index's test, inline for speed
+         if type(i) in _BOOLS or not (i >= 0 and i % 1 == 0)]] = True
+    return int(bad.argmax()) if bad.any() else -1
+
+
 def _motion_stack(rotations: np.ndarray, translations: np.ndarray, frame_indices) -> tuple:
     """RelativeMotion's checks over N motions at once, as float (N, 3, 3) and (N, 3) stacks.
 
     Returns the proper rotations and the translations, both read-only, and
-    the frame indices as ints. The first motion, in order, that
-    RelativeMotion(rotations[k], translations[k], frame_indices[k]) would
-    reject raises the error it would raise: its rotation's, then its
-    translation's, then its frame index's.
+    the frame indices as ints. A bad motion that _first_bad_motion finds is
+    built as a RelativeMotion, so the error is the one its constructor raises.
     """
     frame_indices = list(frame_indices)
-    finite = np.isfinite(translations).all(axis=1).tolist()
-    # the first motion whose translation or index (by _frame_index's test, inline for speed) is
-    # bad; rotations up to it come first
-    stop = next((k for k, (ok, i) in enumerate(zip(finite, frame_indices))
-                 if not (ok and type(i) not in _BOOLS and i >= 0 and i % 1 == 0)),
-                len(frame_indices))
-    rotations = _proper_rotations(rotations[:stop + 1])
-    if stop < len(frame_indices):
-        _as_vector3(translations[stop], "translation")  # raises when the translation is at fault
-        _frame_index(frame_indices[stop])  # otherwise the index is, and this raises
-    return _frozen(rotations), _frozen(translations), [int(i) for i in frame_indices]
+    k = _first_bad_motion(rotations, translations, frame_indices)
+    if k >= 0:
+        RelativeMotion(rotations[k], translations[k], frame_indices[k])  # raises
+    return (_frozen(_proper_rotations(rotations)), _frozen(translations),
+            [int(i) for i in frame_indices])
 
 
 def _blocks(stack: np.ndarray) -> list:

@@ -193,6 +193,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.contact, (FixedPointContact, FixedDirectionContact, EdgeContact)):
             raise TypeError(f"unknown contact type {type(self.contact).__name__}")
+        if not isinstance(self.grid, MarkerGrid):
+            raise TypeError(f"grid must be a MarkerGrid, got {type(self.grid).__name__}")
         schedule = tuple(self.schedule)
         if not schedule:
             raise ValueError("schedule must not be empty")

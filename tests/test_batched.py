@@ -29,8 +29,7 @@ from tacloc import (DegenerateMarkers, EdgeContact, FixedDirectionContact,
 from tacloc.estimators import (_canonical_sign, fixed_direction_residuals,
                                fixed_point_residuals, line_contact_residuals)
 from tacloc.io import MARKER_LOG_SCHEMA
-from tacloc.motion import (ROTATION_TOL, MarkerLog, _proper_rotations, orthonormalize,
-                           rotation_angle)
+from tacloc.motion import ROTATION_TOL, MarkerLog, orthonormalize, rotation_angle
 from tacloc import motion
 from tacloc.registration import RANK_TOLERANCE, _register_all, _solve
 from tacloc.simulate import InvalidSchedule, _truth_stacks
@@ -501,10 +500,12 @@ def _reference_vector3(value, name):
 
 
 def _reference_motion(rotation, translation, frame_index):
-    """RelativeMotion.__post_init__ as it was, returning (rotation, translation, index)."""
+    """RelativeMotion.__post_init__ as it was, returning (rotation, translation, index), with
+    the index rule of today: a bool, NaN or an infinity is no index either."""
     rot = _reference_orthonormalize_by_gap(rotation)
     trans = _reference_vector3(translation, "translation")
-    if frame_index < 0 or int(frame_index) != frame_index:
+    if (isinstance(frame_index, (bool, np.bool_)) or not math.isfinite(frame_index)
+            or frame_index < 0 or int(frame_index) != frame_index):
         raise ValueError(f"frame_index must be a nonnegative integer, got {frame_index}")
     return rot, trans, int(frame_index)
 
@@ -620,6 +621,8 @@ MOTION_FAULTS = {
     "index_negative": lambda r, t, i, k: i.__setitem__(k, -k),
     "index_fraction": lambda r, t, i, k: i.__setitem__(k, k + 0.5),
     "index_repeated": lambda r, t, i, k: i.__setitem__(k, i[k - 1]),
+    "index_bool": lambda r, t, i, k: i.__setitem__(k, True),
+    "index_nan": lambda r, t, i, k: i.__setitem__(k, np.nan),
 }
 # Faults for one frame k of a positions copy; a log's frame indices are 0..N-1 by construction.
 FRAME_FAULTS = {
@@ -736,13 +739,19 @@ def _row_by_row(orthonormalize_one, mats):
     return np.array([orthonormalize_one(m) for m in mats]).reshape(-1, 3, 3)
 
 
+def _stacked_rotations(mats):
+    """The rotations of a sequence of the matrices, with zero translations and indices 1..N."""
+    n = len(mats)
+    return MotionSequence._of_stacks(mats, np.zeros((n, 3)), range(1, n + 1)).rotations
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1),
        st.lists(st.sampled_from(ROTATION_KINDS), min_size=1, max_size=6))
 def test_stack_check_matches_orthonormalize_row_by_row(seed, kinds):
     rng = np.random.default_rng(seed)
     mats = np.array([_rotation_of_kind(kind, rng) for kind in kinds])
-    got = _outcome(_proper_rotations, mats.copy())
+    got = _outcome(_stacked_rotations, mats.copy())
     for reference in (orthonormalize, _reference_orthonormalize_by_gap):
         want = _outcome(_row_by_row, reference, mats)
         assert got[0] == want[0]

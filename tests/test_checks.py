@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tacloc import (ContactKind, FixedPointContact, MarkerFrame, MarkerGrid, MarkerLog,
+from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EstimateReport,
+                    EstimatorConfig, FixedPointContact, MarkerFrame, MarkerGrid, MarkerLog,
                     MotionSequence, MotionStep, RankDeficientBeyondLine, RegistrationResult,
                     RelativeMotion, ScenarioConfig, estimate_line_point, orthonormalize,
-                    propagate_plane, rotation_about_axis)
+                    propagate_plane, read_report, rotation_about_axis, write_report)
 from tacloc.io import dumps
 
 GRID = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -19,6 +20,21 @@ MOTIONS = MotionSequence((RelativeMotion.identity(0),
 def _scenario(**fields):
     return ScenarioConfig(contact=FixedPointContact((0, 0, 0)),
                           schedule=(MotionStep(angle=0.1, axis=(0, 0, 1)),), **fields)
+
+
+def _conditioning(**fields):
+    return ConditioningReport(**{"max_rotation_angle": 0.5, "smallest_singular_value": 1.0,
+                                 "condition_number": 2.0, "well_posed": True, **fields})
+
+
+def _estimate(residual_rms=0.25):
+    return ContactEstimate(ContactKind.FIXED_POINT, point=(1.0, 2.0, 3.0), direction=None,
+                           residual_rms=residual_rms, conditioning=_conditioning(),
+                           per_frame_residuals=(0.25, 0.25))
+
+
+def _report(provenance):
+    return EstimateReport(estimate=_estimate(), config=EstimatorConfig(), provenance=provenance)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -80,6 +96,21 @@ def _scenario(**fields):
      "units must be a string, got 5"),
     (lambda: MarkerLog((MarkerFrame(GRID, 0),), units=5), ValueError,
      "units must be a string, got 5"),
+    (lambda: _scenario(grid="x"), TypeError, "grid must be a MarkerGrid, got str"),
+    # each was taken, and its report then failed to write or did not read back
+    (lambda: _estimate(residual_rms=True), ValueError, "residual_rms must be a number, got True"),
+    (lambda: _conditioning(smallest_singular_value=True), ValueError,
+     "smallest_singular_value must be a finite number, got True"),
+    (lambda: _conditioning(condition_number=True), ValueError,
+     "condition_number must be a number, got True"),
+    (lambda: _conditioning(well_posed=1), ValueError, "well_posed must be a bool, got 1"),
+    (lambda: _conditioning(max_rotation_angle=math.nan), ValueError,
+     "max_rotation_angle must be a finite number, got nan"),
+    (lambda: _report({1: "a"}), ValueError, "provenance keys must be strings, got 1"),
+    (lambda: _report({"x": (1, 2)}), ValueError, "provenance['x'] must be None, a bool, a "
+     "string, a finite number, a list or a dict, got (1, 2)"),
+    (lambda: _report({"x": [{"y": math.nan}]}), ValueError, "provenance['x'][0]['y'] must be "
+     "None, a bool, a string, a finite number, a list or a dict, got nan"),
 ], ids=["n0_not_unit", "n0_huge", "line_point_of_no_motions",
         "unserializable_value", "rotation_not_3x3", "zero_axis", "empty_log",
         "log_indices_not_dense", "log_marker_counts_differ", "sequence_of_non_motions",
@@ -88,7 +119,10 @@ def _scenario(**fields):
         "bool_dome_height", "bool_seed", "fractional_seed", "bool_tolerance", "nan_tolerance",
         "str_tolerance", "int_tolerance_name", "int_name", "int_units", "bool_noise_sigma",
         "bool_motion_index", "bool_frame_index", "bool_index_in_a_stack", "bool_rms_error",
-        "int_sequence_units", "int_log_units"])
+        "int_sequence_units", "int_log_units", "str_grid", "bool_residual_rms",
+        "bool_smallest_singular_value", "bool_condition_number", "int_well_posed",
+        "nan_max_rotation_angle", "int_provenance_key", "tuple_provenance_value",
+        "nan_provenance_value"])
 def test_a_check_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
@@ -103,3 +137,16 @@ def test_numpy_numbers_are_still_taken():
     assert RelativeMotion.identity(np.int64(2)).frame_index == 2
     sequence = MotionSequence(MOTIONS.motions, rms_errors=[0.0, np.float32(0.5)])
     assert sequence.rms_errors == (0.0, 0.5)
+    assert not _conditioning(well_posed=np.bool_(False), max_rotation_angle=np.float32(0.5),
+                             smallest_singular_value=np.float64(0.0)).well_posed
+
+
+def test_an_accepted_provenance_writes_back_byte_for_byte(tmp_path):
+    provenance = {"none": None, "flag": np.bool_(True), "text": "a", "count": np.int64(3),
+                  "zero": -0.0, "float": np.float32(0.1), "nested": [1, [2.5, False], {"k": []}]}
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_report(first, _report(provenance))
+    back = read_report(first)
+    assert back.provenance == provenance
+    write_report(second, back)
+    assert second.read_bytes() == first.read_bytes()

@@ -819,6 +819,24 @@ def test_a_bad_motion_is_named(roundtrip_files, tmp_path, source):
     doc["motions"][3]["rotation"][1][0] = float("nan")
     with pytest.raises(NonFiniteValue, match="motion 3 'rotation': non-finite value at entry 1"):
         _read(doc, tmp_path)
+    # the first bad motion is named, whatever its fault and the later one's
+    reflection = "matrix is a reflection or singular, not a rotation"
+    negative = "frame_index must be a nonnegative integer, got -1"
+    for index_at, reflection_at, message in ((1, 3, f"motion 1: {negative}"),
+                                             (4, 2, f"motion 2: {reflection}")):
+        doc = _document(roundtrip_files, source)
+        doc["motions"][index_at]["frame_index"] = -1
+        rotation = doc["motions"][reflection_at]["rotation"]
+        rotation[2] = [-v for v in rotation[2]]
+        with pytest.raises(ParseError) as excinfo:
+            _read(doc, tmp_path)
+        assert str(excinfo.value) == message
+    # a repeated index is the sequence's fault, not one motion's: no motion is named
+    doc = _document(roundtrip_files, source)
+    doc["motions"][2]["frame_index"] = doc["motions"][1]["frame_index"]
+    with pytest.raises(ParseError) as excinfo:
+        _read(doc, tmp_path)
+    assert str(excinfo.value).startswith("frame_index must be strictly increasing, got [0, 1, 1,")
 
 
 @pytest.mark.parametrize("motions", [5, [], {}, "motions"])
@@ -848,10 +866,21 @@ def test_failed_write_leaves_the_file_as_it_was(roundtrip_files, tmp_path):
     report = read_report(path)
     before = path.read_bytes()
     bad = EstimateReport(estimate=report.estimate, config=report.config,
-                         provenance={**report.provenance, "note": float("nan")})
+                         provenance=report.provenance)
+    # set past the constructor, which rejects a NaN: the render must fail before the file opens
+    object.__setattr__(bad, "provenance", {**report.provenance, "note": float("nan")})
     with pytest.raises(NonFiniteValue):
         write_report(path, bad)
     assert path.read_bytes() == before
+
+
+def test_a_provenance_no_report_can_hold_is_a_parse_error(roundtrip_files, tmp_path):
+    doc = _document(roundtrip_files, "report")
+    doc["provenance"]["note"] = [float("nan")]  # json writes NaN, and reads it back
+    with pytest.raises(ParseError) as excinfo:
+        _read(doc, tmp_path)
+    assert str(excinfo.value) == ("report: provenance['note'][0] must be None, a bool, a string, "
+                                  "a finite number, a list or a dict, got nan")
 
 
 # ---------------------------------------------------------------------------
