@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .motion import _as_vector3, _norm, _readonly
+from .motion import _as_vector3, _norm, _number, _readonly
 
 UNIT_NORM_TOL = 1e-9
 
@@ -35,18 +36,16 @@ class ConditioningReport:
     well_posed: bool
 
     def __post_init__(self):
-        # only what read_report reads back: a bool is no number, and well_posed is nothing else
+        # only what read_report reads back, where an infinite condition number is a null
         for name in ("max_rotation_angle", "smallest_singular_value"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
-        if isinstance(self.condition_number, (bool, np.bool_)):
-            raise ValueError(f"condition_number must be a number, got {self.condition_number}")
+            _number(getattr(self, name), name)
+        if not (isinstance(cond := self.condition_number, float) and cond == math.inf):
+            _number(cond, "condition_number")
         if not isinstance(self.well_posed, (bool, np.bool_)):
             raise ValueError(f"well_posed must be a bool, got {self.well_posed!r}")
         if self.smallest_singular_value < 0.0:
             raise ValueError("smallest_singular_value must be nonnegative")
-        if not (self.condition_number >= 1.0 or np.isinf(self.condition_number)):
+        if not self.condition_number >= 1.0:
             raise ValueError(f"condition_number must be >= 1 or inf, got {self.condition_number}")
 
 
@@ -83,8 +82,8 @@ class ContactEstimate:
             object.__setattr__(self, "direction", _readonly(direction))
         if self.per_frame_residuals is not None:
             residuals = np.array(self.per_frame_residuals, dtype=float).reshape(-1)
+            if not np.isfinite(residuals).all():  # no report reads one back
+                raise ValueError("per_frame_residuals has non-finite entries")
             object.__setattr__(self, "per_frame_residuals", _readonly(residuals))
-        if isinstance(self.residual_rms, (bool, np.bool_)):  # no report reads one back
-            raise ValueError(f"residual_rms must be a number, got {self.residual_rms}")
-        if not (self.residual_rms >= 0.0):
+        if _number(self.residual_rms, "residual_rms") < 0.0:
             raise ValueError(f"residual_rms must be nonnegative, got {self.residual_rms}")

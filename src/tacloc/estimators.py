@@ -21,15 +21,14 @@ problem itself, not its square.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import AmbiguousDirection, IllConditioned, RankDeficientBeyondLine, TooFewFrames
-from .motion import (_EYE3, MotionSequence, _exponent, _max_rotation_angle, _moving_stack,
-                     _row_dots, _row_norms, _stack, _unit, _unit_rows)
+from .motion import (_EYE3, MotionSequence, _exponent, _integer, _max_rotation_angle,
+                     _moving_stack, _number, _row_dots, _row_norms, _stack, _unit, _unit_rows)
 
 UNIT_NORM_TOL = 1e-6
 
@@ -51,15 +50,11 @@ class EstimatorConfig:
     min_frames: int = field(default=3, metadata={"help": "minimum moving frames required"})
 
     def __post_init__(self):
-        # the same types a report's config reads back: a bool is neither a number nor an integer
-        thresholds = (self.angle_threshold, self.cond_threshold, self.rank_tolerance)
-        if any(isinstance(x, bool) for x in thresholds):
-            raise ValueError("thresholds must be numbers, got bool")
-        if not all(0.0 < x < math.inf for x in thresholds):
-            raise ValueError("all thresholds must be positive and finite")
-        if isinstance(self.min_frames, bool) or not isinstance(self.min_frames, numbers.Integral):
-            raise ValueError(f"min_frames must be an integer, got {type(self.min_frames).__name__}")
-        if self.min_frames < 1:
+        # the same types a report's config reads back
+        for name in ("angle_threshold", "cond_threshold", "rank_tolerance"):
+            if (value := _number(getattr(self, name), name)) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if _integer(self.min_frames, "min_frames") < 1:
             raise ValueError("min_frames must be at least 1")
 
 

@@ -19,15 +19,21 @@ neither is durable across a power loss. A FIFO or device is not trimmed.
 An infinite condition number is stored as null (JSON has no Infinity) and
 restored to inf on read.
 
-Every number in a file must be a JSON number. Every file is decoded by one
-json.loads call. Arrays are read by _array, which rejects a list holding a
-true or false (numpy reads one among numbers as 1 or 0). A marker log is read
-frame by frame: the decoder's object_hook makes each frame's positions an
-array as its object closes, so at most one frame of Python floats is alive.
-The hook scans the rows numpy read as holding a 0 or a 1 and leaves a list
-holding a boolean as it is, for _array to reject. Other files are decoded
-without it, so a "positions" key elsewhere, as in a report's provenance,
-reads back as the JSON it holds.
+Every number in a file must be a JSON number. A reader passes each scalar to
+its value type's constructor as the JSON holds it, inside _invalid, and the
+constructor checks it by motion._number or motion._integer. Three scalars
+are checked by the readers first: each frame_index, each motion's rms_error
+(so the error names the motion) and the grid's dome_height, which MarkerGrid
+would take as None for its default.
+
+Every file is decoded by one json.loads call. Arrays are read by _array,
+which rejects a list holding a true or false (numpy reads one among numbers
+as 1 or 0). A marker log is read frame by frame: the decoder's object_hook
+makes each frame's positions an array as its object closes, so at most one
+frame of Python floats is alive. The hook scans the rows numpy read as
+holding a 0 or a 1 and leaves a list holding a boolean as it is, for _array
+to reject. Other files are decoded without it, so a "positions" key
+elsewhere, as in a report's provenance, reads back as the JSON it holds.
 """
 
 from __future__ import annotations
@@ -38,12 +44,12 @@ import json
 import math
 import os
 import stat
-import sys
 from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
 
+from . import motion
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import NonFiniteValue, ParseError, SchemaVersionMismatch
 from .estimators import EstimatorConfig
@@ -256,10 +262,10 @@ def _entries(data, key: str, context: str) -> list:
 
 def _number(value, what: str) -> float:
     """value as a float, or ParseError unless it is a finite JSON number (not a bool or NaN)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ParseError(f"{what} must be a finite number, got {value!r:.40}")
-    return float(value)
+    try:
+        return motion._number(value, what)
+    except ValueError as err:
+        raise ParseError(str(err)) from err
 
 
 def _float(data, key: str, context: str) -> float:
@@ -445,38 +451,35 @@ def read_scenario(path) -> ScenarioConfig:
         pose = RelativeMotion(_array(raw_pose, "rotation", "grid pose", (3, 3)),
                               _array(raw_pose, "translation", "grid pose", (3,)),
                               _require(raw_pose, "frame_index", "grid pose", int))
-        grid = MarkerGrid(rows=_require(raw_grid, "rows", "grid", int),
-                          cols=_require(raw_grid, "cols", "grid", int),
-                          pitch=_float(raw_grid, "pitch", "grid"),
+        grid = MarkerGrid(rows=_require(raw_grid, "rows", "grid"),
+                          cols=_require(raw_grid, "cols", "grid"),
+                          pitch=_require(raw_grid, "pitch", "grid"),
                           pose=pose,
                           dome_height=_float(raw_grid, "dome_height", "grid"))
     steps = []
     for i, raw in enumerate(_entries(data, "schedule", "scenario")):
         context = f"schedule step {i}"
-        angle = _float(raw, "angle", context)  # first: it checks that raw is an object
+        angle = _require(raw, "angle", context)  # first: it checks that raw is an object
         axis, translation = raw.get("axis"), raw.get("translation")
         with _invalid(context):
             steps.append(MotionStep(
                 angle=angle,
                 axis=None if axis is None else _array(raw, "axis", context, (3,)),
-                slide=_float(raw, "slide", context) if "slide" in raw else 0.0,
+                slide=raw.get("slide", 0.0),
                 translation=(None if translation is None
                              else _array(raw, "translation", context, (3,))),
             ))
     contact = _contact_from_dict(_require(data, "contact", "scenario"))
-    tolerances = _require(data, "tolerances", "scenario", dict)
-    for key in tolerances:
-        _float(tolerances, key, "scenario tolerances")
     with _invalid("scenario"):
         return ScenarioConfig(
             contact=contact,
             grid=grid,
             schedule=tuple(steps),
             noise_sigma=_array(data, "noise_sigma", "scenario", (3,)),
-            seed=_require(data, "seed", "scenario", int),
+            seed=_require(data, "seed", "scenario"),
             name=_require(data, "name", "scenario", str),
             units=_require(data, "units", "scenario", str),
-            tolerances=tolerances,
+            tolerances=_require(data, "tolerances", "scenario", dict),
         )
 
 
@@ -532,10 +535,9 @@ def read_report(path) -> EstimateReport:
     raw_cn = _require(raw_cond, "condition_number", "conditioning")
     with _invalid("conditioning"):
         conditioning = ConditioningReport(
-            max_rotation_angle=_float(raw_cond, "max_rotation_angle", "conditioning"),
-            smallest_singular_value=_float(raw_cond, "smallest_singular_value", "conditioning"),
-            condition_number=(math.inf if raw_cn is None
-                              else _float(raw_cond, "condition_number", "conditioning")),
+            max_rotation_angle=_require(raw_cond, "max_rotation_angle", "conditioning"),
+            smallest_singular_value=_require(raw_cond, "smallest_singular_value", "conditioning"),
+            condition_number=math.inf if raw_cn is None else raw_cn,
             well_posed=_require(raw_cond, "well_posed", "conditioning", bool),
         )
     point, direction = raw_est.get("point"), raw_est.get("direction")
@@ -545,16 +547,14 @@ def read_report(path) -> EstimateReport:
             point=None if point is None else _array(raw_est, "point", "estimate", (3,)),
             direction=(None if direction is None
                        else _array(raw_est, "direction", "estimate", (3,))),
-            residual_rms=_float(raw_est, "residual_rms", "estimate"),
+            residual_rms=_require(raw_est, "residual_rms", "estimate"),
             per_frame_residuals=_array(data, "per_frame_residuals", "report", (None,)),
             conditioning=conditioning,
         )
     raw_config = _require(data, "config", "report")
     with _invalid("config"):
-        config = EstimatorConfig(**{
-            f.name: (_require(raw_config, f.name, "config", int) if type(f.default) is int
-                     else _float(raw_config, f.name, "config"))
-            for f in fields(EstimatorConfig)})
+        config = EstimatorConfig(**{f.name: _require(raw_config, f.name, "config")
+                                    for f in fields(EstimatorConfig)})
     provenance = _require(data, "provenance", "report", dict)
     with _invalid("report"):  # a NaN or an infinity, which json reads
         return EstimateReport(estimate=estimate, config=config, provenance=provenance)

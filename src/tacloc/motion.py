@@ -19,7 +19,9 @@ entries after a leading frame-0 entry (_moving_stack).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,6 +75,26 @@ def _text(value, name: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
     return value
+
+
+def _number(value, name: str) -> float:
+    """value as a float, or ValueError unless it is a finite real number and no bool: the one
+    rule for a number a file holds, which reads it back as that float."""
+    if type(value) is float and math.isfinite(value):  # the common case, first for speed
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer beyond every double
+            if math.isfinite(number := float(value)):
+                return number
+    raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, or ValueError unless it is an integer and no bool: the one rule for an
+    integer a file holds."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r:.40}")
 
 
 def orthonormalize(matrix) -> np.ndarray:
@@ -446,12 +468,8 @@ class MotionSequence:
         if indices and indices[0] == 0 and not _is_identity(rotations[0], translations[0]):
             raise ValueError("the frame-0 motion must be the identity")
         if rms_errors is not None:
-            rms_errors = tuple(rms_errors)
-            if not _BOOLS.isdisjoint(map(type, rms_errors)):
-                flag = next(e for e in rms_errors if type(e) in _BOOLS)
-                raise ValueError(f"rms_error must be a number, got {flag!r}")
-            rms_errors = tuple(map(float, rms_errors))
-            if len(rms_errors) != len(indices) or not all(0.0 <= e < math.inf for e in rms_errors):
+            rms_errors = tuple([_number(e, "rms_error") for e in rms_errors])
+            if len(rms_errors) != len(indices) or not all(e >= 0.0 for e in rms_errors):
                 raise ValueError("rms_errors must be one finite nonnegative value per motion")
         self.__dict__.update(rotations=rotations, translations=translations,
                              frame_indices=tuple(indices), rms_errors=rms_errors,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateMarkers, MismatchedFrames, TooFewMarkers
 from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _blocks,
-                     _exponent, _per_frame, _proper_product)
+                     _exponent, _integer, _number, _per_frame, _proper_product)
 
 # Singular values below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-8
@@ -42,10 +42,11 @@ class RegistrationResult:
     marker_covariance_rank: int
 
     def __post_init__(self):
-        if self.rms_error < 0.0:
+        if _number(self.rms_error, "rms_error") < 0.0:
             raise ValueError("rms_error must be nonnegative")
-        if self.marker_covariance_rank not in (0, 1, 2, 3):
-            raise ValueError(f"marker_covariance_rank must be in 0..3, got {self.marker_covariance_rank}")
+        rank = _integer(self.marker_covariance_rank, "marker_covariance_rank")
+        if rank not in (0, 1, 2, 3):
+            raise ValueError(f"marker_covariance_rank must be in 0..3, got {rank}")
 
 
 def register(reference: MarkerFrame, current: MarkerFrame) -> RegistrationResult:

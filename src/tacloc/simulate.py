@@ -16,7 +16,7 @@ stack; the truth MotionSequence and the MarkerLog keep the stacks.
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +26,8 @@ from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
 from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _as_vector3, _blocks,
-                     _exponent, _per_frame, _readonly, _rotations_about_axes, _row_norms, _text,
-                     _unit)
+                     _exponent, _integer, _number, _per_frame, _readonly, _rotations_about_axes,
+                     _row_norms, _text, _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -109,18 +109,13 @@ class MotionStep:
     translation: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, value in (("angle", self.angle), ("slide", self.slide)):
-            if isinstance(value, (bool, np.bool_)):  # a scenario file holds no bool there
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not np.isfinite(self.angle):
-            raise ValueError("angle must be finite")
+        for name in ("angle", "slide"):
+            _number(getattr(self, name), name)
         if self.axis is not None:
             object.__setattr__(self, "axis", _readonly(_unit(self.axis, "axis")))
         if self.translation is not None:
             object.__setattr__(self, "translation",
                                _readonly(_as_vector3(self.translation, "translation")))
-        if not np.isfinite(self.slide):
-            raise ValueError("slide must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,24 +134,20 @@ class MarkerGrid:
     dome_height: float | None = None
 
     def __post_init__(self):
-        for name, value in (("rows", self.rows), ("cols", self.cols)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.rows < 2 or self.cols < 2:
+        rows, cols = (_integer(getattr(self, name), name) for name in ("rows", "cols"))
+        if rows < 2 or cols < 2:
             raise ValueError("grid needs at least 2 rows and 2 cols")
         # numpy refuses any array of more than intp.max bytes: here 3 float64s per marker
-        if self.rows * self.cols * 3 * 8 > np.iinfo(np.intp).max:
+        if rows * cols * 3 * 8 > np.iinfo(np.intp).max:
             raise ValueError("grid has more markers than an array can hold")
-        if self.dome_height is None:
-            object.__setattr__(self, "dome_height", 0.05 * self.pitch)
-        for name, value in (("pitch", self.pitch), ("dome_height", self.dome_height)):
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        # kept as a float for the extent check: an int's square never overflows to inf
+        object.__setattr__(self, "pitch", _number(self.pitch, "pitch"))
         if self.pitch <= 0.0:
             raise ValueError("pitch must be positive")
-        if not np.isfinite(self.extent * self.extent):  # reference_positions squares it
+        if self.dome_height is None:
+            object.__setattr__(self, "dome_height", 0.05 * self.pitch)
+        _number(self.dome_height, "dome_height")
+        if not math.isfinite(self.extent * self.extent):  # reference_positions squares it
             raise ValueError(f"grid extent {self.extent:g} is too large: its square overflows")
 
     def reference_positions(self) -> np.ndarray:
@@ -208,9 +199,7 @@ class ScenarioConfig:
                 or not np.all(np.isfinite(sigma))):
             raise ValueError(
                 f"noise_sigma must be a nonnegative scalar or 3-vector, got {self.noise_sigma!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
+        if _integer(self.seed, "seed") < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         _text(self.name, "name")
         _text(self.units, "units")
@@ -218,10 +207,7 @@ class ScenarioConfig:
         for key, value in tolerances.items():  # each as read_scenario reads it back
             if not isinstance(key, str):
                 raise ValueError(f"tolerance names must be strings, got {key!r}")
-            value = value.item() if isinstance(value, (np.integer, np.floating)) else value
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
-                raise ValueError(f"tolerance {key!r} must be a finite number, got {value!r:.40}")
+            _number(value, f"tolerance {key!r}")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "noise_sigma", _readonly(sigma))
         object.__setattr__(self, "tolerances", tolerances)

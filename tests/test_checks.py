@@ -27,10 +27,10 @@ def _conditioning(**fields):
                                  "condition_number": 2.0, "well_posed": True, **fields})
 
 
-def _estimate(residual_rms=0.25):
+def _estimate(residual_rms=0.25, per_frame_residuals=(0.25, 0.25)):
     return ContactEstimate(ContactKind.FIXED_POINT, point=(1.0, 2.0, 3.0), direction=None,
                            residual_rms=residual_rms, conditioning=_conditioning(),
-                           per_frame_residuals=(0.25, 0.25))
+                           per_frame_residuals=per_frame_residuals)
 
 
 def _report(provenance):
@@ -59,15 +59,18 @@ def _report(provenance):
      "rms_error must be nonnegative"),
     (lambda: RegistrationResult(RelativeMotion.identity(), 0.0, 4), ValueError,
      "marker_covariance_rank must be in 0..3, got 4"),
-    (lambda: MotionStep(angle=math.nan), ValueError, "angle must be finite"),
-    (lambda: MotionStep(angle=0.1, slide=math.inf), ValueError, "slide must be finite"),
+    (lambda: MotionStep(angle=math.nan), ValueError, "angle must be a finite number, got nan"),
+    (lambda: MotionStep(angle=0.1, slide=math.inf), ValueError,
+     "slide must be a finite number, got inf"),
     (lambda: ScenarioConfig(contact=ContactKind.LINE, schedule=(MotionStep(angle=0.1),)),
      TypeError, "unknown contact type ContactKind"),
     # each would write a scenario file that read_scenario rejects
-    (lambda: MotionStep(angle=True), ValueError, "angle must be a number, got True"),
-    (lambda: MotionStep(angle=0.1, slide=True), ValueError, "slide must be a number, got True"),
-    (lambda: MarkerGrid(pitch=True), ValueError, "pitch must be a number, got True"),
-    (lambda: MarkerGrid(dome_height=True), ValueError, "dome_height must be a number, got True"),
+    (lambda: MotionStep(angle=True), ValueError, "angle must be a finite number, got True"),
+    (lambda: MotionStep(angle=0.1, slide=True), ValueError,
+     "slide must be a finite number, got True"),
+    (lambda: MarkerGrid(pitch=True), ValueError, "pitch must be a finite number, got True"),
+    (lambda: MarkerGrid(dome_height=True), ValueError,
+     "dome_height must be a finite number, got True"),
     (lambda: _scenario(seed=True), ValueError, "seed must be an integer, got True"),
     (lambda: _scenario(seed=2.5), ValueError, "seed must be an integer, got 2.5"),
     # each was taken, and its writer then failed or wrote a file that its reader rejects or
@@ -91,18 +94,19 @@ def _report(provenance):
     (lambda: MotionSequence._of_stacks(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, True]),
      ValueError, "frame_index must be a nonnegative integer, got True"),
     (lambda: MotionSequence(MOTIONS.motions, rms_errors=[0.0, True]), ValueError,
-     "rms_error must be a number, got True"),
+     "rms_error must be a finite number, got True"),
     (lambda: MotionSequence(MOTIONS.motions, units=5), ValueError,
      "units must be a string, got 5"),
     (lambda: MarkerLog((MarkerFrame(GRID, 0),), units=5), ValueError,
      "units must be a string, got 5"),
     (lambda: _scenario(grid="x"), TypeError, "grid must be a MarkerGrid, got str"),
     # each was taken, and its report then failed to write or did not read back
-    (lambda: _estimate(residual_rms=True), ValueError, "residual_rms must be a number, got True"),
+    (lambda: _estimate(residual_rms=True), ValueError,
+     "residual_rms must be a finite number, got True"),
     (lambda: _conditioning(smallest_singular_value=True), ValueError,
      "smallest_singular_value must be a finite number, got True"),
     (lambda: _conditioning(condition_number=True), ValueError,
-     "condition_number must be a number, got True"),
+     "condition_number must be a finite number, got True"),
     (lambda: _conditioning(well_posed=1), ValueError, "well_posed must be a bool, got 1"),
     (lambda: _conditioning(max_rotation_angle=math.nan), ValueError,
      "max_rotation_angle must be a finite number, got nan"),
@@ -111,6 +115,41 @@ def _report(provenance):
      "string, a finite number, a list or a dict, got (1, 2)"),
     (lambda: _report({"x": [{"y": math.nan}]}), ValueError, "provenance['x'][0]['y'] must be "
      "None, a bool, a string, a finite number, a list or a dict, got nan"),
+    # each was taken, and its report then failed to write or did not read back
+    (lambda: EstimatorConfig(angle_threshold=np.True_), ValueError,
+     "angle_threshold must be a finite number, got np.True_"),
+    (lambda: EstimatorConfig(cond_threshold=10**400), ValueError,
+     f"cond_threshold must be a finite number, got 1{'0' * 39}"),
+    (lambda: _conditioning(condition_number=10**400), ValueError,
+     f"condition_number must be a finite number, got 1{'0' * 39}"),
+    (lambda: _estimate(residual_rms=math.inf), ValueError,
+     "residual_rms must be a finite number, got inf"),
+    (lambda: _estimate(per_frame_residuals=(0.25, math.nan)), ValueError,
+     "per_frame_residuals has non-finite entries"),
+    # each failed inside numpy or float(), with an error that did not name the field
+    (lambda: MotionStep(angle="x"), ValueError, "angle must be a finite number, got 'x'"),
+    (lambda: MotionStep(angle=10**400), ValueError,
+     f"angle must be a finite number, got 1{'0' * 39}"),
+    (lambda: MarkerGrid(pitch="a"), ValueError, "pitch must be a finite number, got 'a'"),
+    (lambda: MarkerGrid(pitch=10**400), ValueError,
+     f"pitch must be a finite number, got 1{'0' * 39}"),
+    (lambda: MarkerGrid(pitch=10**200), ValueError,
+     "grid extent 1e+201 is too large: its square overflows"),
+    (lambda: _conditioning(max_rotation_angle="x"), ValueError,
+     "max_rotation_angle must be a finite number, got 'x'"),
+    (lambda: _conditioning(max_rotation_angle=10**400), ValueError,
+     f"max_rotation_angle must be a finite number, got 1{'0' * 39}"),
+    # each was taken, though no fit yields it
+    (lambda: RegistrationResult(RelativeMotion.identity(), math.nan, 3), ValueError,
+     "rms_error must be a finite number, got nan"),
+    (lambda: RegistrationResult(RelativeMotion.identity(), math.inf, 3), ValueError,
+     "rms_error must be a finite number, got inf"),
+    (lambda: RegistrationResult(RelativeMotion.identity(), True, 3), ValueError,
+     "rms_error must be a finite number, got True"),
+    (lambda: RegistrationResult(RelativeMotion.identity(), 0.0, True), ValueError,
+     "marker_covariance_rank must be an integer, got True"),
+    (lambda: RegistrationResult(RelativeMotion.identity(), 0.0, 2.0), ValueError,
+     "marker_covariance_rank must be an integer, got 2.0"),
 ], ids=["n0_not_unit", "n0_huge", "line_point_of_no_motions",
         "unserializable_value", "rotation_not_3x3", "zero_axis", "empty_log",
         "log_indices_not_dense", "log_marker_counts_differ", "sequence_of_non_motions",
@@ -122,12 +161,73 @@ def _report(provenance):
         "int_sequence_units", "int_log_units", "str_grid", "bool_residual_rms",
         "bool_smallest_singular_value", "bool_condition_number", "int_well_posed",
         "nan_max_rotation_angle", "int_provenance_key", "tuple_provenance_value",
-        "nan_provenance_value"])
+        "nan_provenance_value", "numpy_bool_threshold", "huge_int_threshold",
+        "huge_int_condition_number", "inf_residual_rms", "nan_per_frame_residual", "str_angle",
+        "huge_int_angle", "str_pitch", "huge_int_pitch", "int_pitch_too_large_to_square",
+        "str_max_rotation_angle",
+        "huge_int_max_rotation_angle", "nan_fit_rms", "inf_fit_rms", "bool_fit_rms",
+        "bool_covariance_rank", "float_covariance_rank"])
 def test_a_check_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
 
+
+# Every scalar field that motion._number or motion._integer checks, as (a call that makes its
+# object with the field set to a value, the name its errors start with, whether it takes an
+# integer, a value it takes).
+SCALAR_FIELDS = {
+    "angle_threshold": (lambda v: EstimatorConfig(angle_threshold=v), "angle_threshold", False,
+                        0.5),
+    "cond_threshold": (lambda v: EstimatorConfig(cond_threshold=v), "cond_threshold", False, 2.0),
+    "rank_tolerance": (lambda v: EstimatorConfig(rank_tolerance=v), "rank_tolerance", False, 0.5),
+    "min_frames": (lambda v: EstimatorConfig(min_frames=v), "min_frames", True, 3),
+    "max_rotation_angle": (lambda v: _conditioning(max_rotation_angle=v), "max_rotation_angle",
+                           False, 0.5),
+    "smallest_singular_value": (lambda v: _conditioning(smallest_singular_value=v),
+                                "smallest_singular_value", False, 0.5),
+    "condition_number": (lambda v: _conditioning(condition_number=v), "condition_number", False,
+                         2.0),
+    "residual_rms": (lambda v: _estimate(residual_rms=v), "residual_rms", False, 0.25),
+    "angle": (lambda v: MotionStep(angle=v), "angle", False, 0.5),
+    "slide": (lambda v: MotionStep(angle=0.1, slide=v), "slide", False, 0.5),
+    "rows": (lambda v: MarkerGrid(rows=v), "rows", True, 3),
+    "cols": (lambda v: MarkerGrid(cols=v), "cols", True, 3),
+    "pitch": (lambda v: MarkerGrid(pitch=v), "pitch", False, 0.5),
+    "dome_height": (lambda v: MarkerGrid(dome_height=v), "dome_height", False, 0.5),
+    "seed": (lambda v: _scenario(seed=v), "seed", True, 2),
+    "tolerances": (lambda v: _scenario(tolerances={"point_distance": v}),
+                   "tolerance 'point_distance'", False, 0.5),
+    "rms_errors": (lambda v: MotionSequence(MOTIONS.motions, rms_errors=[0.0, v]), "rms_error",
+                   False, 0.5),
+    "fit_rms_error": (lambda v: RegistrationResult(RelativeMotion.identity(), v, 3), "rms_error",
+                      False, 0.5),
+    "marker_covariance_rank": (lambda v: RegistrationResult(RelativeMotion.identity(), 0.0, v),
+                               "marker_covariance_rank", True, 3),
+}
+
+NOT_NUMBERS = {"true": True, "numpy_true": np.True_, "nan": math.nan, "inf": math.inf,
+               "minus_inf": -math.inf, "string": "x", "huge_int": 10**400}
+
+
+def _scalar_cases():
+    for field, (make, name, integer, _) in SCALAR_FIELDS.items():
+        values = dict(NOT_NUMBERS, fraction=2.5) if integer else dict(NOT_NUMBERS)
+        if integer:
+            del values["huge_int"]  # an integer of any size is one, as a JSON file reads it
+        if field == "condition_number":
+            del values["inf"]  # a report writes an infinite condition number as null
+        rule = "an integer" if integer else "a finite number"
+        for label, value in values.items():
+            yield pytest.param(make, value, f"{name} must be {rule}, got {value!r:.40}",
+                               id=f"{field}-{label}")
+
+
+@pytest.mark.parametrize("make, value, message", list(_scalar_cases()))
+def test_every_scalar_field_takes_one_number_rule(make, value, message):
+    with pytest.raises(ValueError) as excinfo:
+        make(value)
+    assert str(excinfo.value) == message
 
 
 def test_numpy_numbers_are_still_taken():
@@ -139,6 +239,8 @@ def test_numpy_numbers_are_still_taken():
     assert sequence.rms_errors == (0.0, 0.5)
     assert not _conditioning(well_posed=np.bool_(False), max_rotation_angle=np.float32(0.5),
                              smallest_singular_value=np.float64(0.0)).well_posed
+    for make, _, integer, value in SCALAR_FIELDS.values():
+        make(np.int64(value) if integer else np.float32(value))
 
 
 def test_an_accepted_provenance_writes_back_byte_for_byte(tmp_path):

@@ -265,7 +265,7 @@ def test_non_finite_threshold_exits_2(tmp_path, capsys, flag, value):
     assert main(["estimate", "--type", "point", "--log", str(log),
                  "--out", str(tmp_path / "r.json"), flag, value]) == 2
     assert main(["roundtrip", "--scenario", scenario_path("pivot_point"), flag, value]) == 2
-    assert "positive and finite" in capsys.readouterr().err
+    assert "must be a finite number" in capsys.readouterr().err
 
 
 def test_roundtrip_all_bundled_scenarios():

@@ -551,13 +551,13 @@ def test_report_needs_the_estimates_residuals(tmp_path):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("min_frames", 2.5, "min_frames must be an integer, got float"),
-    ("min_frames", 3.0, "min_frames must be an integer, got float"),
-    ("min_frames", True, "min_frames must be an integer, got bool"),
-    ("min_frames", "3", "min_frames must be an integer, got str"),
-    ("angle_threshold", True, "thresholds must be numbers, got bool"),
-    ("cond_threshold", True, "thresholds must be numbers, got bool"),
-    ("rank_tolerance", False, "thresholds must be numbers, got bool"),
+    ("min_frames", 2.5, "min_frames must be an integer, got 2.5"),
+    ("min_frames", 3.0, "min_frames must be an integer, got 3.0"),
+    ("min_frames", True, "min_frames must be an integer, got True"),
+    ("min_frames", "3", "min_frames must be an integer, got '3'"),
+    ("angle_threshold", True, "angle_threshold must be a finite number, got True"),
+    ("cond_threshold", True, "cond_threshold must be a finite number, got True"),
+    ("rank_tolerance", False, "rank_tolerance must be a finite number, got False"),
 ])
 def test_a_config_that_its_report_would_not_read_back_is_rejected(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -56,11 +56,11 @@ def test_grid_must_fit_in_an_array():
     ("rows", 3.5, "rows must be an integer, got 3.5"),
     ("rows", 4.0, "rows must be an integer, got 4.0"),
     ("cols", True, "cols must be an integer, got True"),
-    ("pitch", np.nan, "pitch must be finite, got nan"),
-    ("pitch", np.inf, "pitch must be finite, got inf"),
-    ("dome_height", np.inf, "dome_height must be finite, got inf"),
-    ("dome_height", -np.inf, "dome_height must be finite, got -inf"),
-    ("dome_height", np.nan, "dome_height must be finite, got nan"),
+    ("pitch", np.nan, "pitch must be a finite number, got nan"),
+    ("pitch", np.inf, "pitch must be a finite number, got inf"),
+    ("dome_height", np.inf, "dome_height must be a finite number, got inf"),
+    ("dome_height", -np.inf, "dome_height must be a finite number, got -inf"),
+    ("dome_height", np.nan, "dome_height must be a finite number, got nan"),
 ])
 def test_grid_rejects_sizes_it_cannot_build(field, value, message):
     with pytest.raises(ValueError) as err:
