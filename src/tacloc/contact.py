@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .motion import _as_vector3, _norm, _number, _readonly
+from .motion import _floats, _norm, _number, _readonly
 
 UNIT_NORM_TOL = 1e-9
 
@@ -67,6 +67,7 @@ class ContactEstimate:
     per_frame_residuals: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ContactKind(self.kind))
         wants_point = self.kind in (ContactKind.FIXED_POINT, ContactKind.LINE)
         wants_direction = self.kind in (ContactKind.FIXED_DIRECTION, ContactKind.LINE)
         if wants_point != (self.point is not None):
@@ -74,16 +75,14 @@ class ContactEstimate:
         if wants_direction != (self.direction is not None):
             raise ValueError(f"{self.kind.value} estimate must carry a direction iff the kind does")
         if self.point is not None:
-            object.__setattr__(self, "point", _readonly(_as_vector3(self.point, "point")))
+            object.__setattr__(self, "point", _readonly(_floats(self.point, "point", (3,))))
         if self.direction is not None:
-            direction = _as_vector3(self.direction, "direction")
+            direction = _floats(self.direction, "direction", (3,))
             if abs((norm := _norm(direction)) - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(f"direction must be unit norm, got |d| = {norm}")
             object.__setattr__(self, "direction", _readonly(direction))
         if self.per_frame_residuals is not None:
-            residuals = np.array(self.per_frame_residuals, dtype=float).reshape(-1)
-            if not np.isfinite(residuals).all():  # no report reads one back
-                raise ValueError("per_frame_residuals has non-finite entries")
+            residuals = _floats(self.per_frame_residuals, "per_frame_residuals", (None,))
             object.__setattr__(self, "per_frame_residuals", _readonly(residuals))
         if _number(self.residual_rms, "residual_rms") < 0.0:
             raise ValueError(f"residual_rms must be nonnegative, got {self.residual_rms}")

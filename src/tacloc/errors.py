@@ -60,5 +60,5 @@ class SchemaVersionMismatch(TaclocError):
     """File declares a schema this library does not read."""
 
 
-class NonFiniteValue(TaclocError):
-    """A coordinate in the file is NaN or infinite."""
+class NonFiniteValue(TaclocError, ValueError):
+    """An array entry, in a file or given to a value type, is NaN or infinite; a ValueError."""

@@ -26,13 +26,15 @@ are checked by the readers first: each frame_index, each motion's rms_error
 (so the error names the motion) and the grid's dome_height, which MarkerGrid
 would take as None for its default.
 
-Every file is decoded by one json.loads call. Arrays are read by _array,
-which rejects a list holding a true or false (numpy reads one among numbers
-as 1 or 0). A marker log is read frame by frame: the decoder's object_hook
-makes each frame's positions an array as its object closes, so at most one
-frame of Python floats is alive. The hook scans the rows numpy read as
-holding a 0 or a 1 and leaves a list holding a boolean as it is, for _array
-to reject. Other files are decoded without it, so a "positions" key
+Every file is decoded by one json.loads call. Each array is read by _array,
+which checks it by motion._floats, the one rule for every array a value
+type holds: numbers only, no boolean, exactly the field's shape, and a NaN
+or an infinity a NonFiniteValue that names its row. A marker log is read
+frame by frame: the decoder's object_hook makes each frame's positions an
+array by _floats as its object closes, so at most one frame of Python
+floats is alive and no frame is checked twice; a list that _floats rejects
+stays for _array to report with the frame named. Other files are decoded
+without the hook, so a "positions" key
 elsewhere, as in a report's provenance, reads back as the JSON it holds.
 """
 
@@ -45,12 +47,11 @@ import math
 import os
 import stat
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
 from . import motion
-from .contact import ConditioningReport, ContactEstimate, ContactKind
+from .contact import ConditioningReport, ContactEstimate
 from .errors import NonFiniteValue, ParseError, SchemaVersionMismatch
 from .estimators import EstimatorConfig
 from .motion import MarkerLog, MotionSequence, RelativeMotion, _first_bad_motion
@@ -89,10 +90,13 @@ def _check_json(value, what: str) -> None:
     elif isinstance(value, list):
         for k, item in enumerate(value):
             _check_json(item, f"{what}[{k}]")
-    elif not (value is None or isinstance(value, (str, int, np.integer, np.bool_))
-              or isinstance(value, (float, np.floating)) and math.isfinite(value)):
-        raise ValueError(f"{what} must be None, a bool, a string, a finite number, a list or "
-                         f"a dict, got {value!r:.40}")
+    else:
+        try:
+            _scalar(value)  # as a writer writes it
+        except (TypeError, ValueError):  # a NaN, or an int too long to write as text
+            shown = "an int too long to write" if isinstance(value, int) else f"{value!r:.40}"
+            raise ValueError(f"{what} must be None, a bool, a string, a finite number, a list "
+                             f"or a dict, got {shown}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +235,14 @@ def _load(path, schema: str) -> dict:
 
 
 @contextlib.contextmanager
-def _invalid(context: str):
-    """Re-raise a ValueError from the block, a constructor's own check, as ParseError."""
+def _invalid(context: str = ""):
+    """Re-raise a ValueError from the block, but no NonFiniteValue, as ParseError after context."""
     try:
         yield
+    except NonFiniteValue:
+        raise
     except ValueError as err:
-        raise ParseError(f"{context}: {err}") from err
+        raise ParseError(f"{context}: {err}" if context else str(err)) from err
 
 
 def _require(data, key: str, context: str, kind: type = object):
@@ -262,10 +268,8 @@ def _entries(data, key: str, context: str) -> list:
 
 def _number(value, what: str) -> float:
     """value as a float, or ParseError unless it is a finite JSON number (not a bool or NaN)."""
-    try:
+    with _invalid():
         return motion._number(value, what)
-    except ValueError as err:
-        raise ParseError(str(err)) from err
 
 
 def _float(data, key: str, context: str) -> float:
@@ -273,50 +277,24 @@ def _float(data, key: str, context: str) -> float:
     return _number(_require(data, key, context), f"{context} {key!r}")
 
 
-def _holds_bool(rows) -> bool:
-    """Whether some row, a list of JSON values, holds a true or false."""
-    return bool in map(type, chain.from_iterable(rows))
-
-
 def _array(data, key: str, context: str, shape: tuple, rows: str = "entry") -> np.ndarray:
-    """data[key] as a float array of shape (None matches any length), or
-    ParseError unless numpy infers a float or 64-bit integer dtype and, for a
-    list, no entry is a boolean; NonFiniteValue names the first non-finite row.
-    An array, which only _positions_array makes, holds no boolean."""
-    value, what = _require(data, key, context), f"{context} {key!r}"
-    try:
-        arr = np.asarray(value)
-    except ValueError as err:  # ragged lists
-        raise ParseError(f"{what} is not numeric: {err}") from err
-    if arr.dtype.kind not in "fi":
-        raise ParseError(f"{what} is not numeric: read as {arr.dtype}")
-    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
-        raise ParseError(f"{what} must have shape {shape}, got {arr.shape}")
-    if isinstance(value, list) and _holds_bool(value if arr.ndim == 2 else [value]):
-        raise ParseError(f"{what} is not numeric: an entry is a boolean")
-    arr = arr.astype(float, copy=False)
-    finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
-    if not finite.all():
-        raise NonFiniteValue(f"{what}: non-finite value at {rows} {np.argmin(finite)}")
-    return arr
+    """data[key] as a float array of shape by motion._floats, or ParseError or NonFiniteValue."""
+    value = _require(data, key, context)
+    with _invalid():
+        return motion._floats(value, f"{context} {key!r}", shape, rows)
 
 
 # ---------------------------------------------------------------------------
 # Marker logs.
 
 def _positions_array(obj: dict) -> dict:
-    """obj with a list 'positions' made an array, so one frame's floats and row
-    lists live only until its object closes. A list that numpy does not read
-    as a 2-D array of numbers stays for _array to report, as does one with a
-    boolean, which numpy reads as 1 or 0: only rows holding one are scanned."""
+    """obj with a list 'positions' made a checked float array by motion._floats, so one
+    frame's floats and row lists live only until its object closes. A list that _floats
+    rejects stays for _array to report, naming the frame."""
     rows = obj.get("positions")
     if isinstance(rows, list):
-        with contextlib.suppress(ValueError):  # ragged
-            arr = np.asarray(rows)
-            if arr.ndim == 2 and arr.dtype.kind in "fi":
-                suspect = np.flatnonzero((arr == 0) | (arr == 1)) // arr.shape[1]
-                if not _holds_bool(map(rows.__getitem__, suspect.tolist())):
-                    obj["positions"] = arr
+        with contextlib.suppress(ValueError):
+            obj["positions"] = motion._floats(rows, "positions", (None, 3), "marker")
     return obj
 
 
@@ -338,7 +316,9 @@ def read_marker_log(path) -> MarkerLog:
         index = _require(raw, "frame_index", f"frame {i}", int)
         if index != i:
             raise ParseError(f"frame {i}: frame indices must be dense from 0, got {index}")
-        arr = _array(raw, "positions", f"frame {i}", shape, "marker")
+        arr = raw.get("positions")  # an array once the hook has checked it
+        if not (isinstance(arr, np.ndarray) and arr.shape == shape):  # no second check of it
+            arr = _array(raw, "positions", f"frame {i}", shape, "marker")
         if i == 0:  # later frames must have frame 0's shape, so one marker count
             shape, positions = arr.shape, np.empty((len(raw_frames),) + arr.shape)
         positions[i] = arr
@@ -543,7 +523,7 @@ def read_report(path) -> EstimateReport:
     point, direction = raw_est.get("point"), raw_est.get("direction")
     with _invalid("estimate"):
         estimate = ContactEstimate(
-            kind=ContactKind(_require(raw_est, "kind", "estimate")),
+            kind=_require(raw_est, "kind", "estimate"),
             point=None if point is None else _array(raw_est, "point", "estimate", (3,)),
             direction=(None if direction is None
                        else _array(raw_est, "direction", "estimate", (3,))),

@@ -1,5 +1,8 @@
 """Rigid-motion and marker-measurement value types.
 
+Every value type takes only what its file reads back: each number by _number,
+each integer by _integer and each array by _floats, as the readers do.
+
 All motions are expressed relative to the initial (index 0) frame, in the
 sensor base frame. Units are caller-defined; the library only requires them
 to be uniform within a dataset.
@@ -25,8 +28,11 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
+
+from .errors import NonFiniteValue
 
 # Tolerance on ||R^T R - I||_F and |det(R) - 1| for stored rotations.
 ROTATION_TOL = 1e-9
@@ -54,20 +60,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 _EYE3 = _readonly(np.eye(3))
 
 
-def _as_vector3(value, name: str) -> np.ndarray:
-    vec = np.array(value, dtype=float).reshape(-1)
-    if vec.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
-    if not np.isfinite(vec).all():
-        raise ValueError(f"{name} has non-finite entries: {vec}")
-    return vec
-
-
 def _frame_index(value) -> int:
-    """value as an int, or ValueError unless it is a nonnegative integer and no bool."""
-    if type(value) in _BOOLS or not (value >= 0 and value % 1 == 0):
-        raise ValueError(f"frame_index must be a nonnegative integer, got {value}")
-    return int(value)
+    """value as an int, or ValueError unless _integer takes it and it is nonnegative."""
+    with contextlib.suppress(ValueError):
+        if (index := _integer(value, "frame_index")) >= 0:
+            return index
+    raise ValueError(f"frame_index must be a nonnegative integer, got {value!r:.40}")
 
 
 def _text(value, name: str) -> str:
@@ -97,17 +95,40 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r:.40}")
 
 
+def _floats(value, name: str, shape: tuple, rows: str = "entry") -> np.ndarray:
+    """value as a new float array, or ValueError unless numpy reads it as real numbers (no string,
+    None or integer beyond 64 bits) of exactly shape (None matches any length), no bool among
+    them; NonFiniteValue names the first of its rows holding a NaN or an infinity."""
+    try:
+        arr = np.array(value)  # a copy: the caller's array is not frozen with the value's
+    except ValueError as err:  # ragged
+        raise ValueError(f"{name} is not numeric: {err}") from err
+    if arr.dtype.kind not in "fi":
+        raise ValueError(f"{name} is not numeric: read as {arr.dtype}")
+    if arr.shape != shape and (arr.ndim != len(shape) or any(  # the exact shape first, for speed
+            n not in (None, m) for n, m in zip(shape, arr.shape))):
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not isinstance(value, np.ndarray):  # numpy reads a bool as 1 or 0: scan where it read one
+        entries = value
+        if arr.ndim == 2:
+            suspect = np.flatnonzero(((arr == 0) | (arr == 1)).any(axis=1)).tolist()
+            entries = chain.from_iterable(map(value.__getitem__, suspect))
+        if not _BOOLS.isdisjoint(map(type, entries)):
+            raise ValueError(f"{name} is not numeric: an entry is a boolean")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():  # the bad row only on failure, for speed
+        finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+        raise NonFiniteValue(f"{name}: non-finite value at {rows} {np.argmin(finite)}")
+    return arr
+
+
 def orthonormalize(matrix) -> np.ndarray:
     """Project a 3x3 matrix onto the nearest proper rotation (polar projection).
 
     The input must be finite and have positive determinant; a reflection is
     rejected rather than silently re-handed.
     """
-    mat = np.array(matrix, dtype=float)
-    if mat.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("rotation has non-finite entries")
+    mat = _floats(matrix, "rotation", (3, 3))
     # within ROTATION_TOL of orthonormal, |det| is 1 to ~1e-9, so any determinant has its sign
     if np.linalg.det(mat) <= 0.0:
         raise ValueError(_REFLECTION)
@@ -150,8 +171,12 @@ def _first_bad_motion(rotations: np.ndarray, translations: np.ndarray, frame_ind
     finite = np.isfinite(rotations).all(axis=(1, 2))
     bad = ~finite | ~np.isfinite(translations).all(axis=1)
     bad[finite] |= np.linalg.det(rotations[finite]) <= 0.0  # numpy warns on a non-finite one
-    bad[[k for k, i in enumerate(frame_indices)  # _frame_index's test, inline for speed
-         if type(i) in _BOOLS or not (i >= 0 and i % 1 == 0)]] = True
+    for k, i in enumerate(frame_indices):
+        if not (type(i) is int and i >= 0):  # an int at once, for speed; else _frame_index's rule
+            try:
+                _frame_index(i)
+            except ValueError:
+                bad[k] = True
     return int(bad.argmax()) if bad.any() else -1
 
 
@@ -195,7 +220,7 @@ def _view(cls, **fields):
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a right-handed rotation of `angle` radians about `axis`."""
-    return _rotations_about_axes(_as_vector3(axis, "axis")[None], [angle])[0]
+    return _rotations_about_axes(_floats(axis, "axis", (3,))[None], [angle])[0]
 
 
 def _rotations_about_axes(axes, angles) -> np.ndarray:
@@ -263,7 +288,7 @@ def _norm(vec: np.ndarray) -> float:
 def _unit(value, name: str, tol: float = math.inf) -> np.ndarray:
     """A finite 3-vector divided by its norm as _unit_rows divides a row, but kept as it is within
     1e-12 of unit length. ValueError if it is zero or its norm is farther than tol from 1."""
-    vec = _as_vector3(value, name)
+    vec = _floats(value, name, (3,))
     scaled, norm, length = _scaled_norm(vec)
     if abs(length - 1.0) > tol:
         raise ValueError(f"{name} must be a unit vector, got norm {length}")
@@ -310,7 +335,7 @@ class RelativeMotion:
 
     def __post_init__(self):
         rot = orthonormalize(self.rotation)
-        trans = _as_vector3(self.translation, "translation")
+        trans = _floats(self.translation, "translation", (3,))
         object.__setattr__(self, "frame_index", _frame_index(self.frame_index))
         object.__setattr__(self, "rotation", _readonly(rot))
         object.__setattr__(self, "translation", _readonly(trans))
@@ -324,7 +349,7 @@ class RelativeMotion:
                    frame_index: int = 0) -> "RelativeMotion":
         """Rotation about the line through `point` along `axis` (points on the line stay fixed)."""
         rot = rotation_about_axis(axis, angle)
-        pnt = _as_vector3(point, "point")
+        pnt = _floats(point, "point", (3,))
         return cls(rot, pnt - rot @ pnt, frame_index)
 
     def transform(self, points) -> np.ndarray:
@@ -368,11 +393,7 @@ class MarkerFrame:
     frame_index: int = 0
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError(f"positions must have shape (m, 3), got {pos.shape}")
-        if not np.isfinite(pos).all():
-            raise ValueError("marker positions must be finite")
+        pos = _floats(self.positions, "positions", (None, 3), "marker")
         object.__setattr__(self, "positions", _frozen(pos))
         object.__setattr__(self, "frame_index", _frame_index(self.frame_index))
 

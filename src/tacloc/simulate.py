@@ -25,8 +25,8 @@ from .contact import ContactKind
 from .errors import InvalidSchedule
 from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
-from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _as_vector3, _blocks,
-                     _exponent, _integer, _number, _per_frame, _readonly, _rotations_about_axes,
+from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _blocks, _exponent,
+                     _floats, _integer, _number, _per_frame, _readonly, _rotations_about_axes,
                      _row_norms, _text, _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
@@ -42,7 +42,7 @@ class FixedPointContact:
     kind = ContactKind.FIXED_POINT
 
     def __post_init__(self):
-        object.__setattr__(self, "point", _readonly(_as_vector3(self.point, "point")))
+        object.__setattr__(self, "point", _readonly(_floats(self.point, "point", (3,))))
 
     def residuals(self, motions) -> np.ndarray:
         return fixed_point_residuals(motions, self.point)
@@ -80,7 +80,7 @@ class EdgeContact:
             raise ValueError(
                 f"surface_normal must be perpendicular to the edge, got dot {direction @ normal:.3g}")
         object.__setattr__(self, "direction", _readonly(direction))
-        object.__setattr__(self, "point", _readonly(_as_vector3(self.point, "point")))
+        object.__setattr__(self, "point", _readonly(_floats(self.point, "point", (3,))))
         object.__setattr__(self, "surface_normal", _readonly(normal))
 
     def canonical_point(self) -> np.ndarray:
@@ -115,7 +115,7 @@ class MotionStep:
             object.__setattr__(self, "axis", _readonly(_unit(self.axis, "axis")))
         if self.translation is not None:
             object.__setattr__(self, "translation",
-                               _readonly(_as_vector3(self.translation, "translation")))
+                               _readonly(_floats(self.translation, "translation", (3,))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,13 +192,12 @@ class ScenarioConfig:
         for step in schedule:
             if not isinstance(step, MotionStep):
                 raise TypeError(f"schedule entries must be MotionStep, got {type(step).__name__}")
-        given = np.asarray(self.noise_sigma)
-        sigma = given.astype(float, copy=False)
-        sigma = np.full(3, float(sigma)) if sigma.ndim == 0 else sigma.reshape(-1)
-        if (given.dtype == bool or sigma.shape != (3,) or np.any(sigma < 0.0)
-                or not np.all(np.isfinite(sigma))):
-            raise ValueError(
-                f"noise_sigma must be a nonnegative scalar or 3-vector, got {self.noise_sigma!r}")
+        if isinstance(sigma := self.noise_sigma, (list, tuple)) or np.ndim(sigma):
+            sigma = _floats(sigma, "noise_sigma", (3,))
+        else:
+            sigma = np.full(3, _number(sigma, "noise_sigma"))
+        if (sigma < 0.0).any():
+            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
         if _integer(self.seed, "seed") < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         _text(self.name, "name")

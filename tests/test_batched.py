@@ -474,7 +474,8 @@ def _reference_orthonormalize_by_gap(matrix):
     if mat.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {mat.shape}")
     if not np.isfinite(mat).all():
-        raise ValueError("rotation has non-finite entries")
+        row = np.argmin(np.isfinite(mat).all(axis=1))
+        raise NonFiniteValue(f"rotation: non-finite value at entry {row}")
     gap = (mat.T @ mat - np.eye(3)).ravel()
     if math.sqrt(gap @ gap) <= ROTATION_TOL:
         if _reference_det3(mat.tolist()) <= 0.0:
@@ -495,7 +496,7 @@ def _reference_vector3(value, name):
     if vec.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
     if not np.isfinite(vec).all():
-        raise ValueError(f"{name} has non-finite entries: {vec}")
+        raise NonFiniteValue(f"{name}: non-finite value at entry {np.argmin(np.isfinite(vec))}")
     return vec
 
 
@@ -652,7 +653,7 @@ def test_stack_errors_name_the_first_bad_motion_in_frame_order(name):
                     MOTION_FAULTS[fault](r, t, i, k)
                 got = _outcome(_stacked_sequence, *_copies((r, t, i)))
                 want = _outcome(_reference_sequence, *_copies((r, t, i)))
-                assert got[0] is ValueError and got == want, (key, fault_a, fault_b, rows)
+                assert issubclass(got[0], ValueError) and got == want, (key, fault_a, fault_b, rows)
                 outcomes[rows] = got
             if fault_a != "index_repeated":  # a sequence check, made after every motion's
                 # the second fault changes nothing: the first bad motion names the error
@@ -664,7 +665,7 @@ def test_stack_errors_name_the_first_bad_motion_in_frame_order(name):
         MOTION_FAULTS["translation_nan"](r, t, i, n - 1)
         got = _outcome(_stacked_sequence, *_copies((r, t, i)))
         assert got == _outcome(_reference_sequence, r, t, i)
-        assert "translation has non-finite entries" in got[2]
+        assert got[2] == "translation: non-finite value at entry 2"
         t[n - 1] = 0.0
         got = _outcome(_stacked_sequence, *_copies((r, t, i)))
         assert got == _outcome(_reference_sequence, r, t, i)
@@ -774,7 +775,7 @@ def test_each_rotation_kind_lands_on_its_side_of_the_check(kind):
             assert _gap(mat) > ROTATION_TOL and outcome[0] == "ok"
             assert _gap(outcome[1]) <= ROTATION_TOL
         else:
-            assert outcome[0] is ValueError
+            assert issubclass(outcome[0], ValueError)
 
 
 def test_stack_views_stay_read_only():

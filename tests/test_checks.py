@@ -1,15 +1,17 @@
 """Argument checks that no file reaches: each raises its own error and message."""
 
 import math
+import numbers
 
 import numpy as np
 import pytest
 
-from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EstimateReport,
-                    EstimatorConfig, FixedPointContact, MarkerFrame, MarkerGrid, MarkerLog,
-                    MotionSequence, MotionStep, RankDeficientBeyondLine, RegistrationResult,
-                    RelativeMotion, ScenarioConfig, estimate_line_point, orthonormalize,
-                    propagate_plane, read_report, rotation_about_axis, write_report)
+from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EdgeContact,
+                    EstimateReport, EstimatorConfig, FixedDirectionContact, FixedPointContact,
+                    MarkerFrame, MarkerGrid, MarkerLog, MotionSequence, MotionStep,
+                    RankDeficientBeyondLine, RegistrationResult, RelativeMotion, ScenarioConfig,
+                    estimate_line_point, orthonormalize, propagate_plane, read_report,
+                    rotation_about_axis, write_report)
 from tacloc.io import dumps
 
 GRID = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -27,10 +29,10 @@ def _conditioning(**fields):
                                  "condition_number": 2.0, "well_posed": True, **fields})
 
 
-def _estimate(residual_rms=0.25, per_frame_residuals=(0.25, 0.25)):
-    return ContactEstimate(ContactKind.FIXED_POINT, point=(1.0, 2.0, 3.0), direction=None,
-                           residual_rms=residual_rms, conditioning=_conditioning(),
-                           per_frame_residuals=per_frame_residuals)
+def _estimate(residual_rms=0.25, per_frame_residuals=(0.25, 0.25), kind=ContactKind.FIXED_POINT,
+              point=(1.0, 2.0, 3.0), direction=None):
+    return ContactEstimate(kind, point=point, direction=direction, residual_rms=residual_rms,
+                           conditioning=_conditioning(), per_frame_residuals=per_frame_residuals)
 
 
 def _report(provenance):
@@ -46,7 +48,8 @@ def _report(provenance):
      RankDeficientBeyondLine,
      "edge-point system rank 0 < 2; position undetermined beyond the line"),
     (lambda: dumps({"provenance": object()}), TypeError, "cannot serialize object"),
-    (lambda: orthonormalize(np.eye(2)), ValueError, "rotation must be 3x3, got shape (2, 2)"),
+    (lambda: orthonormalize(np.eye(2)), ValueError,
+     "rotation must have shape (3, 3), got (2, 2)"),
     (lambda: rotation_about_axis((0, 0, 0), 0.3), ValueError, "axis must be nonzero"),
     (lambda: MarkerLog(()), ValueError, "marker log needs at least one frame"),
     (lambda: MarkerLog((MarkerFrame(GRID, 0), MarkerFrame(GRID, 2))), ValueError,
@@ -86,7 +89,7 @@ def _report(provenance):
     (lambda: _scenario(name=5), ValueError, "name must be a string, got 5"),
     (lambda: _scenario(units=3), ValueError, "units must be a string, got 3"),
     (lambda: _scenario(noise_sigma=True), ValueError,
-     "noise_sigma must be a nonnegative scalar or 3-vector, got True"),
+     "noise_sigma must be a finite number, got True"),
     (lambda: RelativeMotion.identity(True), ValueError,
      "frame_index must be a nonnegative integer, got True"),
     (lambda: MarkerFrame(GRID, True), ValueError,
@@ -125,7 +128,7 @@ def _report(provenance):
     (lambda: _estimate(residual_rms=math.inf), ValueError,
      "residual_rms must be a finite number, got inf"),
     (lambda: _estimate(per_frame_residuals=(0.25, math.nan)), ValueError,
-     "per_frame_residuals has non-finite entries"),
+     "per_frame_residuals: non-finite value at entry 1"),
     # each failed inside numpy or float(), with an error that did not name the field
     (lambda: MotionStep(angle="x"), ValueError, "angle must be a finite number, got 'x'"),
     (lambda: MotionStep(angle=10**400), ValueError,
@@ -150,6 +153,57 @@ def _report(provenance):
      "marker_covariance_rank must be an integer, got True"),
     (lambda: RegistrationResult(RelativeMotion.identity(), 0.0, 2.0), ValueError,
      "marker_covariance_rank must be an integer, got 2.0"),
+    # each array was taken as numbers, though its file's reader rejects it
+    (lambda: FixedPointContact(["1", "2", "3"]), ValueError,
+     "point is not numeric: read as <U1"),
+    (lambda: RelativeMotion(np.eye(3), ["1", "0", "0"]), ValueError,
+     "translation is not numeric: read as <U1"),
+    (lambda: MotionStep(angle=0.1, axis=["0", "0", "1"]), ValueError,
+     "axis is not numeric: read as <U1"),
+    (lambda: _estimate(per_frame_residuals=["0.5"]), ValueError,
+     "per_frame_residuals is not numeric: read as <U3"),
+    (lambda: RelativeMotion(np.eye(3, dtype=bool), (0, 0, 0)), ValueError,
+     "rotation is not numeric: read as bool"),
+    (lambda: MarkerFrame(np.ones((3, 3), dtype=bool)), ValueError,
+     "positions is not numeric: read as bool"),
+    (lambda: _scenario(noise_sigma=[True, 0.0, 0.0]), ValueError,
+     "noise_sigma is not numeric: an entry is a boolean"),
+    (lambda: _scenario(noise_sigma=(0.1, -0.1, 0.0)), ValueError,
+     "noise_sigma must be nonnegative, got (0.1, -0.1, 0.0)"),
+    (lambda: RelativeMotion(np.eye(3), [[0.0], [0.0], [0.0]]), ValueError,
+     "translation must have shape (3,), got (3, 1)"),
+    (lambda: _estimate(per_frame_residuals=[[0.25, 0.25]]), ValueError,
+     "per_frame_residuals must have shape (None,), got (1, 2)"),
+    # each failed inside numpy or float(), with an error that did not name the field
+    (lambda: _scenario(noise_sigma="x"), ValueError,
+     "noise_sigma must be a finite number, got 'x'"),
+    (lambda: _scenario(noise_sigma=10**400), ValueError,
+     f"noise_sigma must be a finite number, got 1{'0' * 39}"),
+    (lambda: FixedPointContact([10**400, 0, 0]), ValueError,
+     "point is not numeric: read as object"),
+    (lambda: _scenario(noise_sigma=[[0.1], [0.1, 0.2]]), ValueError,
+     "noise_sigma is not numeric: setting an array element with a sequence. The requested "
+     "array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + "
+     "inhomogeneous part."),
+    (lambda: RelativeMotion.identity("x"), ValueError,
+     "frame_index must be a nonnegative integer, got 'x'"),
+    (lambda: RelativeMotion.identity(None), ValueError,
+     "frame_index must be a nonnegative integer, got None"),
+    (lambda: MarkerFrame(GRID, "x"), ValueError,
+     "frame_index must be a nonnegative integer, got 'x'"),
+    # each was taken, though no file holds it
+    (lambda: RelativeMotion.identity(1e300), ValueError,
+     "frame_index must be a nonnegative integer, got 1e+300"),
+    (lambda: RelativeMotion.identity(2.0), ValueError,
+     "frame_index must be a nonnegative integer, got 2.0"),
+    (lambda: MotionSequence._of_stacks(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, 2.0]),
+     ValueError, "frame_index must be a nonnegative integer, got 2.0"),
+    (lambda: MotionSequence._of_stacks(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, "x"]),
+     ValueError, "frame_index must be a nonnegative integer, got 'x'"),
+    # each was taken, and its report then failed to write, or failed inside its error message
+    (lambda: _estimate(kind="pivot"), ValueError, "'pivot' is not a valid ContactKind"),
+    (lambda: _report({"x": 10**5000}), ValueError, "provenance['x'] must be None, a bool, a "
+     "string, a finite number, a list or a dict, got an int too long to write"),
 ], ids=["n0_not_unit", "n0_huge", "line_point_of_no_motions",
         "unserializable_value", "rotation_not_3x3", "zero_axis", "empty_log",
         "log_indices_not_dense", "log_marker_counts_differ", "sequence_of_non_motions",
@@ -166,7 +220,13 @@ def _report(provenance):
         "huge_int_angle", "str_pitch", "huge_int_pitch", "int_pitch_too_large_to_square",
         "str_max_rotation_angle",
         "huge_int_max_rotation_angle", "nan_fit_rms", "inf_fit_rms", "bool_fit_rms",
-        "bool_covariance_rank", "float_covariance_rank"])
+        "bool_covariance_rank", "float_covariance_rank", "str_point", "str_translation",
+        "str_axis", "str_per_frame_residual", "bool_rotation", "bool_positions",
+        "bool_in_noise_sigma", "negative_noise_sigma", "column_translation",
+        "2d_per_frame_residuals", "str_noise_sigma", "huge_int_noise_sigma", "huge_int_point",
+        "ragged_noise_sigma", "str_motion_index", "none_motion_index", "str_frame_index",
+        "huge_float_motion_index", "float_motion_index", "float_index_in_a_stack",
+        "str_index_in_a_stack", "str_estimate_kind", "huge_int_provenance_value"])
 def test_a_check_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
@@ -252,3 +312,86 @@ def test_an_accepted_provenance_writes_back_byte_for_byte(tmp_path):
     assert back.provenance == provenance
     write_report(second, back)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_an_estimate_stores_its_kind_as_a_contact_kind(tmp_path):
+    estimate = _estimate(kind="fixed_point")
+    assert estimate.kind is ContactKind.FIXED_POINT
+    path = tmp_path / "report.json"
+    write_report(path, EstimateReport(estimate=estimate, config=EstimatorConfig(), provenance={}))
+    assert read_report(path).estimate.kind is ContactKind.FIXED_POINT
+
+
+# Every array field a value type holds, as (a call that makes its object with the field set to a
+# value and returns what it stores of it, the name its errors start with, a value it takes whose
+# first entry is a 0 and whose entries are all integers, so every container below holds it).
+ARRAY_FIELDS = {
+    "rotation": (lambda v: RelativeMotion(v, (0, 0, 0)).rotation, "rotation",
+                 [[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+    "translation": (lambda v: RelativeMotion(np.eye(3), v).translation, "translation", [0, 2, 3]),
+    "about_line_point": (lambda v: RelativeMotion.about_line((0, 0, 1), 0.3, v).translation,
+                         "point", [0, 2, 3]),
+    "rotation_axis": (lambda v: rotation_about_axis(v, 0.3), "axis", [0, 0, 1]),
+    "positions": (lambda v: MarkerFrame(v).positions, "positions",
+                  [[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+    "step_axis": (lambda v: MotionStep(angle=0.1, axis=v).axis, "axis", [0, 0, 1]),
+    "step_translation": (lambda v: MotionStep(angle=0.1, translation=v).translation,
+                         "translation", [0, 2, 3]),
+    "pivot_point": (lambda v: FixedPointContact(v).point, "point", [0, 2, 3]),
+    "hinge_direction": (lambda v: FixedDirectionContact(v).direction, "direction", [0, 0, 1]),
+    "edge_direction": (lambda v: EdgeContact(v, (0, 0, 0), (1, 0, 0)).direction, "direction",
+                       [0, 0, 1]),
+    "edge_point": (lambda v: EdgeContact((0, 0, 1), v, (1, 0, 0)).point, "point", [0, 2, 3]),
+    "edge_normal": (lambda v: EdgeContact((1, 0, 0), (0, 0, 0), v).surface_normal,
+                    "surface_normal", [0, 0, 1]),
+    "estimate_point": (lambda v: _estimate(point=v).point, "point", [0, 2, 3]),
+    "estimate_direction": (lambda v: _estimate(kind=ContactKind.FIXED_DIRECTION, point=None,
+                                               direction=v).direction, "direction", [0, 0, 1]),
+    "per_frame_residuals": (lambda v: _estimate(per_frame_residuals=v).per_frame_residuals,
+                            "per_frame_residuals", [0, 2]),
+    "noise_sigma": (lambda v: _scenario(noise_sigma=v).noise_sigma, "noise_sigma", [0, 2, 3]),
+}
+
+# Each put in place of the first entry; each but the last four is no number a file holds.
+ENTRIES = {"string": "1", "true": True, "numpy_true": np.True_, "none": None,
+           "huge_int": 10**400, "nan": math.nan, "zero": 0, "float_zero": 0.0,
+           "float32_zero": np.float32(0), "int64_zero": np.int64(0)}
+
+
+def _is_number(entry) -> bool:
+    """Whether entry is a number a file reads back as a finite float: no bool, nor an integer
+    beyond 64 bits."""
+    return (isinstance(entry, numbers.Real) and not isinstance(entry, (bool, np.bool_))
+            and abs(entry) < 2**63 and math.isfinite(entry))
+
+
+def _with_first(value, entry):
+    """A copy of a nested list with its first entry replaced."""
+    if isinstance(value[0], list):
+        return [_with_first(value[0], entry), *value[1:]]
+    return [entry, *value[1:]]
+
+
+def _bits(arr):
+    assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+    return arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("field", sorted(ARRAY_FIELDS))
+def test_every_array_field_takes_one_array_rule(field):
+    make, name, value = ARRAY_FIELDS[field]
+    want = _bits(make(np.array(value, dtype=float).tolist()))
+    for label, entry in ENTRIES.items():
+        if _is_number(entry):
+            assert _bits(make(_with_first(value, entry))) == want, label
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                make(_with_first(value, entry))
+            assert str(excinfo.value).startswith((f"{name} ", f"{name}:")), label
+    # a tuple of rows, and arrays, which the value copies: the caller's array stays writeable
+    rows = tuple(map(tuple, value)) if isinstance(value[0], list) else tuple(value)
+    assert _bits(make(rows)) == want
+    for dtype in (np.float64, np.float32, np.int64):
+        given = np.array(value, dtype=dtype)
+        assert _bits(make(given)) == want, dtype
+        assert given.flags.writeable and np.array_equal(given, value), dtype
