@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .motion import _floats, _norm, _number, _readonly
+from .motion import _floats, _norm, _number, _readonly, _shown
 
 UNIT_NORM_TOL = 1e-9
 
@@ -42,7 +42,7 @@ class ConditioningReport:
         if not (isinstance(cond := self.condition_number, float) and cond == math.inf):
             _number(cond, "condition_number")
         if not isinstance(self.well_posed, (bool, np.bool_)):
-            raise ValueError(f"well_posed must be a bool, got {self.well_posed!r}")
+            raise ValueError(f"well_posed must be a bool, got {_shown(self.well_posed)}")
         if self.smallest_singular_value < 0.0:
             raise ValueError("smallest_singular_value must be nonnegative")
         if not self.condition_number >= 1.0:

@@ -19,17 +19,22 @@ neither is durable across a power loss. A FIFO or device is not trimmed.
 An infinite condition number is stored as null (JSON has no Infinity) and
 restored to inf on read.
 
-Every number in a file must be a JSON number. A reader passes each scalar to
-its value type's constructor as the JSON holds it, inside _invalid, and the
-constructor checks it by motion._number or motion._integer. Three scalars
-are checked by the readers first: each frame_index, each motion's rms_error
-(so the error names the motion) and the grid's dome_height, which MarkerGrid
-would take as None for its default.
+Every number in a file must be a JSON number. A scenario, a truth contact
+and a report are read by _from_record, the mirror of _record: each field of
+the dataclass goes to its constructor as the JSON holds it, inside _invalid,
+which names the record in any error. So each scalar and each array is
+checked once, by motion._number, _integer or _floats. A reader checks a
+field first only where the constructor takes what a file would not read
+back as itself: dome_height as a number (None is MarkerGrid's default),
+noise_sigma as a list (a bare number is shorthand for three), tolerances and
+provenance as objects (dict() takes a list of pairs) and per_frame_residuals
+as a list (None is ContactEstimate's default). Motions and marker logs are
+read into stacks: _array checks each array by _floats, naming its motion or
+frame, and the readers check each frame_index, units and rms_error (a
+marker log's _of_stack checks neither index nor units, and a true index
+would pass the dense test).
 
-Every file is decoded by one json.loads call. Each array is read by _array,
-which checks it by motion._floats, the one rule for every array a value
-type holds: numbers only, no boolean, exactly the field's shape, and a NaN
-or an infinity a NonFiniteValue that names its row. A marker log is read
+Every file is decoded by one json.loads call. A marker log is read
 frame by frame: the decoder's object_hook makes each frame's positions an
 array by _floats as its object closes, so at most one frame of Python
 floats is alive and no frame is checked twice; a list that _floats rejects
@@ -85,7 +90,7 @@ def _check_json(value, what: str) -> None:
     if isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
-                raise ValueError(f"{what} keys must be strings, got {key!r}")
+                raise ValueError(f"{what} keys must be strings, got {motion._shown(key)}")
             _check_json(item, f"{what}[{key!r}]")
     elif isinstance(value, list):
         for k, item in enumerate(value):
@@ -94,9 +99,8 @@ def _check_json(value, what: str) -> None:
         try:
             _scalar(value)  # as a writer writes it
         except (TypeError, ValueError):  # a NaN, or an int too long to write as text
-            shown = "an int too long to write" if isinstance(value, int) else f"{value!r:.40}"
             raise ValueError(f"{what} must be None, a bool, a string, a finite number, a list "
-                             f"or a dict, got {shown}") from None
+                             f"or a dict, got {motion._shown(value)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +240,12 @@ def _load(path, schema: str) -> dict:
 
 @contextlib.contextmanager
 def _invalid(context: str = ""):
-    """Re-raise a ValueError from the block, but no NonFiniteValue, as ParseError after context."""
+    """A ValueError from the block after context: a NonFiniteValue as one, any other ParseError."""
     try:
         yield
-    except NonFiniteValue:
-        raise
     except ValueError as err:
-        raise ParseError(f"{context}: {err}" if context else str(err)) from err
+        kind = NonFiniteValue if isinstance(err, NonFiniteValue) else ParseError
+        raise kind(f"{context}: {err}" if context else str(err)) from err
 
 
 def _require(data, key: str, context: str, kind: type = object):
@@ -256,6 +259,15 @@ def _require(data, key: str, context: str, kind: type = object):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"{context} {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _from_record(cls, raw, context: str, **given):
+    """cls of each field's value as raw holds it, or as given names it: the mirror of _record.
+    The constructor checks every value, inside _invalid(context)."""
+    values = {f.name: given[f.name] if f.name in given else _require(raw, f.name, context)
+              for f in fields(cls)}
+    with _invalid(context):
+        return cls(**values)
 
 
 def _entries(data, key: str, context: str) -> list:
@@ -393,9 +405,7 @@ def _contact_from_dict(raw: dict):
     kind = _require(raw, "kind", "contact", str)
     if kind not in _CONTACTS:
         raise ParseError(f"unknown contact kind {kind!r}")
-    cls = _CONTACTS[kind]
-    with _invalid("contact"):
-        return cls(*(_array(raw, f.name, "contact", (3,)) for f in fields(cls)))
+    return _from_record(_CONTACTS[kind], raw, "contact")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +423,7 @@ def write_scenario(path, config: ScenarioConfig) -> None:
             "cols": config.grid.cols,
             "pitch": config.grid.pitch,
             "dome_height": config.grid.dome_height,
-            "pose": _motion_to_dict(config.grid.pose.frame_index, config.grid.pose.rotation,
-                                    config.grid.pose.translation),
+            "pose": _motion_to_dict(**_record(config.grid.pose)),
         },
         "contact": _contact_to_dict(config.contact),
         "schedule": [_record(step) for step in config.schedule],
@@ -426,41 +435,15 @@ def write_scenario(path, config: ScenarioConfig) -> None:
 def read_scenario(path) -> ScenarioConfig:
     data = _load(path, SCENARIO_SCHEMA)
     raw_grid = _require(data, "grid", "scenario")
-    raw_pose = _require(raw_grid, "pose", "grid")
-    with _invalid("grid"):
-        pose = RelativeMotion(_array(raw_pose, "rotation", "grid pose", (3, 3)),
-                              _array(raw_pose, "translation", "grid pose", (3,)),
-                              _require(raw_pose, "frame_index", "grid pose", int))
-        grid = MarkerGrid(rows=_require(raw_grid, "rows", "grid"),
-                          cols=_require(raw_grid, "cols", "grid"),
-                          pitch=_require(raw_grid, "pitch", "grid"),
-                          pose=pose,
-                          dome_height=_float(raw_grid, "dome_height", "grid"))
-    steps = []
-    for i, raw in enumerate(_entries(data, "schedule", "scenario")):
-        context = f"schedule step {i}"
-        angle = _require(raw, "angle", context)  # first: it checks that raw is an object
-        axis, translation = raw.get("axis"), raw.get("translation")
-        with _invalid(context):
-            steps.append(MotionStep(
-                angle=angle,
-                axis=None if axis is None else _array(raw, "axis", context, (3,)),
-                slide=raw.get("slide", 0.0),
-                translation=(None if translation is None
-                             else _array(raw, "translation", context, (3,))),
-            ))
-    contact = _contact_from_dict(_require(data, "contact", "scenario"))
-    with _invalid("scenario"):
-        return ScenarioConfig(
-            contact=contact,
-            grid=grid,
-            schedule=tuple(steps),
-            noise_sigma=_array(data, "noise_sigma", "scenario", (3,)),
-            seed=_require(data, "seed", "scenario"),
-            name=_require(data, "name", "scenario", str),
-            units=_require(data, "units", "scenario", str),
-            tolerances=_require(data, "tolerances", "scenario", dict),
-        )
+    pose = _from_record(RelativeMotion, _require(raw_grid, "pose", "grid"), "grid pose")
+    grid = _from_record(MarkerGrid, raw_grid, "grid", pose=pose,
+                        dome_height=_float(raw_grid, "dome_height", "grid"))
+    schedule = tuple(_from_record(MotionStep, raw, f"schedule step {i}")
+                     for i, raw in enumerate(_entries(data, "schedule", "scenario")))
+    return _from_record(ScenarioConfig, data, "scenario", grid=grid, schedule=schedule,
+                        contact=_contact_from_dict(_require(data, "contact", "scenario")),
+                        noise_sigma=_require(data, "noise_sigma", "scenario", list),
+                        tolerances=_require(data, "tolerances", "scenario", dict))
 
 
 # ---------------------------------------------------------------------------
@@ -512,29 +495,12 @@ def read_report(path) -> EstimateReport:
     data = _load(path, REPORT_SCHEMA)
     raw_est = _require(data, "estimate", "report")
     raw_cond = _require(raw_est, "conditioning", "estimate")
-    raw_cn = _require(raw_cond, "condition_number", "conditioning")
-    with _invalid("conditioning"):
-        conditioning = ConditioningReport(
-            max_rotation_angle=_require(raw_cond, "max_rotation_angle", "conditioning"),
-            smallest_singular_value=_require(raw_cond, "smallest_singular_value", "conditioning"),
-            condition_number=math.inf if raw_cn is None else raw_cn,
-            well_posed=_require(raw_cond, "well_posed", "conditioning", bool),
-        )
-    point, direction = raw_est.get("point"), raw_est.get("direction")
-    with _invalid("estimate"):
-        estimate = ContactEstimate(
-            kind=_require(raw_est, "kind", "estimate"),
-            point=None if point is None else _array(raw_est, "point", "estimate", (3,)),
-            direction=(None if direction is None
-                       else _array(raw_est, "direction", "estimate", (3,))),
-            residual_rms=_require(raw_est, "residual_rms", "estimate"),
-            per_frame_residuals=_array(data, "per_frame_residuals", "report", (None,)),
-            conditioning=conditioning,
-        )
-    raw_config = _require(data, "config", "report")
-    with _invalid("config"):
-        config = EstimatorConfig(**{f.name: _require(raw_config, f.name, "config")
-                                    for f in fields(EstimatorConfig)})
-    provenance = _require(data, "provenance", "report", dict)
-    with _invalid("report"):  # a NaN or an infinity, which json reads
-        return EstimateReport(estimate=estimate, config=config, provenance=provenance)
+    cond = _require(raw_cond, "condition_number", "conditioning")
+    conditioning = _from_record(ConditioningReport, raw_cond, "conditioning",
+                                condition_number=math.inf if cond is None else cond)
+    estimate = _from_record(ContactEstimate, raw_est, "estimate", conditioning=conditioning,
+                            per_frame_residuals=_require(data, "per_frame_residuals", "report",
+                                                         list))
+    config = _from_record(EstimatorConfig, _require(data, "config", "report"), "config")
+    return _from_record(EstimateReport, data, "report", estimate=estimate, config=config,
+                        provenance=_require(data, "provenance", "report", dict))

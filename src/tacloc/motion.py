@@ -1,7 +1,7 @@
 """Rigid-motion and marker-measurement value types.
 
 Every value type takes only what its file reads back: each number by _number,
-each integer by _integer and each array by _floats, as the readers do.
+each integer by _integer and each array by _floats, the one check the readers rely on.
 
 All motions are expressed relative to the initial (index 0) frame, in the
 sensor base frame. Units are caller-defined; the library only requires them
@@ -60,18 +60,27 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 _EYE3 = _readonly(np.eye(3))
 
 
+def _shown(value) -> str:
+    """value's repr cut to 40 characters, for an error message: never the ValueError that repr
+    raises for an int of more digits than Python writes as text."""
+    try:
+        return f"{value!r:.40}"
+    except ValueError:  # the int, or a value holding one
+        return f"{'an int' if isinstance(value, int) else 'a value'} too long to write"
+
+
 def _frame_index(value) -> int:
     """value as an int, or ValueError unless _integer takes it and it is nonnegative."""
     with contextlib.suppress(ValueError):
         if (index := _integer(value, "frame_index")) >= 0:
             return index
-    raise ValueError(f"frame_index must be a nonnegative integer, got {value!r:.40}")
+    raise ValueError(f"frame_index must be a nonnegative integer, got {_shown(value)}")
 
 
 def _text(value, name: str) -> str:
     """value, or ValueError unless it is a str, as every file holds there."""
     if not isinstance(value, str):
-        raise ValueError(f"{name} must be a string, got {value!r}")
+        raise ValueError(f"{name} must be a string, got {_shown(value)}")
     return value
 
 
@@ -84,7 +93,7 @@ def _number(value, name: str) -> float:
         with contextlib.suppress(OverflowError):  # an integer beyond every double
             if math.isfinite(number := float(value)):
                 return number
-    raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
+    raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
 
 
 def _integer(value, name: str) -> int:
@@ -92,7 +101,7 @@ def _integer(value, name: str) -> int:
     integer a file holds."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r:.40}")
+    raise ValueError(f"{name} must be an integer, got {_shown(value)}")
 
 
 def _floats(value, name: str, shape: tuple, rows: str = "entry") -> np.ndarray:

@@ -27,7 +27,7 @@ from .estimators import (fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
 from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _blocks, _exponent,
                      _floats, _integer, _number, _per_frame, _readonly, _rotations_about_axes,
-                     _row_norms, _text, _unit)
+                     _row_norms, _shown, _text, _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -198,14 +198,14 @@ class ScenarioConfig:
             sigma = np.full(3, _number(sigma, "noise_sigma"))
         if (sigma < 0.0).any():
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
-        if _integer(self.seed, "seed") < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if (seed := _integer(self.seed, "seed")) < 0:
+            raise ValueError(f"seed must be nonnegative, got {_shown(seed)}")
         _text(self.name, "name")
         _text(self.units, "units")
         tolerances = dict(self.tolerances)
         for key, value in tolerances.items():  # each as read_scenario reads it back
             if not isinstance(key, str):
-                raise ValueError(f"tolerance names must be strings, got {key!r}")
+                raise ValueError(f"tolerance names must be strings, got {_shown(key)}")
             _number(value, f"tolerance {key!r}")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "noise_sigma", _readonly(sigma))

@@ -233,6 +233,33 @@ def test_a_check_raises_its_error(call, error, message):
     assert str(excinfo.value) == message
 
 
+# An int of more digits than Python writes as text: its repr raises a ValueError of its own.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MotionStep(angle=HUGE), "angle must be a finite number, got an int too long to write"),
+    (lambda: _scenario(seed=[HUGE]), "seed must be an integer, got a value too long to write"),
+    (lambda: _scenario(seed=-HUGE), "seed must be nonnegative, got an int too long to write"),
+    (lambda: RelativeMotion.identity(-HUGE),
+     "frame_index must be a nonnegative integer, got an int too long to write"),
+    (lambda: _scenario(name=HUGE), "name must be a string, got an int too long to write"),
+    (lambda: _scenario(name=["x"] * 50), f"name must be a string, got {str(['x'] * 50):.40}"),
+    (lambda: _conditioning(well_posed=HUGE), "well_posed must be a bool, got an int too long to "
+     "write"),
+    (lambda: _scenario(tolerances={HUGE: 0.1}),
+     "tolerance names must be strings, got an int too long to write"),
+    (lambda: _scenario(tolerances={(HUGE,): 0.1}),
+     "tolerance names must be strings, got a value too long to write"),
+    (lambda: _report({HUGE: "a"}), "provenance keys must be strings, got an int too long to write"),
+], ids=["angle", "seed_in_a_list", "negative_seed", "frame_index", "name", "long_name",
+        "well_posed", "tolerance_name", "tolerance_name_tuple", "provenance_key"])
+def test_an_error_shows_a_value_repr_cannot_and_names_its_field(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 # Every scalar field that motion._number or motion._integer checks, as (a call that makes its
 # object with the field set to a value, the name its errors start with, whether it takes an
 # integer, a value it takes).

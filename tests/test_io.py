@@ -499,6 +499,7 @@ def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     ("config", "cond_threshold", False),
     ("config", "rank_tolerance", [1e-8]),
     ("report", "per_frame_residuals", {}),
+    ("report", "per_frame_residuals", None),  # ContactEstimate's default, which no report holds
     ("report", "provenance", "ab"),
     ("report", "provenance", []),
     ("report", "per_frame_residuals", ["0.5", 0.1]),
@@ -706,7 +707,7 @@ def _faulty(value, fault):
             row[0] = _faulty(row[0], fault)
         return value
     return {"string": str(value), "true": True, "false": False, "null": None,
-            "row_of_booleans": [True, False, True], "overflow": 10**400}[fault]
+            "row_of_booleans": [True, False, True], "overflow": 10**400, "nan": math.nan}[fault]
 
 
 def _fault_cases():
@@ -730,6 +731,29 @@ def test_every_numeric_field_rejects_other_json_types(roundtrip_files, tmp_path,
     node[path[-1]] = _faulty(node[path[-1]], fault)
     with pytest.raises(ParseError, match=path[-1]):
         _read(doc, tmp_path)
+
+
+# The record that an error in a field is named by, by the path to the field's container.
+RECORD_NAMES = {(): "scenario", ("tolerances",): "scenario", ("grid",): "grid",
+                ("grid", "pose"): "grid pose", ("contact",): "contact",
+                ("schedule", 1): "schedule step 1", ("motions", 1): "motion 1",
+                ("estimate",): "estimate", ("estimate", "conditioning"): "conditioning",
+                ("config",): "config"}
+
+
+@pytest.mark.parametrize("source, path", [pytest.param(*field, id="-".join(
+    [field[0], ".".join(map(str, field[1]))])) for field in NUMERIC_FIELDS])
+def test_a_nan_in_every_numeric_field_names_the_field_and_its_record(roundtrip_files, tmp_path,
+                                                                      source, path):
+    doc = _document(roundtrip_files, source)
+    node = _container(doc, path)
+    node[path[-1]] = _faulty(node[path[-1]], "nan")
+    with pytest.raises((ParseError, NonFiniteValue)) as excinfo:
+        _read(doc, tmp_path)
+    message = str(excinfo.value)
+    # a report's per_frame_residuals sit at its top level, but are its estimate's
+    record = "estimate" if path == ["per_frame_residuals"] else RECORD_NAMES[tuple(path[:-1])]
+    assert message.startswith(record) and path[-1] in message, message
 
 
 # One element of an array field in which any finite number is valid data, so
@@ -809,6 +833,27 @@ def test_a_value_its_type_rejects_is_a_parse_error_naming_its_context(
     with pytest.raises(ParseError) as excinfo:
         _read(doc, tmp_path)
     assert str(excinfo.value).startswith(message)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("noise_sigma", 0.01),  # ScenarioConfig's shorthand for three equal ones
+    ("tolerances", [["point_distance", 0.05]]),  # dict() takes the pairs
+], ids=["bare_noise_sigma", "tolerance_pairs"])
+def test_a_value_the_scenario_takes_but_its_file_cannot_hold_is_a_parse_error(
+        roundtrip_files, tmp_path, key, value):
+    doc = _document(roundtrip_files, "pivot_point")
+    doc[key] = value
+    with pytest.raises(ParseError, match=key):
+        _read(doc, tmp_path)
+
+
+@pytest.mark.parametrize("key", ["angle", "axis", "slide", "translation"])
+def test_a_schedule_step_holds_every_field(roundtrip_files, tmp_path, key):
+    doc = _document(roundtrip_files, "hinge_direction")
+    del doc["schedule"][1][key]
+    with pytest.raises(ParseError) as excinfo:
+        _read(doc, tmp_path)
+    assert str(excinfo.value) == f"schedule step 1 is missing {key!r}"
 
 
 @pytest.mark.parametrize("source", ["motions", "truth"])
