@@ -27,7 +27,7 @@ import numpy as np
 
 from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import AmbiguousDirection, IllConditioned, RankDeficientBeyondLine, TooFewFrames
-from .motion import (_EYE3, MotionSequence, _exponent, _integer, _max_rotation_angle,
+from .motion import (_EYE3, MotionSequence, _exponent, _floats, _integer, _max_rotation_angle,
                      _moving_stack, _number, _row_dots, _row_norms, _stack, _unit, _unit_rows)
 
 UNIT_NORM_TOL = 1e-6
@@ -106,14 +106,14 @@ def _estimate(kind: ContactKind, point, direction, residuals: np.ndarray,
 
 def fixed_point_residuals(motions: MotionSequence, point) -> np.ndarray:
     """Per-frame distance the candidate pivot moves, over the moving frames."""
-    point = np.asarray(point, dtype=float)
+    point = _floats(point, "point", (3,))
     rotations, translations = _moving_stack(motions)
     return _row_norms(rotations @ point + translations - point)
 
 
 def fixed_direction_residuals(motions: MotionSequence, direction) -> np.ndarray:
-    """Per-frame change of the candidate body direction, over the moving frames."""
-    direction = np.asarray(direction, dtype=float)
+    """Per-frame change of the candidate unit body direction, over the moving frames."""
+    direction = _unit(direction, "direction", UNIT_NORM_TOL)
     rotations, _ = _moving_stack(motions)
     return _row_norms((rotations - _EYE3) @ direction)
 
@@ -125,9 +125,10 @@ def line_contact_residuals(motions: MotionSequence, surface_normal, point) -> np
     residual at frame k is the component of the point's motion along the
     rotated normal.
     """
+    surface_normal = _unit(surface_normal, "surface_normal", UNIT_NORM_TOL)
     rotations, translations = _moving_stack(motions)
-    normals = _unit_rows(rotations @ np.asarray(surface_normal, dtype=float), "surface_normal")
-    return _line_residuals(normals, rotations, translations, np.asarray(point, dtype=float))
+    normals = _unit_rows(rotations @ surface_normal, "surface_normal")
+    return _line_residuals(normals, rotations, translations, _floats(point, "point", (3,)))
 
 
 def _line_residuals(normals, rotations, translations, point) -> np.ndarray:

@@ -20,19 +20,22 @@ An infinite condition number is stored as null (JSON has no Infinity) and
 restored to inf on read.
 
 Every number in a file must be a JSON number. A scenario, a truth contact
-and a report are read by _from_record, the mirror of _record: each field of
-the dataclass goes to its constructor as the JSON holds it, inside _invalid,
-which names the record in any error. So each scalar and each array is
-checked once, by motion._number, _integer or _floats. A reader checks a
-field first only where the constructor takes what a file would not read
-back as itself: dome_height as a number (None is MarkerGrid's default),
+and a report are written by _record and read by _from_record, its mirror:
+each field of the dataclass is a key of the file, in field order, and goes
+back to its constructor as the JSON holds it, inside _invalid, which names
+the record in any error. A writer names only the fields it writes in
+another form: a scenario's grid pose, contact and schedule, and a report's
+conditioning and per_frame_residuals (at the top level). So each scalar and
+each array is checked once, by motion._number, _integer or _floats. A reader
+checks a field first only where the constructor takes what a file would not
+read back as itself: dome_height as a number (None is MarkerGrid's default),
 noise_sigma as a list (a bare number is shorthand for three), tolerances and
 provenance as objects (dict() takes a list of pairs) and per_frame_residuals
 as a list (None is ContactEstimate's default). Motions and marker logs are
 read into stacks: _array checks each array by _floats, naming its motion or
-frame, and the readers check each frame_index, units and rms_error (a
-marker log's _of_stack checks neither index nor units, and a true index
-would pass the dense test).
+frame, and the readers check each frame_index and rms_error, and a log's
+units (its _of_stack checks neither index nor units, and a true index would
+pass the dense test); MotionSequence checks its own units.
 
 Every file is decoded by one json.loads call. A marker log is read
 frame by frame: the decoder's object_hook makes each frame's positions an
@@ -350,10 +353,10 @@ def _motion_dicts(motions: MotionSequence) -> list:
 
 
 def _motions(data, context: str) -> MotionSequence:
-    """The sequence of data's non-empty 'motions' list in its 'units', with
-    each entry's rms_error when any has one, read into stacks and built once."""
-    units = _require(data, "units", context, str)
-    raw_motions = _entries(data, "motions", context)
+    """The sequence of data's 'motions' list in its 'units', with each
+    entry's rms_error when any has one, read into stacks and built once."""
+    units = _require(data, "units", context)
+    raw_motions = _require(data, "motions", context, list)
     count = len(raw_motions)
     rotations, translations, indices = np.empty((count, 3, 3)), np.empty((count, 3)), [0] * count
     for i, raw in enumerate(raw_motions):
@@ -366,9 +369,9 @@ def _motions(data, context: str) -> MotionSequence:
         rms_errors = [_float(raw, "rms_error", f"motion {i}") for i, raw in enumerate(raw_motions)]
     try:
         return MotionSequence._of_stacks(rotations, translations, indices, rms_errors, units)
-    except ValueError as err:  # a motion's, named, or else the sequence's as a whole
+    except ValueError as err:  # a motion's, named, or else the file's sequence as a whole
         k = _first_bad_motion(rotations, translations, indices)
-        raise ParseError(f"motion {k}: {err}" if k >= 0 else str(err)) from err
+        raise ParseError(f"motion {k}: {err}" if k >= 0 else f"{context}: {err}") from err
 
 
 def write_motion_sequence(path, motions: MotionSequence) -> None:
@@ -412,24 +415,11 @@ def _contact_from_dict(raw: dict):
 # Scenarios.
 
 def write_scenario(path, config: ScenarioConfig) -> None:
-    data = {
-        "schema": SCENARIO_SCHEMA,
-        "name": config.name,
-        "units": config.units,
-        "seed": config.seed,
-        "noise_sigma": config.noise_sigma,
-        "grid": {
-            "rows": config.grid.rows,
-            "cols": config.grid.cols,
-            "pitch": config.grid.pitch,
-            "dome_height": config.grid.dome_height,
-            "pose": _motion_to_dict(**_record(config.grid.pose)),
-        },
-        "contact": _contact_to_dict(config.contact),
-        "schedule": [_record(step) for step in config.schedule],
-        "tolerances": config.tolerances,
-    }
-    _write_file(path, data)
+    grid = config.grid
+    _write_file(path, {"schema": SCENARIO_SCHEMA, **_record(config),
+                       "grid": {**_record(grid), "pose": _motion_to_dict(**_record(grid.pose))},
+                       "contact": _contact_to_dict(config.contact),
+                       "schedule": [_record(step) for step in config.schedule]})
 
 
 def read_scenario(path) -> ScenarioConfig:
@@ -470,25 +460,15 @@ def read_truth(path) -> ScenarioTruth:
 # Estimate reports.
 
 def write_report(path, report: EstimateReport) -> None:
-    est = report.estimate
-    if est.per_frame_residuals is None:
+    estimate = _record(report.estimate)
+    if (residuals := estimate.pop("per_frame_residuals")) is None:
         raise ValueError("a report needs the estimate's per-frame residuals")
-    cond = est.conditioning.condition_number
-    data = {
-        "schema": REPORT_SCHEMA,
-        "estimate": {
-            "kind": est.kind.value,
-            "point": est.point,
-            "direction": est.direction,
-            "residual_rms": est.residual_rms,
-            "conditioning": {**_record(est.conditioning),
-                             "condition_number": None if math.isinf(cond) else cond},
-        },
-        "per_frame_residuals": est.per_frame_residuals,
-        "config": _record(report.config),
-        "provenance": report.provenance,
-    }
-    _write_file(path, data)
+    cond = estimate["conditioning"].condition_number
+    estimate["conditioning"] = {**_record(estimate["conditioning"]),
+                                "condition_number": None if math.isinf(cond) else cond}
+    _write_file(path, {"schema": REPORT_SCHEMA, "estimate": estimate,
+                       "per_frame_residuals": residuals, "config": _record(report.config),
+                       "provenance": report.provenance})
 
 
 def read_report(path) -> EstimateReport:

@@ -403,6 +403,8 @@ class MarkerFrame:
 
     def __post_init__(self):
         pos = _floats(self.positions, "positions", (None, 3), "marker")
+        if not len(pos):  # a file's [] has no rows of 3, and no motion registers from it
+            raise ValueError("positions must hold at least one marker")
         object.__setattr__(self, "positions", _frozen(pos))
         object.__setattr__(self, "frame_index", _frame_index(self.frame_index))
 

@@ -118,20 +118,21 @@ class MotionStep:
                                _readonly(_floats(self.translation, "translation", (3,))))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class MarkerGrid:
     """The virtual sensor: a rows x cols marker grid riding on the object.
 
     Markers sit on a pitch-spaced grid with a shallow quadratic dome
     (default height 5% of the pitch) so the cloud has rank 3, mirroring a
-    deformed gel surface; pose places the grid rigidly on the object.
+    deformed gel surface; pose places the grid rigidly on the object. Fields
+    are keyword-only, and their order is a scenario file's key order.
     """
 
     rows: int = 11
     cols: int = 11
     pitch: float = 1.0
-    pose: RelativeMotion = field(default_factory=RelativeMotion.identity)
     dome_height: float | None = None
+    pose: RelativeMotion = field(default_factory=RelativeMotion.identity)
 
     def __post_init__(self):
         rows, cols = (_integer(getattr(self, name), name) for name in ("rows", "cols"))
@@ -168,17 +169,18 @@ class MarkerGrid:
         return self.pitch * (max(self.rows, self.cols) - 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ScenarioConfig:
-    """Everything needed to generate one synthetic scenario deterministically."""
+    """Everything needed to generate one synthetic scenario deterministically, given by keyword
+    only: field order is a scenario file's key order. Only contact and schedule have no default."""
 
-    contact: FixedPointContact | FixedDirectionContact | EdgeContact
-    grid: MarkerGrid = field(default_factory=MarkerGrid)
-    schedule: tuple = ()
-    noise_sigma: np.ndarray = (0.0, 0.0, 0.0)
-    seed: int = 0
     name: str = ""
     units: str = "mm"
+    seed: int = 0
+    noise_sigma: np.ndarray = (0.0, 0.0, 0.0)
+    grid: MarkerGrid = field(default_factory=MarkerGrid)
+    contact: FixedPointContact | FixedDirectionContact | EdgeContact
+    schedule: tuple
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):

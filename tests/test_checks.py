@@ -9,9 +9,10 @@ import pytest
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EdgeContact,
                     EstimateReport, EstimatorConfig, FixedDirectionContact, FixedPointContact,
                     MarkerFrame, MarkerGrid, MarkerLog, MotionSequence, MotionStep,
-                    RankDeficientBeyondLine, RegistrationResult, RelativeMotion, ScenarioConfig,
-                    estimate_line_point, orthonormalize, propagate_plane, read_report,
-                    rotation_about_axis, write_report)
+                    NonFiniteValue, RankDeficientBeyondLine, RegistrationResult, RelativeMotion,
+                    ScenarioConfig, estimate_line_point, fixed_direction_residuals,
+                    fixed_point_residuals, line_contact_residuals, orthonormalize,
+                    propagate_plane, read_report, rotation_about_axis, write_report)
 from tacloc.io import dumps
 
 GRID = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -204,6 +205,22 @@ def _report(provenance):
     (lambda: _estimate(kind="pivot"), ValueError, "'pivot' is not a valid ContactKind"),
     (lambda: _report({"x": 10**5000}), ValueError, "provenance['x'] must be None, a bool, a "
      "string, a finite number, a list or a dict, got an int too long to write"),
+    # each was taken: a zero direction read as a fixed one, a scaled one scaled the residuals
+    (lambda: fixed_point_residuals(MOTIONS, (math.nan, 0, 0)), NonFiniteValue,
+     "point: non-finite value at entry 0"),
+    (lambda: fixed_point_residuals(MOTIONS, (1, 2)), ValueError,
+     "point must have shape (3,), got (2,)"),
+    (lambda: fixed_direction_residuals(MOTIONS, (0, 0, 0)), ValueError,
+     "direction must be a unit vector, got norm 0.0"),
+    (lambda: fixed_direction_residuals(MOTIONS, (0, 0, 5)), ValueError,
+     "direction must be a unit vector, got norm 5.0"),
+    (lambda: line_contact_residuals(MOTIONS, (0, 0, 2), (1, 2, 3)), ValueError,
+     "surface_normal must be a unit vector, got norm 2.0"),
+    (lambda: line_contact_residuals(MOTIONS, (0, 0, 1), (1, math.inf, 3)), NonFiniteValue,
+     "point: non-finite value at entry 1"),
+    # taken, and written as "positions": [], which no log reads back
+    (lambda: MarkerFrame(np.zeros((0, 3))), ValueError,
+     "positions must hold at least one marker"),
 ], ids=["n0_not_unit", "n0_huge", "line_point_of_no_motions",
         "unserializable_value", "rotation_not_3x3", "zero_axis", "empty_log",
         "log_indices_not_dense", "log_marker_counts_differ", "sequence_of_non_motions",
@@ -226,11 +243,24 @@ def _report(provenance):
         "2d_per_frame_residuals", "str_noise_sigma", "huge_int_noise_sigma", "huge_int_point",
         "ragged_noise_sigma", "str_motion_index", "none_motion_index", "str_frame_index",
         "huge_float_motion_index", "float_motion_index", "float_index_in_a_stack",
-        "str_index_in_a_stack", "str_estimate_kind", "huge_int_provenance_value"])
+        "str_index_in_a_stack", "str_estimate_kind", "huge_int_provenance_value",
+        "nan_residual_point", "short_residual_point", "zero_residual_direction",
+        "long_residual_direction", "long_residual_surface_normal", "inf_residual_line_point",
+        "frame_without_markers"])
 def test_a_check_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def test_a_scenario_and_its_grid_take_keywords_only_and_a_scenario_needs_its_schedule():
+    # field order is the file's key order, so no argument is bound by its position
+    with pytest.raises(TypeError, match="positional"):
+        MarkerGrid(11)
+    with pytest.raises(TypeError, match="positional"):
+        ScenarioConfig("name")
+    with pytest.raises(TypeError, match="'schedule'"):
+        ScenarioConfig(contact=FixedPointContact((0, 0, 0)))
 
 
 # An int of more digits than Python writes as text: its repr raises a ValueError of its own.

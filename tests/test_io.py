@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
-                    EstimateReport, EstimatorConfig, FixedPointContact, MarkerFrame,
+                    EstimateReport, EstimatorConfig, FixedPointContact, MarkerFrame, MarkerGrid,
                     MarkerLog, MotionSequence, MotionStep, NonFiniteValue, ParseError,
-                    RelativeMotion, ScenarioConfig, SchemaVersionMismatch, generate,
+                    RelativeMotion, ScenarioConfig, ScenarioTruth, SchemaVersionMismatch, generate,
                     read_marker_log, read_motion_sequence, read_report, read_scenario,
                     read_truth, register_sequence, write_marker_log, write_motion_sequence,
                     write_report, write_scenario, write_truth)
@@ -184,10 +184,11 @@ def _set(path_keys, value):
     _set(["frames", 0, "positions", 0, 0], False),
     _set(["frames", 0, "positions", 1], [True, False, True]),
     _set(["frames", 1, "positions", 0, 1], None),
+    _set(["frames", 0, "positions"], []),
 ], ids=["frame_not_object", "index_string", "index_fraction",
         "index_integral_float", "index_bool", "index_negative", "units_number",
         "units_null", "coordinate_overflows_float", "coordinate_string", "coordinate_true",
-        "coordinate_false", "coordinate_row_of_booleans", "coordinate_null"])
+        "coordinate_false", "coordinate_row_of_booleans", "coordinate_null", "no_markers"])
 def test_marker_log_reader_rejects_wrong_json_types(tmp_path, mutate):
     path = tmp_path / "log.json"
     data = json.loads(GOLDEN_LOG)
@@ -883,16 +884,61 @@ def test_a_bad_motion_is_named(roundtrip_files, tmp_path, source):
     doc["motions"][2]["frame_index"] = doc["motions"][1]["frame_index"]
     with pytest.raises(ParseError) as excinfo:
         _read(doc, tmp_path)
-    assert str(excinfo.value).startswith("frame_index must be strictly increasing, got [0, 1, 1,")
+    context = {"motions": "motion file", "truth": "truth"}[source]
+    assert str(excinfo.value).startswith(
+        f"{context}: frame_index must be strictly increasing, got [0, 1, 1,")
+    # so are the units: the sequence's constructor checks them, and the file is named
+    doc = _document(roundtrip_files, source)
+    doc["units"] = 5
+    with pytest.raises(ParseError) as excinfo:
+        _read(doc, tmp_path)
+    assert str(excinfo.value) == f"{context}: units must be a string, got 5"
 
 
-@pytest.mark.parametrize("motions", [5, [], {}, "motions"])
+@pytest.mark.parametrize("motions", [5, {}, "motions"])
 @pytest.mark.parametrize("source", ["motions", "truth"])
-def test_motions_must_be_a_non_empty_list(roundtrip_files, tmp_path, source, motions):
+def test_motions_must_be_a_list(roundtrip_files, tmp_path, source, motions):
     doc = _document(roundtrip_files, source)
     doc["motions"] = motions
-    with pytest.raises(ParseError, match="'motions' must be a non-empty list"):
+    with pytest.raises(ParseError, match="'motions' must be list"):
         _read(doc, tmp_path)
+
+
+def test_an_empty_motion_sequence_reads_and_writes_back(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    empty = MotionSequence(())
+    truth = ScenarioTruth(motions=empty, contact_geometry=FixedPointContact((1, 2, 3)))
+    for write, read, value in ((write_motion_sequence, read_motion_sequence, empty),
+                               (write_truth, read_truth, truth)):
+        write(first, value)
+        assert json.loads(first.read_text())["motions"] == []
+        back = read(first)
+        assert len(back.motions) == 0  # a sequence's tuple of motions, or a truth's sequence
+        write(second, back)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def _assert_keys_in_field_order(record: dict, cls, name: str, without=()):
+    want = [f.name for f in dataclasses.fields(cls) if f.name not in without]
+    assert list(record) == want, f"{name} keys {list(record)} are not {cls.__name__}'s fields"
+
+
+def test_scenario_and_report_keys_follow_their_dataclass_fields(roundtrip_files, tmp_path):
+    path = tmp_path / "written.json"
+    write_scenario(path, read_scenario(bundled_scenario("box_on_edge")))
+    scenario = json.loads(path.read_text())
+    assert list(scenario)[0] == "schema"
+    _assert_keys_in_field_order({k: v for k, v in scenario.items() if k != "schema"},
+                                ScenarioConfig, "scenario")
+    _assert_keys_in_field_order(scenario["grid"], MarkerGrid, "grid")
+
+    write_report(path, read_report(roundtrip_files / "report.json"))
+    report = json.loads(path.read_text())
+    _assert_keys_in_field_order(report["estimate"], ContactEstimate, "estimate",
+                                without=("per_frame_residuals",))
+    _assert_keys_in_field_order(report["estimate"]["conditioning"], ConditioningReport,
+                                "conditioning")
+    _assert_keys_in_field_order(report["config"], EstimatorConfig, "config")
 
 
 def test_every_file_kind_reads_and_writes_back_byte_for_byte(roundtrip_files, tmp_path):
