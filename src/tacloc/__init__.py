@@ -10,13 +10,13 @@ three contact estimators, a scenario simulator, and file formats plus a CLI
 tying them together.
 """
 
-from .contact import ConditioningReport, ContactEstimate, ContactKind
 from .errors import (AmbiguousDirection, DegenerateMarkers, IllConditioned,
                      InvalidSchedule, MismatchedFrames, NonFiniteValue,
                      ParseError, RankDeficientBeyondLine,
                      SchemaVersionMismatch, TaclocError, TooFewFrames,
                      TooFewMarkers)
-from .estimators import (EstimatorConfig, estimate_fixed_direction,
+from .estimators import (ConditioningReport, ContactEstimate, ContactKind,
+                         EstimatorConfig, estimate_fixed_direction,
                          estimate_fixed_point, estimate_line_contact,
                          estimate_line_direction, estimate_line_point,
                          fixed_direction_residuals, fixed_point_residuals,

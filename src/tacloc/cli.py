@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contact import ContactKind
 from .errors import (InvalidSchedule, NonFiniteValue, ParseError,
                      SchemaVersionMismatch, TaclocError)
-from .estimators import (EstimatorConfig, estimate_fixed_direction,
+from .estimators import (ContactKind, EstimatorConfig, estimate_fixed_direction,
                          estimate_fixed_point, estimate_line_contact)
 from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace it by this name
 from .io import (EstimateReport, read_marker_log, read_report, read_scenario,

@@ -59,9 +59,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import motion
-from .contact import ConditioningReport, ContactEstimate
 from .errors import NonFiniteValue, ParseError, SchemaVersionMismatch
-from .estimators import EstimatorConfig
+from .estimators import ConditioningReport, ContactEstimate, EstimatorConfig
 from .motion import MarkerLog, MotionSequence, RelativeMotion, _first_bad_motion
 from .simulate import (EdgeContact, FixedDirectionContact, FixedPointContact,
                        MarkerGrid, MotionStep, ScenarioConfig, ScenarioTruth)

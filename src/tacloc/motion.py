@@ -77,6 +77,15 @@ def _frame_index(value) -> int:
     raise ValueError(f"frame_index must be a nonnegative integer, got {_shown(value)}")
 
 
+def _all_of(cls, values) -> tuple:
+    """values as a tuple, or TypeError naming the type of the first entry that is no cls."""
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, cls):
+            raise TypeError(f"expected {cls.__name__}, got {type(value).__name__}")
+    return values
+
+
 def _text(value, name: str) -> str:
     """value, or ValueError unless it is a str, as every file holds there."""
     if not isinstance(value, str):
@@ -425,13 +434,13 @@ class MarkerLog:
     units: str
 
     def __init__(self, frames, units: str = "mm"):
-        frames = tuple(frames)
+        frames = _all_of(MarkerFrame, frames)
         if not frames:
             raise ValueError("marker log needs at least one frame")
         counts = {f.marker_count for f in frames}
         indices = [f.frame_index for f in frames]
         if indices != list(range(len(frames))):
-            raise ValueError(f"frame indices must be dense from 0, got {indices}")
+            raise ValueError(f"frame indices must be dense from 0, got {_shown(indices)}")
         if len(counts) != 1:
             raise ValueError(f"marker count must be constant, got {sorted(counts)}")
         positions = _frozen(np.array([f.positions for f in frames]))
@@ -475,10 +484,7 @@ class MotionSequence:
     units: str
 
     def __init__(self, motions, rms_errors=None, units: str = "mm"):
-        motions = tuple(motions)
-        for m in motions:
-            if not isinstance(m, RelativeMotion):
-                raise TypeError(f"expected RelativeMotion, got {type(m).__name__}")
+        motions = _all_of(RelativeMotion, motions)
         self._keep(_frozen(np.array([m.rotation for m in motions]).reshape(-1, 3, 3)),
                    _frozen(np.array([m.translation for m in motions]).reshape(-1, 3)),
                    [m.frame_index for m in motions], rms_errors, units)
@@ -496,15 +502,16 @@ class MotionSequence:
     def _keep(self, rotations, translations, indices: list, rms_errors, units: str) -> None:
         """Check the sequence as a whole, then store it."""
         if any(map(operator.ge, indices, indices[1:])):
-            raise ValueError(f"frame_index must be strictly increasing, got {indices}")
+            raise ValueError(f"frame_index must be strictly increasing, got {_shown(indices)}")
         if indices and indices[0] == 0 and not _is_identity(rotations[0], translations[0]):
             raise ValueError("the frame-0 motion must be the identity")
         if rms_errors is not None:
             rms_errors = tuple([_number(e, "rms_error") for e in rms_errors])
             if len(rms_errors) != len(indices) or not all(e >= 0.0 for e in rms_errors):
                 raise ValueError("rms_errors must be one finite nonnegative value per motion")
+        # () only for an empty sequence, which has no fit to report: None, as its file reads back
         self.__dict__.update(rotations=rotations, translations=translations,
-                             frame_indices=tuple(indices), rms_errors=rms_errors,
+                             frame_indices=tuple(indices), rms_errors=rms_errors or None,
                              units=_text(units, "units"))
 
     @cached_property

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMarkers, MismatchedFrames, TooFewMarkers
-from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _blocks,
-                     _exponent, _integer, _number, _per_frame, _proper_product)
+from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _all_of,
+                     _blocks, _exponent, _integer, _number, _per_frame, _proper_product)
 
 # Singular values below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-8
@@ -81,7 +81,7 @@ def _register_all(frames) -> tuple:
     if isinstance(frames, MarkerLog):
         positions, indices, mismatch = frames.positions, range(len(frames)), None
     else:
-        frames = list(frames)
+        frames = _all_of(MarkerFrame, frames)
         if not frames:
             raise ValueError("need at least 1 frame, got 0")
         # frames before the first count mismatch stack; a degenerate one among them comes first

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import ContactKind
 from .errors import InvalidSchedule
-from .estimators import (fixed_direction_residuals, fixed_point_residuals,
+from .estimators import (ContactKind, fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
 from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _blocks, _exponent,
                      _floats, _integer, _number, _per_frame, _readonly, _rotations_about_axes,

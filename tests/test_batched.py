@@ -517,7 +517,7 @@ def _reference_sequence(rotations, translations, frame_indices, rms_errors=None)
                for r, t, i in zip(rotations, translations, frame_indices)]
     indices = [i for _, _, i in motions]
     if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"frame_index must be strictly increasing, got {indices}")
+        raise ValueError(f"frame_index must be strictly increasing, got {indices!r:.40}")
     if motions and motions[0][2] == 0 and not (
             np.linalg.norm(motions[0][0] - np.eye(3)) <= ROTATION_TOL
             and np.linalg.norm(motions[0][1]) <= ROTATION_TOL):

@@ -12,7 +12,8 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EdgeContac
                     NonFiniteValue, RankDeficientBeyondLine, RegistrationResult, RelativeMotion,
                     ScenarioConfig, estimate_line_point, fixed_direction_residuals,
                     fixed_point_residuals, line_contact_residuals, orthonormalize,
-                    propagate_plane, read_report, rotation_about_axis, write_report)
+                    propagate_plane, read_report, register_sequence, rotation_about_axis,
+                    write_report)
 from tacloc.io import dumps
 
 GRID = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -59,6 +60,13 @@ def _report(provenance):
      "marker count must be constant, got [2, 3]"),
     (lambda: MotionSequence((RelativeMotion.identity(0), "motion")), TypeError,
      "expected RelativeMotion, got str"),
+    # a frame list is checked for its types before its values, as a motion list is
+    (lambda: MarkerLog([1, 2]), TypeError, "expected MarkerFrame, got int"),
+    (lambda: MarkerLog((MarkerFrame(GRID, 0), MarkerFrame(GRID, 2), None)), TypeError,
+     "expected MarkerFrame, got NoneType"),
+    (lambda: register_sequence([1, 2]), TypeError, "expected MarkerFrame, got int"),
+    (lambda: register_sequence((MarkerFrame(GRID, 0), MarkerFrame(GRID[:2], 1), "frame")),
+     TypeError, "expected MarkerFrame, got str"),
     (lambda: RegistrationResult(RelativeMotion.identity(), -1.0, 3), ValueError,
      "rms_error must be nonnegative"),
     (lambda: RegistrationResult(RelativeMotion.identity(), 0.0, 4), ValueError,
@@ -224,6 +232,8 @@ def _report(provenance):
 ], ids=["n0_not_unit", "n0_huge", "line_point_of_no_motions",
         "unserializable_value", "rotation_not_3x3", "zero_axis", "empty_log",
         "log_indices_not_dense", "log_marker_counts_differ", "sequence_of_non_motions",
+        "log_of_non_frames", "log_of_a_non_frame_after_a_bad_index",
+        "registration_of_non_frames", "registration_of_a_non_frame_after_a_short_frame",
         "negative_fit_rms", "covariance_rank_above_3", "non_finite_angle",
         "non_finite_slide", "unknown_contact_type", "bool_angle", "bool_slide", "bool_pitch",
         "bool_dome_height", "bool_seed", "fractional_seed", "bool_tolerance", "nan_tolerance",
@@ -265,6 +275,8 @@ def test_a_scenario_and_its_grid_take_keywords_only_and_a_scenario_needs_its_sch
 
 # An int of more digits than Python writes as text: its repr raises a ValueError of its own.
 HUGE = 10**5000
+# 2001 frame indices, 5 twice: a list too long to show whole
+REPEATED = [*range(6), 5, *range(7, 2001)]
 
 
 @pytest.mark.parametrize("call, message", [
@@ -282,8 +294,18 @@ HUGE = 10**5000
     (lambda: _scenario(tolerances={(HUGE,): 0.1}),
      "tolerance names must be strings, got a value too long to write"),
     (lambda: _report({HUGE: "a"}), "provenance keys must be strings, got an int too long to write"),
+    (lambda: MotionSequence((RelativeMotion.identity(HUGE), RelativeMotion.identity(1))),
+     "frame_index must be strictly increasing, got a value too long to write"),
+    (lambda: MarkerLog((MarkerFrame(GRID, 0), MarkerFrame(GRID, HUGE))),
+     "frame indices must be dense from 0, got a value too long to write"),
+    (lambda: MotionSequence([RelativeMotion.identity(k) for k in REPEATED]),
+     f"frame_index must be strictly increasing, got {str(REPEATED):.40}"),
+    (lambda: MarkerLog([MarkerFrame(GRID, k) for k in REPEATED]),
+     f"frame indices must be dense from 0, got {str(REPEATED):.40}"),
 ], ids=["angle", "seed_in_a_list", "negative_seed", "frame_index", "name", "long_name",
-        "well_posed", "tolerance_name", "tolerance_name_tuple", "provenance_key"])
+        "well_posed", "tolerance_name", "tolerance_name_tuple", "provenance_key",
+        "sequence_index_list", "log_index_list", "long_sequence_index_list",
+        "long_log_index_list"])
 def test_an_error_shows_a_value_repr_cannot_and_names_its_field(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()

@@ -916,6 +916,11 @@ def test_an_empty_motion_sequence_reads_and_writes_back(tmp_path):
         assert len(back.motions) == 0  # a sequence's tuple of motions, or a truth's sequence
         write(second, back)
         assert second.read_bytes() == first.read_bytes()
+    # an empty sequence has no fit to report, so rms_errors=() is held as None, as its file reads
+    empty = MotionSequence((), rms_errors=(), units="m")
+    write_motion_sequence(first, empty)
+    back = read_motion_sequence(first)
+    assert (back.rms_errors, back.units) == (empty.rms_errors, empty.units) == (None, "m")
 
 
 def _assert_keys_in_field_order(record: dict, cls, name: str, without=()):
