@@ -7,7 +7,8 @@ simulate -> register -> estimate through actual files and checks the result
 against the scenario's ground truth at the tolerances the scenario states.
 
 Exit codes: 0 success, 1 roundtrip estimate out of tolerance, 2 usage
-error, 3 unreadable or invalid input file, 4 estimation failure.
+error, 3 unreadable or invalid input file, 4 registration or estimation
+failure.
 """
 
 from __future__ import annotations
@@ -15,23 +16,24 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import math
 import sys
 import tempfile
 from contextlib import nullcontext
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import (InvalidSchedule, NonFiniteValue, ParseError,
-                     SchemaVersionMismatch, TaclocError)
+                     SchemaVersionMismatch, TaclocError, _FrameError)
 from .estimators import (ContactKind, EstimatorConfig, estimate_fixed_direction,
                          estimate_fixed_point, estimate_line_contact)
 from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace it by this name
 from .io import (EstimateReport, read_marker_log, read_report, read_scenario,
-                 sha256_of_file, write_marker_log, write_motion_sequence,
-                 write_report, write_truth)
+                 write_marker_log, write_motion_sequence, write_report, write_truth)
 from .motion import MarkerLog, MotionSequence, _norm, _unit
 from .registration import register_sequence
 from .simulate import generate
@@ -124,6 +126,15 @@ def _simulate(config, log_path, truth_path) -> None:
     print(f"wrote {len(log)} frames of {log.positions.shape[1]} markers to {log_path}")
 
 
+def _read_log(path) -> tuple[MarkerLog, str]:
+    """The marker log at path and the SHA-256 of the bytes it was decoded from, read once,
+    so a pipe or FIFO gives the hash of what was read."""
+    with open(path, "rb") as fh:
+        data = BytesIO(fh.read())
+    digest = hashlib.sha256(data.getvalue()).hexdigest()
+    return read_marker_log(data), digest
+
+
 def _register(log: MarkerLog, out) -> MotionSequence:
     """Register the log once, write the motions with their fit RMS, return them."""
     motions = register_sequence(log)
@@ -133,10 +144,10 @@ def _register(log: MarkerLog, out) -> MotionSequence:
 
 
 def _estimate(motions: MotionSequence, kind: ContactKind, n0, config: EstimatorConfig,
-              strict: bool, log_path, out) -> None:
-    """Estimate the contact from the motions registered from log_path and write the report."""
+              strict: bool, input_sha256: str, out) -> None:
+    """Estimate the contact from the motions and write its report; input_sha256 is their log's."""
     estimate = ESTIMATORS[kind](motions, n0, config, strict)
-    provenance = {"input_sha256": sha256_of_file(log_path), "tool_version": __version__,
+    provenance = {"input_sha256": input_sha256, "tool_version": __version__,
                   "frame_count": len(motions)}
     write_report(out, EstimateReport(estimate=estimate, config=config, provenance=provenance))
     print(_describe(estimate))
@@ -167,8 +178,8 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> None:
         if not args.n0.any():
             parser.error("--n0 must be nonzero")
     config = _config_from_args(args)  # a usage error comes before reading the log
-    motions = register_sequence(read_marker_log(args.log))
-    _estimate(motions, kind, args.n0, config, args.strict, args.log, args.out)
+    log, digest = _read_log(args.log)
+    _estimate(register_sequence(log), kind, args.n0, config, args.strict, digest, args.out)
 
 
 def _direction_angle(estimate, truth) -> float:
@@ -210,9 +221,10 @@ def _cmd_roundtrip(args) -> int:
         log_path = workdir / "markers.json"
         report_path = workdir / "report.json"
         _simulate(config, log_path, workdir / "truth.json")
-        motions = _register(read_marker_log(log_path), workdir / "motions.json")
+        log, digest = _read_log(log_path)
+        motions = _register(log, workdir / "motions.json")
         _estimate(motions, config.contact.kind, getattr(config.contact, "surface_normal", None),
-                  estimator_config, False, log_path, report_path)
+                  estimator_config, False, digest, report_path)
 
         estimate = read_report(report_path).estimate
         name = config.name or Path(args.scenario).stem
@@ -249,6 +261,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"tacloc: cannot read or write file: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except _FrameError as err:
+        print(f"tacloc: registration failed at frame {err.frame_index}: {err}", file=sys.stderr)
+        return EXIT_ESTIMATION
     except TaclocError as err:
         print(f"tacloc: estimation failed: {err}", file=sys.stderr)
         return EXIT_ESTIMATION

@@ -37,12 +37,14 @@ frame, and the readers check each frame_index and rms_error, and a log's
 units (its _of_stack checks neither index nor units, and a true index would
 pass the dense test); MotionSequence checks its own units.
 
-Every file is decoded by one json.loads call. A marker log is read
-frame by frame: the decoder's object_hook makes each frame's positions an
-array by _floats as its object closes, so at most one frame of Python
-floats is alive and no frame is checked twice; a list that _floats rejects
-stays for _array to report with the frame named. Other files are decoded
-without the hook, so a "positions" key
+Every reader takes a path or an open binary file, which it closes once
+read. Either is read as text mode reads a path, strict UTF-8 with universal
+newlines, and decoded by one json.loads call. read_marker_log alone passes
+_load an object_hook, _positions_array, which makes each frame's positions
+an array by _floats as its object closes, so at most one frame of Python
+floats is alive. The reader keeps that array, frame 0's too, so no frame is
+checked twice; a list that _floats rejects stays for _array to report with
+the frame named. The other readers pass no hook, so a "positions" key
 elsewhere, as in a report's provenance, reads back as the JSON it holds.
 """
 
@@ -55,6 +57,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass, fields
+from io import TextIOWrapper
 
 import numpy as np
 
@@ -221,17 +224,19 @@ def sha256_of_file(path) -> str:
 # ---------------------------------------------------------------------------
 # Typed reading.
 
-def _load(path, schema: str) -> dict:
-    """The document in path; in a marker log, each frame's positions made an
-    array by _positions_array."""
-    hook = _positions_array if schema == MARKER_LOG_SCHEMA else None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.loads(fh.read(), object_hook=hook)
-        except json.JSONDecodeError as err:
-            raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
-        except (ValueError, RecursionError) as err:  # bad UTF-8, an over-long integer, deep nesting
-            raise ParseError(str(err)) from err
+def _load(source, schema: str, hook=None) -> dict:
+    """The document in source, a path or an open binary file (closed once read), read as
+    strict UTF-8 with universal newlines, and decoded with hook as each object's object_hook."""
+    fh = (TextIOWrapper(source, encoding="utf-8") if hasattr(source, "read")
+          else open(source, "r", encoding="utf-8"))
+    try:
+        with fh:
+            text = fh.read()
+        data = json.loads(text, object_hook=hook)  # after close frees an in-memory file's bytes
+    except json.JSONDecodeError as err:
+        raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
+    except (ValueError, RecursionError) as err:  # bad UTF-8, an over-long integer, deep nesting
+        raise ParseError(str(err)) from err
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object at top level, got {type(data).__name__}")
     found = data.get("schema")
@@ -322,7 +327,7 @@ def write_marker_log(path, log: MarkerLog) -> None:
 
 
 def read_marker_log(path) -> MarkerLog:
-    data = _load(path, MARKER_LOG_SCHEMA)
+    data = _load(path, MARKER_LOG_SCHEMA, _positions_array)
     units = _require(data, "units", "marker log", str)
     raw_frames = _entries(data, "frames", "marker log")
     shape = (None, 3)
@@ -330,8 +335,8 @@ def read_marker_log(path) -> MarkerLog:
         index = _require(raw, "frame_index", f"frame {i}", int)
         if index != i:
             raise ParseError(f"frame {i}: frame indices must be dense from 0, got {index}")
-        arr = raw.get("positions")  # an array once the hook has checked it
-        if not (isinstance(arr, np.ndarray) and arr.shape == shape):  # no second check of it
+        arr = raw.get("positions")  # an array only if the hook checked it as (m, 3)
+        if not (isinstance(arr, np.ndarray) and (i == 0 or arr.shape == shape)):
             arr = _array(raw, "positions", f"frame {i}", shape, "marker")
         if i == 0:  # later frames must have frame 0's shape, so one marker count
             shape, positions = arr.shape, np.empty((len(raw_frames),) + arr.shape)

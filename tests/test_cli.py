@@ -3,10 +3,15 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
+import threading
 import warnings
 from importlib import resources
 
@@ -223,6 +228,55 @@ def test_estimation_failure_exits_4(tmp_path, capsys):
         assert "estimation failed" in capsys.readouterr().err
     # registering a single frame is not an estimate: it succeeds
     assert main(["register", "--log", str(log), "--out", str(tmp_path / "m.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["register", "estimate"])
+def test_a_registration_failure_names_registration_and_its_frame(tmp_path, capsys, command):
+    grid = MarkerGrid().reference_positions()[:2]
+    log = tmp_path / "two_markers.json"
+    write_marker_log(log, MarkerLog((MarkerFrame(grid, 0), MarkerFrame(grid + 0.1, 1))))
+    args = [command, "--log", str(log), "--out", str(tmp_path / "out.json")]
+    assert main(args + (["--type", "point"] if command == "estimate" else [])) == 4
+    assert capsys.readouterr().err == ("tacloc: registration failed at frame 0: "
+                                       "need at least 3 markers, got 2\n")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def _input_sha256(report) -> str:
+    return json.loads(pathlib.Path(report).read_text())["provenance"]["input_sha256"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named FIFOs")
+def test_estimate_reads_a_named_fifo_once_and_records_its_hash(tmp_path):
+    log, fifo, out = simulate(tmp_path), tmp_path / "fifo", tmp_path / "report.json"
+    os.mkfifo(fifo)
+    # one writer, as a shell redirect gives: a second open of the FIFO would wait for ever
+    writer = threading.Thread(target=lambda: fifo.write_bytes(log.read_bytes()), daemon=True)
+    writer.start()
+    src = pathlib.Path(cli.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-m", "tacloc.cli", "estimate", "--type", "point",
+                          "--log", str(fifo), "--out", str(out)],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=60)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert run.returncode == 0, run.stderr
+    assert _input_sha256(out) == _sha256(log)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_estimate_from_a_pipe_records_the_hash_of_the_bytes_it_read(tmp_path):
+    log, out = simulate(tmp_path), tmp_path / "report.json"
+    with subprocess.Popen(["cat", str(log)], stdout=subprocess.PIPE) as cat:
+        assert main(["estimate", "--type", "point", "--log", f"/dev/fd/{cat.stdout.fileno()}",
+                     "--out", str(out)]) == 0
+    assert _input_sha256(out) == _sha256(log)
+    assert main(["estimate", "--type", "point", "--log", str(log),
+                 "--out", str(tmp_path / "from_file.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "from_file.json").read_bytes()
 
 
 def small_angle_log(tmp_path, name):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from tacloc import motion
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     EstimateReport, EstimatorConfig, FixedPointContact, MarkerFrame, MarkerGrid,
                     MarkerLog, MotionSequence, MotionStep, NonFiniteValue, ParseError,
@@ -295,6 +297,59 @@ def test_reading_a_marker_log_holds_about_twice_its_text(tmp_path):
         peak = _traced_peak(lambda: read_marker_log(path))
         assert peak < 2.5 * path.stat().st_size, peak / path.stat().st_size
         assert read_marker_log(path).positions.tobytes() == stack.tobytes()
+
+
+def test_reading_a_marker_log_converts_each_frame_once(tmp_path, monkeypatch):
+    path, log = tmp_path / "log.json", _log(3)
+    write_marker_log(path, log)
+    calls = []
+    floats = motion._floats
+    monkeypatch.setattr(motion, "_floats", lambda *args: calls.append(args[1]) or floats(*args))
+    assert read_marker_log(path).positions.tobytes() == log.positions.tobytes()
+    assert len(calls) == 3, calls
+
+
+# A hand-written log, one line per list entry; the bad one lacks the comma after [1, 0, 0].
+HAND_WRITTEN_LOG = ['{"schema": "tacloc.marker_log/1",', ' "units": "mm",', ' "frames": [',
+                    '  {"frame_index": 0, "positions": [[0, 0, 0], [1, 0, 0], [0, 1, 0.5]]},',
+                    '  {"frame_index": 1, "positions": [[0, 0, 1], [1, 0, 1], [0, 1, 1.5]]}',
+                    ' ]', '}', '']
+
+
+@pytest.mark.parametrize("source", ["path", "binary_file"])
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_a_log_with_other_line_ends_reads_and_fails_as_text_mode_reads_it(tmp_path, newline,
+                                                                           source):
+    def read(lines):
+        data = newline.join(lines).encode()
+        path = tmp_path / "log.json"
+        path.write_bytes(data)
+        return read_marker_log(path if source == "path" else io.BytesIO(data))
+
+    assert read(HAND_WRITTEN_LOG).positions.tolist() == [
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0.5]], [[0, 0, 1], [1, 0, 1], [0, 1, 1.5]]]
+    bad = [line.replace("[1, 0, 0],", "[1, 0, 0]") for line in HAND_WRITTEN_LOG]
+    with pytest.raises(ParseError) as excinfo:  # text mode counts a bare CR as a line end
+        read(bad)
+    assert (str(excinfo.value), excinfo.value.line, excinfo.value.column) == (
+        "Expecting ',' delimiter", 4, 57)
+
+
+def test_every_reader_reads_an_open_binary_file_as_its_path(tmp_path):
+    workdir = tmp_path / "work"
+    assert main(["roundtrip", "--scenario", str(bundled_scenario("box_on_edge")),
+                 "--workdir", str(workdir)]) == 0
+    files = [(read_marker_log, write_marker_log, workdir / "markers.json"),
+             (read_motion_sequence, write_motion_sequence, workdir / "motions.json"),
+             (read_truth, write_truth, workdir / "truth.json"),
+             (read_report, write_report, workdir / "report.json"),
+             (read_scenario, write_scenario, bundled_scenario("box_on_edge"))]
+    for read, write, path in files:
+        with open(path, "rb") as fh:
+            value = read(fh)
+            assert fh.closed
+        write(tmp_path / "again.json", value)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), path.name
 
 
 def test_motion_reader_accepts_only_integer_frame_indices(tmp_path):
