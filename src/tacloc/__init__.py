@@ -21,10 +21,10 @@ from .estimators import (ConditioningReport, ContactEstimate, ContactKind,
                          estimate_line_direction, estimate_line_point,
                          fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals, propagate_plane)
-from .io import (EstimateReport, read_marker_log, read_motion_sequence,
-                 read_report, read_scenario, read_truth, write_marker_log,
-                 write_motion_sequence, write_report, write_scenario,
-                 write_truth)
+from .io import (EstimateReport, Provenance, read_marker_log,
+                 read_motion_sequence, read_report, read_scenario, read_truth,
+                 write_marker_log, write_motion_sequence, write_report,
+                 write_scenario, write_truth)
 from .motion import (MarkerFrame, MarkerLog, MotionSequence, RelativeMotion,
                      compose, inverse, orthonormalize, rotation_about_axis,
                      rotation_angle)
@@ -56,6 +56,7 @@ __all__ = [
     "MotionStep",
     "NonFiniteValue",
     "ParseError",
+    "Provenance",
     "RankDeficientBeyondLine",
     "RegistrationResult",
     "RelativeMotion",

@@ -32,7 +32,7 @@ from .errors import (InvalidSchedule, NonFiniteValue, ParseError,
 from .estimators import (ContactKind, EstimatorConfig, estimate_fixed_direction,
                          estimate_fixed_point, estimate_line_contact)
 from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace it by this name
-from .io import (EstimateReport, read_marker_log, read_report, read_scenario,
+from .io import (EstimateReport, Provenance, read_marker_log, read_report, read_scenario,
                  write_marker_log, write_motion_sequence, write_report, write_truth)
 from .motion import MarkerLog, MotionSequence, _norm, _unit
 from .registration import register_sequence
@@ -147,8 +147,8 @@ def _estimate(motions: MotionSequence, kind: ContactKind, n0, config: EstimatorC
               strict: bool, input_sha256: str, out) -> None:
     """Estimate the contact from the motions and write its report; input_sha256 is their log's."""
     estimate = ESTIMATORS[kind](motions, n0, config, strict)
-    provenance = {"input_sha256": input_sha256, "tool_version": __version__,
-                  "frame_count": len(motions)}
+    provenance = Provenance(input_sha256=input_sha256, tool_version=__version__,
+                            frame_count=len(motions))
     write_report(out, EstimateReport(estimate=estimate, config=config, provenance=provenance))
     print(_describe(estimate))
 

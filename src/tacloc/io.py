@@ -20,22 +20,22 @@ An infinite condition number is stored as null (JSON has no Infinity) and
 restored to inf on read.
 
 Every number in a file must be a JSON number. A scenario, a truth contact
-and a report are written by _record and read by _from_record, its mirror:
-each field of the dataclass is a key of the file, in field order, and goes
-back to its constructor as the JSON holds it, inside _invalid, which names
-the record in any error. A writer names only the fields it writes in
-another form: a scenario's grid pose, contact and schedule, and a report's
-conditioning and per_frame_residuals (at the top level). So each scalar and
-each array is checked once, by motion._number, _integer or _floats. A reader
-checks a field first only where the constructor takes what a file would not
-read back as itself: dome_height as a number (None is MarkerGrid's default),
-noise_sigma as a list (a bare number is shorthand for three), tolerances and
-provenance as objects (dict() takes a list of pairs) and per_frame_residuals
-as a list (None is ContactEstimate's default). Motions and marker logs are
-read into stacks: _array checks each array by _floats, naming its motion or
-frame, and the readers check each frame_index and rms_error, and a log's
-units (its _of_stack checks neither index nor units, and a true index would
-pass the dense test); MotionSequence checks its own units.
+and a report's estimate, config and provenance are written by _record and
+read by _from_record, its mirror: each field of the dataclass is a key of the
+file, in field order, and goes back to its constructor as the JSON holds it,
+inside _invalid, which names the record in any error; a key that no field
+names is not read. A writer names only the fields it writes in another form:
+a scenario's grid pose, contact and schedule, and an estimate's conditioning
+and per_frame_residuals (at the report's top level). So each scalar and each
+array is checked once, by motion._number, _integer, _text or _floats. A
+reader checks a field first only where the constructor takes a shorthand
+that a file would not read back as itself: dome_height as a number (None is
+MarkerGrid's default) and noise_sigma as a list (a bare number is shorthand
+for three). Motions and marker logs are read into stacks: _array checks each
+array by _floats, naming its motion or frame, and the readers check each
+frame_index and rms_error, and a log's units (its _of_stack checks neither
+index nor units, and a true index would pass the dense test); MotionSequence
+checks its own units.
 
 Every reader takes a path or an open binary file, which it closes once
 read. Either is read as text mode reads a path, strict UTF-8 with universal
@@ -44,8 +44,7 @@ _load an object_hook, _positions_array, which makes each frame's positions
 an array by _floats as its object closes, so at most one frame of Python
 floats is alive. The reader keeps that array, frame 0's too, so no frame is
 checked twice; a list that _floats rejects stays for _array to report with
-the frame named. The other readers pass no hook, so a "positions" key
-elsewhere, as in a report's provenance, reads back as the JSON it holds.
+the frame named. The other readers pass no hook.
 """
 
 from __future__ import annotations
@@ -75,37 +74,34 @@ TRUTH_SCHEMA = "tacloc.truth/1"
 REPORT_SCHEMA = "tacloc.report/1"
 
 
+@dataclass(frozen=True)
+class Provenance:
+    """Where a report came from: the SHA-256 of the log its estimate read, the tacloc version
+    that wrote it and the log's frame count."""
+
+    input_sha256: str
+    tool_version: str
+    frame_count: int
+
+    def __post_init__(self):
+        motion._text(self.input_sha256, "input_sha256")
+        motion._text(self.tool_version, "tool_version")
+        if (count := motion._integer(self.frame_count, "frame_count")) < 0:
+            raise ValueError(f"frame_count must be nonnegative, got {motion._shown(count)}")
+
+
 @dataclass(frozen=True, eq=False)
 class EstimateReport:
     """An estimate plus everything needed to audit it."""
 
     estimate: ContactEstimate
     config: EstimatorConfig
-    provenance: dict
+    provenance: Provenance
 
     def __post_init__(self):
-        provenance = dict(self.provenance)
-        _check_json(provenance, "provenance")
-        object.__setattr__(self, "provenance", provenance)
-
-
-def _check_json(value, what: str) -> None:
-    """ValueError unless value is what a file reads back as itself: None, a bool, a string, a
-    finite number, or a list or a string-keyed dict of these (no tuple, array or NaN)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise ValueError(f"{what} keys must be strings, got {motion._shown(key)}")
-            _check_json(item, f"{what}[{key!r}]")
-    elif isinstance(value, list):
-        for k, item in enumerate(value):
-            _check_json(item, f"{what}[{k}]")
-    else:
-        try:
-            _scalar(value)  # as a writer writes it
-        except (TypeError, ValueError):  # a NaN, or an int too long to write as text
-            raise ValueError(f"{what} must be None, a bool, a string, a finite number, a list "
-                             f"or a dict, got {motion._shown(value)}") from None
+        if not isinstance(self.provenance, Provenance):
+            raise TypeError(f"provenance must be a Provenance, got "
+                            f"{type(self.provenance).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +432,7 @@ def read_scenario(path) -> ScenarioConfig:
                      for i, raw in enumerate(_entries(data, "schedule", "scenario")))
     return _from_record(ScenarioConfig, data, "scenario", grid=grid, schedule=schedule,
                         contact=_contact_from_dict(_require(data, "contact", "scenario")),
-                        noise_sigma=_require(data, "noise_sigma", "scenario", list),
-                        tolerances=_require(data, "tolerances", "scenario", dict))
+                        noise_sigma=_require(data, "noise_sigma", "scenario", list))
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +460,13 @@ def read_truth(path) -> ScenarioTruth:
 
 def write_report(path, report: EstimateReport) -> None:
     estimate = _record(report.estimate)
-    if (residuals := estimate.pop("per_frame_residuals")) is None:
-        raise ValueError("a report needs the estimate's per-frame residuals")
+    residuals = estimate.pop("per_frame_residuals")
     cond = estimate["conditioning"].condition_number
     estimate["conditioning"] = {**_record(estimate["conditioning"]),
                                 "condition_number": None if math.isinf(cond) else cond}
     _write_file(path, {"schema": REPORT_SCHEMA, "estimate": estimate,
                        "per_frame_residuals": residuals, "config": _record(report.config),
-                       "provenance": report.provenance})
+                       "provenance": _record(report.provenance)})
 
 
 def read_report(path) -> EstimateReport:
@@ -483,8 +477,7 @@ def read_report(path) -> EstimateReport:
     conditioning = _from_record(ConditioningReport, raw_cond, "conditioning",
                                 condition_number=math.inf if cond is None else cond)
     estimate = _from_record(ContactEstimate, raw_est, "estimate", conditioning=conditioning,
-                            per_frame_residuals=_require(data, "per_frame_residuals", "report",
-                                                         list))
+                            per_frame_residuals=_require(data, "per_frame_residuals", "report"))
     config = _from_record(EstimatorConfig, _require(data, "config", "report"), "config")
-    return _from_record(EstimateReport, data, "report", estimate=estimate, config=config,
-                        provenance=_require(data, "provenance", "report", dict))
+    provenance = _from_record(Provenance, _require(data, "provenance", "report"), "provenance")
+    return EstimateReport(estimate=estimate, config=config, provenance=provenance)

@@ -203,8 +203,10 @@ class ScenarioConfig:
             raise ValueError(f"seed must be nonnegative, got {_shown(seed)}")
         _text(self.name, "name")
         _text(self.units, "units")
+        if not isinstance(self.tolerances, dict):  # as read_scenario reads them back
+            raise ValueError(f"tolerances must be a dict, got {_shown(self.tolerances)}")
         tolerances = dict(self.tolerances)
-        for key, value in tolerances.items():  # each as read_scenario reads it back
+        for key, value in tolerances.items():
             if not isinstance(key, str):
                 raise ValueError(f"tolerance names must be strings, got {_shown(key)}")
             _number(value, f"tolerance {key!r}")

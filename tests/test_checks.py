@@ -9,8 +9,8 @@ import pytest
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EdgeContact,
                     EstimateReport, EstimatorConfig, FixedDirectionContact, FixedPointContact,
                     MarkerFrame, MarkerGrid, MarkerLog, MotionSequence, MotionStep,
-                    NonFiniteValue, RankDeficientBeyondLine, RegistrationResult, RelativeMotion,
-                    ScenarioConfig, estimate_line_point, fixed_direction_residuals,
+                    NonFiniteValue, Provenance, RankDeficientBeyondLine, RegistrationResult,
+                    RelativeMotion, ScenarioConfig, estimate_line_point, fixed_direction_residuals,
                     fixed_point_residuals, line_contact_residuals, orthonormalize,
                     propagate_plane, read_report, register_sequence, rotation_about_axis,
                     write_report)
@@ -37,8 +37,12 @@ def _estimate(residual_rms=0.25, per_frame_residuals=(0.25, 0.25), kind=ContactK
                            conditioning=_conditioning(), per_frame_residuals=per_frame_residuals)
 
 
-def _report(provenance):
-    return EstimateReport(estimate=_estimate(), config=EstimatorConfig(), provenance=provenance)
+PROVENANCE = Provenance(input_sha256="00" * 32, tool_version="0.1.0", frame_count=3)
+
+
+def _report(provenance=PROVENANCE, estimate=None):
+    return EstimateReport(estimate=estimate or _estimate(), config=EstimatorConfig(),
+                          provenance=provenance)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -95,6 +99,8 @@ def _report(provenance):
      "tolerance 'point_distance' must be a finite number, got 'x'"),
     (lambda: _scenario(tolerances={1: 0.1}), ValueError,
      "tolerance names must be strings, got 1"),
+    (lambda: _scenario(tolerances=[("point_distance", 0.1)]), ValueError,
+     "tolerances must be a dict, got [('point_distance', 0.1)]"),
     (lambda: _scenario(name=5), ValueError, "name must be a string, got 5"),
     (lambda: _scenario(units=3), ValueError, "units must be a string, got 3"),
     (lambda: _scenario(noise_sigma=True), ValueError,
@@ -122,11 +128,12 @@ def _report(provenance):
     (lambda: _conditioning(well_posed=1), ValueError, "well_posed must be a bool, got 1"),
     (lambda: _conditioning(max_rotation_angle=math.nan), ValueError,
      "max_rotation_angle must be a finite number, got nan"),
-    (lambda: _report({1: "a"}), ValueError, "provenance keys must be strings, got 1"),
-    (lambda: _report({"x": (1, 2)}), ValueError, "provenance['x'] must be None, a bool, a "
-     "string, a finite number, a list or a dict, got (1, 2)"),
-    (lambda: _report({"x": [{"y": math.nan}]}), ValueError, "provenance['x'][0]['y'] must be "
-     "None, a bool, a string, a finite number, a list or a dict, got nan"),
+    (lambda: _report({"input_sha256": "00" * 32, "tool_version": "0.1.0", "frame_count": 3}),
+     TypeError, "provenance must be a Provenance, got dict"),
+    (lambda: Provenance(input_sha256="ab", tool_version=1, frame_count=3), ValueError,
+     "tool_version must be a string, got 1"),
+    (lambda: Provenance(input_sha256="ab", tool_version="x", frame_count=-1), ValueError,
+     "frame_count must be nonnegative, got -1"),
     # each was taken, and its report then failed to write or did not read back
     (lambda: EstimatorConfig(angle_threshold=np.True_), ValueError,
      "angle_threshold must be a finite number, got np.True_"),
@@ -211,8 +218,6 @@ def _report(provenance):
      ValueError, "frame_index must be a nonnegative integer, got 'x'"),
     # each was taken, and its report then failed to write, or failed inside its error message
     (lambda: _estimate(kind="pivot"), ValueError, "'pivot' is not a valid ContactKind"),
-    (lambda: _report({"x": 10**5000}), ValueError, "provenance['x'] must be None, a bool, a "
-     "string, a finite number, a list or a dict, got an int too long to write"),
     # each was taken: a zero direction read as a fixed one, a scaled one scaled the residuals
     (lambda: fixed_point_residuals(MOTIONS, (math.nan, 0, 0)), NonFiniteValue,
      "point: non-finite value at entry 0"),
@@ -237,12 +242,13 @@ def _report(provenance):
         "negative_fit_rms", "covariance_rank_above_3", "non_finite_angle",
         "non_finite_slide", "unknown_contact_type", "bool_angle", "bool_slide", "bool_pitch",
         "bool_dome_height", "bool_seed", "fractional_seed", "bool_tolerance", "nan_tolerance",
-        "str_tolerance", "int_tolerance_name", "int_name", "int_units", "bool_noise_sigma",
+        "str_tolerance", "int_tolerance_name", "tolerance_pairs", "int_name", "int_units",
+        "bool_noise_sigma",
         "bool_motion_index", "bool_frame_index", "bool_index_in_a_stack", "bool_rms_error",
         "int_sequence_units", "int_log_units", "str_grid", "bool_residual_rms",
         "bool_smallest_singular_value", "bool_condition_number", "int_well_posed",
-        "nan_max_rotation_angle", "int_provenance_key", "tuple_provenance_value",
-        "nan_provenance_value", "numpy_bool_threshold", "huge_int_threshold",
+        "nan_max_rotation_angle", "dict_provenance", "int_tool_version",
+        "negative_frame_count", "numpy_bool_threshold", "huge_int_threshold",
         "huge_int_condition_number", "inf_residual_rms", "nan_per_frame_residual", "str_angle",
         "huge_int_angle", "str_pitch", "huge_int_pitch", "int_pitch_too_large_to_square",
         "str_max_rotation_angle",
@@ -253,7 +259,7 @@ def _report(provenance):
         "2d_per_frame_residuals", "str_noise_sigma", "huge_int_noise_sigma", "huge_int_point",
         "ragged_noise_sigma", "str_motion_index", "none_motion_index", "str_frame_index",
         "huge_float_motion_index", "float_motion_index", "float_index_in_a_stack",
-        "str_index_in_a_stack", "str_estimate_kind", "huge_int_provenance_value",
+        "str_index_in_a_stack", "str_estimate_kind",
         "nan_residual_point", "short_residual_point", "zero_residual_direction",
         "long_residual_direction", "long_residual_surface_normal", "inf_residual_line_point",
         "frame_without_markers"])
@@ -293,7 +299,8 @@ REPEATED = [*range(6), 5, *range(7, 2001)]
      "tolerance names must be strings, got an int too long to write"),
     (lambda: _scenario(tolerances={(HUGE,): 0.1}),
      "tolerance names must be strings, got a value too long to write"),
-    (lambda: _report({HUGE: "a"}), "provenance keys must be strings, got an int too long to write"),
+    (lambda: Provenance(input_sha256="ab", tool_version="x", frame_count=-HUGE),
+     "frame_count must be nonnegative, got an int too long to write"),
     (lambda: MotionSequence((RelativeMotion.identity(HUGE), RelativeMotion.identity(1))),
      "frame_index must be strictly increasing, got a value too long to write"),
     (lambda: MarkerLog((MarkerFrame(GRID, 0), MarkerFrame(GRID, HUGE))),
@@ -303,7 +310,7 @@ REPEATED = [*range(6), 5, *range(7, 2001)]
     (lambda: MarkerLog([MarkerFrame(GRID, k) for k in REPEATED]),
      f"frame indices must be dense from 0, got {str(REPEATED):.40}"),
 ], ids=["angle", "seed_in_a_list", "negative_seed", "frame_index", "name", "long_name",
-        "well_posed", "tolerance_name", "tolerance_name_tuple", "provenance_key",
+        "well_posed", "tolerance_name", "tolerance_name_tuple", "negative_frame_count",
         "sequence_index_list", "log_index_list", "long_sequence_index_list",
         "long_log_index_list"])
 def test_an_error_shows_a_value_repr_cannot_and_names_its_field(call, message):
@@ -343,6 +350,8 @@ SCALAR_FIELDS = {
                       False, 0.5),
     "marker_covariance_rank": (lambda v: RegistrationResult(RelativeMotion.identity(), 0.0, v),
                                "marker_covariance_rank", True, 3),
+    "frame_count": (lambda v: Provenance(input_sha256="ab", tool_version="x", frame_count=v),
+                    "frame_count", True, 3),
 }
 
 NOT_NUMBERS = {"true": True, "numpy_true": np.True_, "nan": math.nan, "inf": math.inf,
@@ -382,14 +391,15 @@ def test_numpy_numbers_are_still_taken():
         make(np.int64(value) if integer else np.float32(value))
 
 
-def test_an_accepted_provenance_writes_back_byte_for_byte(tmp_path):
-    provenance = {"none": None, "flag": np.bool_(True), "text": "a", "count": np.int64(3),
-                  "zero": -0.0, "float": np.float32(0.1), "nested": [1, [2.5, False], {"k": []}]}
+def test_a_numpy_provenance_reads_back_as_python_values_and_writes_back_byte_for_byte(tmp_path):
+    provenance = Provenance(input_sha256=np.str_("ab"), tool_version="x",
+                            frame_count=np.int64(3))
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     write_report(first, _report(provenance))
-    back = read_report(first)
-    assert back.provenance == provenance
-    write_report(second, back)
+    back = read_report(first).provenance
+    assert back == Provenance(input_sha256="ab", tool_version="x", frame_count=3)
+    assert type(back.input_sha256) is str and type(back.frame_count) is int
+    write_report(second, _report(back))
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -397,7 +407,7 @@ def test_an_estimate_stores_its_kind_as_a_contact_kind(tmp_path):
     estimate = _estimate(kind="fixed_point")
     assert estimate.kind is ContactKind.FIXED_POINT
     path = tmp_path / "report.json"
-    write_report(path, EstimateReport(estimate=estimate, config=EstimatorConfig(), provenance={}))
+    write_report(path, _report(estimate=estimate))
     assert read_report(path).estimate.kind is ContactKind.FIXED_POINT
 
 

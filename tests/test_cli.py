@@ -57,9 +57,10 @@ def test_simulate_register_estimate_pipeline(tmp_path):
                  "--out", str(report_path)]) == 0
     report = read_report(report_path)
     np.testing.assert_allclose(report.estimate.point, [1.5, -2.0, 4.0], atol=1e-9)
-    assert report.provenance["frame_count"] == 6
+    assert report.provenance.frame_count == 6
     assert len(report.estimate.per_frame_residuals) == 5
-    assert len(report.provenance["input_sha256"]) == 64
+    assert report.provenance.input_sha256 == _sha256(log)
+    assert report.provenance.tool_version == __version__
 
 
 def test_estimate_report_matches_library_result_exactly(tmp_path):
@@ -490,8 +491,8 @@ def test_mutated_marker_log_exits_0_or_3_without_traceback(where, delete, value)
 
 def test_estimate_n0_is_normalized_as_the_library_normalizes_it(tmp_path):
     # 0.1,0.2,5 is not within 1e-12 of unit length, so --n0 is divided by its norm
-    from tacloc import (EstimateReport, EstimatorConfig, __version__, estimate_line_contact,
-                        read_marker_log, register_sequence, write_report)
+    from tacloc import (EstimateReport, EstimatorConfig, Provenance, __version__,
+                        estimate_line_contact, read_marker_log, register_sequence, write_report)
     from tacloc.io import sha256_of_file
 
     log_path = simulate(tmp_path, "box_on_edge")
@@ -504,8 +505,8 @@ def test_estimate_n0_is_normalized_as_the_library_normalizes_it(tmp_path):
     write_report(expected, EstimateReport(
         estimate=estimate_line_contact(motions, n0 / np.linalg.norm(n0)),
         config=EstimatorConfig(),
-        provenance={"input_sha256": sha256_of_file(log_path), "tool_version": __version__,
-                    "frame_count": len(motions)}))
+        provenance=Provenance(input_sha256=sha256_of_file(log_path), tool_version=__version__,
+                              frame_count=len(motions))))
     assert out.read_bytes() == expected.read_bytes()
 
 

@@ -24,14 +24,14 @@ from hypothesis import given, settings
 from tacloc import motion
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     EstimateReport, EstimatorConfig, FixedPointContact, MarkerFrame, MarkerGrid,
-                    MarkerLog, MotionSequence, MotionStep, NonFiniteValue, ParseError,
+                    MarkerLog, MotionSequence, MotionStep, NonFiniteValue, ParseError, Provenance,
                     RelativeMotion, ScenarioConfig, ScenarioTruth, SchemaVersionMismatch, generate,
                     read_marker_log, read_motion_sequence, read_report, read_scenario,
                     read_truth, register_sequence, write_marker_log, write_motion_sequence,
                     write_report, write_scenario, write_truth)
 from tacloc.cli import main
-from tacloc.io import (_HASH_BLOCK, _array, _entries, _number, _require, dumps,
-                       sha256_of_file)
+from tacloc.io import (_HASH_BLOCK, _array, _entries, _number, _positions_array, _require,
+                       dumps, sha256_of_file)
 
 GOLDEN_LOG = textwrap.dedent("""\
     {
@@ -518,6 +518,9 @@ def test_truth_file_keeps_its_units(tmp_path):
             read_truth(p2)
 
 
+PROVENANCE = Provenance(input_sha256="00" * 32, tool_version="0.1.0", frame_count=3)
+
+
 def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     estimate = ContactEstimate(
         kind=ContactKind.FIXED_POINT, point=np.array([1.0, 2.0, 3.0]), direction=None,
@@ -526,9 +529,7 @@ def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
                                         smallest_singular_value=0.0,
                                         condition_number=math.inf,
                                         well_posed=False))
-    report = EstimateReport(estimate=estimate, config=EstimatorConfig(),
-                            provenance={"input_sha256": "00" * 32,
-                                        "tool_version": "0.1.0", "frame_count": 3})
+    report = EstimateReport(estimate=estimate, config=EstimatorConfig(), provenance=PROVENANCE)
     path = tmp_path / "report.json"
     write_report(path, report)
     assert json.loads(path.read_text())["estimate"]["conditioning"]["condition_number"] is None
@@ -555,7 +556,7 @@ def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     ("config", "cond_threshold", False),
     ("config", "rank_tolerance", [1e-8]),
     ("report", "per_frame_residuals", {}),
-    ("report", "per_frame_residuals", None),  # ContactEstimate's default, which no report holds
+    ("report", "per_frame_residuals", None),
     ("report", "provenance", "ab"),
     ("report", "provenance", []),
     ("report", "per_frame_residuals", ["0.5", 0.1]),
@@ -595,16 +596,16 @@ def test_a_report_direction_too_long_to_square_is_rejected_without_a_warning(tmp
             read_report(bad)
 
 
-def test_report_needs_the_estimates_residuals(tmp_path):
-    estimate = ContactEstimate(
-        kind=ContactKind.FIXED_POINT, point=np.zeros(3), direction=None, residual_rms=0.25,
-        conditioning=ConditioningReport(max_rotation_angle=1.0, smallest_singular_value=1.0,
-                                        condition_number=1.0, well_posed=True))
-    assert estimate.per_frame_residuals is None
-    report = EstimateReport(estimate=estimate, config=EstimatorConfig(), provenance={})
-    with pytest.raises(ValueError, match="per-frame residuals"):
-        write_report(tmp_path / "report.json", report)
-    assert not (tmp_path / "report.json").exists()
+def test_an_estimate_needs_its_per_frame_residuals():
+    fields = dict(kind=ContactKind.FIXED_POINT, point=np.zeros(3), direction=None,
+                  residual_rms=0.25,
+                  conditioning=ConditioningReport(max_rotation_angle=1.0,
+                                                  smallest_singular_value=1.0,
+                                                  condition_number=1.0, well_posed=True))
+    with pytest.raises(TypeError, match="per_frame_residuals"):
+        ContactEstimate(**fields)
+    with pytest.raises(ValueError, match="per_frame_residuals is not numeric"):
+        ContactEstimate(**fields, per_frame_residuals=None)  # as no report holds them
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -629,7 +630,7 @@ def test_a_numpy_integer_min_frames_round_trips_through_a_report(tmp_path):
         conditioning=ConditioningReport(max_rotation_angle=0.5, smallest_singular_value=1.0,
                                         condition_number=2.0, well_posed=True))
     path = tmp_path / "report.json"
-    write_report(path, EstimateReport(estimate=estimate, config=config, provenance={}))
+    write_report(path, EstimateReport(estimate=estimate, config=config, provenance=PROVENANCE))
     assert json.loads(path.read_text())["config"]["min_frames"] == 4
     assert read_report(path).config == EstimatorConfig(min_frames=4, cond_threshold=1e5)
 
@@ -643,8 +644,8 @@ def test_report_of_line_estimate_round_trips(tmp_path):
     est = estimate_line_contact(motions, n0)
     assert np.array_equal(est.per_frame_residuals, line_contact_residuals(motions, n0, est.point))
     report = EstimateReport(estimate=est, config=EstimatorConfig(),
-                            provenance={"input_sha256": "ab", "tool_version": "x",
-                                        "frame_count": len(frames)})
+                            provenance=Provenance(input_sha256="ab", tool_version="x",
+                                                  frame_count=len(frames)))
     path = tmp_path / "report.json"
     write_report(path, report)
     back = read_report(path)
@@ -878,10 +879,12 @@ def test_integers_beyond_64_bits_are_rejected_in_arrays(roundtrip_files, tmp_pat
     ("pivot_point", ["grid", "rows"], 1, "grid: grid needs at least 2 rows and 2 cols"),
     ("pivot_point", ["grid", "pitch"], 0, "grid: pitch must be positive"),
     ("pivot_point", ["grid", "pitch"], 1e300, "grid: grid extent 1e+301 is too large"),
+    ("pivot_point", ["tolerances"], [["point_distance", 0.05]],
+     "scenario: tolerances must be a dict, got [['point_distance', 0.05]]"),
 ], ids=["unknown_contact_kind", "edge_normal_along_edge", "zero_axis", "direction_not_unit",
         "min_frames_zero", "line_report_without_point", "point_report_with_direction",
         "unknown_estimate_kind", "negative_residual_rms", "one_grid_row", "zero_pitch",
-        "overflowing_grid"])
+        "overflowing_grid", "tolerance_pairs"])
 def test_a_value_its_type_rejects_is_a_parse_error_naming_its_context(
         roundtrip_files, tmp_path, source, path, value, message):
     doc = _document(roundtrip_files, source)
@@ -893,8 +896,7 @@ def test_a_value_its_type_rejects_is_a_parse_error_naming_its_context(
 
 @pytest.mark.parametrize("key, value", [
     ("noise_sigma", 0.01),  # ScenarioConfig's shorthand for three equal ones
-    ("tolerances", [["point_distance", 0.05]]),  # dict() takes the pairs
-], ids=["bare_noise_sigma", "tolerance_pairs"])
+], ids=["bare_noise_sigma"])
 def test_a_value_the_scenario_takes_but_its_file_cannot_hold_is_a_parse_error(
         roundtrip_files, tmp_path, key, value):
     doc = _document(roundtrip_files, "pivot_point")
@@ -999,6 +1001,7 @@ def test_scenario_and_report_keys_follow_their_dataclass_fields(roundtrip_files,
     _assert_keys_in_field_order(report["estimate"]["conditioning"], ConditioningReport,
                                 "conditioning")
     _assert_keys_in_field_order(report["config"], EstimatorConfig, "config")
+    _assert_keys_in_field_order(report["provenance"], Provenance, "provenance")
 
 
 def test_every_file_kind_reads_and_writes_back_byte_for_byte(roundtrip_files, tmp_path):
@@ -1018,22 +1021,43 @@ def test_failed_write_leaves_the_file_as_it_was(roundtrip_files, tmp_path):
     path.write_bytes((roundtrip_files / "report.json").read_bytes())
     report = read_report(path)
     before = path.read_bytes()
-    bad = EstimateReport(estimate=report.estimate, config=report.config,
-                         provenance=report.provenance)
+    provenance = dataclasses.replace(report.provenance)
     # set past the constructor, which rejects a NaN: the render must fail before the file opens
-    object.__setattr__(bad, "provenance", {**report.provenance, "note": float("nan")})
+    object.__setattr__(provenance, "frame_count", float("nan"))
+    bad = EstimateReport(estimate=report.estimate, config=report.config, provenance=provenance)
     with pytest.raises(NonFiniteValue):
         write_report(path, bad)
     assert path.read_bytes() == before
 
 
-def test_a_provenance_no_report_can_hold_is_a_parse_error(roundtrip_files, tmp_path):
+MISSING = object()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("frame_count", MISSING, "provenance is missing 'frame_count'"),
+    ("frame_count", "6", "provenance: frame_count must be an integer, got '6'"),
+    ("frame_count", -1, "provenance: frame_count must be nonnegative, got -1"),
+    ("frame_count", True, "provenance: frame_count must be an integer, got True"),
+    ("tool_version", 1, "provenance: tool_version must be a string, got 1"),
+], ids=["missing_frame_count", "str_frame_count", "negative_frame_count", "bool_frame_count",
+        "int_tool_version"])
+def test_a_provenance_its_record_rejects_is_a_parse_error_naming_provenance(
+        roundtrip_files, tmp_path, key, value, message):
     doc = _document(roundtrip_files, "report")
-    doc["provenance"]["note"] = [float("nan")]  # json writes NaN, and reads it back
+    if value is MISSING:
+        del doc["provenance"][key]
+    else:
+        doc["provenance"][key] = value
     with pytest.raises(ParseError) as excinfo:
         _read(doc, tmp_path)
-    assert str(excinfo.value) == ("report: provenance['note'][0] must be None, a bool, a string, "
-                                  "a finite number, a list or a dict, got nan")
+    assert str(excinfo.value) == message
+
+
+def test_a_provenance_key_that_no_field_names_is_dropped(roundtrip_files, tmp_path):
+    doc = _document(roundtrip_files, "report")
+    provenance = Provenance(**doc["provenance"])
+    doc["provenance"]["note"] = [float("nan")]  # json writes NaN, and reads it back
+    assert _read(doc, tmp_path).provenance == provenance
 
 
 # ---------------------------------------------------------------------------
@@ -1045,18 +1069,19 @@ def _log(frame_count):
                            for k in range(frame_count)))
 
 
-def _report(frame_count, provenance):
+def _report(frame_count, tool_version="0.1.0"):
     estimate = ContactEstimate(
         kind=ContactKind.FIXED_POINT, point=np.array([1.0, 2.0, 3.0]), direction=None,
         residual_rms=0.25, per_frame_residuals=np.linspace(0.0, 1.0, frame_count),
         conditioning=ConditioningReport(max_rotation_angle=1.0, smallest_singular_value=1.0,
                                         condition_number=1.0, well_posed=True))
+    provenance = dataclasses.replace(PROVENANCE, tool_version=tool_version)
     return EstimateReport(estimate=estimate, config=EstimatorConfig(), provenance=provenance)
 
 
 @pytest.mark.parametrize("writer, long, short", [
     (write_marker_log, _log(100), _log(2)),
-    (write_report, _report(500, {"note": "x" * 5000}), _report(2, {})),
+    (write_report, _report(500, "x" * 5000), _report(2)),
 ], ids=["marker_log", "report"])
 def test_a_shorter_document_over_a_longer_file_leaves_no_tail(tmp_path, writer, long, short):
     path, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
@@ -1082,7 +1107,7 @@ def test_a_fifo_receives_the_whole_document(tmp_path):
 
 
 def test_dev_null_is_a_target():
-    write_report(os.devnull, _report(3, {}))
+    write_report(os.devnull, _report(3))
     assert main(["simulate", "--scenario", str(bundled_scenario("pivot_point")),
                  "--out", os.devnull, "--truth", os.devnull]) == 0
 
@@ -1101,9 +1126,9 @@ def test_permission_bits_are_kept_and_a_new_file_gets_those_open_gives(tmp_path)
     existing, new, plain = tmp_path / "existing.json", tmp_path / "new.json", tmp_path / "p"
     existing.write_text("x" * 10000)
     existing.chmod(0o640)
-    write_report(existing, _report(2, {}))
+    write_report(existing, _report(2))
     assert stat.S_IMODE(existing.stat().st_mode) == 0o640
-    write_report(new, _report(2, {}))
+    write_report(new, _report(2))
     with open(plain, "w"):
         pass
     assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
@@ -1116,15 +1141,22 @@ def test_a_directory_as_out_exits_3(tmp_path, capsys):
     assert "cannot read or write file" in capsys.readouterr().err
 
 
-def test_a_positions_key_outside_a_marker_log_reads_back_as_json(tmp_path):
-    provenance = {"extra": {"positions": [[12345678901234567891, 0.5]]}}
-    first, second = tmp_path / "first.json", tmp_path / "second.json"
-    write_report(first, _report(3, provenance))
-    back = read_report(first)
-    assert back.provenance == provenance
-    assert type(back.provenance["extra"]["positions"]) is list
-    write_report(second, back)
-    assert second.read_bytes() == first.read_bytes()
+def test_only_the_marker_log_reader_decodes_with_the_positions_hook(roundtrip_files,
+                                                                    monkeypatch):
+    decoded = []
+
+    def spy(obj):
+        decoded.append("positions" in obj)
+        return _positions_array(obj)
+
+    monkeypatch.setattr("tacloc.io._positions_array", spy)
+    read_scenario(bundled_scenario("box_on_edge"))
+    for reader, name in ((read_truth, "truth"), (read_motion_sequence, "motions"),
+                         (read_report, "report")):
+        reader(roundtrip_files / f"{name}.json")
+    assert decoded == []
+    log = read_marker_log(roundtrip_files / "markers.json")
+    assert decoded == [True] * len(log) + [False]  # each frame's object, then the document
 
 
 def _traced_peak(call) -> int:
