@@ -79,7 +79,7 @@ class ContactEstimate:
     FIXED_POINT carries `point` only, FIXED_DIRECTION carries `direction`
     only, LINE carries both (point = closest point on the edge to the
     origin). per_frame_residuals holds the constraint residual at each moving
-    frame; residual_rms is their RMS.
+    frame (None if not recorded: no report then); residual_rms is their RMS.
     """
 
     kind: ContactKind
@@ -87,7 +87,7 @@ class ContactEstimate:
     direction: np.ndarray | None
     residual_rms: float
     conditioning: ConditioningReport
-    per_frame_residuals: np.ndarray
+    per_frame_residuals: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ContactKind(self.kind))
@@ -104,8 +104,9 @@ class ContactEstimate:
             if abs((norm := _norm(direction)) - 1.0) > _STORED_UNIT_TOL:
                 raise ValueError(f"direction must be unit norm, got |d| = {norm}")
             object.__setattr__(self, "direction", _readonly(direction))
-        residuals = _floats(self.per_frame_residuals, "per_frame_residuals", (None,))
-        object.__setattr__(self, "per_frame_residuals", _readonly(residuals))
+        if self.per_frame_residuals is not None:
+            residuals = _floats(self.per_frame_residuals, "per_frame_residuals", (None,))
+            object.__setattr__(self, "per_frame_residuals", _readonly(residuals))
         if _number(self.residual_rms, "residual_rms") < 0.0:
             raise ValueError(f"residual_rms must be nonnegative, got {self.residual_rms}")
 

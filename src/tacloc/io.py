@@ -28,14 +28,15 @@ names is not read. A writer names only the fields it writes in another form:
 a scenario's grid pose, contact and schedule, and an estimate's conditioning
 and per_frame_residuals (at the report's top level). So each scalar and each
 array is checked once, by motion._number, _integer, _text or _floats. A
-reader checks a field first only where the constructor takes a shorthand
-that a file would not read back as itself: dome_height as a number (None is
-MarkerGrid's default) and noise_sigma as a list (a bare number is shorthand
-for three). Motions and marker logs are read into stacks: _array checks each
-array by _floats, naming its motion or frame, and the readers check each
-frame_index and rms_error, and a log's units (its _of_stack checks neither
-index nor units, and a true index would pass the dense test); MotionSequence
-checks its own units.
+reader checks a field first only where the constructor takes what a file
+would not read back as itself: dome_height as a number (None is MarkerGrid's
+default), noise_sigma as a list (a bare number is shorthand for three) and
+per_frame_residuals as a list (None is ContactEstimate's default). Motions
+and marker logs are read into stacks: _array checks each array by _floats,
+naming its motion or frame, and the readers check each frame_index and
+rms_error, and a log's units (its _of_stack checks neither index nor units,
+and a true index would pass the dense test); MotionSequence checks its own
+units.
 
 Every reader takes a path or an open binary file, which it closes once
 read. Either is read as text mode reads a path, strict UTF-8 with universal
@@ -460,7 +461,8 @@ def read_truth(path) -> ScenarioTruth:
 
 def write_report(path, report: EstimateReport) -> None:
     estimate = _record(report.estimate)
-    residuals = estimate.pop("per_frame_residuals")
+    if (residuals := estimate.pop("per_frame_residuals")) is None:
+        raise ValueError("a report needs the estimate's per-frame residuals")
     cond = estimate["conditioning"].condition_number
     estimate["conditioning"] = {**_record(estimate["conditioning"]),
                                 "condition_number": None if math.isinf(cond) else cond}
@@ -477,7 +479,8 @@ def read_report(path) -> EstimateReport:
     conditioning = _from_record(ConditioningReport, raw_cond, "conditioning",
                                 condition_number=math.inf if cond is None else cond)
     estimate = _from_record(ContactEstimate, raw_est, "estimate", conditioning=conditioning,
-                            per_frame_residuals=_require(data, "per_frame_residuals", "report"))
+                            per_frame_residuals=_require(data, "per_frame_residuals", "report",
+                                                         list))
     config = _from_record(EstimatorConfig, _require(data, "config", "report"), "config")
     provenance = _from_record(Provenance, _require(data, "provenance", "report"), "provenance")
     return EstimateReport(estimate=estimate, config=config, provenance=provenance)

@@ -556,7 +556,7 @@ def test_report_round_trip_preserves_infinite_condition_number(tmp_path):
     ("config", "cond_threshold", False),
     ("config", "rank_tolerance", [1e-8]),
     ("report", "per_frame_residuals", {}),
-    ("report", "per_frame_residuals", None),
+    ("report", "per_frame_residuals", None),  # ContactEstimate's default, which no report holds
     ("report", "provenance", "ab"),
     ("report", "provenance", []),
     ("report", "per_frame_residuals", ["0.5", 0.1]),
@@ -596,16 +596,16 @@ def test_a_report_direction_too_long_to_square_is_rejected_without_a_warning(tmp
             read_report(bad)
 
 
-def test_an_estimate_needs_its_per_frame_residuals():
-    fields = dict(kind=ContactKind.FIXED_POINT, point=np.zeros(3), direction=None,
-                  residual_rms=0.25,
-                  conditioning=ConditioningReport(max_rotation_angle=1.0,
-                                                  smallest_singular_value=1.0,
-                                                  condition_number=1.0, well_posed=True))
-    with pytest.raises(TypeError, match="per_frame_residuals"):
-        ContactEstimate(**fields)
-    with pytest.raises(ValueError, match="per_frame_residuals is not numeric"):
-        ContactEstimate(**fields, per_frame_residuals=None)  # as no report holds them
+def test_report_needs_the_estimates_residuals(tmp_path):
+    estimate = ContactEstimate(
+        kind=ContactKind.FIXED_POINT, point=np.zeros(3), direction=None, residual_rms=0.25,
+        conditioning=ConditioningReport(max_rotation_angle=1.0, smallest_singular_value=1.0,
+                                        condition_number=1.0, well_posed=True))
+    assert estimate.per_frame_residuals is None
+    report = EstimateReport(estimate=estimate, config=EstimatorConfig(), provenance=PROVENANCE)
+    with pytest.raises(ValueError, match="per-frame residuals"):
+        write_report(tmp_path / "report.json", report)
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("field, value, message", [
