@@ -125,10 +125,13 @@ def _emit_float_array(arr: np.ndarray, depth: int) -> str:
     if arr.ndim == 2:
         pad = _INDENT * (depth + 1)
         text = "[\n" + ",\n".join([pad + text] * arr.shape[0]) + "\n" + _INDENT * depth + "]"
-    # "%.17g" writes -0.0 as -0, which reads as the integer 0; no other number
-    # ends in -0, as an exponent has at least two digits
     text %= tuple(arr.ravel().tolist())
-    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+    # "%.17g" writes -0.0 as -0, which reads as the integer 0; no other number
+    # ends in -0, as an exponent has at least two digits, so the text is
+    # rewritten only when the array holds a -0.0
+    if np.signbit(arr[arr == 0.0]).any():
+        text = text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+    return text
 
 
 def _scalar(value) -> str:

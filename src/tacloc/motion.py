@@ -129,7 +129,8 @@ def _floats(value, name: str, shape: tuple, rows: str = "entry") -> np.ndarray:
     if not isinstance(value, np.ndarray):  # numpy reads a bool as 1 or 0: scan where it read one
         entries = value
         if arr.ndim == 2:
-            suspect = np.flatnonzero(((arr == 0) | (arr == 1)).any(axis=1)).tolist()
+            # each row once, in order, from the flat index (np.unique would import numpy.ma)
+            suspect = dict.fromkeys((np.flatnonzero((arr == 0) | (arr == 1)) // arr.shape[1]).tolist())
             entries = chain.from_iterable(map(value.__getitem__, suspect))
         if not _BOOLS.isdisjoint(map(type, entries)):
             raise ValueError(f"{name} is not numeric: an entry is a boolean")

@@ -309,6 +309,50 @@ def test_reading_a_marker_log_converts_each_frame_once(tmp_path, monkeypatch):
     assert len(calls) == 3, calls
 
 
+# Where a boolean hides in a list of rows: (rows, cols, row, col). _floats scans only
+# the rows that its flat index of every 0 or 1 names.
+BOOLEAN_SPOTS = {"first_entry": (1600, 3, 0, 0), "middle_row_last": (1600, 3, 917, 2),
+                 "last_entry": (1600, 3, -1, -1), "rotation_last_row": (3, 3, 2, 0)}
+
+
+def _rows_with_a_boolean(spot):
+    n, cols, row, col = BOOLEAN_SPOTS[spot]
+    rows = np.random.default_rng(n).standard_normal((n, cols)).tolist()
+    rows[row][col] = True
+    return rows
+
+
+@pytest.mark.parametrize("spot", sorted(BOOLEAN_SPOTS))
+def test_a_boolean_anywhere_in_a_list_of_rows_is_rejected(spot):
+    rows = _rows_with_a_boolean(spot)
+    shape = (3, 3) if len(rows) == 3 else (None, 3)
+    with pytest.raises(ValueError, match="^rows is not numeric: an entry is a boolean$"):
+        motion._floats(rows, "rows", shape)
+
+
+@pytest.mark.parametrize("spot", sorted(s for s in BOOLEAN_SPOTS if BOOLEAN_SPOTS[s][0] > 3))
+def test_a_boolean_anywhere_in_a_logged_frame_names_the_frame(tmp_path, spot):
+    frames = [np.random.default_rng(0).standard_normal((1600, 3)).tolist(),
+              _rows_with_a_boolean(spot)]
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps({"schema": "tacloc.marker_log/1", "units": "mm", "frames": [
+        {"frame_index": k, "positions": rows} for k, rows in enumerate(frames)]}))
+    with pytest.raises(ParseError, match="^frame 1 'positions' is not numeric: "
+                                         "an entry is a boolean$"):
+        read_marker_log(path)
+
+
+def test_rows_of_exact_zeros_and_ones_are_accepted(tmp_path):
+    # a noiseless unit grid's frame 0: every row is a suspect, none holds a bool
+    grid = [[float(i % 2), float(i // 2 % 2), 0.0] for i in range(1600)]
+    assert motion._floats(grid, "grid", (None, 3)).tolist() == grid
+    assert motion._floats(np.eye(3).tolist(), "rotation", (3, 3)).tolist() == np.eye(3).tolist()
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps({"schema": "tacloc.marker_log/1", "units": "mm", "frames": [
+        {"frame_index": k, "positions": grid} for k in range(2)]}))
+    assert read_marker_log(path).positions.tolist() == [grid, grid]
+
+
 # A hand-written log, one line per list entry; the bad one lacks the comma after [1, 0, 0].
 HAND_WRITTEN_LOG = ['{"schema": "tacloc.marker_log/1",', ' "units": "mm",', ' "frames": [',
                     '  {"frame_index": 0, "positions": [[0, 0, 0], [1, 0, 0], [0, 1, 0.5]]},',
@@ -1302,6 +1346,31 @@ def test_non_finite_arrays_raise_the_reference_message(bad, shape):
             dumps({"v": arr})
         _assert_matches_reference(arr)
         _assert_matches_reference(arr.astype(np.float32))
+
+
+def _negative_zero_arrays():
+    """Arrays that take each path of the writer's -0 rewrite, or skip it."""
+    rng = np.random.default_rng(13)
+    last, middle = rng.standard_normal((1600, 3)), rng.standard_normal((1600, 3))
+    last[-1, -1] = -0.0  # written as "-0]"
+    middle[800, 0] = -0.0  # written as "-0,"
+    # -0.x, -1e-05 and the like, and +0.0: "%.17g" writes no -0 for any of them
+    none = -np.abs(rng.standard_normal((1600, 3))) * np.logspace(-12, 3, 1600)[:, None]
+    none[::5, 1], none[::7, 2] = -1e-05, 0.0
+    return {"last_entry": last, "opens_a_middle_row": middle, "no_negative_zero": none,
+            "last_entry_1d": last[-1], "first_entry_1d": middle[800],
+            "no_negative_zero_1d": none[:40].ravel()}
+
+
+@pytest.mark.parametrize("name", sorted(_negative_zero_arrays()))
+def test_negative_zero_is_written_as_the_reference_writes_it(name):
+    arr = _negative_zero_arrays()[name]
+    _assert_matches_reference(arr)
+    text = dumps({"v": arr})
+    written = {"-0.0]": "last_entry" in name, "-0.0,": name.startswith(("opens", "first"))}
+    assert {token: token in text for token in written} == written
+    assert "-0," not in text and "-0]" not in text
+    assert np.signbit(np.array(json.loads(text)["v"])).tolist() == np.signbit(arr).tolist()
 
 
 # SHA-256s of `simulate --truth` output for the bundled scenarios, taken
