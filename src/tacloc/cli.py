@@ -34,7 +34,7 @@ from .estimators import (ContactKind, EstimatorConfig, estimate_fixed_direction,
 from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace it by this name
 from .io import (EstimateReport, Provenance, read_marker_log, read_report, read_scenario,
                  write_marker_log, write_motion_sequence, write_report, write_truth)
-from .motion import MarkerLog, MotionSequence, _norm, _unit
+from .motion import MarkerLog, MotionSequence, _in_range, _norm, _unit
 from .registration import register_sequence
 from .simulate import generate
 
@@ -66,9 +66,7 @@ def _vector3(text: str) -> np.ndarray:
         vec = np.array([float(p) for p in parts])
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-    if not np.isfinite(vec).all():
-        raise argparse.ArgumentTypeError(f"expected finite x,y,z — got {text!r}")
-    return vec
+    return _in_range(vec, "x,y,z", argparse.ArgumentTypeError)  # NaN and infinity fail it too
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -209,15 +207,15 @@ CHECKS = {
 
 def _cmd_roundtrip(args) -> int:
     estimator_config = _config_from_args(args)
+    config = read_scenario(args.scenario)  # a bad scenario makes no work directory
+    checks = CHECKS[config.contact.kind]
+    missing = [key for _, key, _ in checks if key not in config.tolerances]
+    if missing:
+        raise ParseError(f"scenario tolerances are missing {missing[0]!r}")
     with (nullcontext(args.workdir) if args.workdir
           else tempfile.TemporaryDirectory(prefix="tacloc-roundtrip-")) as workdir:
         workdir = Path(workdir)
         workdir.mkdir(parents=True, exist_ok=True)
-        config = read_scenario(args.scenario)
-        checks = CHECKS[config.contact.kind]
-        missing = [key for _, key, _ in checks if key not in config.tolerances]
-        if missing:
-            raise ParseError(f"scenario tolerances are missing {missing[0]!r}")
         log_path = workdir / "markers.json"
         report_path = workdir / "report.json"
         _simulate(config, log_path, workdir / "truth.json")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguousDirection, IllConditioned, RankDeficientBeyondLine, TooFewFrames
-from .motion import (_EYE3, MotionSequence, _exponent, _floats, _integer, _max_rotation_angle,
+from .motion import (_EYE3, MotionSequence, _floats, _in_range, _integer, _max_rotation_angle,
                      _moving_stack, _norm, _number, _readonly, _row_dots, _row_norms, _shown,
                      _stack, _unit, _unit_rows)
 
@@ -100,7 +100,7 @@ class ContactEstimate:
         if self.point is not None:
             object.__setattr__(self, "point", _readonly(_floats(self.point, "point", (3,))))
         if self.direction is not None:
-            direction = _floats(self.direction, "direction", (3,))
+            direction = _in_range(_floats(self.direction, "direction", (3,)), "direction")
             if abs((norm := _norm(direction)) - 1.0) > _STORED_UNIT_TOL:
                 raise ValueError(f"direction must be unit norm, got |d| = {norm}")
             object.__setattr__(self, "direction", _readonly(direction))
@@ -176,8 +176,7 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
 
 def _estimate(kind: ContactKind, point, direction, residuals: np.ndarray,
               report: ConditioningReport) -> ContactEstimate:
-    e = _exponent(residuals)
-    rms = np.ldexp(np.sqrt(np.mean(np.ldexp(residuals, -e)**2)), e)
+    rms = np.sqrt(np.mean(residuals**2))
     return ContactEstimate(kind=kind, point=point, direction=direction, residual_rms=float(rms),
                            per_frame_residuals=residuals, conditioning=report)
 
@@ -235,10 +234,8 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
     rotations, translations = _moving_or_raise(motions, config)
     stacked = (_EYE3 - rotations).reshape(-1, 3)
 
-    e = _exponent(translations)
-    point, _, _, sing = np.linalg.lstsq(stacked, np.ldexp(translations.reshape(-1), -e),
+    point, _, _, sing = np.linalg.lstsq(stacked, translations.reshape(-1),
                                         rcond=config.rank_tolerance)
-    point = np.ldexp(point, e)
     report = _conditioning(rotations, sing, -1, config, strict)
 
     return _estimate(ContactKind.FIXED_POINT, point, None,
@@ -338,14 +335,13 @@ def _line_point(motions: MotionSequence, normals: np.ndarray, direction,
     direction = _unit(direction, "direction", UNIT_NORM_TOL)
     rotations, translations = _stack(motions)
     rows = ((rotations - _EYE3).swapaxes(1, 2) @ normals[:, :, None])[:, :, 0]
-    e = _exponent(translations)
-    rhs = -_row_dots(normals, np.ldexp(translations, -e))
+    rhs = -_row_dots(normals, translations)
 
     point, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=config.rank_tolerance)
     if rank < 2:
         raise RankDeficientBeyondLine(
             f"edge-point system rank {rank} < 2; position undetermined beyond the line")
-    return np.ldexp(point - (point @ direction) * direction, e), rows
+    return point - (point @ direction) * direction, rows
 
 
 def estimate_line_contact(motions: MotionSequence, n0,

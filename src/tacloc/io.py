@@ -338,6 +338,7 @@ def read_marker_log(path) -> MarkerLog:
         arr = raw.get("positions")  # an array only if the hook checked it as (m, 3)
         if not (isinstance(arr, np.ndarray) and (i == 0 or arr.shape == shape)):
             arr = _array(raw, "positions", f"frame {i}", shape, "marker")
+        motion._in_range(arr, f"frame {i} 'positions'", ParseError)
         if i == 0:  # later frames must have frame 0's shape, so one marker count
             shape, positions = arr.shape, np.empty((len(raw_frames),) + arr.shape)
         positions[i] = arr

@@ -1,7 +1,8 @@
 """Rigid-motion and marker-measurement value types.
 
-Every value type takes only what its file reads back: each number by _number,
-each integer by _integer and each array by _floats, the one check the readers rely on.
+Every value type takes only what its file reads back: each number by _number, each integer
+by _integer and each array by _floats, the one check the readers rely on; each length or
+direction that enters, by _in_range, the one magnitude range every length computation needs.
 
 All motions are expressed relative to the initial (index 0) frame, in the
 sensor base frame. Units are caller-defined; the library only requires them
@@ -42,6 +43,25 @@ _REFLECTION = "matrix is a reflection or singular, not a rotation"
 _BOOLS = frozenset({bool, np.bool_})  # no file reads one back as a number
 
 _BLOCK_BYTES = 1 << 17  # of a stack per block of a pass over it: its temporaries stay in cache
+
+# _admitted: whether the largest |entry| of a length or direction that enters, or each of an
+# array of them, is 0 or in [2**-L, 2**L]. The deepest product chain, the cross-covariance of m
+# markers, reaches m * 2**(2L+2), and numpy's SVD (LAPACK gesdd) rescales its input by a factor
+# that is no power of two outside [2**-459, 2**459]: L = 200 keeps it in for m < 2**57, and a
+# residue 2**-53 below its value's largest entry squares to a normal double, so scaling commutes.
+L = 200
+
+
+def _admitted(top):
+    return (top == 0.0) | ((top >= 2.0**-L) & (top <= 2.0**L))
+
+
+def _in_range(value, name: str, error: type = ValueError):
+    """value, a float or float array, or error naming it unless its largest |entry| is _admitted."""
+    top = abs(value) if isinstance(value, float) else np.abs(value).max(initial=0.0)
+    if not _admitted(top):
+        raise error(f"{name}: largest |entry| {top:.3g} is neither 0 nor in [2**-{L}, 2**{L}]")
+    return value
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -99,7 +119,7 @@ def _number(value, name: str) -> float:
     if type(value) is float and math.isfinite(value):  # the common case, first for speed
         return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):  # an integer beyond every double
+        with contextlib.suppress(OverflowError):  # an integer past the largest double
             if math.isfinite(number := float(value)):
                 return number
     raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
@@ -164,8 +184,7 @@ def _proper_rotations(mats: np.ndarray) -> np.ndarray:
     Returns mats itself when no matrix needs projecting, else a copy.
     """
     gap = (mats.swapaxes(1, 2) @ mats - _EYE3).reshape(-1, 9)
-    # sqrt(gap[k] @ gap[k]), row by row; a NaN gap (overflow) counts as far
-    far = ~(np.sqrt(_row_dots(gap, gap)) <= ROTATION_TOL)
+    far = ~(_row_norms(gap) <= ROTATION_TOL)  # a NaN gap (overflow) counts as far
     if not far.any():
         return mats
     u, _, vt = np.linalg.svd(mats[far])
@@ -239,11 +258,11 @@ def _view(cls, **fields):
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a right-handed rotation of `angle` radians about `axis`."""
-    return _rotations_about_axes(_floats(axis, "axis", (3,))[None], [angle])[0]
+    return _rotations_about_axes(_in_range(_floats(axis, "axis", (3,)), "axis")[None], [angle])[0]
 
 
 def _rotations_about_axes(axes, angles) -> np.ndarray:
-    """rotation_about_axis for each row of finite `axes` (N, 3) and angle, as (N, 3, 3)."""
+    """rotation_about_axis for each row of `axes` (N, 3), each in range, and angle, as (N, 3, 3)."""
     x, y, z = _unit_rows(axes, "axis").T
     # math's cos and sin, not numpy's, whose SIMD forms may round differently
     c = np.array([math.cos(a) for a in angles])
@@ -254,7 +273,7 @@ def _rotations_about_axes(axes, angles) -> np.ndarray:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[k] @ b[k] for each row k of two (N, 3) stacks.
+    """a[k] @ b[k] for each row k of two (N, n) stacks.
 
     A stacked matmul runs the same dot product as `a[k] @ b[k]` alone, so the
     bits match; einsum or a sum over axis 1 rounds differently.
@@ -262,58 +281,34 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _exponent(a: np.ndarray, rows: bool = False):
-    """The exponent e (0 for zeros) that brings the largest |entry| of a, or of each row of an
-    (N, 3) stack with rows, into [0.5, 1): the one magnitude rule. A length computation scales
-    by 2**-e, exactly, before it sums squares or products, so the sums stay finite and normal,
-    then scales its result back by 2**e; no result depends on the power of two lengths carry."""
-    if rows:  # .max(axis=1) is slow on rows of 3
-        x, y, z = np.abs(a).T
-        return np.frexp(np.maximum(np.maximum(x, y), z))[1]
-    return math.frexp(np.abs(a).max(initial=0.0))[1]
-
-
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Each row's norm, sqrt(a[k] @ a[k]) bit for bit, after _exponent; inf above every double."""
-    e = _exponent(a, rows=True)
-    scaled = np.ldexp(a, -e[:, None])
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.sqrt(_row_dots(scaled, scaled)), e)
+    """Each row's norm, sqrt(a[k] @ a[k]) bit for bit."""
+    return np.sqrt(_row_dots(a, a))
 
 
 def _unit_rows(rows, name: str) -> np.ndarray:
-    """Each row of a finite (N, 3) stack, scaled by _exponent, over its norm; ValueError if zero."""
-    scaled = np.ldexp(rows, -_exponent(rows, rows=True)[:, None])
-    norms = np.sqrt(_row_dots(scaled, scaled))
+    """Each row of a finite (N, 3) stack over its norm; ValueError if zero."""
+    norms = _row_norms(rows)
     if not norms.all():
         raise ValueError(f"{name} must be nonzero")
-    return scaled / norms[:, None]
-
-
-def _scaled_norm(vec: np.ndarray) -> tuple:
-    """vec times 2**-e for its whole-array _exponent e, the norm of that (the sum _row_dots takes
-    of a row), and that norm times 2**e: inf, without a warning, above every double."""
-    e = _exponent(vec)
-    scaled = np.ldexp(vec, -e)
-    norm = math.sqrt(scaled @ scaled)
-    return scaled, norm, math.ldexp(norm, e) if e < 1024 or norm < 1.0 else math.inf
+    return rows / norms[:, None]
 
 
 def _norm(vec: np.ndarray) -> float:
     """A vector's norm: _row_norms of it as one row, bit for bit, at a single vector's cost."""
-    return _scaled_norm(vec)[2]
+    return math.sqrt(vec @ vec)
 
 
 def _unit(value, name: str, tol: float = math.inf) -> np.ndarray:
-    """A finite 3-vector divided by its norm as _unit_rows divides a row, but kept as it is within
-    1e-12 of unit length. ValueError if it is zero or its norm is farther than tol from 1."""
-    vec = _floats(value, name, (3,))
-    scaled, norm, length = _scaled_norm(vec)
-    if abs(length - 1.0) > tol:
-        raise ValueError(f"{name} must be a unit vector, got norm {length}")
+    """A 3-vector in range divided by its norm as _unit_rows divides a row, but kept as it is
+    within 1e-12 of unit length. ValueError if it is zero or its norm is farther than tol from 1."""
+    vec = _in_range(_floats(value, name, (3,)), name)
+    norm = _norm(vec)
+    if abs(norm - 1.0) > tol:
+        raise ValueError(f"{name} must be a unit vector, got norm {norm}")
     if not norm:
         raise ValueError(f"{name} must be nonzero")
-    return vec if abs(length - 1.0) <= 1e-12 else scaled / norm
+    return vec if abs(norm - 1.0) <= 1e-12 else vec / norm
 
 
 def _stack(motions) -> tuple:
@@ -368,7 +363,7 @@ class RelativeMotion:
                    frame_index: int = 0) -> "RelativeMotion":
         """Rotation about the line through `point` along `axis` (points on the line stay fixed)."""
         rot = rotation_about_axis(axis, angle)
-        pnt = _floats(point, "point", (3,))
+        pnt = _in_range(_floats(point, "point", (3,)), "point")
         return cls(rot, pnt - rot @ pnt, frame_index)
 
     def transform(self, points) -> np.ndarray:
@@ -381,7 +376,8 @@ class RelativeMotion:
 
 
 def _is_identity(rotation: np.ndarray, translation: np.ndarray, tol: float = ROTATION_TOL) -> bool:
-    return np.linalg.norm(rotation - _EYE3) <= tol and _norm(translation) <= tol
+    # hypot: a measured translation may have any finite size, and its square may not
+    return np.linalg.norm(rotation - _EYE3) <= tol and math.hypot(*translation) <= tol
 
 
 def compose(a: RelativeMotion, b: RelativeMotion) -> RelativeMotion:
@@ -412,7 +408,7 @@ class MarkerFrame:
     frame_index: int = 0
 
     def __post_init__(self):
-        pos = _floats(self.positions, "positions", (None, 3), "marker")
+        pos = _in_range(_floats(self.positions, "positions", (None, 3), "marker"), "positions")
         if not len(pos):  # a file's [] has no rows of 3, and no motion registers from it
             raise ValueError("positions must hold at least one marker")
         object.__setattr__(self, "positions", _frozen(pos))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateMarkers, MismatchedFrames, TooFewMarkers
 from .motion import (_EYE3, MarkerFrame, MarkerLog, MotionSequence, RelativeMotion, _all_of,
-                     _blocks, _exponent, _integer, _number, _per_frame, _proper_product)
+                     _blocks, _integer, _number, _per_frame, _proper_product)
 
 # Singular values below this fraction of the largest count as zero.
 RANK_TOLERANCE = 1e-8
@@ -106,14 +106,12 @@ def _solve(positions: np.ndarray, frame_indices) -> tuple:
     """The SVD fit of frame 0 onto each later frame of an (N, m, 3) stack, batched over the
     (N - 1, 3, 3) cross-covariances; frame_indices name a degenerate frame."""
     moving, blocks = positions[1:], _blocks(positions[1:])  # no temporary as large as the stack
-    # one scale for both clouds, undone on return; frexp's exponent grows with |x|
-    e = max(_exponent(positions[b]) for b in _blocks(positions))
-    ref = np.ldexp(positions[0], -e)  # new arrays, block by block: the stack may be a log's own
+    ref = positions[0]
     ref_centroid = ref.mean(axis=0)
     ref_centered = (ref - ref_centroid).T
     cur_centroid, cross_cov = np.empty((len(moving), 3)), np.empty((len(moving), 3, 3))
     for b in blocks:
-        cur = np.ldexp(moving[b], -e)
+        cur = moving[b].copy()  # centered in place: the stack may be a log's own
         cur_centroid[b] = np.einsum("nmk->nk", cur) / cur.shape[1]  # cur.mean(axis=1), bit for bit
         np.matmul(ref_centered, _per_frame(np.subtract, cur, cur_centroid[b]), out=cross_cov[b])
     u, sing, vt = np.linalg.svd(cross_cov)
@@ -133,13 +131,13 @@ def _solve(positions: np.ndarray, frame_indices) -> tuple:
     rms = np.empty(len(moving))
     for b in blocks:
         residuals = _per_frame(np.add, np.matmul(ref, rotation_t[b]), translation[b])
-        residuals -= np.ldexp(moving[b], -e)
+        residuals -= moving[b]
         residuals *= residuals  # squared in place, then x * x + y * y + z * z by columns:
         sums = residuals[..., 0] + residuals[..., 1]  # np.sum(r**2, axis=2), bit for bit
         sums += residuals[..., 2]
         rms[b] = np.sqrt(np.mean(sums, axis=1))
 
-    return rotation, np.ldexp(translation, e), np.ldexp(rms, e), rank
+    return rotation, translation, rms, rank
 
 
 def register_sequence(frames) -> MotionSequence:

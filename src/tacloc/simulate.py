@@ -16,7 +16,6 @@ stack; the truth MotionSequence and the MarkerLog keep the stacks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +23,9 @@ import numpy as np
 from .errors import InvalidSchedule
 from .estimators import (ContactKind, fixed_direction_residuals, fixed_point_residuals,
                          line_contact_residuals)
-from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _blocks, _exponent,
-                     _floats, _integer, _number, _per_frame, _readonly, _rotations_about_axes,
-                     _row_norms, _shown, _text, _unit)
+from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _admitted, _blocks,
+                     _floats, _in_range, _integer, _number, _per_frame, _readonly,
+                     _rotations_about_axes, _row_norms, _shown, _text, _unit)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -41,7 +40,8 @@ class FixedPointContact:
     kind = ContactKind.FIXED_POINT
 
     def __post_init__(self):
-        object.__setattr__(self, "point", _readonly(_floats(self.point, "point", (3,))))
+        point = _in_range(_floats(self.point, "point", (3,)), "point")
+        object.__setattr__(self, "point", _readonly(point))
 
     def residuals(self, motions) -> np.ndarray:
         return fixed_point_residuals(motions, self.point)
@@ -79,7 +79,8 @@ class EdgeContact:
             raise ValueError(
                 f"surface_normal must be perpendicular to the edge, got dot {direction @ normal:.3g}")
         object.__setattr__(self, "direction", _readonly(direction))
-        object.__setattr__(self, "point", _readonly(_floats(self.point, "point", (3,))))
+        point = _in_range(_floats(self.point, "point", (3,)), "point")
+        object.__setattr__(self, "point", _readonly(point))
         object.__setattr__(self, "surface_normal", _readonly(normal))
 
     def canonical_point(self) -> np.ndarray:
@@ -108,13 +109,13 @@ class MotionStep:
     translation: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("angle", "slide"):
-            _number(getattr(self, name), name)
+        _number(self.angle, "angle")
+        _in_range(_number(self.slide, "slide"), "slide")
         if self.axis is not None:
             object.__setattr__(self, "axis", _readonly(_unit(self.axis, "axis")))
         if self.translation is not None:
-            object.__setattr__(self, "translation",
-                               _readonly(_floats(self.translation, "translation", (3,))))
+            translation = _in_range(_floats(self.translation, "translation", (3,)), "translation")
+            object.__setattr__(self, "translation", _readonly(translation))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -140,25 +141,21 @@ class MarkerGrid:
         # numpy refuses any array of more than intp.max bytes: here 3 float64s per marker
         if rows * cols * 3 * 8 > np.iinfo(np.intp).max:
             raise ValueError("grid has more markers than an array can hold")
-        # kept as a float for the extent check: an int's square never overflows to inf
-        object.__setattr__(self, "pitch", _number(self.pitch, "pitch"))
+        object.__setattr__(self, "pitch", _in_range(_number(self.pitch, "pitch"), "pitch"))
         if self.pitch <= 0.0:
             raise ValueError("pitch must be positive")
         if self.dome_height is None:
             object.__setattr__(self, "dome_height", 0.05 * self.pitch)
-        _number(self.dome_height, "dome_height")
-        if not math.isfinite(self.extent * self.extent):  # reference_positions squares it
-            raise ValueError(f"grid extent {self.extent:g} is too large: its square overflows")
+        _in_range(_number(self.dome_height, "dome_height"), "dome_height")
+        _in_range(self.pose.translation, "pose translation")
 
     def reference_positions(self) -> np.ndarray:
         """Marker positions at frame 0, centered and posed, shape (rows*cols, 3)."""
         xs = (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.pitch
         ys = (np.arange(self.rows) - (self.rows - 1) / 2.0) * self.pitch
         gx, gy = np.meshgrid(xs, ys)
-        e = _exponent(np.stack([gx, gy]))
-        r2 = np.ldexp(gx, -e)**2 + np.ldexp(gy, -e)**2  # r2 / r2_max does not depend on e
-        r2_max = r2.max() if r2.max() > 0.0 else 1.0
-        gz = self.dome_height * (1.0 - r2 / r2_max)
+        r2 = gx**2 + gy**2  # its corners' squares are normal: pitch is in range
+        gz = self.dome_height * (1.0 - r2 / r2.max())
         flat = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
         return self.pose.transform(flat)
 
@@ -197,7 +194,7 @@ class ScenarioConfig:
             sigma = _floats(sigma, "noise_sigma", (3,))
         else:
             sigma = np.full(3, _number(sigma, "noise_sigma"))
-        if (sigma < 0.0).any():
+        if (_in_range(sigma, "noise_sigma") < 0.0).any():
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
         if (seed := _integer(self.seed, "seed")) < 0:
             raise ValueError(f"seed must be nonnegative, got {_shown(seed)}")
@@ -238,24 +235,19 @@ def _truth_stacks(contact, schedule) -> tuple:
             raise InvalidSchedule(f"slide is only valid for edge contact (step {k})")
 
     # a step's own axis, else the hinge or edge direction (a pivot step always has one)
-    rot = _rotations_about_axes([contact.direction if step.axis is None else step.axis
-                                 for step in schedule], [step.angle for step in schedule])
+    rot = _rotations_about_axes(np.array([contact.direction if step.axis is None else step.axis
+                                          for step in schedule]), [step.angle for step in schedule])
     extra = np.zeros((len(schedule), 3))
     for k, step in enumerate(schedule):
         if step.translation is not None:
             extra[k] = step.translation
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite translation raises below
-        if isinstance(contact, FixedPointContact):
-            trans = contact.point - rot @ contact.point + extra
-        elif isinstance(contact, FixedDirectionContact):
-            trans = extra  # translation is unconstrained for a fixed direction
-        else:
-            slide = np.array([step.slide for step in schedule])
-            trans = (contact.point - rot @ contact.point
-                     + slide[:, None] * contact.direction + extra)
-    bad = np.flatnonzero(~np.isfinite(trans).all(axis=1))
-    if bad.size:
-        raise InvalidSchedule(f"schedule step {bad[0] + 1} moves the object beyond every double")
+    if isinstance(contact, FixedPointContact):
+        trans = contact.point - rot @ contact.point + extra
+    elif isinstance(contact, FixedDirectionContact):
+        trans = extra  # translation is unconstrained for a fixed direction
+    else:
+        slide = np.array([step.slide for step in schedule])
+        trans = contact.point - rot @ contact.point + slide[:, None] * contact.direction + extra
     return np.concatenate([_EYE3[None], rot]), np.concatenate([np.zeros((1, 3)), trans])
 
 
@@ -273,8 +265,8 @@ def generate(config: ScenarioConfig):
 
     Deterministic given the seed. Raises InvalidSchedule when a scheduled motion
     violates the scenario's own contact constraint (for example a fixed-point step
-    carrying a translation that is not through the pivot) or moves a frame's
-    markers beyond the largest double, and when the posed grid's markers lie there.
+    carrying a translation that is not through the pivot), and when a frame's
+    positions are out of the range every marker log's reader takes (motion.L).
     """
     rotations, translations = _truth_stacks(config.contact, config.schedule)
     truth = ScenarioTruth(
@@ -296,24 +288,20 @@ def generate(config: ScenarioConfig):
 
     # R p + t + noise * sigma into the stack the log keeps, by blocks with one noise buffer, drawn
     # in per-frame draw order; t is added column by column and sigma tiled along a frame's row
-    with np.errstate(over="ignore", invalid="ignore"):  # a grid or frame beyond every double raises
-        reference = config.grid.reference_positions()
-        if not np.isfinite(reference).all():
-            raise InvalidSchedule("the grid's pose and dome put its markers beyond every double")
-        positions = np.empty((len(rotations), *reference.shape))
-        positions[0] = reference
-        moving, blocks = positions[1:], _blocks(positions[1:])
-        rotations_t = np.ascontiguousarray(rotations[1:].swapaxes(1, 2))  # the view's bits, faster
-        rng = np.random.default_rng(config.seed) if np.any(config.noise_sigma > 0.0) else None
-        sigma = np.tile(config.noise_sigma, len(reference))
-        noise = None if rng is None else np.empty((len(moving[blocks[0]]), sigma.size))
-        for b in blocks:
-            block = _per_frame(np.add, np.matmul(reference, rotations_t[b], out=moving[b]),
-                               translations[1:][b])
-            if rng is not None:
-                drawn = rng.standard_normal(out=noise[:len(block)])
-                block += np.multiply(drawn, sigma, out=drawn).reshape(block.shape)
-            if (bad := np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))).size:
-                raise InvalidSchedule(
-                    f"frame {b.start + bad[0] + 1} moves the markers beyond every double")
+    reference = _in_range(config.grid.reference_positions(), "frame 0 positions", InvalidSchedule)
+    positions = np.empty((len(rotations), *reference.shape))
+    positions[0] = reference
+    moving, blocks = positions[1:], _blocks(positions[1:])
+    rotations_t = np.ascontiguousarray(rotations[1:].swapaxes(1, 2))  # the view's bits, but faster
+    rng = np.random.default_rng(config.seed) if np.any(config.noise_sigma > 0.0) else None
+    sigma = np.tile(config.noise_sigma, len(reference))
+    noise = None if rng is None else np.empty((len(moving[blocks[0]]), sigma.size))
+    for b in blocks:
+        block = _per_frame(np.add, np.matmul(reference, rotations_t[b], out=moving[b]),
+                           translations[1:][b])
+        if rng is not None:
+            drawn = rng.standard_normal(out=noise[:len(block)])
+            block += np.multiply(drawn, sigma, out=drawn).reshape(block.shape)
+        if (bad := np.flatnonzero(~_admitted(np.abs(block).max(axis=(1, 2))))).size:
+            _in_range(block[bad[0]], f"frame {b.start + bad[0] + 1} positions", InvalidSchedule)
     return MarkerLog._of_stack(positions, units=config.units), truth

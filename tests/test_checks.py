@@ -26,6 +26,45 @@ def _scenario(**fields):
                           schedule=(MotionStep(angle=0.1, axis=(0, 0, 1)),), **fields)
 
 
+PAST = 2.0**201  # one binade past the top of the magnitude range
+BELOW = 2.0**-201  # one binade below its bottom
+# (call, the name its error gives, the largest |entry| it prints), and each case's id
+OUT_OF_RANGE = [
+    (lambda: MarkerFrame([[0, 0, PAST]]), "positions", "3.21e+60"),
+    (lambda: MarkerFrame([[BELOW, 0, 0], [0, -BELOW, 0]]), "positions", "3.11e-61"),
+    (lambda: FixedPointContact((PAST, 0, 0)), "point", "3.21e+60"),
+    (lambda: EdgeContact((1, 0, 0), (0, 0, -BELOW), (0, 0, 1)), "point", "3.11e-61"),
+    (lambda: EdgeContact((PAST, 0, 0), (0, 0, 0), (0, 0, 1)), "direction", "3.21e+60"),
+    (lambda: EdgeContact((1, 0, 0), (0, 0, 0), (0, 0, BELOW)), "surface_normal", "3.11e-61"),
+    (lambda: FixedDirectionContact((0, BELOW, BELOW)), "direction", "3.11e-61"),
+    (lambda: MotionStep(angle=0.1, axis=(PAST, PAST, 0)), "axis", "3.21e+60"),
+    (lambda: MotionStep(angle=0.1, slide=-BELOW), "slide", "3.11e-61"),
+    (lambda: MotionStep(angle=0.1, translation=(0, PAST, 0)), "translation", "3.21e+60"),
+    (lambda: MarkerGrid(pitch=BELOW, dome_height=0.0), "pitch", "3.11e-61"),
+    (lambda: MarkerGrid(dome_height=PAST), "dome_height", "3.21e+60"),
+    # the default dome is 5% of the pitch, so it leaves the range before the pitch does
+    (lambda: MarkerGrid(pitch=2.0**-200), "dome_height", "3.11e-62"),
+    (lambda: MarkerGrid(pose=RelativeMotion(np.eye(3), (0, 0, PAST))), "pose translation",
+     "3.21e+60"),
+    (lambda: _scenario(noise_sigma=(0, BELOW, 0)), "noise_sigma", "3.11e-61"),
+    (lambda: rotation_about_axis((0, 0, PAST), 0.3), "axis", "3.21e+60"),
+    (lambda: RelativeMotion.about_line((BELOW, 0, 0), 0.3), "axis", "3.11e-61"),
+    (lambda: RelativeMotion.about_line((0, 0, 1), 0.3, (PAST, PAST, 0)), "point", "3.21e+60"),
+    (lambda: propagate_plane((0, 0, BELOW), MOTIONS), "n0", "3.11e-61"),
+    (lambda: fixed_direction_residuals(MOTIONS, (PAST, 0, 0)), "direction", "3.21e+60"),
+    (lambda: line_contact_residuals(MOTIONS, (0, 0, PAST), (0, 0, 0)), "surface_normal",
+     "3.21e+60"),
+    (lambda: _estimate(kind=ContactKind.FIXED_DIRECTION, point=None,
+                       direction=(PAST, 0, 0)), "direction", "3.21e+60"),
+]
+OUT_OF_RANGE_IDS = ["positions", "positions_below", "point", "edge_point_below",
+                    "edge_direction", "surface_normal_below", "hinge_direction_below", "axis",
+                    "slide_below", "translation", "pitch_below", "dome_height",
+                    "default_dome_height_below", "pose_translation", "noise_sigma_below",
+                    "rotation_axis", "line_axis_below", "line_point", "n0_below", "residual_direction",
+                    "residual_surface_normal", "estimate_direction"]
+
+
 def _conditioning(**fields):
     return ConditioningReport(**{"max_rotation_angle": 0.5, "smallest_singular_value": 1.0,
                                  "condition_number": 2.0, "well_posed": True, **fields})
@@ -49,7 +88,7 @@ def _report(provenance=PROVENANCE, estimate=None):
     (lambda: propagate_plane((0, 0, 2), MOTIONS), ValueError,
      "n0 must be a unit vector, got norm 2.0"),
     (lambda: propagate_plane((0, 0, 1e300), MOTIONS), ValueError,
-     "n0 must be a unit vector, got norm 1e+300"),
+     "n0: largest |entry| 1e+300 is neither 0 nor in [2**-200, 2**200]"),
     (lambda: estimate_line_point(MotionSequence(()), (0, 0, 1), (1, 0, 0)),
      RankDeficientBeyondLine,
      "edge-point system rank 0 < 2; position undetermined beyond the line"),
@@ -153,7 +192,7 @@ def _report(provenance=PROVENANCE, estimate=None):
     (lambda: MarkerGrid(pitch=10**400), ValueError,
      f"pitch must be a finite number, got 1{'0' * 39}"),
     (lambda: MarkerGrid(pitch=10**200), ValueError,
-     "grid extent 1e+201 is too large: its square overflows"),
+     "pitch: largest |entry| 1e+200 is neither 0 nor in [2**-200, 2**200]"),
     (lambda: _conditioning(max_rotation_angle="x"), ValueError,
      "max_rotation_angle must be a finite number, got 'x'"),
     (lambda: _conditioning(max_rotation_angle=10**400), ValueError,
@@ -234,6 +273,9 @@ def _report(provenance=PROVENANCE, estimate=None):
     # taken, and written as "positions": [], which no log reads back
     (lambda: MarkerFrame(np.zeros((0, 3))), ValueError,
      "positions must hold at least one marker"),
+    # each length or direction out of the magnitude range, named
+    *((call, ValueError, f"{name}: largest |entry| {top} is neither 0 nor in [2**-200, 2**200]")
+      for call, name, top in OUT_OF_RANGE),
 ], ids=["n0_not_unit", "n0_huge", "line_point_of_no_motions",
         "unserializable_value", "rotation_not_3x3", "zero_axis", "empty_log",
         "log_indices_not_dense", "log_marker_counts_differ", "sequence_of_non_motions",
@@ -250,7 +292,7 @@ def _report(provenance=PROVENANCE, estimate=None):
         "nan_max_rotation_angle", "dict_provenance", "int_tool_version",
         "negative_frame_count", "numpy_bool_threshold", "huge_int_threshold",
         "huge_int_condition_number", "inf_residual_rms", "nan_per_frame_residual", "str_angle",
-        "huge_int_angle", "str_pitch", "huge_int_pitch", "int_pitch_too_large_to_square",
+        "huge_int_angle", "str_pitch", "huge_int_pitch", "int_pitch_out_of_range",
         "str_max_rotation_angle",
         "huge_int_max_rotation_angle", "nan_fit_rms", "inf_fit_rms", "bool_fit_rms",
         "bool_covariance_rank", "float_covariance_rank", "str_point", "str_translation",
@@ -262,7 +304,7 @@ def _report(provenance=PROVENANCE, estimate=None):
         "str_index_in_a_stack", "str_estimate_kind",
         "nan_residual_point", "short_residual_point", "zero_residual_direction",
         "long_residual_direction", "long_residual_surface_normal", "inf_residual_line_point",
-        "frame_without_markers"])
+        "frame_without_markers", *(f"{name}_out_of_range" for name in OUT_OF_RANGE_IDS)])
 def test_a_check_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
         call()

@@ -101,8 +101,11 @@ def test_estimate_line_with_n0(tmp_path):
     np.testing.assert_allclose(report.estimate.point, [0, 2, -3], atol=1e-9)
 
 
-@pytest.mark.parametrize("n0", ["nan,0,1", "0,inf,1", "-inf,0,0", "0,1e999,1"])
-def test_non_finite_n0_exits_2_before_the_log_is_read(tmp_path, capsys, n0):
+# not finite, or a largest |entry| out of the magnitude range
+@pytest.mark.parametrize("n0", ["nan,0,1", "0,inf,1", "-inf,0,0", "0,1e999,1", "0,0,1e300",
+                                f"{2.0**-201!r},0,0",
+                                f"0,{float(np.nextafter(2.0**200, np.inf))!r},0"])
+def test_an_n0_out_of_range_exits_2_before_the_log_is_read(tmp_path, capsys, n0):
     # the log does not exist: reading it first would exit 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -110,15 +113,17 @@ def test_non_finite_n0_exits_2_before_the_log_is_read(tmp_path, capsys, n0):
             main(["estimate", "--type", "line", "--log", str(tmp_path / "missing.json"),
                   "--n0=" + n0, "--out", str(tmp_path / "r.json")])
     assert excinfo.value.code == 2
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --n0: x,y,z: largest |entry| " in err
+    assert err.endswith(" is neither 0 nor in [2**-200, 2**200]\n")
 
 
 @pytest.mark.parametrize("scaled, plain, same_bytes", [
-    (f"{2.0**1023!r},{2.0**1023!r},0", "1,1,0", True), ("0,0,1e308", "0,0,1", True),
-    (f"{2.0**-1074!r},0,{2.0**-1074!r}", "1,0,1", True),
+    (f"{2.0**200!r},{2.0**200!r},0", "1,1,0", True), (f"0,0,{2.0**200!r}", "0,0,1", True),
+    (f"{2.0**-200!r},0,{2.0**-200!r}", "1,0,1", True),
     # not power-of-two multiples of the plain vector: the unit n0 may move in its last bit
-    ("1e308,1e308,0", "1,1,0", False), ("1e-320,0,1e-320", "1,0,1", False)])
-def test_n0_is_read_at_any_scale(tmp_path, scaled, plain, same_bytes):
+    ("1e60,1e60,0", "1,1,0", False), ("1e-60,0,1e-60", "1,0,1", False)])
+def test_n0_is_read_at_any_scale_in_range(tmp_path, scaled, plain, same_bytes):
     log = simulate(tmp_path, "box_on_edge")
     reports = []
     for k, n0 in enumerate((scaled, plain)):
@@ -527,101 +532,123 @@ def _run_without_warnings(args):
         return main(args)
 
 
+PAST, BELOW = 2.0**201, 2.0**-201  # one binade past either end of the magnitude range
+
+
 @pytest.mark.parametrize("command", ["simulate", "roundtrip"])
-@pytest.mark.parametrize("pitch", [1e200, 1e300])
-def test_a_grid_whose_coordinates_overflow_is_an_invalid_input_file(tmp_path, capsys,
-                                                                    command, pitch):
-    scenario = _edited_scenario(tmp_path, "pivot_point", ["grid", "pitch"], pitch)
+@pytest.mark.parametrize("name, path, value, field", [
+    ("pivot_point", ["grid", "pitch"], float(np.nextafter(2.0**200, np.inf)), "grid: pitch"),
+    ("pivot_point", ["grid", "pitch"], 1e300, "grid: pitch"),
+    ("pivot_point", ["grid", "pitch"], BELOW, "grid: pitch"),
+    ("pivot_point", ["grid", "dome_height"], PAST, "grid: dome_height"),
+    ("pivot_point", ["grid", "pose", "translation"], [0, -PAST, 0], "grid: pose translation"),
+    ("pivot_point", ["contact", "point"], [BELOW, 0, 0], "contact: point"),
+    ("pivot_point", ["schedule", 1, "axis"], [0, PAST, 0], "schedule step 1: axis"),
+    ("pivot_point_noisy", ["noise_sigma"], [0, 0, BELOW], "scenario: noise_sigma"),
+    ("hinge_direction", ["schedule", 0, "translation"], [PAST, 0, 0],
+     "schedule step 0: translation"),
+    ("hinge_direction", ["contact", "direction"], [BELOW, 0, 0], "contact: direction"),
+    ("box_on_edge", ["schedule", 0, "slide"], BELOW, "schedule step 0: slide"),
+    ("box_on_edge", ["contact", "surface_normal"], [0, 0, PAST], "contact: surface_normal"),
+], ids=["pitch_past_top", "pitch_1e300", "pitch_below", "dome_height", "pose_translation",
+        "point", "axis", "noise_sigma", "step_translation", "hinge_direction", "slide",
+        "surface_normal"])
+def test_a_scenario_value_out_of_range_is_an_invalid_input_file(tmp_path, capsys, command,
+                                                                 name, path, value, field):
+    scenario = _edited_scenario(tmp_path, name, path, value)
     args = [command, "--scenario", str(scenario)]
     args += ["--out", str(tmp_path / "log.json")] if command == "simulate" else []
     assert _run_without_warnings(args) == 3
     err = capsys.readouterr().err
-    assert "invalid input: grid: grid extent" in err and "its square overflows" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"tacloc: invalid input: {field}: largest |entry| "), err
+    assert err.endswith(" is neither 0 nor in [2**-200, 2**200]\n")
 
 
-@pytest.mark.parametrize("axis", [[1e308, 1e308, 0], [1e-320, 0, 1e-320]])
-def test_a_schedule_axis_is_read_at_any_finite_scale(tmp_path, axis):
+@pytest.mark.parametrize("source", ["missing", "wrong_schema", "no_tolerance"])
+def test_a_bad_scenario_makes_no_work_directory(tmp_path, capsys, source):
+    scenario = tmp_path / "scenario.json"
+    if source == "wrong_schema":
+        scenario.write_text(json.dumps({"schema": "tacloc.marker_log/1"}))
+    elif source == "no_tolerance":
+        scenario = _edited_scenario(tmp_path, "pivot_point", ["tolerances"], {})
+    workdir = tmp_path / "parent" / "work"
+    assert main(["roundtrip", "--scenario", str(scenario), "--workdir", str(workdir)]) == 3
+    assert "invalid input" in capsys.readouterr().err or source == "missing"
+    assert not (tmp_path / "parent").exists()
+
+
+@pytest.mark.parametrize("axis", [[2.0**200, 2.0**200, 0], [2.0**-200, 0, 2.0**-200]])
+def test_a_schedule_axis_is_read_at_any_scale_in_range(tmp_path, axis):
     scenario = _edited_scenario(tmp_path, "pivot_point", ["schedule", 1, "axis"], axis)
     assert _run_without_warnings(["roundtrip", "--scenario", str(scenario),
                                   "--workdir", str(tmp_path / "work")]) == 0
 
 
 def test_a_grid_too_coarse_for_its_tolerance_runs_to_its_verdict(tmp_path, capsys):
-    # a 1e-9 mm tolerance is below what a 1e154 mm grid resolves
-    scenario = _edited_scenario(tmp_path, "pivot_point", ["grid", "pitch"], 1e153)
+    # a 1e-9 mm tolerance is below what a 2**190 mm grid resolves
+    scenario = _edited_scenario(tmp_path, "pivot_point", ["grid", "pitch"], 2.0**190)
     doc = json.loads(scenario.read_text())
-    doc["grid"]["dome_height"] = 5e151
+    doc["grid"]["dome_height"] = 0.05 * 2.0**190
     scenario.write_text(json.dumps(doc))
     assert _run_without_warnings(["roundtrip", "--scenario", str(scenario)]) == 1
     assert capsys.readouterr().out.endswith("roundtrip pivot_point: FAIL\n")
 
 
-def test_a_pivot_too_far_to_square_simulates_without_a_warning(tmp_path, capsys):
-    scenario = _edited_scenario(tmp_path, "pivot_point", ["contact", "point"], [1e308, 0, 0])
+def test_a_pivot_too_far_for_the_grid_simulates_without_a_warning(tmp_path, capsys):
+    scenario = _edited_scenario(tmp_path, "pivot_point", ["contact", "point"], [2.0**198, 0, 0])
     assert _run_without_warnings(["simulate", "--scenario", str(scenario),
                                   "--out", str(tmp_path / "log.json")]) == 0
-    # the moved markers round to one point, so no rotation can be registered
+    # frame 2 moves the markers about 2**196 out, where they round onto a line
     assert _run_without_warnings(["roundtrip", "--scenario", str(scenario)]) == 4
-    assert "marker covariance rank 0 < 2" in capsys.readouterr().err
+    assert "failed at frame 2: marker covariance rank 1 < 2" in capsys.readouterr().err
+
+
+def _first_frame_past_the_top(scenario, image):
+    """The first step k whose image(R_k) of the grid passes 2**200 in its largest |entry|, found
+    without generate: every marker sits within a few pitches of it, far below its last bit."""
+    steps = json.loads(scenario.read_text())["schedule"]
+    return next(k for k, raw in enumerate(steps, 1)
+                if np.abs(image(rotation_about_axis(raw["axis"], raw["angle"]))).max() > 2.0**200)
 
 
 @pytest.mark.parametrize("command", ["simulate", "roundtrip"])
-def test_a_pivot_whose_truth_translation_overflows_is_an_invalid_input_file(tmp_path, capsys,
-                                                                           command):
-    point = np.array([1.7e308, 1.7e308, 0.0])
+def test_a_pivot_whose_motion_takes_the_markers_out_of_range_is_an_invalid_input_file(
+        tmp_path, capsys, command):
+    point = np.array([0.75 * 2.0**200, 0.0, 0.0])
     scenario = _edited_scenario(tmp_path, "pivot_point", ["contact", "point"], point.tolist())
-    # the first step whose rotated pivot is above every double, found without tacloc
-    with np.errstate(over="ignore"):
-        step = next(k for k, raw in enumerate(json.loads(scenario.read_text())["schedule"], 1)
-                    if not np.isfinite(rotation_about_axis(raw["axis"], raw["angle"]) @ point).all())
+    doc = json.loads(scenario.read_text())
+    doc["schedule"][2]["angle"] = np.pi  # about z: the markers go to 2 * point
+    scenario.write_text(json.dumps(doc))
+    # a marker at x goes to R (x - point) + point, within a few pitches of point - R point
+    frame = _first_frame_past_the_top(scenario, lambda rotation: point - rotation @ point)
     args = [command, "--scenario", str(scenario)]
     args += ["--out", str(tmp_path / "log.json")] if command == "simulate" else []
     assert _run_without_warnings(args) == 3
     err = capsys.readouterr().err
-    assert err.startswith("tacloc: invalid input: ") and f"schedule step {step} " in err
+    assert err.startswith(f"tacloc: invalid input: frame {frame} positions: largest |entry| "), err
 
 
 @pytest.mark.parametrize("command", ["simulate", "roundtrip"])
-def test_a_grid_pose_whose_rotated_markers_overflow_is_an_invalid_input_file(tmp_path, capsys,
-                                                                             command):
-    offset = np.array([1.7e308, 1.7e308, 0.0])
+def test_a_grid_pose_whose_rotated_markers_leave_the_range_is_an_invalid_input_file(
+        tmp_path, capsys, command):
+    offset = np.array([0.8 * 2.0**200, 0.8 * 2.0**200, 0.0])
     scenario = _edited_scenario(tmp_path, "pivot_point", ["grid", "pose", "translation"],
                                 offset.tolist())
-    # every marker sits at the offset to within a few pitches, far below its last bit, so the
-    # first frame beyond every double is the first step that rotates the offset beyond them
-    with np.errstate(over="ignore"):
-        frame = next(k for k, raw in enumerate(json.loads(scenario.read_text())["schedule"], 1)
-                     if not np.isfinite(rotation_about_axis(raw["axis"], raw["angle"]) @ offset).all())
+    frame = _first_frame_past_the_top(scenario, lambda rotation: rotation @ offset)
     args = [command, "--scenario", str(scenario)]
     args += ["--out", str(tmp_path / "log.json")] if command == "simulate" else []
     assert _run_without_warnings(args) == 3
     err = capsys.readouterr().err
-    assert err == f"tacloc: invalid input: frame {frame} moves the markers beyond every double\n"
+    assert err.startswith(f"tacloc: invalid input: frame {frame} positions: largest |entry| "), err
 
 
-@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
-def test_a_grid_whose_dome_overflows_its_pose_is_an_invalid_input_file(tmp_path, capsys,
-                                                                       command):
-    # the pose turns the dome's +z into -y, onto a translation that fits a double only alone
-    scenario = _edited_scenario(tmp_path, "pivot_point", ["grid", "pose", "translation"],
-                                [0, -1.7e308, 0])
-    doc = json.loads(scenario.read_text())
-    doc["grid"]["dome_height"] = 1e308
-    scenario.write_text(json.dumps(doc))
-    args = [command, "--scenario", str(scenario)]
-    args += ["--out", str(tmp_path / "log.json")] if command == "simulate" else []
-    assert _run_without_warnings(args) == 3
-    assert capsys.readouterr().err == ("tacloc: invalid input: the grid's pose and dome put its "
-                                       "markers beyond every double\n")
-
-
-def test_a_hinge_translation_whose_norm_overflows_simulates_without_a_warning(tmp_path):
+def test_a_hinge_translation_at_the_top_of_the_range_simulates_and_reads_back(tmp_path):
     scenario = _edited_scenario(tmp_path, "hinge_direction", ["schedule", 0, "translation"],
-                                [1.7e308, 1.7e308, 0])
+                                [2.0**200, 2.0**200, 0])
     out = tmp_path / "log.json"
     assert _run_without_warnings(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
-    assert read_marker_log(out).positions[1].max() == 1.7e308
+    # the markers, a few mm from the translation, round onto it
+    assert read_marker_log(out).positions[1].max() == 2.0**200
 
 
 def test_a_flag_of_one_call_does_not_leak_into_the_next(tmp_path):

@@ -30,8 +30,8 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     read_truth, register_sequence, write_marker_log, write_motion_sequence,
                     write_report, write_scenario, write_truth)
 from tacloc.cli import main
-from tacloc.io import (_HASH_BLOCK, _array, _entries, _number, _positions_array, _require,
-                       dumps, sha256_of_file)
+from tacloc.io import (_HASH_BLOCK, _array, _entries, _invalid, _number, _positions_array,
+                       _require, dumps, sha256_of_file)
 
 GOLDEN_LOG = textwrap.dedent("""\
     {
@@ -202,8 +202,9 @@ def test_marker_log_reader_rejects_wrong_json_types(tmp_path, mutate):
 
 def _reference_read_marker_log(path) -> MarkerLog:
     """A marker log read the plain way: the whole document decoded to Python
-    objects first, then each frame's positions list through _array and a
-    scan of every entry for a boolean, which numpy would read as 1 or 0."""
+    objects first, then each frame's positions list through _array, a scan of
+    every entry for a boolean, which numpy would read as 1 or 0, and the
+    magnitude range."""
     data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
     units = _require(data, "units", "marker log", str)
     raw_frames = _entries(data, "frames", "marker log")
@@ -215,8 +216,16 @@ def _reference_read_marker_log(path) -> MarkerLog:
         stack.append(_array(raw, "positions", f"frame {i}", shape, "marker"))
         if any(type(v) is bool for row in raw["positions"] for v in row):
             raise ParseError(f"frame {i} 'positions' is not numeric: an entry is a boolean")
+        with _invalid():
+            motion._in_range(stack[-1], f"frame {i} 'positions'")
         shape = stack[0].shape
     return MarkerLog._of_stack(np.array(stack), units=units)
+
+
+def _every_frame_in_range(stack) -> bool:
+    """Whether each frame's largest |entry| is 0 or in [2**-200, 2**200], the magnitude range."""
+    tops = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    return bool(((tops == 0.0) | ((tops >= 2.0**-200) & (tops <= 2.0**200))).all())
 
 
 def _read_outcome(read, path):
@@ -232,9 +241,10 @@ _NESTED_FRAME = {"frame_index": 0, "positions": [[1.0, 2.0, 3.0]]}
 # What replaces one coordinate, or one frame's whole positions.
 COORDINATE_CORRUPTIONS = {"string": "1.5", "true": True, "false": False, "null": None,
                           "overflow": 10**400, "big_integer": 2**64, "nan": math.nan,
-                          "infinity": -math.inf, "nested_object": _NESTED_FRAME}
+                          "infinity": -math.inf, "nested_object": _NESTED_FRAME,
+                          "past_range": 2.0**201}
 POSITIONS_CORRUPTIONS = {"positions_object": _NESTED_FRAME, "positions_empty": [],
-                         "positions_number": 2.0}
+                         "positions_number": 2.0, "positions_below_range": [[2.0**-201, 0, 0]]}
 # The other corruptions, each of a document, one frame of it, a marker and an axis.
 SHAPE_CORRUPTIONS = {
     "none": lambda doc, frame, m, a: None,
@@ -277,8 +287,29 @@ def test_marker_log_reader_matches_a_plain_reader(stack, corruption, where):
             path.write_text(json.dumps(doc))
         got = _read_outcome(read_marker_log, path)
         assert got == _read_outcome(_reference_read_marker_log, path), corruption
-        if corruption == "none":
+        # a stack of any floats, so a frame may be out of range: then the log is rejected
+        if corruption == "none" and _every_frame_in_range(stack):
             assert got[2] == stack.tobytes()
+
+
+@pytest.mark.parametrize("top, accepted", [
+    (2.0**200, True), (2.0**-200, True), (0.0, True),
+    (np.nextafter(2.0**200, math.inf), False), (np.nextafter(2.0**-200, 0.0), False)],
+    ids=["top", "bottom", "zero", "past_top", "below_bottom"])
+def test_a_marker_log_frame_is_read_within_the_magnitude_range(tmp_path, top, accepted):
+    # the range is on a frame's largest |entry|: a residue or a subnormal beside it is read
+    frame = [[top, top * 1e-17, 5e-324 if top else 0.0], [0.0, 0.0, -top]]
+    stack = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], frame])
+    path = tmp_path / "log.json"
+    write_marker_log(path, MarkerLog._of_stack(stack))
+    if accepted:
+        assert read_marker_log(path).positions.tobytes() == stack.tobytes()
+        assert MarkerFrame(frame).positions.tobytes() == stack[1].tobytes()
+    else:
+        with pytest.raises(ParseError, match=r"^frame 1 'positions': largest \|entry\| "):
+            read_marker_log(path)
+        with pytest.raises(ValueError, match=r"^positions: largest \|entry\| "):
+            MarkerFrame(frame)
 
 
 def test_reading_a_marker_log_holds_about_twice_its_text(tmp_path):
@@ -626,7 +657,7 @@ def test_report_reader_rejects_wrong_json_types(tmp_path, section, key, value):
         read_report(bad)
 
 
-def test_a_report_direction_too_long_to_square_is_rejected_without_a_warning(tmp_path):
+def test_a_report_direction_out_of_range_is_rejected_without_a_warning(tmp_path):
     src = tmp_path / "report.json"
     assert main(["roundtrip", "--scenario", str(bundled_scenario("hinge_direction")),
                  "--workdir", str(tmp_path)]) == 0
@@ -636,7 +667,7 @@ def test_a_report_direction_too_long_to_square_is_rejected_without_a_warning(tmp
     bad.write_text(json.dumps(data))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ParseError, match=r"unit norm, got \|d\| = 1.414\d*e\+308"):
+        with pytest.raises(ParseError, match=r"^estimate: direction: largest \|entry\| 1e\+308 "):
             read_report(bad)
 
 
@@ -858,7 +889,8 @@ def test_a_nan_in_every_numeric_field_names_the_field_and_its_record(roundtrip_f
 
 
 # One element of an array field in which any finite number is valid data, so
-# that the reader's verdict turns on the element's JSON type alone.
+# that the reader's verdict turns on the element's JSON type alone, and on
+# the magnitude range where the field is a length that enters from outside.
 ANY_NUMBER_ELEMENTS = [
     ("markers", ["frames", 1, "positions", 3, 1]),
     ("motions", ["motions", 1, "translation", 0]),
@@ -869,6 +901,10 @@ ANY_NUMBER_ELEMENTS = [
     ("report", ["estimate", "point", 0]),
     ("report", ["per_frame_residuals", 1]),
 ]
+# the length of the path to the value held to the magnitude range, by the element's path:
+# a frame's positions or a scenario's vector; a measured or estimated value has none
+RANGED_PREFIX = {("frames", 1, "positions", 3, 1): 3, ("contact", "point", 1): 2,
+                 ("grid", "pose", "translation", 0): 3, ("schedule", 1, "translation", 2): 3}
 
 # Integers stay within 64 bits: numpy reads a longer one as an object, which
 # the array rule rejects although _number takes it.
@@ -891,6 +927,9 @@ def test_an_array_element_reads_iff_it_is_a_finite_json_number(roundtrip_files, 
         expected = True
     except ParseError:
         expected = False
+    if expected and (prefix := RANGED_PREFIX.get(tuple(path))):
+        top = np.abs(np.array(_container(doc, path[:prefix + 1]), dtype=float)).max()
+        expected = top == 0.0 or 2.0**-200 <= top <= 2.0**200
     with tempfile.TemporaryDirectory() as tmp:
         try:
             _read(doc, tmp)
@@ -922,13 +961,13 @@ def test_integers_beyond_64_bits_are_rejected_in_arrays(roundtrip_files, tmp_pat
     ("report", ["estimate", "residual_rms"], -1, "estimate: residual_rms must be nonnegative"),
     ("pivot_point", ["grid", "rows"], 1, "grid: grid needs at least 2 rows and 2 cols"),
     ("pivot_point", ["grid", "pitch"], 0, "grid: pitch must be positive"),
-    ("pivot_point", ["grid", "pitch"], 1e300, "grid: grid extent 1e+301 is too large"),
+    ("pivot_point", ["grid", "pitch"], 1e300, "grid: pitch: largest |entry| 1e+300 is neither"),
     ("pivot_point", ["tolerances"], [["point_distance", 0.05]],
      "scenario: tolerances must be a dict, got [['point_distance', 0.05]]"),
 ], ids=["unknown_contact_kind", "edge_normal_along_edge", "zero_axis", "direction_not_unit",
         "min_frames_zero", "line_report_without_point", "point_report_with_direction",
         "unknown_estimate_kind", "negative_residual_rms", "one_grid_row", "zero_pitch",
-        "overflowing_grid", "tolerance_pairs"])
+        "pitch_out_of_range", "tolerance_pairs"])
 def test_a_value_its_type_rejects_is_a_parse_error_naming_its_context(
         roundtrip_files, tmp_path, source, path, value, message):
     doc = _document(roundtrip_files, source)

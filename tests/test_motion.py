@@ -1,5 +1,7 @@
 """Rigid-motion value types: construction, algebra, invariants."""
 
+import math
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -234,10 +236,10 @@ def _directions_read_from(direction, normal):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_INTEGER_DIRECTIONS, _INTEGER_DIRECTIONS, st.integers(-1022, 1008))
+@given(_INTEGER_DIRECTIONS, _INTEGER_DIRECTIONS, st.integers(-200, 185))
 def test_a_direction_does_not_depend_on_the_scale_of_its_vector(d, e, k):
-    # 2**k keeps every nonzero entry of d and of the normal a normal double,
-    # and scaling by it is exact, so the direction read must not move
+    # 2**k keeps the largest |entry| of d (in [1, 100]) and of the normal (in [1, 2**15))
+    # in [2**-200, 2**200], and scaling by it is exact, so the direction read must not move
     d = np.array(d, dtype=float)
     normal = np.cross(d, np.array(e, dtype=float))
     assume(normal.any())
@@ -249,12 +251,35 @@ def test_a_direction_does_not_depend_on_the_scale_of_its_vector(d, e, k):
 
 
 @pytest.mark.parametrize("read, scaled, plain", [
-    (lambda v: rotation_about_axis(v, 0.5), [1e308, 1e308, 0], [1, 1, 0]),
-    (lambda v: rotation_about_axis(v, 0.5), [1e-200, 1e-200, 0], [1, 1, 0]),
-    (lambda v: RelativeMotion.about_line(v, 0.3).rotation, [0, 0, 1e300], [0, 0, 1]),
-    (lambda v: FixedDirectionContact(v).direction, [0, 1e200, 0], [0, 1, 0]),
-    (lambda v: MotionStep(angle=0.3, axis=v).axis, [5e-324, 0, 5e-324], [1, 0, 1]),
-], ids=["huge_axis", "tiny_axis", "huge_line_axis", "huge_hinge", "subnormal_step_axis"])
+    (lambda v: rotation_about_axis(v, 0.5), [1e60, 1e60, 0], [1, 1, 0]),
+    (lambda v: rotation_about_axis(v, 0.5), [1e-60, 1e-60, 0], [1, 1, 0]),
+    (lambda v: RelativeMotion.about_line(v, 0.3).rotation, [0, 0, 2.0**200], [0, 0, 1]),
+    (lambda v: FixedDirectionContact(v).direction, [0, 1.5e60, 0], [0, 1, 0]),
+    (lambda v: MotionStep(angle=0.3, axis=v).axis, [2.0**-200, 0, 2.0**-200], [1, 0, 1]),
+    # a round-off residue far below the range beside the largest entry
+    (lambda v: MotionStep(angle=0.3, axis=v).axis, [2.0**-200, 5e-324, 0], [1, 0, 0]),
+], ids=["huge_axis", "tiny_axis", "top_line_axis", "huge_hinge", "bottom_step_axis",
+        "subnormal_residue"])
 def test_a_vector_at_an_extreme_scale_gives_its_direction(read, scaled, plain):
     np.testing.assert_allclose(read(scaled), read(plain), rtol=0.0,
                                atol=4 * np.finfo(float).eps)
+
+
+# A vector whose largest |entry| is anywhere in the magnitude range, beside entries of any
+# smaller size down to a subnormal or zero: the case a norm that overflowed, or a square that
+# underflowed, would read wrongly.
+_VECTORS_IN_RANGE = st.tuples(
+    st.integers(-200, 199), st.floats(0.5, 1.0, exclude_max=True), st.booleans(),
+    st.lists(st.floats(-1.0, 1.0, allow_subnormal=True), min_size=2, max_size=2),
+    st.lists(st.integers(0, 1074), min_size=2, max_size=2), st.permutations(range(3))).map(
+    lambda t: np.array([math.ldexp(t[1] * (-1) ** t[2], t[0] + 1)]
+                       + [math.ldexp(m, t[0] + 1 - e) for m, e in zip(t[3], t[4])])[list(t[5])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VECTORS_IN_RANGE)
+def test_a_vector_in_range_reads_as_its_direction(vector):
+    want = vector / math.hypot(*vector)  # hypot neither overflows nor underflows
+    for got in (MotionStep(angle=0.3, axis=vector).axis, FixedDirectionContact(vector).direction,
+                rotation_about_axis(vector, np.pi) @ want):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=4 * np.finfo(float).eps)

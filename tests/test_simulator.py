@@ -198,14 +198,23 @@ def test_constraint_violations_raise_invalid_schedule():
                                 schedule=[MotionStep(angle=0.2, axis=(1, 0, 0))], seed=0))
 
 
-def test_a_grid_whose_markers_overflow_is_blamed_on_the_grid():
-    # the dome and the pose's translation each fit a double; the posed markers do not
-    grid = MarkerGrid(dome_height=1e308, pose=RelativeMotion(
-        rotation_about_axis((1, 0, 0), math.pi / 2), (0, -1.7e308, 0)))
-    config = pivot_config(grid=grid, schedule=[MotionStep(angle=0.1, axis=(0, 0, 1))])
+@pytest.mark.parametrize("grid, angle, frame, top", [
+    # the corner markers sit 5 pitches out along x and y
+    (MarkerGrid(pitch=2.0**199), 0.1, 0, 5 * 2.0**199),
+    # in range at frame 0; 45 degrees about z takes a corner to 5 * sqrt(2) pitches along y
+    (MarkerGrid(pitch=2.0**200 / 6), math.pi / 4, 1, None),
+    # a pitch at the bottom of the range puts a 2 x 2 grid's markers half a pitch out
+    (MarkerGrid(rows=2, cols=2, pitch=2.0**-200, dome_height=0.0), 0.1, 0, 2.0**-201)],
+    ids=["grid_past_top", "rotated_past_top", "grid_below_bottom"])
+def test_a_frame_out_of_range_is_named_by_generate(grid, angle, frame, top):
+    config = pivot_config(grid=grid, schedule=[MotionStep(angle=angle, axis=(0, 0, 1))])
     with pytest.raises(InvalidSchedule) as err:
         generate(config)
-    assert str(err.value) == "the grid's pose and dome put its markers beyond every double"
+    message = str(err.value)
+    assert message.startswith(f"frame {frame} positions: largest |entry| "), message
+    assert message.endswith(" is neither 0 nor in [2**-200, 2**200]")
+    if top is not None:
+        assert f" {top:.3g} " in message
 
 
 def test_schedule_validation():
