@@ -34,7 +34,7 @@ from .estimators import (ContactKind, EstimatorConfig, estimate_fixed_direction,
 from .estimators import fixed_point_residuals  # noqa: F401  bench/tests trace it by this name
 from .io import (EstimateReport, Provenance, read_marker_log, read_report, read_scenario,
                  write_marker_log, write_motion_sequence, write_report, write_truth)
-from .motion import MarkerLog, MotionSequence, _in_range, _norm, _unit
+from .motion import MarkerLog, MotionSequence, _in_range, _norm
 from .registration import register_sequence
 from .simulate import generate
 
@@ -54,7 +54,7 @@ TYPES = {"point": ContactKind.FIXED_POINT, "direction": ContactKind.FIXED_DIRECT
 ESTIMATORS = {
     ContactKind.FIXED_POINT: lambda m, n0, c, strict: estimate_fixed_point(m, c, strict),
     ContactKind.FIXED_DIRECTION: lambda m, n0, c, strict: estimate_fixed_direction(m, c, strict),
-    ContactKind.LINE: lambda m, n0, c, strict: estimate_line_contact(m, _unit(n0, "n0"), c, strict),
+    ContactKind.LINE: estimate_line_contact,
 }
 
 

@@ -32,7 +32,6 @@ from .motion import (_EYE3, MotionSequence, _floats, _in_range, _integer, _max_r
                      _moving_stack, _norm, _number, _readonly, _row_dots, _row_norms, _shown,
                      _stack, _unit, _unit_rows)
 
-UNIT_NORM_TOL = 1e-6  # for a unit vector a caller passes in
 _STORED_UNIT_TOL = 1e-9  # for an estimate's stored direction, as a report reads it back
 
 
@@ -189,8 +188,8 @@ def fixed_point_residuals(motions: MotionSequence, point) -> np.ndarray:
 
 
 def fixed_direction_residuals(motions: MotionSequence, direction) -> np.ndarray:
-    """Per-frame change of the candidate unit body direction, over the moving frames."""
-    direction = _unit(direction, "direction", UNIT_NORM_TOL)
+    """Per-frame change of the candidate body direction, as its unit, over the moving frames."""
+    direction = _unit(direction, "direction")
     rotations, _ = _moving_stack(motions)
     return _row_norms((rotations - _EYE3) @ direction)
 
@@ -200,9 +199,9 @@ def line_contact_residuals(motions: MotionSequence, surface_normal, point) -> np
 
     surface_normal is the contacting face's normal in the initial frame; the
     residual at frame k is the component of the point's motion along the
-    rotated normal.
+    rotated unit normal.
     """
-    surface_normal = _unit(surface_normal, "surface_normal", UNIT_NORM_TOL)
+    surface_normal = _unit(surface_normal, "surface_normal")
     rotations, translations = _moving_stack(motions)
     normals = _unit_rows(rotations @ surface_normal, "surface_normal")
     return _line_residuals(normals, rotations, translations, _floats(point, "point", (3,)))
@@ -274,8 +273,8 @@ def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = 
 
 
 def propagate_plane(n0, motions: MotionSequence) -> np.ndarray:
-    """The contacting face's unit normal in every frame, (N, 3): n0 rotated by each motion."""
-    n0 = _unit(n0, "n0", UNIT_NORM_TOL)
+    """The contacting face's unit normal in every frame, (N, 3): unit n0 rotated by each motion."""
+    n0 = _unit(n0, "n0")
     rotations, _ = _stack(motions)
     return _unit_rows(rotations @ n0, "n0")
 
@@ -332,7 +331,7 @@ def estimate_line_point(motions: MotionSequence, n0, direction,
 def _line_point(motions: MotionSequence, normals: np.ndarray, direction,
                 config: EstimatorConfig):
     """estimate_line_point's point, plus the stacked rows of its system."""
-    direction = _unit(direction, "direction", UNIT_NORM_TOL)
+    direction = _unit(direction, "direction")
     rotations, translations = _stack(motions)
     rows = ((rotations - _EYE3).swapaxes(1, 2) @ normals[:, :, None])[:, :, 0]
     rhs = -_row_dots(normals, translations)

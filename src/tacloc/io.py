@@ -35,8 +35,8 @@ per_frame_residuals as a list (None is ContactEstimate's default). Motions
 and marker logs are read into stacks: _array checks each array by _floats,
 naming its motion or frame, and the readers check each frame_index and
 rms_error, and a log's units (its _of_stack checks neither index nor units,
-and a true index would pass the dense test); MotionSequence checks its own
-units.
+and a true index would pass the dense test); a motion file's stacks then
+pass motion._motion_stack, and MotionSequence checks its own units.
 
 Every reader takes a path or an open binary file, which it closes once
 read. Either is read as text mode reads a path, strict UTF-8 with universal
@@ -373,7 +373,8 @@ def _motions(data, context: str) -> MotionSequence:
     if any("rms_error" in raw for raw in raw_motions):
         rms_errors = [_float(raw, "rms_error", f"motion {i}") for i, raw in enumerate(raw_motions)]
     try:
-        return MotionSequence._of_stacks(rotations, translations, indices, rms_errors, units)
+        return MotionSequence._of_stacks(*motion._motion_stack(rotations, translations, indices),
+                                         rms_errors, units)
     except ValueError as err:  # a motion's, named, or else the file's sequence as a whole
         k = _first_bad_motion(rotations, translations, indices)
         raise ParseError(f"motion {k}: {err}" if k >= 0 else f"{context}: {err}") from err

@@ -8,17 +8,16 @@ All motions are expressed relative to the initial (index 0) frame, in the
 sensor base frame. Units are caller-defined; the library only requires them
 to be uniform within a dataset.
 
-A MarkerLog is stored as its (N, m, 3) positions, each frame checked where
-the stack is made (MarkerFrame, generate, read_marker_log), and a
-MotionSequence as its (N, 3, 3) rotations, (N, 3) translations and frame
-indices, checked once by _motion_stack: one mask of RelativeMotion's tests
-finds the first bad entry in frame order (_first_bad_motion), and that
-entry's own RelativeMotion raises the error. log.frames and seq.motions
-are read-only views into the stacks, built the first time they are read
-and then kept; the estimators, registration and the writers read the
-stacks and build none. A MotionSequence is the only motion input the
-estimators and residual functions take, and its moving frames are its
-entries after a leading frame-0 entry (_moving_stack).
+A MarkerLog is stored as its (N, m, 3) positions and a MotionSequence as its
+(N, 3, 3) rotations, (N, 3) translations and frame indices. Each stack is
+checked once, where it enters, and then kept: a marker stack frame by frame
+(MarkerFrame, generate, read_marker_log); a motion file's by _motion_stack,
+whose one mask of RelativeMotion's tests finds the first bad entry in frame
+order, which its own RelativeMotion rejects. log.frames and seq.motions are
+read-only views into the stacks, built when first read; the estimators,
+registration and the writers build none. The estimators and residual
+functions take a MotionSequence (_stack), whose moving frames follow a
+leading frame-0 entry (_moving_stack).
 """
 
 from __future__ import annotations
@@ -50,6 +49,10 @@ _BLOCK_BYTES = 1 << 17  # of a stack per block of a pass over it: its temporarie
 # that is no power of two outside [2**-459, 2**459]: L = 200 keeps it in for m < 2**57, and a
 # residue 2**-53 below its value's largest entry squares to a normal double, so scaling commutes.
 L = 200
+# _stack's bound on the largest |entry| of the translations an estimator takes: those registered
+# from positions in range stay below (1 + sqrt(3)) * 2**L and generate's below (3 + sqrt(3)) *
+# 2**L, and a residual a few times 2**(L+3) squares to far below the largest double.
+TRANSLATION_TOP = 2.0 ** (L + 3)
 
 
 def _admitted(top):
@@ -219,18 +222,14 @@ def _first_bad_motion(rotations: np.ndarray, translations: np.ndarray, frame_ind
 
 
 def _motion_stack(rotations: np.ndarray, translations: np.ndarray, frame_indices) -> tuple:
-    """RelativeMotion's checks over N motions at once, as float (N, 3, 3) and (N, 3) stacks.
-
-    Returns the proper rotations and the translations, both read-only, and
-    the frame indices as ints. A bad motion that _first_bad_motion finds is
-    built as a RelativeMotion, so the error is the one its constructor raises.
-    """
+    """RelativeMotion's checks over float (N, 3, 3) and (N, 3) stacks at once: the proper
+    rotations, the translations and the frame indices as ints, or the error RelativeMotion
+    raises for the first bad motion, which _first_bad_motion finds."""
     frame_indices = list(frame_indices)
     k = _first_bad_motion(rotations, translations, frame_indices)
     if k >= 0:
         RelativeMotion(rotations[k], translations[k], frame_indices[k])  # raises
-    return (_frozen(_proper_rotations(rotations)), _frozen(translations),
-            [int(i) for i in frame_indices])
+    return _proper_rotations(rotations), translations, [int(i) for i in frame_indices]
 
 
 def _blocks(stack: np.ndarray) -> list:
@@ -299,30 +298,32 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(vec @ vec)
 
 
-def _unit(value, name: str, tol: float = math.inf) -> np.ndarray:
+def _unit(value, name: str) -> np.ndarray:
     """A 3-vector in range divided by its norm as _unit_rows divides a row, but kept as it is
-    within 1e-12 of unit length. ValueError if it is zero or its norm is farther than tol from 1."""
+    within 1e-12 of unit length; ValueError if it is zero. The one rule for a direction."""
     vec = _in_range(_floats(value, name, (3,)), name)
-    norm = _norm(vec)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"{name} must be a unit vector, got norm {norm}")
-    if not norm:
+    if not (norm := _norm(vec)):
         raise ValueError(f"{name} must be nonzero")
     return vec if abs(norm - 1.0) <= 1e-12 else vec / norm
 
 
 def _stack(motions) -> tuple:
-    """A MotionSequence's rotations (N, 3, 3) and translations (N, 3) stacks."""
+    """A MotionSequence's rotations (N, 3, 3) and translations (N, 3), none past TRANSLATION_TOP."""
     if not isinstance(motions, MotionSequence):
         raise TypeError(f"expected a MotionSequence, got {type(motions).__name__}")
+    if not (top := np.abs(motions.translations).max(initial=0.0)) <= TRANSLATION_TOP:
+        raise ValueError(f"translations: largest |entry| {top:.3g} is beyond 2**{L + 3}")
     return motions.rotations, motions.translations
 
 
 def _moving_stack(motions) -> tuple:
-    """_stack of the moving frames: without the leading entry when it is frame 0."""
-    rotations, translations = _stack(motions)
-    start = 1 if motions.frame_indices[:1] == (0,) else 0  # only the first can be frame 0
-    return rotations[start:], translations[start:]
+    """_stack of the moving frames."""
+    return tuple(stack[_first_moving(motions):] for stack in _stack(motions))
+
+
+def _first_moving(motions) -> int:
+    """The index of a sequence's first moving frame: 1 after a leading frame-0 entry, else 0."""
+    return 1 if motions.frame_indices[:1] == (0,) else 0  # only the first can be frame 0
 
 
 def _max_rotation_angle(rotations: np.ndarray) -> float:
@@ -482,22 +483,20 @@ class MotionSequence:
 
     def __init__(self, motions, rms_errors=None, units: str = "mm"):
         motions = _all_of(RelativeMotion, motions)
-        self._keep(_frozen(np.array([m.rotation for m in motions]).reshape(-1, 3, 3)),
-                   _frozen(np.array([m.translation for m in motions]).reshape(-1, 3)),
+        self._keep(np.array([m.rotation for m in motions]).reshape(-1, 3, 3),
+                   np.array([m.translation for m in motions]).reshape(-1, 3),
                    [m.frame_index for m in motions], rms_errors, units)
         self.__dict__["motions"] = motions  # fills the cached_property: seq[k] is motions[k]
 
     @classmethod
     def _of_stacks(cls, rotations: np.ndarray, translations: np.ndarray, frame_indices,
                    rms_errors=None, units: str = "mm") -> "MotionSequence":
-        """The sequence of the motions (rotations[k], translations[k], frame_indices[k]), checked
-        once as RelativeMotion would check each; it keeps the stacks, read-only."""
-        sequence = object.__new__(cls)
-        sequence._keep(*_motion_stack(rotations, translations, frame_indices), rms_errors, units)
-        return sequence
+        """The sequence of motions (rotations[k], translations[k], frame_indices[k]) as they are:
+        its makers hand it only finite proper rotations, finite translations and int indices."""
+        return object.__new__(cls)._keep(rotations, translations, frame_indices, rms_errors, units)
 
-    def _keep(self, rotations, translations, indices: list, rms_errors, units: str) -> None:
-        """Check the sequence as a whole, then store it."""
+    def _keep(self, rotations, translations, indices, rms_errors, units: str) -> "MotionSequence":
+        """Check the sequence as a whole, then store it, its stacks read-only."""
         if any(map(operator.ge, indices, indices[1:])):
             raise ValueError(f"frame_index must be strictly increasing, got {_shown(indices)}")
         if indices and indices[0] == 0 and not _is_identity(rotations[0], translations[0]):
@@ -507,9 +506,10 @@ class MotionSequence:
             if len(rms_errors) != len(indices) or not all(e >= 0.0 for e in rms_errors):
                 raise ValueError("rms_errors must be one finite nonnegative value per motion")
         # () only for an empty sequence, which has no fit to report: None, as its file reads back
-        self.__dict__.update(rotations=rotations, translations=translations,
+        self.__dict__.update(rotations=_frozen(rotations), translations=_frozen(translations),
                              frame_indices=tuple(indices), rms_errors=rms_errors or None,
                              units=_text(units, "units"))
+        return self
 
     @cached_property
     def motions(self) -> tuple:
@@ -530,4 +530,4 @@ class MotionSequence:
         return tuple(m for m in self.motions if m.frame_index != 0)
 
     def max_rotation_angle(self) -> float:
-        return _max_rotation_angle(_moving_stack(self)[0])
+        return _max_rotation_angle(self.rotations[_first_moving(self):])

@@ -8,8 +8,8 @@ once over a whole (N, m, 3) positions stack, a MarkerLog's own or a list of
 frames stacked, as two passes over blocks of frames and one np.linalg.svd
 over the cross-covariances; register() is that solve on a stack of two.
 register_sequence, the one sequence registration, builds its
-MotionSequence straight from the solved stacks, checked once, and builds no
-per-frame object: its motions are views built on first access. Marker
+MotionSequence straight from the solved stacks, which it keeps unchecked,
+and builds no per-frame object: its motions are views built on first access. Marker
 correspondence is assumed given (markers are tracked upstream); there is
 no correspondence search.
 """

@@ -273,7 +273,6 @@ def generate(config: ScenarioConfig):
         motions=MotionSequence._of_stacks(rotations, translations, range(len(rotations)),
                                           units=config.units),
         contact_geometry=config.contact)
-    rotations, translations = truth.motions.rotations, truth.motions.translations
 
     # a pivot or edge point sets the size of the geometry; a hinge has only a unit direction
     point = getattr(config.contact, "point", np.zeros(3))

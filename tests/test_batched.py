@@ -244,6 +244,16 @@ def test_generate_matches_the_frame_loop(name):
         assert np.array_equal(got.positions, want.positions)
 
 
+@pytest.mark.parametrize("name", sorted(GENERATE_CONFIGS))
+def test_generate_and_registration_make_stacks_that_pass_the_motion_check(name,
+                                                                         assert_checks_pass):
+    config = GENERATE_CONFIGS[name]()
+    assert_checks_pass(lambda: generate(config))
+    frames, _ = generate(config)
+    assert_checks_pass(lambda: register_sequence(frames))
+    assert_checks_pass(lambda: register_sequence(list(frames)))
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_register_frames_matches_the_register_loop(name):
     frames, _ = generate(CONFIGS[name]())
@@ -545,7 +555,9 @@ def _reference_frames(positions, frame_indices):
 
 
 def _stacked_sequence(rotations, translations, frame_indices, rms_errors=None):
-    seq = MotionSequence._of_stacks(rotations, translations, frame_indices, rms_errors)
+    """The motions of a sequence read from the stacks as a motion file's reader reads them."""
+    seq = MotionSequence._of_stacks(*motion._motion_stack(rotations, translations, frame_indices),
+                                    rms_errors)
     return [(m.rotation, m.translation, m.frame_index) for m in seq]
 
 
@@ -741,9 +753,9 @@ def _row_by_row(orthonormalize_one, mats):
 
 
 def _stacked_rotations(mats):
-    """The rotations of a sequence of the matrices, with zero translations and indices 1..N."""
+    """The checked rotations of the matrices, with zero translations and indices 1..N."""
     n = len(mats)
-    return MotionSequence._of_stacks(mats, np.zeros((n, 3)), range(1, n + 1)).rotations
+    return motion._motion_stack(mats, np.zeros((n, 3)), range(1, n + 1))[0]
 
 
 @settings(max_examples=300, deadline=None)

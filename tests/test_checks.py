@@ -15,6 +15,7 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EdgeContac
                     propagate_plane, read_report, register_sequence, rotation_about_axis,
                     write_report)
 from tacloc.io import dumps
+from tacloc.motion import _motion_stack
 
 GRID = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 MOTIONS = MotionSequence((RelativeMotion.identity(0),
@@ -85,8 +86,6 @@ def _report(provenance=PROVENANCE, estimate=None):
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: propagate_plane((0, 0, 2), MOTIONS), ValueError,
-     "n0 must be a unit vector, got norm 2.0"),
     (lambda: propagate_plane((0, 0, 1e300), MOTIONS), ValueError,
      "n0: largest |entry| 1e+300 is neither 0 nor in [2**-200, 2**200]"),
     (lambda: estimate_line_point(MotionSequence(()), (0, 0, 1), (1, 0, 0)),
@@ -148,7 +147,7 @@ def _report(provenance=PROVENANCE, estimate=None):
      "frame_index must be a nonnegative integer, got True"),
     (lambda: MarkerFrame(GRID, True), ValueError,
      "frame_index must be a nonnegative integer, got True"),
-    (lambda: MotionSequence._of_stacks(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, True]),
+    (lambda: _motion_stack(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, True]),
      ValueError, "frame_index must be a nonnegative integer, got True"),
     (lambda: MotionSequence(MOTIONS.motions, rms_errors=[0.0, True]), ValueError,
      "rms_error must be a finite number, got True"),
@@ -251,23 +250,19 @@ def _report(provenance=PROVENANCE, estimate=None):
      "frame_index must be a nonnegative integer, got 1e+300"),
     (lambda: RelativeMotion.identity(2.0), ValueError,
      "frame_index must be a nonnegative integer, got 2.0"),
-    (lambda: MotionSequence._of_stacks(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, 2.0]),
+    (lambda: _motion_stack(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, 2.0]),
      ValueError, "frame_index must be a nonnegative integer, got 2.0"),
-    (lambda: MotionSequence._of_stacks(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, "x"]),
+    (lambda: _motion_stack(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, "x"]),
      ValueError, "frame_index must be a nonnegative integer, got 'x'"),
     # each was taken, and its report then failed to write, or failed inside its error message
     (lambda: _estimate(kind="pivot"), ValueError, "'pivot' is not a valid ContactKind"),
-    # each was taken: a zero direction read as a fixed one, a scaled one scaled the residuals
+    # each was taken: a zero direction read as a fixed one
     (lambda: fixed_point_residuals(MOTIONS, (math.nan, 0, 0)), NonFiniteValue,
      "point: non-finite value at entry 0"),
     (lambda: fixed_point_residuals(MOTIONS, (1, 2)), ValueError,
      "point must have shape (3,), got (2,)"),
     (lambda: fixed_direction_residuals(MOTIONS, (0, 0, 0)), ValueError,
-     "direction must be a unit vector, got norm 0.0"),
-    (lambda: fixed_direction_residuals(MOTIONS, (0, 0, 5)), ValueError,
-     "direction must be a unit vector, got norm 5.0"),
-    (lambda: line_contact_residuals(MOTIONS, (0, 0, 2), (1, 2, 3)), ValueError,
-     "surface_normal must be a unit vector, got norm 2.0"),
+     "direction must be nonzero"),
     (lambda: line_contact_residuals(MOTIONS, (0, 0, 1), (1, math.inf, 3)), NonFiniteValue,
      "point: non-finite value at entry 1"),
     # taken, and written as "positions": [], which no log reads back
@@ -276,7 +271,7 @@ def _report(provenance=PROVENANCE, estimate=None):
     # each length or direction out of the magnitude range, named
     *((call, ValueError, f"{name}: largest |entry| {top} is neither 0 nor in [2**-200, 2**200]")
       for call, name, top in OUT_OF_RANGE),
-], ids=["n0_not_unit", "n0_huge", "line_point_of_no_motions",
+], ids=["n0_huge", "line_point_of_no_motions",
         "unserializable_value", "rotation_not_3x3", "zero_axis", "empty_log",
         "log_indices_not_dense", "log_marker_counts_differ", "sequence_of_non_motions",
         "log_of_non_frames", "log_of_a_non_frame_after_a_bad_index",
@@ -303,12 +298,22 @@ def _report(provenance=PROVENANCE, estimate=None):
         "huge_float_motion_index", "float_motion_index", "float_index_in_a_stack",
         "str_index_in_a_stack", "str_estimate_kind",
         "nan_residual_point", "short_residual_point", "zero_residual_direction",
-        "long_residual_direction", "long_residual_surface_normal", "inf_residual_line_point",
+        "inf_residual_line_point",
         "frame_without_markers", *(f"{name}_out_of_range" for name in OUT_OF_RANGE_IDS)])
 def test_a_check_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+# A direction or normal is any nonzero 3-vector in range, taken as its unit
+@pytest.mark.parametrize("call, scaled, unit", [
+    (lambda v: propagate_plane(v, MOTIONS), (0, 0, 2), (0, 0, 1)),
+    (lambda v: fixed_direction_residuals(MOTIONS, v), (0, 0, 5), (0, 0, 1)),
+    (lambda v: line_contact_residuals(MOTIONS, v, (1, 2, 3)), (0, 0, 2), (0, 0, 1)),
+], ids=["n0_not_unit", "long_residual_direction", "long_residual_surface_normal"])
+def test_a_scaled_direction_gives_its_unit_directions_results(call, scaled, unit):
+    assert np.array_equal(call(scaled), call(unit))
 
 
 def test_a_scenario_and_its_grid_take_keywords_only_and_a_scenario_needs_its_schedule():

@@ -5,7 +5,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from tacloc import (EdgeContact, FixedDirectionContact, FixedPointContact, MarkerFrame,
                     MotionSequence, MotionStep, RelativeMotion, ScenarioTruth, TooFewFrames,
@@ -278,8 +278,17 @@ _VECTORS_IN_RANGE = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(_VECTORS_IN_RANGE)
+@example(np.array([1.0, 1e-6, 0.0]))  # within 1e-12 of unit length: kept as it is
+@example(np.array([1.0, 2e-6, 0.0]))  # just outside: divided by its norm
 def test_a_vector_in_range_reads_as_its_direction(vector):
-    want = vector / math.hypot(*vector)  # hypot neither overflows nor underflows
-    for got in (MotionStep(angle=0.3, axis=vector).axis, FixedDirectionContact(vector).direction,
-                rotation_about_axis(vector, np.pi) @ want):
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=4 * np.finfo(float).eps)
+    norm = math.hypot(*vector)  # hypot neither overflows nor underflows
+    kept = abs(norm - 1.0) <= 1e-12
+    want = vector if kept else vector / norm
+    for got in (MotionStep(angle=0.3, axis=vector).axis, FixedDirectionContact(vector).direction):
+        if kept:
+            assert np.array_equal(got, vector)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=4 * np.finfo(float).eps)
+    # the axis of a half turn is its own image
+    np.testing.assert_allclose(rotation_about_axis(vector, np.pi) @ want, want, rtol=0.0,
+                               atol=4 * np.finfo(float).eps)

@@ -23,9 +23,10 @@ from tacloc import (ContactKind, MarkerFrame, MarkerLog, MotionSequence, MotionS
                     RelativeMotion, estimate_fixed_direction, estimate_fixed_point,
                     estimate_line_contact, generate, propagate_plane, read_marker_log,
                     read_motion_sequence, read_report, read_scenario, read_truth,
-                    register_sequence, write_marker_log)
+                    register_sequence, rotation_about_axis, write_marker_log)
 from tacloc.cli import main
-from tacloc.motion import L, _norm, _row_norms
+from tacloc.estimators import fixed_point_residuals
+from tacloc.motion import TRANSLATION_TOP, L, _norm, _row_norms
 
 BUNDLED = ["box_on_edge", "box_on_edge_noisy", "hinge_direction", "hinge_direction_noisy",
            "pivot_point", "pivot_point_noisy"]
@@ -208,6 +209,48 @@ def test_roundtrip_passes_and_its_files_read_back_at_both_ends_of_the_range(tmp_
     read_motion_sequence(work / "motions.json")
     read_truth(work / "truth.json")
     read_report(work / "report.json")
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_stacks_made_at_both_ends_of_the_range_pass_the_motion_check(tmp_path, name, end,
+                                                                     assert_checks_pass):
+    config = read_scenario(_scaled_scenario(tmp_path, name, _end(name, end)))
+    assert_checks_pass(lambda: generate(config))
+    log, _ = generate(config)
+    assert_checks_pass(lambda: register_sequence(log))
+
+
+def _motions_up_to(top):
+    """Five moving frames about different axes, whose translations' largest |entry| is top."""
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]
+    rotations = np.array([np.eye(3)] + [rotation_about_axis(a, 0.3 * k)
+                                        for k, a in enumerate(axes, start=1)])
+    translations = np.array([[0.0, 0.0, 0.0]] + [[k, -2.0 * k, 0.5] for k in range(1, 6)])
+    translations *= top / 10.0
+    translations[5, 1] = -top  # exactly, past any rounding of the product
+    return MotionSequence._of_stacks(rotations, translations, range(6))
+
+
+ESTIMATORS = [estimate_fixed_point, estimate_fixed_direction,
+              lambda motions: estimate_line_contact(motions, (0, 0, 1)),
+              lambda motions: fixed_point_residuals(motions, (1, 2, 3))]
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS, ids=["point", "direction", "line", "residuals"])
+def test_translations_up_to_their_bound_are_estimated_without_overflow(estimator):
+    # warnings are errors here: an overflowing sum of squares would fail the estimate
+    motions = _motions_up_to(TRANSLATION_TOP)
+    assert np.abs(motions.translations).max() == TRANSLATION_TOP == 2.0 ** (L + 3)
+    estimator(motions)
+    for top in (4e200, np.nextafter(TRANSLATION_TOP, np.inf)):
+        with pytest.raises(ValueError, match=r"^translations: largest \|entry\| [0-9.e+]+ is "
+                                             rf"beyond 2\*\*{L + 3}$"):
+            estimator(_motions_up_to(top))
+
+
+def test_a_sequence_beyond_the_bound_still_reports_its_rotation_angle():
+    assert _motions_up_to(4e200).max_rotation_angle() == _motions_up_to(1.0).max_rotation_angle()
 
 
 @pytest.mark.parametrize("end", ["low", "high"])
