@@ -181,9 +181,13 @@ def _estimate(kind: ContactKind, point, direction, residuals: np.ndarray,
 
 
 def fixed_point_residuals(motions: MotionSequence, point) -> np.ndarray:
-    """Per-frame distance the candidate pivot moves, over the moving frames."""
-    point = _floats(point, "point", (3,))
-    rotations, translations = _moving_stack(motions)
+    """Per-frame distance the candidate pivot, a point in range, moves over the moving frames."""
+    point = _in_range(_floats(point, "point", (3,)), "point")
+    return _point_residuals(*_moving_stack(motions), point)
+
+
+def _point_residuals(rotations, translations, point) -> np.ndarray:
+    """fixed_point_residuals from the moving frames' stacks."""
     return _row_norms(rotations @ point + translations - point)
 
 
@@ -195,7 +199,7 @@ def fixed_direction_residuals(motions: MotionSequence, direction) -> np.ndarray:
 
 
 def line_contact_residuals(motions: MotionSequence, surface_normal, point) -> np.ndarray:
-    """Per-frame out-of-plane displacement of the candidate edge point.
+    """Per-frame out-of-plane displacement of the candidate edge point, a point in range.
 
     surface_normal is the contacting face's normal in the initial frame; the
     residual at frame k is the component of the point's motion along the
@@ -204,7 +208,8 @@ def line_contact_residuals(motions: MotionSequence, surface_normal, point) -> np
     surface_normal = _unit(surface_normal, "surface_normal")
     rotations, translations = _moving_stack(motions)
     normals = _unit_rows(rotations @ surface_normal, "surface_normal")
-    return _line_residuals(normals, rotations, translations, _floats(point, "point", (3,)))
+    point = _in_range(_floats(point, "point", (3,)), "point")
+    return _line_residuals(normals, rotations, translations, point)
 
 
 def _line_residuals(normals, rotations, translations, point) -> np.ndarray:
@@ -237,8 +242,9 @@ def estimate_fixed_point(motions: MotionSequence, config: EstimatorConfig = Esti
                                         rcond=config.rank_tolerance)
     report = _conditioning(rotations, sing, -1, config, strict)
 
+    # the measured point takes no range check: near the origin it may be below 2**-L
     return _estimate(ContactKind.FIXED_POINT, point, None,
-                     fixed_point_residuals(motions, point), report)
+                     _point_residuals(rotations, translations, point), report)
 
 
 def estimate_fixed_direction(motions: MotionSequence, config: EstimatorConfig = EstimatorConfig(),

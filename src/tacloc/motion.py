@@ -15,7 +15,9 @@ checked once, where it enters, and then kept: a marker stack frame by frame
 whose one mask of RelativeMotion's tests finds the first bad entry in frame
 order, which its own RelativeMotion rejects. log.frames and seq.motions are
 read-only views into the stacks, built when first read; the estimators,
-registration and the writers build none. The estimators and residual
+registration and the writers build none. A registered sequence's
+rms_errors are made when first read too, by the maker registration hands
+_of_stacks, which holds the positions until then. The estimators and residual
 functions take a MotionSequence (_stack), whose moving frames follow a
 leading frame-0 entry (_moving_stack).
 """
@@ -307,6 +309,18 @@ def _unit(value, name: str) -> np.ndarray:
     return vec if abs(norm - 1.0) <= 1e-12 else vec / norm
 
 
+def _rms_errors(values, count: int) -> tuple | None:
+    """values as a tuple of floats, one finite nonnegative per motion of a sequence of count, or
+    ValueError. None, and the () of an empty sequence, which has no fit to report, give None,
+    as its file reads back."""
+    if values is None:
+        return None
+    values = tuple([_number(e, "rms_error") for e in values])
+    if len(values) != count or not all(e >= 0.0 for e in values):
+        raise ValueError("rms_errors must be one finite nonnegative value per motion")
+    return values or None
+
+
 def _stack(motions) -> tuple:
     """A MotionSequence's rotations (N, 3, 3) and translations (N, 3), none past TRANSLATION_TOP."""
     if not isinstance(motions, MotionSequence):
@@ -478,7 +492,6 @@ class MotionSequence:
     rotations: np.ndarray
     translations: np.ndarray
     frame_indices: tuple
-    rms_errors: tuple | None
     units: str
 
     def __init__(self, motions, rms_errors=None, units: str = "mm"):
@@ -492,8 +505,13 @@ class MotionSequence:
     def _of_stacks(cls, rotations: np.ndarray, translations: np.ndarray, frame_indices,
                    rms_errors=None, units: str = "mm") -> "MotionSequence":
         """The sequence of motions (rotations[k], translations[k], frame_indices[k]) as they are:
-        its makers hand it only finite proper rotations, finite translations and int indices."""
-        return object.__new__(cls)._keep(rotations, translations, frame_indices, rms_errors, units)
+        its makers hand it only finite proper rotations, finite translations and int indices.
+        rms_errors may also be a function of no arguments that makes them, as registration
+        hands it: the first read of rms_errors calls it, checks what it made and drops it."""
+        seq = object.__new__(cls)
+        if callable(rms_errors):
+            seq.__dict__["_make_rms"], rms_errors = rms_errors, None
+        return seq._keep(rotations, translations, frame_indices, rms_errors, units)
 
     def _keep(self, rotations, translations, indices, rms_errors, units: str) -> "MotionSequence":
         """Check the sequence as a whole, then store it, its stacks read-only."""
@@ -501,15 +519,21 @@ class MotionSequence:
             raise ValueError(f"frame_index must be strictly increasing, got {_shown(indices)}")
         if indices and indices[0] == 0 and not _is_identity(rotations[0], translations[0]):
             raise ValueError("the frame-0 motion must be the identity")
-        if rms_errors is not None:
-            rms_errors = tuple([_number(e, "rms_error") for e in rms_errors])
-            if len(rms_errors) != len(indices) or not all(e >= 0.0 for e in rms_errors):
-                raise ValueError("rms_errors must be one finite nonnegative value per motion")
-        # () only for an empty sequence, which has no fit to report: None, as its file reads back
+        if "_make_rms" not in self.__dict__:  # else rms_errors checks them on first read
+            self.__dict__["rms_errors"] = _rms_errors(rms_errors, len(indices))
         self.__dict__.update(rotations=_frozen(rotations), translations=_frozen(translations),
-                             frame_indices=tuple(indices), rms_errors=rms_errors or None,
-                             units=_text(units, "units"))
+                             frame_indices=tuple(indices), units=_text(units, "units"))
         return self
+
+    @cached_property
+    def rms_errors(self) -> tuple | None:
+        """Each motion's marker fit RMS, or None; made on first read from _of_stacks' maker."""
+        # each thread that reads first makes them, but all keep and return the first one kept;
+        # the maker goes only after that, so a thread that finds no maker finds them kept
+        if (make := self.__dict__.get("_make_rms")) is not None:
+            self.__dict__.setdefault("rms_errors", _rms_errors(make(), len(self.frame_indices)))
+            self.__dict__.pop("_make_rms", None)  # and with it the positions the maker holds
+        return self.__dict__["rms_errors"]
 
     @cached_property
     def motions(self) -> tuple:

@@ -5,11 +5,13 @@ removed, the 3x3 cross-covariance is decomposed, and the reflection case is
 repaired by flipping the singular direction with the smallest singular
 value (motion._proper_product, orthonormalize's one repair too). It runs
 once over a whole (N, m, 3) positions stack, a MarkerLog's own or a list of
-frames stacked, as two passes over blocks of frames and one np.linalg.svd
-over the cross-covariances; register() is that solve on a stack of two.
+frames stacked, in two parts: the fit (_solve), one pass over blocks of
+frames and one np.linalg.svd over the cross-covariances, and each fit's RMS
+(_fit_rms), a second pass. register() is both on a stack of two.
 register_sequence, the one sequence registration, builds its
-MotionSequence straight from the solved stacks, which it keeps unchecked,
-and builds no per-frame object: its motions are views built on first access. Marker
+MotionSequence straight from the fitted stacks, which it keeps unchecked,
+and builds no per-frame object: its motions are views built on first
+access, and its rms_errors the second pass, run on first read. Marker
 correspondence is assumed given (markers are tracked upstream); there is
 no correspondence search.
 """
@@ -17,6 +19,7 @@ no correspondence search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -63,7 +66,8 @@ def register(reference: MarkerFrame, current: MarkerFrame) -> RegistrationResult
         DegenerateMarkers: marker covariance rank < 2 (collinear or
             coincident markers) — the rotation is unobservable.
     """
-    rotation, translation, rms, rank, _ = _register_all([reference, current])
+    rotation, translation, rank, positions, _ = _register_all([reference, current])
+    rms = _fit_rms(positions, rotation, translation)
     return RegistrationResult(motion=RelativeMotion(rotation[0], translation[0],
                                                     current.frame_index),
                               rms_error=float(rms[0]), marker_covariance_rank=int(rank[0]))
@@ -73,8 +77,9 @@ def _register_all(frames) -> tuple:
     """register(frames[0], frame) for every later frame, as one solve over the (N, m, 3)
     positions stack: a MarkerLog's own, or a list of one or more MarkerFrames stacked.
 
-    Returns rotations (N - 1, 3, 3), translations, RMS errors and covariance
-    ranks of the N - 1 fits, and the N frame indices. An error names the
+    Returns rotations (N - 1, 3, 3), translations and covariance ranks of the
+    N - 1 fits (_solve), the (N, m, 3) stack their RMS errors come from
+    (_fit_rms), and the N frame indices. An error names the
     first bad frame, as register frame by frame would: the reference's
     marker count, then each frame's marker count and degeneracy in turn.
     """
@@ -99,12 +104,13 @@ def _register_all(frames) -> tuple:
             f"marker counts differ: reference has {count}, "
             f"frame {mismatch.frame_index} has {mismatch.marker_count}",
             frame_index=mismatch.frame_index)
-    return (*results, indices)
+    return (*results, positions, indices)
 
 
 def _solve(positions: np.ndarray, frame_indices) -> tuple:
     """The SVD fit of frame 0 onto each later frame of an (N, m, 3) stack, batched over the
-    (N - 1, 3, 3) cross-covariances; frame_indices name a degenerate frame."""
+    (N - 1, 3, 3) cross-covariances: its rotations, translations and covariance ranks;
+    frame_indices name a degenerate frame."""
     moving, blocks = positions[1:], _blocks(positions[1:])  # no temporary as large as the stack
     ref = positions[0]
     ref_centroid = ref.mean(axis=0)
@@ -126,7 +132,14 @@ def _solve(positions: np.ndarray, frame_indices) -> tuple:
 
     rotation = _proper_product(vt.swapaxes(1, 2).copy(), u.swapaxes(1, 2))
     translation = cur_centroid - rotation @ ref_centroid
+    return rotation, translation, rank
 
+
+def _fit_rms(positions: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """The RMS marker distance of each of _solve's fits of an (N, m, 3) stack: frame 0 moved by
+    rotation[k] and translation[k] against frame k + 1."""
+    moving, blocks = positions[1:], _blocks(positions[1:])
+    ref = positions[0]
     rotation_t = np.ascontiguousarray(rotation.swapaxes(1, 2))  # the view's bits, but faster
     rms = np.empty(len(moving))
     for b in blocks:
@@ -136,16 +149,25 @@ def _solve(positions: np.ndarray, frame_indices) -> tuple:
         sums = residuals[..., 0] + residuals[..., 1]  # np.sum(r**2, axis=2), bit for bit
         sums += residuals[..., 2]
         rms[b] = np.sqrt(np.mean(sums, axis=1))
-
-    return rotation, translation, rms, rank
+    return rms
 
 
 def register_sequence(frames) -> MotionSequence:
     """Register each of a MarkerLog's frames, or of one or more MarkerFrames, against the first,
     which maps to the identity; each fit's RMS (0 for the first) goes in rms_errors, and a
-    MarkerLog's units in units ("mm" for other frames). Errors name the frame at fault."""
+    MarkerLog's units in units ("mm" for other frames). Errors name the frame at fault.
+
+    rms_errors is computed when first read: until then the sequence keeps the positions it
+    comes from, a MarkerLog's own stack (no copy) or the frames stacked."""
     units = frames.units if isinstance(frames, MarkerLog) else "mm"
-    rotations, translations, rms, _, indices = _register_all(frames)
-    return MotionSequence._of_stacks(np.concatenate([_EYE3[None], rotations]),
-                                     np.concatenate([np.zeros((1, 3)), translations]),
-                                     indices, rms_errors=(0.0, *rms.tolist()), units=units)
+    rotations, translations, _, positions, indices = _register_all(frames)
+    rotations = np.concatenate([_EYE3[None], rotations])
+    translations = np.concatenate([np.zeros((1, 3)), translations])
+    # the moving frames' rows of the sequence's own stacks, so no second copy is kept
+    rms_errors = partial(_sequence_rms, positions, rotations[1:], translations[1:])
+    return MotionSequence._of_stacks(rotations, translations, indices, rms_errors, units)
+
+
+def _sequence_rms(positions: np.ndarray, rotations: np.ndarray, translations: np.ndarray) -> tuple:
+    """register_sequence's rms_errors: 0 for frame 0, then each fit's _fit_rms."""
+    return (0.0, *_fit_rms(positions, rotations, translations).tolist())

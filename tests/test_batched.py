@@ -31,7 +31,7 @@ from tacloc.estimators import (_canonical_sign, fixed_direction_residuals,
 from tacloc.io import MARKER_LOG_SCHEMA
 from tacloc.motion import ROTATION_TOL, MarkerLog, orthonormalize, rotation_angle
 from tacloc import motion
-from tacloc.registration import RANK_TOLERANCE, _register_all, _solve
+from tacloc.registration import RANK_TOLERANCE, _fit_rms, _register_all, _solve
 from tacloc.simulate import InvalidSchedule, _truth_stacks
 
 # ---------------------------------------------------------------------------
@@ -570,7 +570,8 @@ def _raw_stacks(config):
     """The truth, frame and registration stacks of one config, as generate and
     register_sequence build them before any check."""
     frames, _ = generate(config)
-    rotations, translations, rms, _, _ = _register_all(list(frames))
+    rotations, translations, _, positions, _ = _register_all(list(frames))
+    rms = _fit_rms(positions, rotations, translations)
     return {
         "truth": (*_truth_stacks(config.contact, config.schedule), list(range(len(frames)))),
         "registered": (np.concatenate([np.eye(3)[None], rotations]),
@@ -813,7 +814,8 @@ def test_stack_views_stay_read_only():
 
 
 def _reference_solve(positions):
-    """_solve as it was, on the frames of a stack: re-stacked, mean(axis=1), sum(r**2, axis=2)."""
+    """_solve with _fit_rms as it was, on the frames of a stack: re-stacked, mean(axis=1),
+    sum(r**2, axis=2)."""
     ref, frames = positions[0], [MarkerFrame(p, k) for k, p in enumerate(positions[1:], 1)]
     cur = np.stack([f.positions for f in frames])
     ref_centroid = ref.mean(axis=0)
@@ -846,8 +848,9 @@ def test_the_solve_on_a_stack_matches_the_restacked_solve(markers, moving):
     positions[1:] += rng.normal(size=(moving, 1, 3)) + rng.normal(size=positions[1:].shape) * 1e-3
     for k in (-150, 0, 150):  # scales that keep every frame in range
         scaled = np.ldexp(positions, k)
-        got, want = _solve(scaled, range(moving + 1)), _reference_solve(scaled)
-        for a, b in zip(got, want):
+        rotation, translation, rank = _solve(scaled, range(moving + 1))
+        got = rotation, translation, _fit_rms(scaled, rotation, translation), rank
+        for a, b in zip(got, _reference_solve(scaled)):
             assert a.shape == b.shape and np.array_equal(a, b), (markers, moving, k)
 
 

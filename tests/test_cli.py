@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from tacloc import (EstimatorConfig, MarkerFrame, MarkerLog, __version__, generate,
                     read_marker_log, read_report, read_scenario, rotation_about_axis,
                     write_marker_log)
-from tacloc import cli
+from tacloc import cli, registration
 from tacloc.cli import main
 from tacloc.simulate import MarkerGrid
 
@@ -215,6 +215,19 @@ def test_register_writes_the_sequence_register_sequence_returned(tmp_path, monke
     assert motions is registered[0]
     # its motions still view the stacks registration built
     assert all(np.shares_memory(m.rotation, motions.rotations) for m in motions)
+
+
+def test_only_register_computes_the_fit_rms(tmp_path, monkeypatch):
+    calls, fit_rms = [], registration._fit_rms
+    monkeypatch.setattr(registration, "_fit_rms", lambda *args: (calls.append(args),
+                                                                 fit_rms(*args))[1])
+    log = simulate(tmp_path)
+    assert main(["estimate", "--type", "point", "--log", str(log),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 0
+    # register prints the worst fit and writes each: one pass makes both
+    assert main(["register", "--log", str(log), "--out", str(tmp_path / "motions.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_wrong_schema_exits_3(tmp_path):

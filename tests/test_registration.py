@@ -1,13 +1,29 @@
 """Marker registration against the generating motion (the oracle is the generator)."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from tacloc import (DegenerateMarkers, MarkerFrame, MarkerLog, MismatchedFrames,
-                    MotionSequence, RelativeMotion, TooFewMarkers, read_marker_log,
-                    register, register_sequence, rotation_about_axis,
+                    MotionSequence, RelativeMotion, TooFewMarkers, generate, read_marker_log,
+                    read_scenario, register, register_sequence, rotation_about_axis,
                     write_marker_log)
 from tacloc.simulate import MarkerGrid
+
+BUNDLED = sorted(p.name.removesuffix(".json")
+                 for p in (resources.files("tacloc") / "scenarios").iterdir()
+                 if p.name.endswith(".json"))
+
+
+def bundled_log(name):
+    return generate(read_scenario(resources.files("tacloc") / "scenarios" / f"{name}.json"))[0]
 
 
 def random_motion(rng, frame_index=1):
@@ -214,3 +230,70 @@ def test_register_sequence_of_a_marker_log_keeps_its_units(tmp_path):
     assert in_default.rms_errors == in_metres.rms_errors
     assert np.array_equal(in_default.rotations, in_metres.rotations)
     assert np.array_equal(in_default.translations, in_metres.translations)
+
+
+# ---------------------------------------------------------------------------
+# A registered sequence's rms_errors are made on first read, from the positions it keeps.
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("as_list", [False, True], ids=["log", "frames"])
+def test_each_rms_error_read_later_is_its_single_fits_bit_for_bit(name, as_list):
+    log = bundled_log(name)
+    want = (0.0, *(register(log[0], frame).rms_error for frame in log[1:]))
+    motions = register_sequence(list(log) if as_list else log)
+    assert "rms_errors" not in vars(motions)
+    gone = weakref.ref(log)
+    del log
+    gc.collect()
+    assert gone() is None
+    # a list of frames is stacked into a copy that only the sequence holds, until first read
+    stack = weakref.ref(vars(motions)["_make_rms"].args[0])
+    assert motions.rms_errors == want and all(type(e) is float for e in want)
+    assert motions.rms_errors is motions.rms_errors
+    assert "_make_rms" not in vars(motions)
+    if as_list:
+        assert stack() is None
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_a_registered_sequence_pickles_and_copies(read_first):
+    log = bundled_log("box_on_edge_noisy")
+    want = register_sequence(log).rms_errors
+    motions = register_sequence(log)
+    if read_first:
+        motions.rms_errors
+    for copied in (pickle.loads(pickle.dumps(motions)), copy.deepcopy(motions)):
+        assert copied.rms_errors == want
+        assert np.array_equal(copied.rotations, motions.rotations)
+        assert np.array_equal(copied.translations, motions.translations)
+        assert copied.frame_indices == motions.frame_indices and copied.units == motions.units
+    assert motions.rms_errors == want
+
+
+def test_threads_reading_a_fresh_sequence_get_one_tuple():
+    log = bundled_log("pivot_point_noisy")
+    want = register_sequence(log).rms_errors
+    threads = 8  # more than the cores, with a short switch interval, so first reads overlap
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            motions, read = register_sequence(log), []
+            start = threading.Barrier(threads)
+            workers = [threading.Thread(target=lambda: (start.wait(timeout=10),
+                                                        read.append(motions.rms_errors)))
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            assert len(read) == threads and read[0] == want
+            assert all(got is read[0] for got in read)
+    finally:
+        sys.setswitchinterval(interval)
+    # a read that began before another thread kept the errors returns the kept tuple
+    motions = register_sequence(log)
+    first = MotionSequence.rms_errors.func(motions)
+    assert MotionSequence.rms_errors.func(motions) is first is motions.rms_errors

@@ -25,7 +25,7 @@ from tacloc import (ContactKind, MarkerFrame, MarkerLog, MotionSequence, MotionS
                     read_motion_sequence, read_report, read_scenario, read_truth,
                     register_sequence, rotation_about_axis, write_marker_log)
 from tacloc.cli import main
-from tacloc.estimators import fixed_point_residuals
+from tacloc.estimators import fixed_point_residuals, line_contact_residuals
 from tacloc.motion import TRANSLATION_TOP, L, _norm, _row_norms
 
 BUNDLED = ["box_on_edge", "box_on_edge_noisy", "hinge_direction", "hinge_direction_noisy",
@@ -251,6 +251,30 @@ def test_translations_up_to_their_bound_are_estimated_without_overflow(estimator
 
 def test_a_sequence_beyond_the_bound_still_reports_its_rotation_angle():
     assert _motions_up_to(4e200).max_rotation_angle() == _motions_up_to(1.0).max_rotation_angle()
+
+
+@pytest.mark.parametrize("residuals", [
+    fixed_point_residuals, lambda motions, point: line_contact_residuals(motions, (0, 0, 1), point)],
+    ids=["point", "line"])
+def test_a_residual_point_out_of_range_is_named(residuals):
+    motions = _motions_up_to(1.0)
+    for point in ((0.0, 2.0**L, 0.0), (0.0, -(2.0**-L), 0.0), (0.0, 0.0, 0.0)):
+        assert np.isfinite(residuals(motions, point)).all()
+    for point in ((0.0, 1e300, 0.0), (0.0, 1e-300, 0.0)):
+        with pytest.raises(ValueError, match=r"^point: largest \|entry\| 1e[+-]300 is neither 0 "):
+            residuals(motions, point)
+
+
+def test_a_point_estimate_below_the_range_still_gets_its_residuals():
+    # at the small end of pivot_point's log range, the measured pivot lies just below 2**-L:
+    # it is no length that enters, so the estimator's own residuals take it
+    low, _ = LOG_KS["pivot_point"]
+    motions, estimate = _run("pivot_point", low)
+    assert 0.0 < np.abs(estimate.point).max() < 2.0**-L
+    assert _equal(estimate.per_frame_residuals, _at_scale_one("pivot_point")[1].per_frame_residuals,
+                  low)
+    with pytest.raises(ValueError, match=r"^point: largest \|entry\| "):
+        fixed_point_residuals(motions, estimate.point)
 
 
 @pytest.mark.parametrize("end", ["low", "high"])
