@@ -35,8 +35,11 @@ per_frame_residuals as a list (None is ContactEstimate's default). Motions
 and marker logs are read into stacks: _array checks each array by _floats,
 naming its motion or frame, and the readers check each frame_index and
 rms_error, and a log's units (its _of_stack checks neither index nor units,
-and a true index would pass the dense test); a motion file's stacks then
-pass motion._motion_stack, and MotionSequence checks its own units.
+and a true index would pass the dense test). A motion file's motions are
+checked by their reader, _motions, alone: with every array finite and every
+index an int, one mask of RelativeMotion's two other tests (a determinant
+<= 0, a negative index) finds the first bad motion in frame order, whose own
+RelativeMotion raises the error; MotionSequence then checks the sequence.
 
 Every reader takes a path or an open binary file, which it closes once
 read. Either is read as text mode reads a path, strict UTF-8 with universal
@@ -64,7 +67,7 @@ import numpy as np
 from . import motion
 from .errors import NonFiniteValue, ParseError, SchemaVersionMismatch
 from .estimators import ConditioningReport, ContactEstimate, EstimatorConfig
-from .motion import MarkerLog, MotionSequence, RelativeMotion, _first_bad_motion
+from .motion import MarkerLog, MotionSequence, RelativeMotion
 from .simulate import (EdgeContact, FixedDirectionContact, FixedPointContact,
                        MarkerGrid, MotionStep, ScenarioConfig, ScenarioTruth)
 
@@ -285,15 +288,11 @@ def _entries(data, key: str, context: str) -> list:
     return value
 
 
-def _number(value, what: str) -> float:
-    """value as a float, or ParseError unless it is a finite JSON number (not a bool or NaN)."""
-    with _invalid():
-        return motion._number(value, what)
-
-
 def _float(data, key: str, context: str) -> float:
-    """data[key] as a float, or ParseError unless it is a finite JSON number."""
-    return _number(_require(data, key, context), f"{context} {key!r}")
+    """data[key] as a float by motion._number, or ParseError unless it is a finite JSON number."""
+    value = _require(data, key, context)
+    with _invalid():
+        return motion._number(value, f"{context} {key!r}")
 
 
 def _array(data, key: str, context: str, shape: tuple, rows: str = "entry") -> np.ndarray:
@@ -372,12 +371,15 @@ def _motions(data, context: str) -> MotionSequence:
     rms_errors = None
     if any("rms_error" in raw for raw in raw_motions):
         rms_errors = [_float(raw, "rms_error", f"motion {i}") for i, raw in enumerate(raw_motions)]
-    try:
-        return MotionSequence._of_stacks(*motion._motion_stack(rotations, translations, indices),
-                                         rms_errors, units)
-    except ValueError as err:  # a motion's, named, or else the file's sequence as a whole
-        k = _first_bad_motion(rotations, translations, indices)
-        raise ParseError(f"motion {k}: {err}" if k >= 0 else f"{context}: {err}") from err
+    # every array is finite and every index an int, so RelativeMotion rejects only these two
+    bad = (np.linalg.det(rotations) <= 0.0) | np.array([i < 0 for i in indices], dtype=bool)
+    if bad.any():
+        k = int(bad.argmax())  # the first in frame order
+        with _invalid(f"motion {k}"):
+            RelativeMotion(rotations[k], translations[k], indices[k])  # raises
+    with _invalid(context):
+        return MotionSequence._of_stacks(motion._proper_rotations(rotations), translations,
+                                         indices, rms_errors, units)
 
 
 def write_motion_sequence(path, motions: MotionSequence) -> None:

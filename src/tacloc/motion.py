@@ -11,9 +11,9 @@ to be uniform within a dataset.
 A MarkerLog is stored as its (N, m, 3) positions and a MotionSequence as its
 (N, 3, 3) rotations, (N, 3) translations and frame indices. Each stack is
 checked once, where it enters, and then kept: a marker stack frame by frame
-(MarkerFrame, generate, read_marker_log); a motion file's by _motion_stack,
-whose one mask of RelativeMotion's tests finds the first bad entry in frame
-order, which its own RelativeMotion rejects. log.frames and seq.motions are
+(MarkerFrame, generate, read_marker_log); a motion file's motions by their
+reader, whose one mask finds the first bad motion in frame order, which its
+own RelativeMotion rejects. log.frames and seq.motions are
 read-only views into the stacks, built when first read; the estimators,
 registration and the writers build none. A registered sequence's
 rms_errors are made when first read too, by the maker registration hands
@@ -206,32 +206,6 @@ def _proper_product(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
     u[flip, :, 2] = -u[flip, :, 2]
     rot[flip] = u[flip] @ vt[flip]
     return rot
-
-
-def _first_bad_motion(rotations: np.ndarray, translations: np.ndarray, frame_indices) -> int:
-    """The first k, in order, whose motion RelativeMotion(rotations[k], translations[k],
-    frame_indices[k]) would reject, or -1: one mask of its tests over the stacks."""
-    finite = np.isfinite(rotations).all(axis=(1, 2))
-    bad = ~finite | ~np.isfinite(translations).all(axis=1)
-    bad[finite] |= np.linalg.det(rotations[finite]) <= 0.0  # numpy warns on a non-finite one
-    for k, i in enumerate(frame_indices):
-        if not (type(i) is int and i >= 0):  # an int at once, for speed; else _frame_index's rule
-            try:
-                _frame_index(i)
-            except ValueError:
-                bad[k] = True
-    return int(bad.argmax()) if bad.any() else -1
-
-
-def _motion_stack(rotations: np.ndarray, translations: np.ndarray, frame_indices) -> tuple:
-    """RelativeMotion's checks over float (N, 3, 3) and (N, 3) stacks at once: the proper
-    rotations, the translations and the frame indices as ints, or the error RelativeMotion
-    raises for the first bad motion, which _first_bad_motion finds."""
-    frame_indices = list(frame_indices)
-    k = _first_bad_motion(rotations, translations, frame_indices)
-    if k >= 0:
-        RelativeMotion(rotations[k], translations[k], frame_indices[k])  # raises
-    return _proper_rotations(rotations), translations, [int(i) for i in frame_indices]
 
 
 def _blocks(stack: np.ndarray) -> list:
@@ -505,7 +479,8 @@ class MotionSequence:
     def _of_stacks(cls, rotations: np.ndarray, translations: np.ndarray, frame_indices,
                    rms_errors=None, units: str = "mm") -> "MotionSequence":
         """The sequence of motions (rotations[k], translations[k], frame_indices[k]) as they are:
-        its makers hand it only finite proper rotations, finite translations and int indices.
+        its makers hand it only finite proper rotations, finite translations and int indices
+        (a motion or truth file's reader checks its motions as it reads them).
         rms_errors may also be a function of no arguments that makes them, as registration
         hands it: the first read of rms_errors calls it, checks what it made and drops it."""
         seq = object.__new__(cls)
@@ -551,7 +526,7 @@ class MotionSequence:
 
     def moving(self) -> tuple:
         """The motions excluding the frame-0 reference entry."""
-        return tuple(m for m in self.motions if m.frame_index != 0)
+        return self.motions[_first_moving(self):]
 
     def max_rotation_angle(self) -> float:
         return _max_rotation_angle(self.rotations[_first_moving(self):])

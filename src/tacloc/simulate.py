@@ -206,7 +206,8 @@ class ScenarioConfig:
         for key, value in tolerances.items():
             if not isinstance(key, str):
                 raise ValueError(f"tolerance names must be strings, got {_shown(key)}")
-            _number(value, f"tolerance {key!r}")
+            if _number(value, f"tolerance {key!r}") < 0.0:
+                raise ValueError(f"tolerance {key!r} must be nonnegative, got {_shown(value)}")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "noise_sigma", _readonly(sigma))
         object.__setattr__(self, "tolerances", tolerances)

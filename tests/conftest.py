@@ -7,8 +7,7 @@ pytest captures test output.
 import numpy as np
 import pytest
 
-from tacloc import MotionSequence
-from tacloc.motion import _first_bad_motion, _motion_stack
+from tacloc import MotionSequence, RelativeMotion
 
 _ACCEPTANCE_RESULTS = {}
 
@@ -16,9 +15,10 @@ _ACCEPTANCE_RESULTS = {}
 @pytest.fixture
 def assert_checks_pass(monkeypatch):
     """check(make) runs make and asserts that every motion stack it hands to
-    MotionSequence._of_stacks, which keeps them unchecked, passes _motion_stack,
-    the check a motion file's stacks get: no bad motion, and the same
-    rotations, translations and int frame indices back, bit for bit."""
+    MotionSequence._of_stacks, which keeps them unchecked, holds int frame
+    indices and motions that RelativeMotion takes as they are: each motion's
+    own RelativeMotion raises nothing and keeps its rotation and translation
+    bit for bit."""
     handed = []
     of_stacks = MotionSequence._of_stacks.__func__
 
@@ -31,13 +31,12 @@ def assert_checks_pass(monkeypatch):
         make()
         assert handed
         for rotations, translations, indices in handed:
-            assert _first_bad_motion(rotations, translations, list(indices)) == -1
-            checked_rotations, checked_translations, checked_indices = _motion_stack(
-                rotations, translations, indices)
-            assert np.array_equal(checked_rotations, rotations)
-            assert np.array_equal(checked_translations, translations)
-            assert list(indices) == checked_indices
             assert all(type(i) is int for i in indices)
+            for rotation, translation, index in zip(rotations, translations, indices):
+                checked = RelativeMotion(rotation, translation, index)
+                assert np.array_equal(checked.rotation, rotation)
+                assert np.array_equal(checked.translation, translation)
+                assert checked.frame_index == index
 
     monkeypatch.setattr(MotionSequence, "_of_stacks", classmethod(spy))
     return check

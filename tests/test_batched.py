@@ -9,6 +9,7 @@ the pinned file bytes and every estimate depend on it; every error must
 keep its type and message and come from the first bad entry in frame order.
 """
 
+import io
 import json
 import math
 import re
@@ -25,10 +26,11 @@ from tacloc import (DegenerateMarkers, EdgeContact, FixedDirectionContact,
                     ScenarioConfig, TaclocError, TooFewMarkers, estimate_fixed_direction,
                     estimate_fixed_point, estimate_line_contact, estimate_line_direction,
                     estimate_line_point, generate, propagate_plane, read_marker_log,
-                    read_scenario, register, register_sequence, rotation_about_axis)
+                    read_motion_sequence, read_scenario, register, register_sequence,
+                    rotation_about_axis)
 from tacloc.estimators import (_canonical_sign, fixed_direction_residuals,
                                fixed_point_residuals, line_contact_residuals)
-from tacloc.io import MARKER_LOG_SCHEMA
+from tacloc.io import MARKER_LOG_SCHEMA, MOTIONS_SCHEMA
 from tacloc.motion import ROTATION_TOL, MarkerLog, orthonormalize, rotation_angle
 from tacloc import motion
 from tacloc.registration import RANK_TOLERANCE, _fit_rms, _register_all, _solve
@@ -554,11 +556,56 @@ def _reference_frames(positions, frame_indices):
     return out
 
 
-def _stacked_sequence(rotations, translations, frame_indices, rms_errors=None):
-    """The motions of a sequence read from the stacks as a motion file's reader reads them."""
-    seq = MotionSequence._of_stacks(*motion._motion_stack(rotations, translations, frame_indices),
-                                    rms_errors)
+def _motion_file(rotations, translations, frame_indices, rms_errors=None) -> io.BytesIO:
+    """A motion file holding the motions as they are: json.dumps writes a NaN or an infinity as
+    NaN or Infinity, which json.loads reads back."""
+    entries = [{"frame_index": i, "rotation": r.tolist(), "translation": t.tolist()}
+               for r, t, i in zip(rotations, translations, frame_indices)]
+    for entry, rms in zip(entries, rms_errors or ()):
+        entry["rms_error"] = rms
+    doc = {"schema": MOTIONS_SCHEMA, "units": "mm", "motions": entries}
+    return io.BytesIO(json.dumps(doc).encode())
+
+
+def _read_sequence(rotations, translations, frame_indices, rms_errors=None):
+    """The motions of a sequence read back from a motion file of the stacks."""
+    seq = read_motion_sequence(_motion_file(rotations, translations, frame_indices, rms_errors))
     return [(m.rotation, m.translation, m.frame_index) for m in seq]
+
+
+def _reference_read(check, motions):
+    """[check(*entry) for entry in motions], its first error as a motion file's reader raises
+    it for those motions. The reader reads every motion's arrays before it checks any
+    determinant or index, so the first motion holding a non-finite entry fails first, naming
+    the array ("motion k 'translation': ..."); only then does the first motion that check
+    rejects, as "motion k: ..."."""
+    for k, (rotation, translation, _) in enumerate(motions):
+        for key, array, reference in (
+                ("rotation", rotation, _reference_orthonormalize_by_gap),
+                ("translation", translation, lambda t: _reference_vector3(t, "translation"))):
+            if not np.isfinite(array).all():
+                try:
+                    reference(array)
+                except NonFiniteValue as err:
+                    raise NonFiniteValue(
+                        f"motion {k} '{key}'{str(err).removeprefix(key)}") from err
+    out = []
+    for k, entry in enumerate(motions):
+        try:
+            out.append(check(*entry))
+        except ValueError as err:
+            raise ParseError(f"motion {k}: {err}") from err
+    return out
+
+
+def _reference_file(rotations, translations, frame_indices):
+    """_reference_sequence as a motion file's reader reports it: each motion's error by
+    _reference_read, then the sequence's own, after the file's context."""
+    _reference_read(_reference_motion, list(zip(rotations, translations, frame_indices)))
+    try:
+        return _reference_sequence(rotations, translations, frame_indices)
+    except ValueError as err:
+        raise ParseError(f"motion file: {err}") from err
 
 
 def _stacked_frames(positions):
@@ -601,11 +648,11 @@ def test_stacks_checked_once_match_the_per_object_constructors(name):
     registered = register_sequence(frames)
 
     want = _reference_sequence(*_copies(raw["truth"]))
-    assert_same_rows(_stacked_sequence(*_copies(raw["truth"])), want)
+    assert_same_rows(_read_sequence(*_copies(raw["truth"])), want)
     assert_same_rows([(m.rotation, m.translation, m.frame_index) for m in truth.motions], want)
 
     want = _reference_sequence(*_copies(raw["registered"]))
-    assert_same_rows(_stacked_sequence(*_copies(raw["registered"])), want)
+    assert_same_rows(_read_sequence(*_copies(raw["registered"])), want)
     assert_same_rows([(m.rotation, m.translation, m.frame_index) for m in registered], want)
     assert registered.rms_errors == tuple(raw["registered"][3])
 
@@ -624,7 +671,8 @@ def _set_row(stack, k, value):
     stack[k] = value
 
 
-# Faults for one motion k: each mutates the (rotations, translations, indices) copies.
+# Faults for one motion k that a motion file can hold: each mutates the (rotations,
+# translations, indices) copies. A file's index is a JSON integer, so no fraction, bool or NaN.
 MOTION_FAULTS = {
     "rotation_nan": lambda r, t, i, k: r[k].__setitem__((0, 1), np.nan),
     "rotation_inf": lambda r, t, i, k: r[k].__setitem__((2, 2), -np.inf),
@@ -633,11 +681,10 @@ MOTION_FAULTS = {
     "translation_nan": lambda r, t, i, k: t[k].__setitem__(2, np.nan),
     "translation_inf": lambda r, t, i, k: t[k].__setitem__(0, np.inf),
     "index_negative": lambda r, t, i, k: i.__setitem__(k, -k),
-    "index_fraction": lambda r, t, i, k: i.__setitem__(k, k + 0.5),
     "index_repeated": lambda r, t, i, k: i.__setitem__(k, i[k - 1]),
-    "index_bool": lambda r, t, i, k: i.__setitem__(k, True),
-    "index_nan": lambda r, t, i, k: i.__setitem__(k, np.nan),
 }
+# The faults the reader meets as it reads each motion, before any other fault of any motion.
+NON_FINITE_FAULTS = {"rotation_nan", "rotation_inf", "translation_nan", "translation_inf"}
 # Faults for one frame k of a positions copy; a log's frame indices are 0..N-1 by construction.
 FRAME_FAULTS = {
     "positions_nan": lambda p, k: p[k].__setitem__((k % p.shape[1], 1), np.nan),
@@ -664,11 +711,14 @@ def test_stack_errors_name_the_first_bad_motion_in_frame_order(name):
                 r, t, i = _copies((rotations, translations, indices))
                 for k, fault in zip(rows, (fault_a, fault_b)):
                     MOTION_FAULTS[fault](r, t, i, k)
-                got = _outcome(_stacked_sequence, *_copies((r, t, i)))
-                want = _outcome(_reference_sequence, *_copies((r, t, i)))
-                assert issubclass(got[0], ValueError) and got == want, (key, fault_a, fault_b, rows)
+                got = _outcome(_read_sequence, *_copies((r, t, i)))
+                want = _outcome(_reference_file, *_copies((r, t, i)))
+                assert got[0] in (ParseError, NonFiniteValue), (key, fault_a, fault_b, rows)
+                assert got == want, (key, fault_a, fault_b, rows)
                 outcomes[rows] = got
-            if fault_a != "index_repeated":  # a sequence check, made after every motion's
+            # a sequence check is made after every motion's, and a non-finite array is met first
+            if fault_a != "index_repeated" and (fault_a in NON_FINITE_FAULTS
+                                                or fault_b not in NON_FINITE_FAULTS):
                 # the second fault changes nothing: the first bad motion names the error
                 assert outcomes[(first,)] == outcomes[(first, second)], (key, fault_a, fault_b)
 
@@ -676,13 +726,13 @@ def test_stack_errors_name_the_first_bad_motion_in_frame_order(name):
         r, t, i = _copies((rotations, translations, indices))
         t[0, 0] = 1e-3  # frame 0 no longer the identity
         MOTION_FAULTS["translation_nan"](r, t, i, n - 1)
-        got = _outcome(_stacked_sequence, *_copies((r, t, i)))
-        assert got == _outcome(_reference_sequence, r, t, i)
-        assert got[2] == "translation: non-finite value at entry 2"
+        got = _outcome(_read_sequence, *_copies((r, t, i)))
+        assert got == _outcome(_reference_file, r, t, i)
+        assert got[2] == f"motion {n - 1} 'translation': non-finite value at entry 2"
         t[n - 1] = 0.0
-        got = _outcome(_stacked_sequence, *_copies((r, t, i)))
-        assert got == _outcome(_reference_sequence, r, t, i)
-        assert got[2] == "the frame-0 motion must be the identity"
+        got = _outcome(_read_sequence, *_copies((r, t, i)))
+        assert got == _outcome(_reference_file, r, t, i)
+        assert got[2] == "motion file: the frame-0 motion must be the identity"
 
 
 def _read_frames(path, positions):
@@ -750,13 +800,16 @@ def _rotation_of_kind(kind, rng):
 
 
 def _row_by_row(orthonormalize_one, mats):
-    return np.array([orthonormalize_one(m) for m in mats]).reshape(-1, 3, 3)
+    """orthonormalize_one of each matrix, its error as a motion file's reader raises it."""
+    motions = [(mat, np.zeros(3), k + 1) for k, mat in enumerate(mats)]
+    return np.array(_reference_read(lambda r, t, i: orthonormalize_one(r), motions))
 
 
-def _stacked_rotations(mats):
-    """The checked rotations of the matrices, with zero translations and indices 1..N."""
+def _read_rotations(mats):
+    """The rotations read back from a motion file of the matrices, with zero translations and
+    indices 1..N."""
     n = len(mats)
-    return motion._motion_stack(mats, np.zeros((n, 3)), range(1, n + 1))[0]
+    return read_motion_sequence(_motion_file(mats, np.zeros((n, 3)), range(1, n + 1))).rotations
 
 
 @settings(max_examples=300, deadline=None)
@@ -765,7 +818,7 @@ def _stacked_rotations(mats):
 def test_stack_check_matches_orthonormalize_row_by_row(seed, kinds):
     rng = np.random.default_rng(seed)
     mats = np.array([_rotation_of_kind(kind, rng) for kind in kinds])
-    got = _outcome(_stacked_rotations, mats.copy())
+    got = _outcome(_read_rotations, mats.copy())
     for reference in (orthonormalize, _reference_orthonormalize_by_gap):
         want = _outcome(_row_by_row, reference, mats)
         assert got[0] == want[0]

@@ -1,5 +1,8 @@
-"""Argument checks that no file reaches: each raises its own error and message."""
+"""Argument checks that no file reaches, and the index check a motion stack gets where it
+enters, in its file's reader: each raises its own error and message."""
 
+import io
+import json
 import math
 import numbers
 
@@ -10,16 +13,23 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EdgeContac
                     EstimateReport, EstimatorConfig, FixedDirectionContact, FixedPointContact,
                     MarkerFrame, MarkerGrid, MarkerLog, MotionSequence, MotionStep,
                     NonFiniteValue, Provenance, RankDeficientBeyondLine, RegistrationResult,
-                    RelativeMotion, ScenarioConfig, estimate_line_point, fixed_direction_residuals,
-                    fixed_point_residuals, line_contact_residuals, orthonormalize,
-                    propagate_plane, read_report, register_sequence, rotation_about_axis,
-                    write_report)
-from tacloc.io import dumps
-from tacloc.motion import _motion_stack
+                    ParseError, RelativeMotion, ScenarioConfig, estimate_line_point,
+                    fixed_direction_residuals, fixed_point_residuals, line_contact_residuals,
+                    orthonormalize, propagate_plane, read_motion_sequence, read_report,
+                    register_sequence, rotation_about_axis, write_report)
+from tacloc.io import MOTIONS_SCHEMA, dumps
 
 GRID = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 MOTIONS = MotionSequence((RelativeMotion.identity(0),
                           RelativeMotion.about_line((1, 0, 0), 0.3, frame_index=1)))
+
+
+def _read_stack(index):
+    """A motion file's stack of two identity motions, the second with frame_index index, read."""
+    motions = [{"frame_index": i, "rotation": np.eye(3).tolist(), "translation": [0.0] * 3}
+               for i in (0, index)]
+    doc = {"schema": MOTIONS_SCHEMA, "units": "mm", "motions": motions}
+    return read_motion_sequence(io.BytesIO(json.dumps(doc).encode()))
 
 
 def _scenario(**fields):
@@ -147,8 +157,7 @@ def _report(provenance=PROVENANCE, estimate=None):
      "frame_index must be a nonnegative integer, got True"),
     (lambda: MarkerFrame(GRID, True), ValueError,
      "frame_index must be a nonnegative integer, got True"),
-    (lambda: _motion_stack(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, True]),
-     ValueError, "frame_index must be a nonnegative integer, got True"),
+    (lambda: _read_stack(True), ParseError, "motion 1 'frame_index' must be int, got bool"),
     (lambda: MotionSequence(MOTIONS.motions, rms_errors=[0.0, True]), ValueError,
      "rms_error must be a finite number, got True"),
     (lambda: MotionSequence(MOTIONS.motions, units=5), ValueError,
@@ -250,10 +259,9 @@ def _report(provenance=PROVENANCE, estimate=None):
      "frame_index must be a nonnegative integer, got 1e+300"),
     (lambda: RelativeMotion.identity(2.0), ValueError,
      "frame_index must be a nonnegative integer, got 2.0"),
-    (lambda: _motion_stack(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, 2.0]),
-     ValueError, "frame_index must be a nonnegative integer, got 2.0"),
-    (lambda: _motion_stack(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [0, "x"]),
-     ValueError, "frame_index must be a nonnegative integer, got 'x'"),
+    # a motion file's stack holds only JSON integer indices: its reader rejects any other
+    (lambda: _read_stack(2.0), ParseError, "motion 1 'frame_index' must be int, got float"),
+    (lambda: _read_stack("x"), ParseError, "motion 1 'frame_index' must be int, got str"),
     # each was taken, and its report then failed to write, or failed inside its error message
     (lambda: _estimate(kind="pivot"), ValueError, "'pivot' is not a valid ContactKind"),
     # each was taken: a zero direction read as a fixed one

@@ -30,8 +30,8 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind,
                     read_truth, register_sequence, write_marker_log, write_motion_sequence,
                     write_report, write_scenario, write_truth)
 from tacloc.cli import main
-from tacloc.io import (_HASH_BLOCK, _array, _entries, _invalid, _number, _positions_array,
-                       _require, dumps, sha256_of_file)
+from tacloc.io import (_HASH_BLOCK, _array, _entries, _invalid, _positions_array, _require,
+                       dumps, sha256_of_file)
 
 GOLDEN_LOG = textwrap.dedent("""\
     {
@@ -923,9 +923,9 @@ def test_an_array_element_reads_iff_it_is_a_finite_json_number(roundtrip_files, 
     doc = _document(roundtrip_files, source)
     _container(doc, path)[path[-1]] = value
     try:
-        _number(value, "element")
+        motion._number(value, "element")
         expected = True
-    except ParseError:
+    except ValueError:
         expected = False
     if expected and (prefix := RANGED_PREFIX.get(tuple(path))):
         top = np.abs(np.array(_container(doc, path[:prefix + 1]), dtype=float)).max()
@@ -964,10 +964,12 @@ def test_integers_beyond_64_bits_are_rejected_in_arrays(roundtrip_files, tmp_pat
     ("pivot_point", ["grid", "pitch"], 1e300, "grid: pitch: largest |entry| 1e+300 is neither"),
     ("pivot_point", ["tolerances"], [["point_distance", 0.05]],
      "scenario: tolerances must be a dict, got [['point_distance', 0.05]]"),
+    ("pivot_point", ["tolerances", "point_distance"], -1.0,
+     "scenario: tolerance 'point_distance' must be nonnegative, got -1.0"),
 ], ids=["unknown_contact_kind", "edge_normal_along_edge", "zero_axis", "direction_not_unit",
         "min_frames_zero", "line_report_without_point", "point_report_with_direction",
         "unknown_estimate_kind", "negative_residual_rms", "one_grid_row", "zero_pitch",
-        "pitch_out_of_range", "tolerance_pairs"])
+        "pitch_out_of_range", "tolerance_pairs", "negative_tolerance"])
 def test_a_value_its_type_rejects_is_a_parse_error_naming_its_context(
         roundtrip_files, tmp_path, source, path, value, message):
     doc = _document(roundtrip_files, source)
