@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguousDirection, IllConditioned, RankDeficientBeyondLine, TooFewFrames
-from .motion import (_EYE3, MotionSequence, _floats, _in_range, _integer, _max_rotation_angle,
+from .motion import (_EYE3, MotionSequence, _floats, _integer, _max_rotation_angle,
                      _moving_stack, _norm, _number, _readonly, _row_dots, _row_norms, _shown,
-                     _stack, _unit, _unit_rows)
+                     _stack, _unit, _unit_rows, _vector)
 
 _STORED_UNIT_TOL = 1e-9  # for an estimate's stored direction, as a report reads it back
 
@@ -99,7 +99,7 @@ class ContactEstimate:
         if self.point is not None:
             object.__setattr__(self, "point", _readonly(_floats(self.point, "point", (3,))))
         if self.direction is not None:
-            direction = _in_range(_floats(self.direction, "direction", (3,)), "direction")
+            direction = _vector(self.direction, "direction")
             if abs((norm := _norm(direction)) - 1.0) > _STORED_UNIT_TOL:
                 raise ValueError(f"direction must be unit norm, got |d| = {norm}")
             object.__setattr__(self, "direction", _readonly(direction))
@@ -182,7 +182,7 @@ def _estimate(kind: ContactKind, point, direction, residuals: np.ndarray,
 
 def fixed_point_residuals(motions: MotionSequence, point) -> np.ndarray:
     """Per-frame distance the candidate pivot, a point in range, moves over the moving frames."""
-    point = _in_range(_floats(point, "point", (3,)), "point")
+    point = _vector(point, "point")
     return _point_residuals(*_moving_stack(motions), point)
 
 
@@ -208,7 +208,7 @@ def line_contact_residuals(motions: MotionSequence, surface_normal, point) -> np
     surface_normal = _unit(surface_normal, "surface_normal")
     rotations, translations = _moving_stack(motions)
     normals = _unit_rows(rotations @ surface_normal, "surface_normal")
-    point = _in_range(_floats(point, "point", (3,)), "point")
+    point = _vector(point, "point")
     return _line_residuals(normals, rotations, translations, point)
 
 

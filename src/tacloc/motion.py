@@ -2,7 +2,9 @@
 
 Every value type takes only what its file reads back: each number by _number, each integer
 by _integer and each array by _floats, the one check the readers rely on; each length or
-direction that enters, by _in_range, the one magnitude range every length computation needs.
+direction that enters, by _in_range, the one magnitude range every length computation needs;
+and each point, translation or direction, by _vector, the one rule for a 3-vector, which is
+_floats and _in_range together, tested on its three floats.
 
 All motions are expressed relative to the initial (index 0) frame, in the
 sensor base frame. Units are caller-defined; the library only requires them
@@ -28,6 +30,7 @@ import contextlib
 import math
 import numbers
 import operator
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -43,6 +46,10 @@ _REFLECTION = "matrix is a reflection or singular, not a rotation"
 
 _BOOLS = frozenset({bool, np.bool_})  # no file reads one back as a number
 
+# held by a registered sequence's first read of rms_errors, so first reads of different sequences
+# wait for each other too; a module's, since a lock of its own would keep the sequence from pickling
+_RMS_LOCK = threading.Lock()
+
 _BLOCK_BYTES = 1 << 17  # of a stack per block of a pass over it: its temporaries stay in cache
 
 # _admitted: whether the largest |entry| of a length or direction that enters, or each of an
@@ -55,10 +62,11 @@ L = 200
 # from positions in range stay below (1 + sqrt(3)) * 2**L and generate's below (3 + sqrt(3)) *
 # 2**L, and a residual a few times 2**(L+3) squares to far below the largest double.
 TRANSLATION_TOP = 2.0 ** (L + 3)
+_LOW, _HIGH = 2.0**-L, 2.0**L  # _admitted's bounds, made once rather than on each call
 
 
 def _admitted(top):
-    return (top == 0.0) | ((top >= 2.0**-L) & (top <= 2.0**L))
+    return (top == 0.0) | ((top >= _LOW) & (top <= _HIGH))
 
 
 def _in_range(value, name: str, error: type = ValueError):
@@ -166,6 +174,26 @@ def _floats(value, name: str, shape: tuple, rows: str = "entry") -> np.ndarray:
     return arr
 
 
+def _vector(value, name: str) -> np.ndarray:
+    """_in_range(_floats(value, name, (3,)), name): the one rule for a point, translation or
+    direction. A 3-vector that passes is tested on its three floats, without numpy's reductions,
+    which cost more than the test; any other value goes to _floats and _in_range to raise."""
+    try:
+        arr = np.array(value)  # a copy, as _floats makes
+        fast = arr.shape == (3,) and arr.dtype.kind in "fi" and (
+            isinstance(value, np.ndarray) or _BOOLS.isdisjoint(map(type, value)))
+    except ValueError:  # ragged: _floats says so
+        fast = False
+    if fast:
+        arr = arr.astype(float, copy=False)
+        x, y, z = arr.tolist()
+        # for a vector _admitted passes, the sum is finite iff every entry is: only entries
+        # beyond 2**L can overflow it
+        if math.isfinite(x + y + z) and _admitted(max(abs(x), abs(y), abs(z))):
+            return arr
+    return _in_range(_floats(value, name, (3,)), name)
+
+
 def orthonormalize(matrix) -> np.ndarray:
     """Project a 3x3 matrix onto the nearest proper rotation (polar projection).
 
@@ -233,7 +261,7 @@ def _view(cls, **fields):
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a right-handed rotation of `angle` radians about `axis`."""
-    return _rotations_about_axes(_in_range(_floats(axis, "axis", (3,)), "axis")[None], [angle])[0]
+    return _rotations_about_axes(_vector(axis, "axis")[None], [angle])[0]
 
 
 def _rotations_about_axes(axes, angles) -> np.ndarray:
@@ -277,7 +305,7 @@ def _norm(vec: np.ndarray) -> float:
 def _unit(value, name: str) -> np.ndarray:
     """A 3-vector in range divided by its norm as _unit_rows divides a row, but kept as it is
     within 1e-12 of unit length; ValueError if it is zero. The one rule for a direction."""
-    vec = _in_range(_floats(value, name, (3,)), name)
+    vec = _vector(value, name)
     if not (norm := _norm(vec)):
         raise ValueError(f"{name} must be nonzero")
     return vec if abs(norm - 1.0) <= 1e-12 else vec / norm
@@ -352,7 +380,7 @@ class RelativeMotion:
                    frame_index: int = 0) -> "RelativeMotion":
         """Rotation about the line through `point` along `axis` (points on the line stay fixed)."""
         rot = rotation_about_axis(axis, angle)
-        pnt = _in_range(_floats(point, "point", (3,)), "point")
+        pnt = _vector(point, "point")
         return cls(rot, pnt - rot @ pnt, frame_index)
 
     def transform(self, points) -> np.ndarray:
@@ -503,11 +531,13 @@ class MotionSequence:
     @cached_property
     def rms_errors(self) -> tuple | None:
         """Each motion's marker fit RMS, or None; made on first read from _of_stacks' maker."""
-        # each thread that reads first makes them, but all keep and return the first one kept;
-        # the maker goes only after that, so a thread that finds no maker finds them kept
-        if (make := self.__dict__.get("_make_rms")) is not None:
-            self.__dict__.setdefault("rms_errors", _rms_errors(make(), len(self.frame_indices)))
-            self.__dict__.pop("_make_rms", None)  # and with it the positions the maker holds
+        # one thread makes them (cached_property holds no lock since Python 3.12); the maker
+        # goes only after they are kept, so a thread that finds no maker finds them kept
+        if "_make_rms" in self.__dict__:
+            with _RMS_LOCK:
+                if (make := self.__dict__.get("_make_rms")) is not None:
+                    self.__dict__["rms_errors"] = _rms_errors(make(), len(self.frame_indices))
+                    del self.__dict__["_make_rms"]  # and with it the positions it holds
         return self.__dict__["rms_errors"]
 
     @cached_property

@@ -25,7 +25,7 @@ from .estimators import (ContactKind, fixed_direction_residuals, fixed_point_res
                          line_contact_residuals)
 from .motion import (_EYE3, MarkerLog, MotionSequence, RelativeMotion, _admitted, _blocks,
                      _floats, _in_range, _integer, _number, _per_frame, _readonly,
-                     _rotations_about_axes, _row_norms, _shown, _text, _unit)
+                     _rotations_about_axes, _row_norms, _shown, _text, _unit, _vector)
 
 # Truth motions must satisfy their own contact constraint to this absolute
 # tolerance (scaled by the scenario's geometry size).
@@ -40,7 +40,7 @@ class FixedPointContact:
     kind = ContactKind.FIXED_POINT
 
     def __post_init__(self):
-        point = _in_range(_floats(self.point, "point", (3,)), "point")
+        point = _vector(self.point, "point")
         object.__setattr__(self, "point", _readonly(point))
 
     def residuals(self, motions) -> np.ndarray:
@@ -79,7 +79,7 @@ class EdgeContact:
             raise ValueError(
                 f"surface_normal must be perpendicular to the edge, got dot {direction @ normal:.3g}")
         object.__setattr__(self, "direction", _readonly(direction))
-        point = _in_range(_floats(self.point, "point", (3,)), "point")
+        point = _vector(self.point, "point")
         object.__setattr__(self, "point", _readonly(point))
         object.__setattr__(self, "surface_normal", _readonly(normal))
 
@@ -114,7 +114,7 @@ class MotionStep:
         if self.axis is not None:
             object.__setattr__(self, "axis", _readonly(_unit(self.axis, "axis")))
         if self.translation is not None:
-            translation = _in_range(_floats(self.translation, "translation", (3,)), "translation")
+            translation = _vector(self.translation, "translation")
             object.__setattr__(self, "translation", _readonly(translation))
 
 

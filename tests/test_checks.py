@@ -5,9 +5,12 @@ import io
 import json
 import math
 import numbers
+import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
 
 from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EdgeContact,
                     EstimateReport, EstimatorConfig, FixedDirectionContact, FixedPointContact,
@@ -18,6 +21,7 @@ from tacloc import (ConditioningReport, ContactEstimate, ContactKind, EdgeContac
                     orthonormalize, propagate_plane, read_motion_sequence, read_report,
                     register_sequence, rotation_about_axis, write_report)
 from tacloc.io import MOTIONS_SCHEMA, dumps
+from tacloc.motion import L, _floats, _in_range, _vector
 
 GRID = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 MOTIONS = MotionSequence((RelativeMotion.identity(0),
@@ -539,3 +543,78 @@ def test_every_array_field_takes_one_array_rule(field):
         given = np.array(value, dtype=dtype)
         assert _bits(make(given)) == want, dtype
         assert given.flags.writeable and np.array_equal(given, value), dtype
+
+
+def _composed(value, name):
+    """The rule motion._vector replaces, kept as its oracle."""
+    return _in_range(_floats(value, name, (3,)), name)
+
+
+def _outcome(check, value):
+    """check(value, "v") as the shape and bytes of the fresh float64 copy it returns, or as the
+    type and message of the error it raises."""
+    try:
+        arr = check(value, "v")
+    except Exception as err:  # whatever the oracle raises, the rule must raise too
+        return type(err), str(err)
+    assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.writeable
+    assert not (isinstance(value, np.ndarray) and np.shares_memory(arr, value))
+    return arr.shape, arr.tobytes()
+
+
+def _same_outcome(value):
+    assert _outcome(_vector, value) == _outcome(_composed, value)
+
+
+_EDGES = [2.0**-L, 2.0**L, math.nextafter(2.0**-L, 0.0), math.nextafter(2.0**L, math.inf),
+          -0.0, 5e-324, 1e-310, math.nan, math.inf, -math.inf]
+_BAD = [True, np.True_, "1", None, 10**400]
+
+
+def _with(entry, at):
+    return [entry if k == at else v for k, v in enumerate([1.0, -2.0, 3.0])]
+
+
+@pytest.mark.parametrize("value", [
+    *[_with(e, k) for e in _EDGES + _BAD for k in range(3)],
+    *[np.array(_with(e, k)) for e in _EDGES for k in range(3)],
+    [-0.0, -0.0, -0.0], [0, 0, 0], [1.0, 5e-324, 0.0], [2**63 - 1, 0, 0], (1, 2, 3),
+    np.array([1, 2, 3], dtype=np.float32), np.array([1, 2, 3]),
+    np.array([1, 2, 3], dtype=np.uint8), np.array([True, False, True]),
+    np.array([1.0, 2.0, 3.0], dtype=object),
+    np.arange(6.0)[::2], [[1, 2], [3]], [1, [2, 3], 4], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0],
+    [[1.0], [2.0], [3.0]], [[1.0, 2.0, 3.0]], 1.0, np.array(1.0), [], "123",
+], ids=repr)
+def test_a_vector_has_the_outcome_of_its_composed_rule(value):
+    _same_outcome(value)
+
+
+_ENTRY = st.one_of(st.floats(allow_subnormal=True), st.integers(-2**70, 2**70),
+                   st.sampled_from(_EDGES + _BAD))
+_SHAPED = st.one_of(st.lists(_ENTRY, min_size=3, max_size=3),
+                    st.lists(_ENTRY, max_size=4),  # (0,), (2,), (4,)
+                    st.lists(st.lists(_ENTRY, min_size=1, max_size=3), min_size=1, max_size=3),
+                    st.lists(st.one_of(_ENTRY, st.lists(_ENTRY, max_size=2)), min_size=3,
+                             max_size=3),  # ragged
+                    _ENTRY)  # 0-d
+
+
+def _contained(value, container):
+    """value as a list, as a tuple of tuples, or as a numpy array of the dtype container."""
+    if container is list:
+        return value
+    if container is tuple:
+        return tuple(_contained(v, tuple) for v in value) if isinstance(value, list) else value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return np.array(value, dtype=container)
+        except (ValueError, TypeError, OverflowError):
+            reject()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SHAPED, st.sampled_from([list, tuple, np.float64, np.float32, np.int64, np.uint8, bool,
+                                 object]))
+def test_any_value_has_the_outcome_of_its_composed_rule(value, container):
+    _same_outcome(_contained(value, container))

@@ -13,8 +13,8 @@ import pytest
 
 from tacloc import (DegenerateMarkers, MarkerFrame, MarkerLog, MismatchedFrames,
                     MotionSequence, RelativeMotion, TooFewMarkers, generate, read_marker_log,
-                    read_scenario, register, register_sequence, rotation_about_axis,
-                    write_marker_log)
+                    read_scenario, register, register_sequence, registration,
+                    rotation_about_axis, write_marker_log)
 from tacloc.simulate import MarkerGrid
 
 BUNDLED = sorted(p.name.removesuffix(".json")
@@ -271,29 +271,46 @@ def test_a_registered_sequence_pickles_and_copies(read_first):
     assert motions.rms_errors == want
 
 
-def test_threads_reading_a_fresh_sequence_get_one_tuple():
-    log = bundled_log("pivot_point_noisy")
-    want = register_sequence(log).rms_errors
-    threads = 8  # more than the cores, with a short switch interval, so first reads overlap
+def _read_at_once(motions) -> list:
+    """motions.rms_errors as each of 8 threads read it, all let go at once: more threads than
+    the cores, with a short switch interval, so first reads overlap."""
+    read, start = [], threading.Barrier(8)
+    workers = [threading.Thread(target=lambda: (start.wait(timeout=10),
+                                                read.append(motions.rms_errors)))
+               for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            motions, read = register_sequence(log), []
-            start = threading.Barrier(threads)
-            workers = [threading.Thread(target=lambda: (start.wait(timeout=10),
-                                                        read.append(motions.rms_errors)))
-                       for _ in range(threads)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=10)
-                assert not worker.is_alive()
-            assert len(read) == threads and read[0] == want
-            assert all(got is read[0] for got in read)
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    assert len(read) == 8
+    return read
+
+
+def test_threads_reading_a_fresh_sequence_get_one_tuple():
+    log = bundled_log("pivot_point_noisy")
+    want = register_sequence(log).rms_errors
+    for _ in range(20):
+        read = _read_at_once(register_sequence(log))
+        assert read[0] == want and all(got is read[0] for got in read)
     # a read that began before another thread kept the errors returns the kept tuple
     motions = register_sequence(log)
     first = MotionSequence.rms_errors.func(motions)
     assert MotionSequence.rms_errors.func(motions) is first is motions.rms_errors
+
+
+def test_threads_reading_a_fresh_sequence_make_its_errors_once(monkeypatch):
+    # cached_property holds no lock since Python 3.12: without tacloc's, each thread made them
+    calls, fit_rms = [], registration._fit_rms
+    monkeypatch.setattr(registration, "_fit_rms", lambda *args: calls.append(1) or fit_rms(*args))
+    log = bundled_log("pivot_point_noisy")
+    log = MarkerLog._of_stack(np.tile(log.positions, (300, 1, 1)), log.units)  # 2100 frames
+    for _ in range(5):
+        calls.clear()
+        read = _read_at_once(register_sequence(log))
+        assert len(calls) == 1 and all(got is read[0] for got in read)
